@@ -28,6 +28,7 @@ import (
 
 	"longexposure/internal/core"
 	"longexposure/internal/data"
+	"longexposure/internal/durable"
 	"longexposure/internal/model"
 	"longexposure/internal/nn"
 	"longexposure/internal/peft"
@@ -133,33 +134,14 @@ func main() {
 	fmt.Printf("sample generation from %v: %v\n", prompt, out)
 
 	if *save != "" {
-		if err := saveCheckpoint(*save, eng.Model.Params()); err != nil {
+		// Atomic and fsynced: a crash mid-save never corrupts the
+		// checkpoint a -resume run would reload.
+		if err := durable.WriteFile(*save, eng.Model.Params().Save); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		fmt.Printf("saved checkpoint %s\n", *save)
 	}
-}
-
-// saveCheckpoint writes the parameter set to path atomically (temp file +
-// rename), so a crash mid-write never corrupts the checkpoint a -resume
-// run would reload.
-func saveCheckpoint(path string, ps nn.ParamSet) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := ps.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // loadCheckpoint restores the parameter set from path. The os.IsNotExist

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"longexposure/internal/data"
+	"longexposure/internal/durable"
 	"longexposure/internal/model"
 	"longexposure/internal/nn"
 	"longexposure/internal/peft"
@@ -34,7 +35,7 @@ func TestCheckpointSaveResumeRoundTrip(t *testing.T) {
 	// "First run": train a little, save, note the weights.
 	eng, batches := testEngine(42)
 	eng.Run(batches[:2], 1)
-	if err := saveCheckpoint(path, eng.Model.Params()); err != nil {
+	if err := durable.WriteFile(path, eng.Model.Params().Save); err != nil {
 		t.Fatal(err)
 	}
 
@@ -61,7 +62,7 @@ func TestCheckpointSaveResumeRoundTrip(t *testing.T) {
 	if res.Steps == 0 {
 		t.Fatal("resumed run executed no steps")
 	}
-	if err := saveCheckpoint(path, resumed.Model.Params()); err != nil {
+	if err := durable.WriteFile(path, resumed.Model.Params().Save); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -72,7 +73,7 @@ func TestSaveCheckpointAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "model.ckpt")
 	eng, _ := testEngine(7)
-	if err := saveCheckpoint(path, eng.Model.Params()); err != nil {
+	if err := durable.WriteFile(path, eng.Model.Params().Save); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
@@ -80,7 +81,7 @@ func TestSaveCheckpointAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A save into an unwritable location fails without touching path.
-	if err := saveCheckpoint(filepath.Join(dir, "missing-dir", "x.ckpt"), eng.Model.Params()); err == nil {
+	if err := durable.WriteFile(filepath.Join(dir, "missing-dir", "x.ckpt"), eng.Model.Params().Save); err == nil {
 		t.Fatal("save into missing directory succeeded")
 	}
 	after, err := os.ReadFile(path)

@@ -5,15 +5,6 @@
 // artifacts and served with KV-cached, continuously-batched generation on
 // a shared frozen base.
 //
-// The daemon ships its own observability and traffic-control plane:
-// -metrics (default on) instruments every subsystem — training steps,
-// decode batches, job queues, caches, per-layer sparsity, per-route HTTP
-// — and serves Prometheus text format at GET /metrics; -rate-limit /
-// -global-rate-limit / -tenant-header add token-bucket rate limiting and
-// -max-inflight adds load-shedding admission control (429 + Retry-After)
-// on POST /v1/generate and POST /v1/jobs. GET /healthz stays a pure
-// liveness probe; GET /readyz reports 503 while draining or shedding.
-//
 // Usage:
 //
 //	longexpd -addr :8080 -workers 4 -cache 128 -registry adapters \
@@ -25,43 +16,31 @@
 //	curl -N localhost:8080/v1/jobs/job-000001/events
 //	# list published adapters, then stream tokens from one
 //	curl -s localhost:8080/v1/adapters
-//	curl -N localhost:8080/v1/generate -d '{"adapter":"ad-…","prompt":[11,12,13],"max_tokens":16}'
+//	curl -N localhost:8080/v1/generate -d '{"adapter":"ad-…","prompt":[11,12,13],"decode":{"sampling":{"max_tokens":16}}}'
 //	# run a paper experiment
 //	curl -s localhost:8080/v1/jobs -d '{"kind":"experiment","experiment":{"id":"fig4"}}'
 //	# cancel
 //	curl -s -X DELETE localhost:8080/v1/jobs/job-000001
 //
-// The tracing, logging, and profiling plane: every request gets a
-// sampled span timeline (tune with -trace-sample / -trace-buffer /
-// -trace-slowest) served as JSON span trees at GET /debug/traces;
-// -log-level / -log-format configure log/slog structured logging with
-// trace and span ids on every record; -pprof (off by default) mounts
-// net/http/pprof at GET /debug/pprof/; -sse-keepalive emits comment
-// frames on idle SSE streams so proxies don't reap them.
+// The planes, each off or idle by default and documented in the README's
+// Operations section (flags: longexpd -h):
 //
-// The SLO plane: -slo-config (a JSON file, or "default" for the
-// built-in objectives) starts a burn-rate alerting engine over the live
-// metrics — Google-SRE multi-window multi-burn-rate rules per objective,
-// lexp_slo_* gauges, GET /debug/slo error-budget reports, and a
-// GET /v1/alerts SSE stream of pending/firing/resolved transitions.
-// /readyz also reports 503 "slo_firing" while a critical objective
-// fires. -flight-recorder-dir arms the black-box flight recorder: alert
-// transitions, recent slog records, span trees and per-tick metric
-// deltas are kept in fixed-size rings, served at
-// GET /debug/flightrecorder, and dumped atomically to disk when an
-// alert starts firing, on SIGQUIT, and on panic. -slo-interval,
-// -slo-for, -slo-fast-windows and -slo-slow-windows override the
-// evaluation cadence and alert windows without a config file.
-//
-// The accounting plane: every completed generate request and terminal
-// job becomes one wide event — tenant, route, adapter, trace id, outcome,
-// and the full resource vector (tokens, decode steps, dense-equivalent vs
-// executed FLOPs and the sparsity saving, peak KV footprint, arena bytes,
-// queue/phase durations) — served with filters and rollups at
-// GET /debug/events and as per-tenant cumulative usage at GET /v1/usage
-// (-usage-api). -account-dir persists events to a crash-tolerant
-// segmented binary log replayed on startup; -account-retention ages
-// sealed segments out.
+//   - metrics (-metrics, default on): every subsystem instrumented,
+//     Prometheus text at GET /metrics.
+//   - traffic control (-rate-limit, -global-rate-limit, -tenant-header,
+//     -max-inflight, -max-wait): 429 + Retry-After on POST /v1/generate
+//     and POST /v1/jobs; GET /readyz reports 503 while draining,
+//     shedding or slo_firing, GET /healthz stays pure liveness.
+//   - tracing, logging, profiling (-trace-*, -log-*, -pprof,
+//     -sse-keepalive): span trees at GET /debug/traces, slog records
+//     carrying trace ids.
+//   - SLOs (-slo-config, a JSON file or "default"): burn-rate alerting
+//     over the live metrics at GET /debug/slo and GET /v1/alerts;
+//     -flight-recorder-dir arms black-box dumps on alert-firing, SIGQUIT
+//     and panic (GET /debug/flightrecorder).
+//   - accounting (always on): one wide event per request and job at
+//     GET /debug/events, per-tenant usage at GET /v1/usage; -account-dir
+//     persists them, -account-retention ages them out.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown that drains queued and
 // running jobs, bounded by -drain.
@@ -75,7 +54,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -97,24 +75,6 @@ var version = "dev"
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "longexpd:", err)
 	os.Exit(1)
-}
-
-// parseWindowPair parses "short,long" duration pairs for the
-// -slo-fast-windows / -slo-slow-windows overrides.
-func parseWindowPair(flagName, s string) (short, long slo.Duration, err error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("%s: want \"short,long\" (e.g. \"5m,1h\"), got %q", flagName, s)
-	}
-	sd, err := time.ParseDuration(strings.TrimSpace(parts[0]))
-	if err != nil {
-		return 0, 0, fmt.Errorf("%s: %w", flagName, err)
-	}
-	ld, err := time.ParseDuration(strings.TrimSpace(parts[1]))
-	if err != nil {
-		return 0, 0, fmt.Errorf("%s: %w", flagName, err)
-	}
-	return slo.Duration(sd), slo.Duration(ld), nil
 }
 
 func main() {
@@ -141,16 +101,11 @@ func main() {
 		pprofFlag    = flag.Bool("pprof", false, "mount net/http/pprof at GET /debug/pprof/")
 		sseKeepalive = flag.Duration("sse-keepalive", 15*time.Second, "idle SSE keepalive comment interval; 0 disables")
 
-		sloConfig   = flag.String("slo-config", "", `SLO objectives: a JSON config path, or "default" for the built-in objectives; empty disables the SLO engine`)
-		sloInterval = flag.Duration("slo-interval", 0, "override the SLO evaluation interval (0 keeps the config value)")
-		sloFor      = flag.Duration("slo-for", 0, "override how long a burn-rate violation must hold before an alert fires (0 keeps the config value)")
-		sloFast     = flag.String("slo-fast-windows", "", `override the fast-burn alert windows as "short,long" (e.g. "5m,1h")`)
-		sloSlow     = flag.String("slo-slow-windows", "", `override the slow-burn alert windows as "short,long" (e.g. "30m,6h")`)
-		flightDir   = flag.String("flight-recorder-dir", "", "directory for flight-recorder dumps (alert-firing, SIGQUIT, panic); empty keeps the black box in memory only")
+		sloConfig = flag.String("slo-config", "", `SLO objectives: a JSON config path, or "default" for the built-in objectives; empty disables the SLO engine`)
+		flightDir = flag.String("flight-recorder-dir", "", "directory for flight-recorder dumps (alert-firing, SIGQUIT, panic); empty keeps the black box in memory only")
 
 		accountDir       = flag.String("account-dir", "", "directory for the wide-event accounting log; empty keeps accounting in memory only")
 		accountRetention = flag.Duration("account-retention", 0, "prune sealed accounting segments older than this age; 0 keeps them until the size budget evicts them")
-		usageAPI         = flag.Bool("usage-api", true, "mount GET /v1/usage (per-tenant usage rollups) alongside GET /debug/events")
 
 		showVersion = flag.Bool("version", false, "print version information and exit")
 	)
@@ -185,46 +140,39 @@ func main() {
 	}
 	slog.SetDefault(logger)
 
-	jcfg := jobs.Config{Workers: *workers, CacheSize: *cache, Logger: logger}
-	var opts []serve.Option
-	opts = append(opts, serve.WithLogger(logger))
-	if *sseKeepalive > 0 {
-		opts = append(opts, serve.WithSSEKeepalive(*sseKeepalive))
-	}
-	if *pprofFlag {
-		opts = append(opts, serve.WithPprof())
-	}
-	if tracer != nil {
-		jcfg.Tracer = tracer
-		opts = append(opts, serve.WithTracing(tracer))
-	}
+	// A nil tracer and a nil metrics registry are the "off" values of
+	// their planes everywhere they are threaded.
 	var obsReg *obs.Registry
 	if *metrics {
 		obsReg = obs.NewRegistry()
 		obs.RegisterRuntimeMetrics(obsReg)
 		obs.RegisterBuildInfo(obsReg, version)
-		jcfg.Obs = obsReg
-		opts = append(opts, serve.WithMetrics(obsReg))
+	}
+	jcfg := jobs.Config{Workers: *workers, CacheSize: *cache, Logger: logger, Tracer: tracer, Obs: obsReg}
+	opts := []serve.Option{
+		serve.WithLogger(logger),
+		serve.WithSSEKeepalive(*sseKeepalive),
+		serve.WithTracing(tracer),
+		serve.WithMetrics(obsReg),
+	}
+	if *pprofFlag {
+		opts = append(opts, serve.WithPprof())
 	}
 	// The accounting plane is always on: the in-memory ring and
 	// GET /debug/events cost nothing when idle; -account-dir additionally
 	// persists every event to a crash-tolerant segmented log (replayed on
 	// startup, so usage rollups survive restarts).
-	var acctMetrics *obs.AccountMetrics
-	if obsReg != nil {
-		acctMetrics = obs.NewAccountMetrics(obsReg)
-	}
 	plane, err := account.New(account.Config{
 		Dir:       *accountDir,
 		Retention: *accountRetention,
-		Metrics:   acctMetrics,
+		Metrics:   obs.NewAccountMetrics(obsReg),
 	})
 	if err != nil {
 		fatal(err)
 	}
 	defer plane.Close()
 	jcfg.Account = plane
-	opts = append(opts, serve.WithAccounting(plane, *usageAPI))
+	opts = append(opts, serve.WithAccounting(plane))
 
 	var sloEngine *slo.Engine
 	if *sloConfig != "" {
@@ -237,26 +185,6 @@ func main() {
 			if cfg, err = slo.LoadConfig(*sloConfig); err != nil {
 				fatal(err)
 			}
-		}
-		if *sloInterval > 0 {
-			cfg.Interval = slo.Duration(*sloInterval)
-		}
-		if *sloFor > 0 {
-			cfg.Windows.For = slo.Duration(*sloFor)
-		}
-		if *sloFast != "" {
-			short, long, err := parseWindowPair("-slo-fast-windows", *sloFast)
-			if err != nil {
-				fatal(err)
-			}
-			cfg.Windows.FastShort, cfg.Windows.FastLong = short, long
-		}
-		if *sloSlow != "" {
-			short, long, err := parseWindowPair("-slo-slow-windows", *sloSlow)
-			if err != nil {
-				fatal(err)
-			}
-			cfg.Windows.SlowShort, cfg.Windows.SlowLong = short, long
 		}
 		var err error
 		sloEngine, err = slo.New(cfg, slo.Deps{
@@ -283,9 +211,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if obsReg != nil {
-			reg.Instrument(obs.NewRegistryMetrics(obsReg))
-		}
+		reg.Instrument(obs.NewRegistryMetrics(obsReg))
 		jcfg.Registry = reg
 		opts = append(opts, serve.WithRegistry(reg, *maxBatch))
 	}

@@ -155,9 +155,7 @@ func (l *segLog) append(e *Event) error {
 		return err
 	}
 	l.size += int64(len(l.buf))
-	if l.metrics != nil {
-		l.metrics.LogBytes.Add(float64(len(l.buf)))
-	}
+	l.metrics.LogBytes.Add(float64(len(l.buf)))
 	if l.size >= l.segBytes {
 		return l.rotate()
 	}
@@ -174,9 +172,7 @@ func (l *segLog) rotate() error {
 	if err := os.Rename(filepath.Join(l.dir, name+".open"), filepath.Join(l.dir, name+".seg")); err != nil {
 		return err
 	}
-	if l.metrics != nil {
-		l.metrics.Segments.Inc()
-	}
+	l.metrics.Segments.Inc()
 	l.prune()
 	return l.openNext()
 }

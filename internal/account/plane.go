@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"longexposure/internal/events"
 	"longexposure/internal/obs"
 )
 
@@ -39,6 +40,9 @@ func (c Config) withDefaults() Config {
 	case c.MaxBytes < 0:
 		c.MaxBytes = 0
 	}
+	if c.Metrics == nil {
+		c.Metrics = obs.NewAccountMetrics(nil) // no-op handles
+	}
 	return c
 }
 
@@ -52,9 +56,7 @@ type Plane struct {
 	cfg Config
 
 	mu    sync.Mutex
-	ring  []Event // preallocated; filled in place
-	head  int     // next write slot
-	n     int     // live events (<= len(ring))
+	ring  events.Ring[Event] // preallocated; filled in place
 	usage map[string]*Usage
 	total Usage
 	log   *segLog
@@ -70,10 +72,10 @@ type Plane struct {
 // torn tail (a crash mid-write) is truncated, and appends resume.
 func New(cfg Config) (*Plane, error) {
 	cfg = cfg.withDefaults()
-	p := &Plane{cfg: cfg, ring: make([]Event, cfg.Ring), usage: map[string]*Usage{}}
+	p := &Plane{cfg: cfg, ring: events.NewRing[Event](cfg.Ring), usage: map[string]*Usage{}}
 	if cfg.Dir != "" {
 		l, err := openLog(cfg.Dir, cfg.SegmentBytes, cfg.MaxBytes, cfg.Retention, cfg.Metrics, func(e *Event) {
-			p.ringPut(e)
+			*p.ring.Next() = *e
 			p.rollup(e)
 		})
 		if err != nil {
@@ -97,8 +99,12 @@ func (p *Plane) SetHealth(fn func() (bool, string)) {
 // reused across sequences). A zero Time is stamped with the current
 // time; the SLO verdict is stamped when a health source is attached.
 // Disk-log failures are counted and swallowed — accounting must never
-// fail the request path.
+// fail the request path. Emit on a nil plane is a no-op, so producers
+// hold an optional plane without branching.
 func (p *Plane) Emit(ev *Event) {
+	if p == nil {
+		return
+	}
 	if ev.Time.IsZero() {
 		ev.Time = time.Now()
 	}
@@ -108,36 +114,25 @@ func (p *Plane) Emit(ev *Event) {
 			ev.SLO = status
 		}
 	}
-	p.ringPut(ev)
+	*p.ring.Next() = *ev
 	p.rollup(ev)
-	if m := p.cfg.Metrics; m != nil {
-		m.Event(ev.Kind).Inc()
-		m.PromptTokens.Add(float64(ev.PromptTokens))
-		m.OutputTokens.Add(float64(ev.OutputTokens))
-		m.DenseFLOPs.Add(float64(ev.DenseFLOPs))
-		m.ExecFLOPs.Add(float64(ev.ExecFLOPs))
-		m.SavedMLP.Add(float64(ev.MLPSavedFLOPs))
-		m.SavedAttn.Add(float64(ev.AttnSavedFLOPs))
-		if ev.Shed() {
-			m.Shed.Inc()
-		}
+	m := p.cfg.Metrics
+	m.Event(ev.Kind).Inc()
+	m.PromptTokens.Add(float64(ev.PromptTokens))
+	m.OutputTokens.Add(float64(ev.OutputTokens))
+	m.DenseFLOPs.Add(float64(ev.DenseFLOPs))
+	m.ExecFLOPs.Add(float64(ev.ExecFLOPs))
+	m.SavedMLP.Add(float64(ev.MLPSavedFLOPs))
+	m.SavedAttn.Add(float64(ev.AttnSavedFLOPs))
+	if ev.Shed() {
+		m.Shed.Inc()
 	}
 	if p.log != nil {
-		if err := p.log.append(ev); err != nil && p.cfg.Metrics != nil {
-			p.cfg.Metrics.LogErrors.Inc()
+		if err := p.log.append(ev); err != nil {
+			m.LogErrors.Inc()
 		}
 	}
 	p.mu.Unlock()
-}
-
-// ringPut copies one event into the next ring slot (caller holds mu,
-// except during single-threaded replay in New).
-func (p *Plane) ringPut(ev *Event) {
-	p.ring[p.head] = *ev
-	p.head = (p.head + 1) % len(p.ring)
-	if p.n < len(p.ring) {
-		p.n++
-	}
 }
 
 func (p *Plane) rollup(ev *Event) {
@@ -198,11 +193,9 @@ func (p *Plane) Events(f Filter) []Event {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []Event
-	start := p.head - p.n
-	for i := 0; i < p.n; i++ {
-		idx := (start + i + len(p.ring)) % len(p.ring)
-		if f.match(&p.ring[idx]) {
-			out = append(out, p.ring[idx])
+	for i := 0; i < p.ring.Len(); i++ {
+		if e := p.ring.At(i); f.match(e) {
+			out = append(out, *e)
 		}
 	}
 	if f.Limit > 0 && len(out) > f.Limit {

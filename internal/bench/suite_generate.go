@@ -1,7 +1,7 @@
 // The generate suite measures autoregressive decoding to the model's full
 // MaxSeq on a primed sim config — the serving hot path — comparing the
-// KV-cached decode (with and without the workspace arena) against the
-// naive full-prefix re-run nn.Generate performs. One op is one complete
+// KV-cached decode against the naive full-prefix re-run nn.Generate
+// performs. One op is one complete
 // generation, so tokens/s = emitted tokens / (ns_per_op · 1e-9) and the
 // cached-vs-naive ns/op ratio is exactly the tokens/s speedup the
 // inference gateway banks per sequence. allocs_per_op locks in the cached
@@ -12,6 +12,7 @@ package bench
 import (
 	"longexposure/internal/model"
 	"longexposure/internal/nn"
+	"longexposure/internal/parallel"
 	"longexposure/internal/peft"
 	"longexposure/internal/tensor"
 )
@@ -37,6 +38,51 @@ func generateModel(short bool) (*nn.Transformer, []int) {
 		prompt[i] = 10 + i
 	}
 	return m, prompt
+}
+
+// decodeStepBench is one single-token KV-cached decode step per op — one
+// worker, warm arena, the same cache position decoded every op — wrapped
+// in the per-step instrumentation a suite is gating: around receives the
+// bare step and the cache, and calls the step exactly once.
+func decodeStepBench(name string, arm func(), around func(step func(), cache *nn.KVCache)) Benchmark {
+	var (
+		m     *nn.Transformer
+		cache *nn.KVCache
+		ws    *tensor.Arena
+		rng   *tensor.RNG
+		p0    int
+		buf   [1]int
+	)
+	step := func() {
+		logits := m.DecodeStepCfg(cache, buf[:], nn.DecodeStepConfig{WS: ws})
+		buf[0] = nn.SampleToken(logits.Row(0), 0, rng)
+		ws.Release()
+	}
+	return Benchmark{
+		Name:  name,
+		Flops: 2 * model.SimSmall(nn.ActReLU).ParamCount(),
+		Setup: func() {
+			var prompt []int
+			m, prompt = generateModel(true)
+			arm()
+			cache = m.NewKVCache()
+			ws = tensor.NewArena()
+			rng = tensor.NewRNG(7)
+			old := parallel.SetWorkers(1)
+			logits := m.DecodeStepCfg(cache, prompt, nn.DecodeStepConfig{WS: ws}) // prefill
+			buf[0] = nn.SampleToken(logits.Row(0), 0, rng)
+			ws.Release()
+			p0 = cache.Len
+			step() // one warm decode step so arena classes exist
+			parallel.SetWorkers(old)
+		},
+		Fn: func() {
+			old := parallel.SetWorkers(1)
+			cache.Len = p0 // rewind: decode the same position every op
+			around(step, cache)
+			parallel.SetWorkers(old)
+		},
+	}
 }
 
 // genFlops approximates decode arithmetic per generation: ~2·P multiply
@@ -76,19 +122,11 @@ func generateSuite(o Options) []Benchmark {
 				setup()
 				cache = m.NewKVCache()
 				ws = tensor.NewArena()
-				m.GenerateCached(prompt, cfg, nil, cache, ws) // warm the arena
+				m.GenerateCachedCfg(prompt, cfg, nn.DecodeSession{Cache: cache, WS: ws}) // warm the arena
 			},
 			Fn: func() {
 				cache.Reset()
-				m.GenerateCached(prompt, cfg, nil, cache, ws)
-			},
-		},
-		{
-			Name:  "generate/cached_nows",
-			Flops: flops,
-			Setup: setup,
-			Fn: func() {
-				m.GenerateCached(prompt, cfg, nil, nil, nil)
+				m.GenerateCachedCfg(prompt, cfg, nn.DecodeSession{Cache: cache, WS: ws})
 			},
 		},
 		{

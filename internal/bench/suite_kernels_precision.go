@@ -224,11 +224,11 @@ func decodeE2EBenchmarks(o Options) []Benchmark {
 				m = build(precision)
 				cache = m.NewKVCache()
 				ws = tensor.NewArena()
-				m.GenerateCached(prompt, cfg, nil, cache, ws) // warm the arena
+				m.GenerateCachedCfg(prompt, cfg, nn.DecodeSession{Cache: cache, WS: ws}) // warm the arena
 			},
 			Fn: func() {
 				cache.Reset()
-				m.GenerateCached(prompt, cfg, nil, cache, ws)
+				m.GenerateCachedCfg(prompt, cfg, nn.DecodeSession{Cache: cache, WS: ws})
 			},
 		}
 	}

@@ -10,12 +10,8 @@
 package bench
 
 import (
-	"longexposure/internal/data"
-	"longexposure/internal/model"
 	"longexposure/internal/nn"
 	"longexposure/internal/obs"
-	"longexposure/internal/parallel"
-	"longexposure/internal/tensor"
 	"longexposure/internal/train"
 )
 
@@ -60,80 +56,25 @@ func obsSuite(o Options) []Benchmark {
 	// Identical to train_step/ws (one worker, warm arena) plus a live
 	// TrainMetrics bundle: the gate proving instrumentation keeps the
 	// step at zero steady-state allocations.
-	{
-		spec := model.SimSmall(nn.ActReLU)
-		flops := stepFlops(spec, 2*16)
-		var eng *train.Engine
-		var b data.Batch
-		benchmarks = append(benchmarks, Benchmark{
-			Name:  "obs/train_step_instrumented",
-			Flops: flops,
-			Setup: func() {
-				eng, b = newTrainStepEngine(false)
-				eng.Metrics = obs.NewTrainMetrics(obs.NewRegistry())
-				old := parallel.SetWorkers(1)
-				eng.Step(b) // warmup: arena fill, optimizer state
-				parallel.SetWorkers(old)
-			},
-			Fn: func() {
-				old := parallel.SetWorkers(1)
-				eng.Step(b)
-				parallel.SetWorkers(old)
-			},
-		})
-	}
+	benchmarks = append(benchmarks, trainStepBench("obs/train_step_instrumented", func(eng *train.Engine) {
+		eng.Metrics = obs.NewTrainMetrics(obs.NewRegistry())
+	}))
 
 	// ---- instrumented KV-cached decode step ----
 	// One token through the cached decode path plus the per-step metric
 	// updates the infer scheduler performs (occupancy, tokens, KV
 	// residency) — the serving hot path, instrumented, at 0 allocs/op.
-	{
-		spec := model.SimSmall(nn.ActReLU)
-		var (
-			m     *nn.Transformer
-			im    *obs.InferMetrics
-			cache *nn.KVCache
-			ws    *tensor.Arena
-			rng   *tensor.RNG
-			p0    int
-			buf   [1]int
-		)
-		benchmarks = append(benchmarks, Benchmark{
-			Name:  "obs/decode_step_instrumented",
-			Flops: 2 * spec.ParamCount(),
-			Setup: func() {
-				var prompt []int
-				m, prompt = generateModel(true)
-				im = obs.NewInferMetrics(obs.NewRegistry())
-				cache = m.NewKVCache()
-				ws = tensor.NewArena()
-				rng = tensor.NewRNG(7)
-				old := parallel.SetWorkers(1)
-				logits := m.DecodeStep(cache, prompt, nil, ws) // prefill
-				buf[0] = nn.SampleToken(logits.Row(0), 0, rng)
-				ws.Release()
-				p0 = cache.Len
-				// One warm decode step so arena classes exist.
-				m.DecodeStep(cache, buf[:], nil, ws)
-				ws.Release()
-				parallel.SetWorkers(old)
-			},
-			Fn: func() {
-				old := parallel.SetWorkers(1)
-				cache.Len = p0 // rewind: decode the same position every op
-				logits := m.DecodeStep(cache, buf[:], nil, ws)
-				tok := nn.SampleToken(logits.Row(0), 0, rng)
-				ws.Release()
-				buf[0] = tok
-				im.SchedulerSteps.Inc()
-				im.BatchOccupancy.Observe(1)
-				im.Tokens.Add(1)
-				im.KVRows.Set(float64(cache.Len))
-				im.Active.Set(1)
-				parallel.SetWorkers(old)
-			},
-		})
-	}
+	var im *obs.InferMetrics
+	benchmarks = append(benchmarks, decodeStepBench("obs/decode_step_instrumented",
+		func() { im = obs.NewInferMetrics(obs.NewRegistry()) },
+		func(step func(), cache *nn.KVCache) {
+			step()
+			im.SchedulerSteps.Inc()
+			im.BatchOccupancy.Observe(1)
+			im.Tokens.Add(1)
+			im.KVRows.Set(float64(cache.Len))
+			im.Active.Set(1)
+		}))
 
 	return benchmarks
 }

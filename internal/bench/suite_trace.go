@@ -9,12 +9,8 @@
 package bench
 
 import (
-	"longexposure/internal/data"
-	"longexposure/internal/model"
 	"longexposure/internal/nn"
 	"longexposure/internal/obs"
-	"longexposure/internal/parallel"
-	"longexposure/internal/tensor"
 	"longexposure/internal/trace"
 	"longexposure/internal/train"
 )
@@ -65,82 +61,29 @@ func traceSuite(o Options) []Benchmark {
 	// tracer wired (eng.Span comes from a ratio-0 tracer, i.e. nil). The
 	// gate proves threading tracing through train.Engine.Step did not
 	// reopen the zero-allocation steady state.
-	{
-		spec := model.SimSmall(nn.ActReLU)
-		flops := stepFlops(spec, 2*16)
-		var eng *train.Engine
-		var b data.Batch
-		benchmarks = append(benchmarks, Benchmark{
-			Name:  "trace/train_step_traced_off",
-			Flops: flops,
-			Setup: func() {
-				eng, b = newTrainStepEngine(false)
-				eng.Metrics = obs.NewTrainMetrics(obs.NewRegistry())
-				tr := trace.New(trace.Config{SampleRatio: 0, Seed: 1})
-				eng.Span = tr.StartRoot("jobs.run", trace.SpanContext{}) // nil: unsampled
-				old := parallel.SetWorkers(1)
-				eng.Step(b) // warmup: arena fill, optimizer state
-				parallel.SetWorkers(old)
-			},
-			Fn: func() {
-				old := parallel.SetWorkers(1)
-				eng.Step(b)
-				parallel.SetWorkers(old)
-			},
-		})
-	}
+	benchmarks = append(benchmarks, trainStepBench("trace/train_step_traced_off", func(eng *train.Engine) {
+		eng.Metrics = obs.NewTrainMetrics(obs.NewRegistry())
+		tr := trace.New(trace.Config{SampleRatio: 0, Seed: 1})
+		eng.Span = tr.StartRoot("jobs.run", trace.SpanContext{}) // nil: unsampled
+	}))
 
 	// ---- traced KV-cached decode step, sampling off ----
 	// One token through the cached decode path plus the per-step span
 	// operations the infer scheduler performs against an unsampled (nil)
 	// sequence span — the serving hot path with tracing wired in.
-	{
-		spec := model.SimSmall(nn.ActReLU)
-		var (
-			m       *nn.Transformer
-			seqSpan *trace.Span
-			cache   *nn.KVCache
-			ws      *tensor.Arena
-			rng     *tensor.RNG
-			p0      int
-			buf     [1]int
-		)
-		benchmarks = append(benchmarks, Benchmark{
-			Name:  "trace/decode_step_traced_off",
-			Flops: 2 * spec.ParamCount(),
-			Setup: func() {
-				var prompt []int
-				m, prompt = generateModel(true)
-				tr := trace.New(trace.Config{SampleRatio: 0, Seed: 1})
-				seqSpan = tr.StartRoot("infer.sequence", trace.SpanContext{}) // nil: unsampled
-				cache = m.NewKVCache()
-				ws = tensor.NewArena()
-				rng = tensor.NewRNG(7)
-				old := parallel.SetWorkers(1)
-				logits := m.DecodeStep(cache, prompt, nil, ws) // prefill
-				buf[0] = nn.SampleToken(logits.Row(0), 0, rng)
-				ws.Release()
-				p0 = cache.Len
-				// One warm decode step so arena classes exist.
-				m.DecodeStep(cache, buf[:], nil, ws)
-				ws.Release()
-				parallel.SetWorkers(old)
-			},
-			Fn: func() {
-				old := parallel.SetWorkers(1)
-				cache.Len = p0 // rewind: decode the same position every op
-				sp := seqSpan.StartChild("infer.decode_step")
-				sp.SetInt("step", 1)
-				logits := m.DecodeStep(cache, buf[:], nil, ws)
-				tok := nn.SampleToken(logits.Row(0), 0, rng)
-				sp.SetInt("batch", 1)
-				sp.Finish()
-				ws.Release()
-				buf[0] = tok
-				parallel.SetWorkers(old)
-			},
-		})
-	}
+	var seqSpan *trace.Span
+	benchmarks = append(benchmarks, decodeStepBench("trace/decode_step_traced_off",
+		func() {
+			tr := trace.New(trace.Config{SampleRatio: 0, Seed: 1})
+			seqSpan = tr.StartRoot("infer.sequence", trace.SpanContext{}) // nil: unsampled
+		},
+		func(step func(), _ *nn.KVCache) {
+			sp := seqSpan.StartChild("infer.decode_step")
+			sp.SetInt("step", 1)
+			step()
+			sp.SetInt("batch", 1)
+			sp.Finish()
+		}))
 
 	return benchmarks
 }

@@ -1,15 +1,13 @@
 // The train_step suite measures a full fine-tuning step — forward,
-// backward, optimizer update — on a small primed sim config, with and
-// without the workspace arena. Its allocs_per_op numbers are what CI's
-// allocation gate locks in: the workspace path must stay at (near) zero
-// steady-state allocations, and the nows baseline documents what the
-// allocating path costs.
+// backward, optimizer update — on a small primed sim config. Its
+// allocs_per_op number is what CI's allocation gate locks in: the
+// workspace-arena step must stay at (near) zero steady-state allocations.
 //
 // The suite pins the worker pool to one worker for the duration of each
 // measurement: allocs/op is a property of the code path, and with multiple
-// workers every parallel region adds per-spawn goroutine allocations that
-// both paths pay identically — noise that would track the runner's core
-// count instead of the memory model.
+// workers every parallel region adds per-spawn goroutine allocations —
+// noise that would track the runner's core count instead of the memory
+// model.
 package bench
 
 import (
@@ -43,13 +41,13 @@ func trainStepBatch(vocab, batchSize, seqLen int, seed uint64) data.Batch {
 }
 
 // newTrainStepEngine builds a primed LoRA engine on the small sim config.
-func newTrainStepEngine(noWS bool) (*train.Engine, data.Batch) {
+func newTrainStepEngine() (*train.Engine, data.Batch) {
 	spec := model.SimSmall(nn.ActReLU)
 	r := tensor.NewRNG(1234)
 	m := nn.NewTransformer(spec.Config, r)
 	model.PrimeSparsity(m, r.Split(), 8)
 	peft.Apply(m, peft.LoRA, peft.Options{}, r.Split())
-	e := &train.Engine{Model: m, Opt: peft.NewAdamW(1e-3, 0), NoWorkspace: noWS}
+	e := &train.Engine{Model: m, Opt: peft.NewAdamW(1e-3, 0)}
 	b := trainStepBatch(spec.Config.Vocab, 2, 16, 99)
 	return e, b
 }
@@ -60,32 +58,31 @@ func stepFlops(spec model.Spec, tokens int) int64 {
 	return 3 * 2 * spec.ParamCount() * int64(tokens)
 }
 
+// trainStepBench is one steady-state fine-tuning step per op on a freshly
+// built engine — one worker, warm arena. arm (optional) attaches the
+// instruments a suite is gating before the warmup step.
+func trainStepBench(name string, arm func(*train.Engine)) Benchmark {
+	var e *train.Engine
+	var b data.Batch
+	step := func() {
+		old := parallel.SetWorkers(1)
+		e.Step(b)
+		parallel.SetWorkers(old)
+	}
+	return Benchmark{
+		Name:  name,
+		Flops: stepFlops(model.SimSmall(nn.ActReLU), 2*16),
+		Setup: func() {
+			e, b = newTrainStepEngine()
+			if arm != nil {
+				arm(e)
+			}
+			step() // warmup step 1: arena fill, optimizer state
+		},
+		Fn: step,
+	}
+}
+
 func trainStepSuite(o Options) []Benchmark {
-	spec := model.SimSmall(nn.ActReLU)
-	flops := stepFlops(spec, 2*16)
-
-	mk := func(name string, noWS bool) Benchmark {
-		var e *train.Engine
-		var b data.Batch
-		return Benchmark{
-			Name:  name,
-			Flops: flops,
-			Setup: func() {
-				e, b = newTrainStepEngine(noWS)
-				old := parallel.SetWorkers(1)
-				e.Step(b) // warmup step 1: arena fill, optimizer state
-				parallel.SetWorkers(old)
-			},
-			Fn: func() {
-				old := parallel.SetWorkers(1)
-				e.Step(b)
-				parallel.SetWorkers(old)
-			},
-		}
-	}
-
-	return []Benchmark{
-		mk("train_step/ws", false),
-		mk("train_step/nows", true),
-	}
+	return []Benchmark{trainStepBench("train_step/ws", nil)}
 }

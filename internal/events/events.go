@@ -1,7 +1,8 @@
-// Package events is the bounded-backlog fan-out machinery behind every
-// SSE stream in this repository. It began life inside internal/jobs as
-// the per-job event subscriber; the SLO alert stream needed the same
-// semantics, so the type was extracted here and made generic.
+// Package events holds the shared primitives under the daemon's
+// observability planes: Ring, the one bounded history (ring.go); Topic,
+// the one stream-with-history, behind job event streams and /v1/alerts
+// (topic.go); and Subscriber, the bounded-backlog consumer a Topic hands
+// each client.
 //
 // A Subscriber is one stream consumer: a bounded pending queue drained
 // by a pump goroutine, so slow consumers never block publishers and

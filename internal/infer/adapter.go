@@ -1,6 +1,6 @@
 // Package infer is the generation engine behind the inference gateway: it
 // compiles registry adapter artifacts into the functional decode weights
-// nn.DecodeStep consumes, and schedules concurrent generation requests
+// nn.DecodeStepCfg consumes, and schedules concurrent generation requests
 // over one shared frozen base with continuous batching — sequences are
 // admitted and retired every decode step, each carrying its own KV cache,
 // workspace arena and adapter, so requests for different adapters run side

@@ -33,6 +33,7 @@ type Config struct {
 	// occupancy, tokens/sec, KV-cache residency, queue depth, admissions
 	// and retirements. All updates are atomic handle writes on the
 	// scheduler goroutine — the per-token decode path stays zero-alloc.
+	// Nil means a bundle of no-op handles.
 	Metrics *obs.InferMetrics
 	// Planner, when set, enables contextual sparsity: requests carrying
 	// sparsity options get a per-sequence planner and decode under
@@ -87,6 +88,9 @@ func New(base *nn.Transformer, cfg Config) *Engine {
 	}
 	if cfg.Queue <= 0 {
 		cfg.Queue = 64
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewInferMetrics(nil)
 	}
 	e := &Engine{
 		base:   base,
@@ -210,10 +214,7 @@ type sequence struct {
 	// Accounting accumulator: stats is written by the step goroutine
 	// (plain field arithmetic via DecodeStepConfig.Stats — the hot path
 	// stays zero-alloc), ev is assembled at Generate time and completed
-	// on the scheduler goroutine at retirement. statsp is nil when the
-	// engine carries no accounting plane, making every recording site a
-	// no-op.
-	statsp              *nn.DecodeStats
+	// on the scheduler goroutine at retirement.
 	stats               nn.DecodeStats
 	ev                  account.Event
 	prefillNs, decodeNs int64
@@ -295,26 +296,23 @@ func (e *Engine) Generate(ctx context.Context, req Request) (*Stream, error) {
 	if req.Sparsity.Enabled() {
 		s.span.SetStr("sparsity", req.Sparsity.Mode)
 	}
-	if e.cfg.Account != nil {
-		// The event's identity is fixed here, off the hot path; the
-		// resource vector fills in at retirement from s.stats.
-		s.statsp = &s.stats
-		tenant := req.Tenant
-		if tenant == "" {
-			tenant = "anonymous"
-		}
-		s.ev = account.Event{
-			Kind:         account.KindGenerate,
-			Tenant:       tenant,
-			Route:        req.Route,
-			Adapter:      req.AdapterID,
-			Base:         e.base.Cfg.Name,
-			Limit:        req.LimitVerdict,
-			PromptTokens: int64(len(req.Prompt)),
-		}
-		if tid := s.span.TraceID(); tid.Valid() {
-			s.ev.TraceID = tid.String()
-		}
+	// The wide event's identity is fixed here, off the hot path; the
+	// resource vector fills in at retirement from s.stats.
+	tenant := req.Tenant
+	if tenant == "" {
+		tenant = "anonymous"
+	}
+	s.ev = account.Event{
+		Kind:         account.KindGenerate,
+		Tenant:       tenant,
+		Route:        req.Route,
+		Adapter:      req.AdapterID,
+		Base:         e.base.Cfg.Name,
+		Limit:        req.LimitVerdict,
+		PromptTokens: int64(len(req.Prompt)),
+	}
+	if tid := s.span.TraceID(); tid.Valid() {
+		s.ev.TraceID = tid.String()
 	}
 	e.closeMu.RLock()
 	defer e.closeMu.RUnlock()
@@ -354,11 +352,9 @@ func (e *Engine) run() {
 			}
 		}
 	step:
-		if m != nil {
-			m.SchedulerSteps.Inc()
-			m.BatchOccupancy.Observe(float64(len(active)))
-			e.setLevels(len(active), len(e.submit), e.prevKV)
-		}
+		m.SchedulerSteps.Inc()
+		m.BatchOccupancy.Observe(float64(len(active)))
+		e.setLevels(len(active), len(e.submit), e.prevKV)
 
 		// One decode step per active sequence, concurrently. Each sequence
 		// touches only its own cache/arena/RNG; the base is read-only.
@@ -391,24 +387,20 @@ func (e *Engine) run() {
 			if s.done {
 				s.finish()
 				e.account(s)
-				if m != nil {
-					m.Retired(s.reason).Inc()
-					m.SeqSeconds.Observe(time.Since(s.admitted).Seconds())
-				}
+				m.Retired(s.reason).Inc()
+				m.SeqSeconds.Observe(time.Since(s.admitted).Seconds())
 				continue
 			}
 			kvRows += s.cache.Len
 			keep = append(keep, s)
 		}
 		active = keep
-		if m != nil {
-			m.Tokens.Add(float64(emitted))
-			e.setLevels(len(active), e.prevQueue, kvRows)
-			if sparseSteps > 0 {
-				m.SparseSteps.Add(float64(sparseSteps))
-				m.PlanMLPDensity.Set(mlpD / float64(sparseSteps))
-				m.PlanAttnDensity.Set(attnD / float64(sparseSteps))
-			}
+		m.Tokens.Add(float64(emitted))
+		e.setLevels(len(active), e.prevQueue, kvRows)
+		if sparseSteps > 0 {
+			m.SparseSteps.Add(float64(sparseSteps))
+			m.PlanMLPDensity.Set(mlpD / float64(sparseSteps))
+			m.PlanAttnDensity.Set(attnD / float64(sparseSteps))
 		}
 
 		select {
@@ -421,13 +413,9 @@ func (e *Engine) run() {
 }
 
 // account completes and emits the sequence's wide event — identity from
-// Generate, resource vector from the step accumulator. No-op without a
-// plane.
+// Generate, resource vector from the step accumulator. Without a plane
+// the emit is a no-op.
 func (e *Engine) account(s *sequence) {
-	p := e.cfg.Account
-	if p == nil {
-		return
-	}
 	end := time.Now()
 	ev := &s.ev
 	ev.Time = end
@@ -452,16 +440,14 @@ func (e *Engine) account(s *sequence) {
 	ev.PrefillNs = s.prefillNs
 	ev.DecodeNs = s.decodeNs
 	ev.TotalNs = end.Sub(s.queued).Nanoseconds()
-	p.Emit(ev)
+	e.cfg.Account.Emit(ev)
 }
 
 // admit stamps and meters a sequence entering the decode batch.
 func (e *Engine) admit(s *sequence) *sequence {
 	s.admitted = time.Now()
 	s.span.ChildAt("infer.queue", s.queued, s.admitted)
-	if m := e.cfg.Metrics; m != nil {
-		m.Admitted.Inc()
-	}
+	e.cfg.Metrics.Admitted.Inc()
 	return s
 }
 
@@ -469,9 +455,6 @@ func (e *Engine) admit(s *sequence) *sequence {
 // to the given values (delta reporting; see the prev* fields).
 func (e *Engine) setLevels(active, queue, kv int) {
 	m := e.cfg.Metrics
-	if m == nil {
-		return
-	}
 	if active != e.prevActive {
 		m.Active.Add(float64(active - e.prevActive))
 		e.prevActive = active
@@ -493,11 +476,9 @@ func (e *Engine) failAll(active []*sequence) {
 		s.err, s.reason = ErrClosed, "error"
 		s.finish()
 		e.account(s)
-		if m != nil {
-			// Only admitted sequences retire: retired_total must never
-			// exceed admitted_total.
-			m.Retired(s.reason).Inc()
-		}
+		// Only admitted sequences retire: retired_total must never exceed
+		// admitted_total.
+		m.Retired(s.reason).Inc()
 	}
 	e.setLevels(0, 0, 0) // withdraw this engine's gauge contributions
 	for {
@@ -537,17 +518,14 @@ func (s *sequence) step(base *nn.Transformer, batch int) {
 
 	var logits *tensor.Tensor
 	var sp *trace.Span
-	var t0 time.Time
-	if s.statsp != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	prefill := !s.started
 	s.planned, s.planMLPDensity, s.planAttnDensity = false, 1, 1
 	if prefill {
 		// Prefill always runs dense: the planner's position summaries are
 		// built from these very rows, and prefill is one step regardless.
 		sp = s.span.StartChild("infer.prefill")
-		logits = base.DecodeStepCfg(s.cache, s.prompt, nn.DecodeStepConfig{Adapter: s.ad, WS: s.ws, Stats: s.statsp})
+		logits = base.DecodeStepCfg(s.cache, s.prompt, nn.DecodeStepConfig{Adapter: s.ad, WS: s.ws, Stats: &s.stats})
 		s.started = true
 	} else {
 		sp = s.span.StartChild("infer.decode_step")
@@ -561,19 +539,16 @@ func (s *sequence) step(base *nn.Transformer, batch int) {
 			s.planMLPDensity, s.planAttnDensity = plan.MLPDensity, plan.AttnDensity
 			sp.SetBool("sparse", true)
 		}
-		logits = base.DecodeStepCfg(s.cache, s.nextBuf[:], nn.DecodeStepConfig{Adapter: s.ad, Plan: plan, WS: s.ws, Stats: s.statsp})
+		logits = base.DecodeStepCfg(s.cache, s.nextBuf[:], nn.DecodeStepConfig{Adapter: s.ad, Plan: plan, WS: s.ws, Stats: &s.stats})
 	}
 	tok := nn.SampleToken(logits.Row(0), s.temp, s.rng)
 	sp.SetInt("batch", int64(batch))
 	sp.Finish()
 	s.ws.Release()
-	if s.statsp != nil {
-		d := time.Since(t0).Nanoseconds()
-		if prefill {
-			s.prefillNs += d
-		} else {
-			s.decodeNs += d
-		}
+	if d := time.Since(t0).Nanoseconds(); prefill {
+		s.prefillNs += d
+	} else {
+		s.decodeNs += d
 	}
 	s.nextBuf[0] = tok
 

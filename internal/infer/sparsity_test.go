@@ -62,7 +62,7 @@ func TestHeterogeneousPlansInOneBatch(t *testing.T) {
 
 	// The dense, forced-1.0 — and on this 2-layer model, auto-default —
 	// references must agree with the plain dense decode (quality gate).
-	dense := base.GenerateCached(jobs[0].prompt, nn.GenerateConfig{MaxTokens: 10, RNG: tensor.NewRNG(3000)}, nil, nil, nil)
+	dense := base.GenerateCachedCfg(jobs[0].prompt, nn.GenerateConfig{MaxTokens: 10, RNG: tensor.NewRNG(3000)}, nn.DecodeSession{})
 	for i := range dense {
 		if jobs[0].want[i] != dense[i] {
 			t.Fatalf("off-mode reference diverged from dense: %v vs %v", jobs[0].want, dense)

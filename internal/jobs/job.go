@@ -90,7 +90,7 @@ type Job struct {
 	span *trace.Span
 	// acct accumulates the job's wide-event resource vector while it
 	// runs (nil until the worker arms it; nil for experiments and cache
-	// hits). Written only by the owning worker before finalization.
+	// hits). Only the owning worker writes through it.
 	acct *account.TrainAccumulator
 }
 

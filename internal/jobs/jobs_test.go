@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"container/heap"
 	"context"
 	"errors"
 	"strings"
@@ -521,4 +522,20 @@ func TestShutdownDrainsRunningJobs(t *testing.T) {
 	if _, err := s.Submit(quickFinetune(999)); err != ErrClosed {
 		t.Errorf("submit after shutdown: %v, want ErrClosed", err)
 	}
+}
+
+// pendingIDs is a test helper: ids currently pending, in pop order.
+func (s *Store) pendingIDs() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	tmp := make(jobHeap, len(s.pending))
+	copy(tmp, s.pending)
+	ids := make([]string, 0, len(tmp))
+	for tmp.Len() > 0 {
+		j := heap.Pop(&tmp).(*Job)
+		if j.Status == StatusQueued {
+			ids = append(ids, j.ID)
+		}
+	}
+	return ids
 }

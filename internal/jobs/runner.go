@@ -41,11 +41,13 @@ func (s *Store) worker() {
 		}
 		j.Status = StatusRunning
 		j.Started = time.Now()
-		if m := s.metrics; m != nil {
-			m.QueueDepth.Dec()
-			m.Running.Inc()
-			m.WaitSeconds.Observe(j.Started.Sub(j.Created).Seconds())
+		if j.Spec.Kind == KindFinetune {
+			// Armed under the lock: snapshots copy the Job concurrently.
+			j.acct = &account.TrainAccumulator{}
 		}
+		s.metrics.QueueDepth.Dec()
+		s.metrics.Running.Inc()
+		s.metrics.WaitSeconds.Observe(j.Started.Sub(j.Created).Seconds())
 		s.publishLocked(j.ID, Event{Kind: EventStarted})
 		s.mu.Unlock()
 
@@ -89,31 +91,23 @@ func (s *Store) finish(j *Job, res *Result, err error) {
 		return
 	}
 	j.Finished = time.Now()
-	if m := s.metrics; m != nil {
-		m.Running.Dec()
-		m.RunSeconds.Observe(j.Finished.Sub(j.Started).Seconds())
-	}
+	s.metrics.Running.Dec()
+	s.metrics.RunSeconds.Observe(j.Finished.Sub(j.Started).Seconds())
 	switch {
 	case err == nil:
 		j.Status = StatusDone
 		j.Result = res
 		s.cache.put(j.Hash, res)
-		if m := s.metrics; m != nil {
-			m.Done.Inc()
-		}
+		s.metrics.Done.Inc()
 		s.publishLocked(j.ID, Event{Kind: EventDone, Result: res})
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		j.Status = StatusCancelled
-		if m := s.metrics; m != nil {
-			m.Cancelled.Inc()
-		}
+		s.metrics.Cancelled.Inc()
 		s.publishLocked(j.ID, Event{Kind: EventCancelled, Message: "cancelled while running"})
 	default:
 		j.Status = StatusFailed
 		j.Error = err.Error()
-		if m := s.metrics; m != nil {
-			m.Failed.Inc()
-		}
+		s.metrics.Failed.Inc()
 		s.publishLocked(j.ID, Event{Kind: EventFailed, Error: err.Error()})
 	}
 	j.cancel()
@@ -183,15 +177,12 @@ func (s *Store) runFinetune(j *Job, run *trace.Span) (*Result, error) {
 	if eng.RP != nil {
 		eng.RP.Metrics = s.sparsity
 	}
-	if s.account != nil {
-		// Arm the wide-event accumulator: the engine records steps, tokens
-		// and analytic FLOPs into it at zero allocations; finish() merges
-		// it with the job identity and emits. Partial work on a failed or
-		// cancelled run is still accounted.
-		j.acct = &account.TrainAccumulator{}
-		j.acct.Event.Base = cfg.Spec.Config.Name
-		eng.Acct = j.acct
-	}
+	// The wide-event accumulator: the engine records steps, tokens and
+	// analytic FLOPs into it at zero allocations; finish() merges it with
+	// the job identity and emits. Partial work on a failed or cancelled run
+	// is still accounted.
+	j.acct.Event.Base = cfg.Spec.Config.Name
+	eng.Acct = j.acct
 
 	hook := func(si train.StepInfo) {
 		s.publish(j.ID, Event{
@@ -207,11 +198,7 @@ func (s *Store) runFinetune(j *Job, run *trace.Span) (*Result, error) {
 		})
 	}
 	res, err := eng.RunContext(j.ctx, batches, f.Epochs, hook)
-	if j.acct != nil {
-		if ws := eng.Workspace(); ws != nil {
-			j.acct.Event.ArenaBytes = ws.AllocBytes()
-		}
-	}
+	j.acct.Event.ArenaBytes = eng.Workspace().AllocBytes()
 	if err != nil {
 		return nil, err
 	}

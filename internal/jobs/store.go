@@ -38,7 +38,7 @@ type Config struct {
 	// Obs, when set, instruments the store: queue depth, wait/run
 	// latency, completions, cache hits, event traffic, plus the training
 	// and sparsity instruments threaded into every fine-tuning engine
-	// the workers build. Nil disables metering.
+	// the workers build. Nil disables metering (no-op handles).
 	Obs *obs.Registry
 	// Tracer, when set, gives every sampled job a span timeline
 	// (submit → queue → run → publish), parented on the submitting
@@ -66,20 +66,19 @@ type Store struct {
 	pending jobHeap
 	cache   *resultCache
 
-	events map[string][]Event                     // per-job event log
-	subs   map[string][]*events.Subscriber[Event] // per-job live subscribers
+	topics    map[string]*events.Topic[Event] // per-job event log + live subscribers
+	eventOpts events.Options[Event]           // every job stream's backlog policy
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	registry   *registry.Store // nil: auto-publish disabled
 	workers    int
 	maxJobs    int
-	backlog    int
 	nextSeq    int64
 	closed     bool
 	wg         sync.WaitGroup
 
-	// Observability (all nil when Config.Obs is unset).
+	// Observability (no-op handles when Config.Obs is unset).
 	metrics  *obs.JobsMetrics
 	train    *obs.TrainMetrics
 	sparsity *obs.SparsityMetrics
@@ -104,22 +103,36 @@ func NewStore(cfg Config) *Store {
 	s := &Store{
 		jobs:       make(map[string]*Job),
 		cache:      newResultCache(cfg.CacheSize),
-		events:     make(map[string][]Event),
-		subs:       make(map[string][]*events.Subscriber[Event]),
+		topics:     make(map[string]*events.Topic[Event]),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		registry:   cfg.Registry,
 		workers:    cfg.Workers,
 		maxJobs:    cfg.MaxJobs,
-		backlog:    cfg.EventBacklog,
 		tracer:     cfg.Tracer,
 		log:        cfg.Logger,
 		account:    cfg.Account,
+		metrics:    obs.NewJobsMetrics(cfg.Obs),
+		train:      obs.NewTrainMetrics(cfg.Obs),
+		sparsity:   obs.NewSparsityMetrics(cfg.Obs),
 	}
-	if cfg.Obs != nil {
-		s.metrics = obs.NewJobsMetrics(cfg.Obs)
-		s.train = obs.NewTrainMetrics(cfg.Obs)
-		s.sparsity = obs.NewSparsityMetrics(cfg.Obs)
+	// Terminal job events end a stream and are never dropped, slow-consumer
+	// gaps surface as a single EventLost marker, and every drop is metered.
+	s.eventOpts = events.Options[Event]{
+		Backlog:  cfg.EventBacklog,
+		Terminal: func(e Event) bool { return e.Kind.Terminal() },
+		Lost: func(lost int, first, next Event) Event {
+			return Event{
+				JobID: first.JobID,
+				Kind:  EventLost,
+				Seq:   first.Seq,
+				Time:  time.Now(),
+				Lost:  lost,
+				Message: fmt.Sprintf("%d events dropped (slow consumer); next delivered seq is %d",
+					lost, next.Seq),
+			}
+		},
+		OnDrop: s.metrics.EventsDropped.Inc,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	for w := 0; w < cfg.Workers; w++ {
@@ -184,9 +197,7 @@ func (s *Store) SubmitCtx(ctx context.Context, spec Spec) (Job, error) {
 	s.order = append(s.order, j.ID)
 	s.evictLocked()
 
-	if m := s.metrics; m != nil {
-		m.Submitted.Inc()
-	}
+	s.metrics.Submitted.Inc()
 	if res, ok := s.cache.get(hash); ok && s.resultServable(res) {
 		j.Status = StatusDone
 		j.CacheHit = true
@@ -194,9 +205,7 @@ func (s *Store) SubmitCtx(ctx context.Context, spec Spec) (Job, error) {
 		j.Started, j.Finished = now, now
 		j.Result = res
 		j.cancel()
-		if m := s.metrics; m != nil {
-			m.CacheHits.Inc()
-		}
+		s.metrics.CacheHits.Inc()
 		s.publishLocked(j.ID, Event{Kind: EventQueued})
 		s.publishLocked(j.ID, Event{Kind: EventDone, Message: "cache hit", Result: res})
 		j.span.SetBool("cache_hit", true)
@@ -209,9 +218,7 @@ func (s *Store) SubmitCtx(ctx context.Context, spec Spec) (Job, error) {
 
 	j.Status = StatusQueued
 	heap.Push(&s.pending, j)
-	if m := s.metrics; m != nil {
-		m.QueueDepth.Inc()
-	}
+	s.metrics.QueueDepth.Inc()
 	s.publishLocked(j.ID, Event{Kind: EventQueued})
 	s.logJob(j, "job queued")
 	s.cond.Signal()
@@ -235,11 +242,8 @@ func (s *Store) logJob(j *Job, msg string) {
 // emitAccountLocked publishes one wide accounting event for a terminal
 // job: the worker-filled accumulator (steps, tokens, FLOPs, compute time)
 // merged with the job's identity, outcome and scheduling times. Callers
-// hold s.mu; a nil plane is a no-op.
+// hold s.mu; a nil plane swallows the event.
 func (s *Store) emitAccountLocked(j *Job) {
-	if s.account == nil {
-		return
-	}
 	var ev account.Event
 	if j.acct != nil {
 		ev = j.acct.Event
@@ -353,10 +357,8 @@ func (s *Store) Cancel(id string) (Job, bool) {
 		// The heap entry is removed lazily: workers skip non-queued jobs.
 		j.Status = StatusCancelled
 		j.Finished = time.Now()
-		if m := s.metrics; m != nil {
-			m.QueueDepth.Dec()
-			m.Cancelled.Inc()
-		}
+		s.metrics.QueueDepth.Dec()
+		s.metrics.Cancelled.Inc()
 		s.publishLocked(id, Event{Kind: EventCancelled, Message: "cancelled while queued"})
 		j.span.SetStr("status", string(StatusCancelled))
 		j.span.Finish()
@@ -379,7 +381,7 @@ func (s *Store) evictLocked() {
 		j := s.jobs[id]
 		if len(s.jobs) > s.maxJobs && j.Status.Terminal() {
 			delete(s.jobs, id)
-			delete(s.events, id)
+			delete(s.topics, id)
 			continue
 		}
 		if len(s.jobs) <= s.maxJobs {
@@ -455,32 +457,6 @@ func (s *Store) Shutdown(ctx context.Context) error {
 
 // ---- events ----
 
-// newSubscriber binds the generic bounded-backlog machinery in
-// internal/events to this store's Event semantics: terminal job events
-// end the stream and are never dropped, slow-consumer gaps surface as a
-// single EventLost marker, and every drop is metered.
-func newSubscriber(jobID string, replay []Event, max int, dropped *obs.Counter) *events.Subscriber[Event] {
-	opts := events.Options[Event]{
-		Backlog:  max,
-		Terminal: func(e Event) bool { return e.Kind.Terminal() },
-		Lost: func(lost int, first, next Event) Event {
-			return Event{
-				JobID: jobID,
-				Kind:  EventLost,
-				Seq:   first.Seq,
-				Time:  time.Now(),
-				Lost:  lost,
-				Message: fmt.Sprintf("%d events dropped (slow consumer); next delivered seq is %d",
-					lost, next.Seq),
-			}
-		},
-	}
-	if dropped != nil {
-		opts.OnDrop = dropped.Inc
-	}
-	return events.New(replay, opts)
-}
-
 // Subscribe returns a channel replaying the job's full event history and
 // then streaming live events. The channel closes after the terminal event
 // (delivered exactly once per subscriber). The returned cancel func
@@ -488,61 +464,38 @@ func newSubscriber(jobID string, replay []Event, max int, dropped *obs.Counter) 
 func (s *Store) Subscribe(id string) (<-chan Event, func(), error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
+	if _, ok := s.jobs[id]; !ok {
 		return nil, nil, fmt.Errorf("jobs: unknown job %q", id)
 	}
-	var dropped *obs.Counter
-	if s.metrics != nil {
-		dropped = s.metrics.EventsDropped
-	}
-	sub := newSubscriber(id, s.events[id], s.backlog, dropped)
-	if !j.Status.Terminal() {
-		s.subs[id] = append(s.subs[id], sub)
-	} else {
-		sub.Close()
-	}
-	cancel := func() {
-		sub.Drop()
-		s.mu.Lock()
-		list := s.subs[id]
-		for i, x := range list {
-			if x == sub {
-				s.subs[id] = append(list[:i], list[i+1:]...)
-				break
-			}
-		}
-		s.mu.Unlock()
-	}
-	return sub.C(), cancel, nil
+	ch, cancel := s.topics[id].Subscribe() // the topic exists since the queued event
+	return ch, cancel, nil
 }
 
 // Events returns a snapshot of the job's event log so far.
 func (s *Store) Events(id string) []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	log := s.events[id]
-	out := make([]Event, len(log))
-	copy(out, log)
-	return out
+	if t := s.topics[id]; t != nil {
+		return t.History()
+	}
+	return nil
 }
 
-// publishLocked appends an event to the job's log and fans it out to live
-// subscribers. Terminal events detach the subscriber list. Callers hold
+// publishLocked appends an event to the job's topic — the log every
+// subscriber replays — and fans it out to live subscribers. A terminal
+// event closes the topic: later subscribers replay and end. Callers hold
 // s.mu.
 func (s *Store) publishLocked(id string, e Event) {
-	e.JobID = id
-	e.Seq = len(s.events[id])
-	e.Time = time.Now()
-	s.events[id] = append(s.events[id], e)
-	if m := s.metrics; m != nil {
-		m.Events.Inc()
+	t := s.topics[id]
+	if t == nil {
+		t = events.NewTopic(0, s.eventOpts)
+		s.topics[id] = t
 	}
-	for _, sub := range s.subs[id] {
-		sub.Push(e)
-	}
+	e.JobID, e.Seq, e.Time = id, t.Len(), time.Now()
+	t.Publish(e)
+	s.metrics.Events.Inc()
 	if e.Kind.Terminal() {
-		delete(s.subs, id)
+		t.Close()
 	}
 }
 
@@ -575,20 +528,4 @@ func (h *jobHeap) Pop() any {
 	old[n-1] = nil
 	*h = old[:n-1]
 	return j
-}
-
-// pendingIDs is a test helper: ids currently pending, in pop order.
-func (s *Store) pendingIDs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	tmp := make(jobHeap, len(s.pending))
-	copy(tmp, s.pending)
-	ids := make([]string, 0, len(tmp))
-	for tmp.Len() > 0 {
-		j := heap.Pop(&tmp).(*Job)
-		if j.Status == StatusQueued {
-			ids = append(ids, j.ID)
-		}
-	}
-	return ids
 }

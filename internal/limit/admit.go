@@ -56,13 +56,17 @@ type Admission struct {
 	slots    chan struct{} // buffered MaxInFlight; a held slot = admitted
 	waiting  atomic.Int64
 	draining atomic.Bool
-	m        *obs.EndpointLimitMetrics // nil: unmetered
+	m        *obs.EndpointLimitMetrics
 }
 
-// NewAdmission builds a controller; m (optional) meters its decisions.
+// NewAdmission builds a controller; m meters its decisions (nil: no-op
+// handles).
 func NewAdmission(cfg AdmissionConfig, m *obs.EndpointLimitMetrics) *Admission {
 	if cfg.MaxInFlight <= 0 {
 		panic("limit: AdmissionConfig.MaxInFlight must be positive")
+	}
+	if m == nil {
+		m = obs.NewLimitMetrics(nil).Endpoint("")
 	}
 	cfg = cfg.withDefaults()
 	return &Admission{cfg: cfg, slots: make(chan struct{}, cfg.MaxInFlight), m: m}
@@ -103,18 +107,14 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err *ShedError
 			break
 		}
 	}
-	if a.m != nil {
-		a.m.Waiting.Inc()
-	}
+	a.m.Waiting.Inc()
 	sp.SetBool("queued", true)
 	t0 := time.Now()
 	timer := time.NewTimer(a.cfg.WaitTimeout)
 	defer func() {
 		timer.Stop()
 		a.waiting.Add(-1)
-		if a.m != nil {
-			a.m.Waiting.Dec()
-		}
+		a.m.Waiting.Dec()
 	}()
 
 	select {
@@ -124,9 +124,7 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err *ShedError
 			<-a.slots
 			return nil, a.shed("draining")
 		}
-		if a.m != nil {
-			a.m.WaitSeconds.Observe(time.Since(t0).Seconds())
-		}
+		a.m.WaitSeconds.Observe(time.Since(t0).Seconds())
 		sp.SetFloat("wait_seconds", time.Since(t0).Seconds())
 		return a.admitted(), nil
 	case <-timer.C:
@@ -137,34 +135,28 @@ func (a *Admission) Acquire(ctx context.Context) (release func(), err *ShedError
 }
 
 func (a *Admission) admitted() func() {
-	if a.m != nil {
-		a.m.Admitted.Inc()
-		a.m.InFlight.Inc()
-	}
+	a.m.Admitted.Inc()
+	a.m.InFlight.Inc()
 	var done atomic.Bool
 	return func() {
 		if done.Swap(true) {
 			return // release is idempotent
 		}
 		<-a.slots
-		if a.m != nil {
-			a.m.InFlight.Dec()
-		}
+		a.m.InFlight.Dec()
 	}
 }
 
 func (a *Admission) shed(reason string) *ShedError {
-	if a.m != nil {
-		switch reason {
-		case "draining":
-			a.m.ShedDraining.Inc()
-		case "queue_full":
-			a.m.ShedQueueFull.Inc()
-		case "timeout":
-			a.m.ShedTimeout.Inc()
-		case "cancelled":
-			a.m.ShedCancelled.Inc()
-		}
+	switch reason {
+	case "draining":
+		a.m.ShedDraining.Inc()
+	case "queue_full":
+		a.m.ShedQueueFull.Inc()
+	case "timeout":
+		a.m.ShedTimeout.Inc()
+	case "cancelled":
+		a.m.ShedCancelled.Inc()
 	}
 	return &ShedError{Reason: reason, RetryAfter: a.cfg.RetryAfter}
 }

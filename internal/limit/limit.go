@@ -121,7 +121,7 @@ type Limiter struct {
 	mu      sync.Mutex
 	tenants map[string]*tenantBucket
 
-	tenantsGauge *obs.Gauge // optional
+	tenantsGauge *obs.Gauge // nil until Instrument: updates are no-ops
 	now          func() time.Time
 }
 
@@ -141,11 +141,7 @@ func New(cfg Config) *Limiter {
 }
 
 // Instrument attaches the live tenant-count gauge.
-func (l *Limiter) Instrument(m *obs.LimitMetrics) {
-	if m != nil {
-		l.tenantsGauge = m.Tenants
-	}
-}
+func (l *Limiter) Instrument(m *obs.LimitMetrics) { l.tenantsGauge = m.Tenants }
 
 // Allow charges one request to the tenant. When denied it reports how
 // long the client should wait before retrying. A request rejected by the
@@ -188,9 +184,7 @@ func (l *Limiter) bucketFor(tenant string) *TokenBucket {
 		}
 		tb = &tenantBucket{b: NewTokenBucket(l.cfg.Rate, l.cfg.Burst)}
 		l.tenants[tenant] = tb
-		if l.tenantsGauge != nil {
-			l.tenantsGauge.Set(float64(len(l.tenants)))
-		}
+		l.tenantsGauge.Set(float64(len(l.tenants)))
 	}
 	tb.lastSeen = l.now()
 	return tb.b

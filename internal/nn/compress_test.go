@@ -38,8 +38,8 @@ func TestCompressDecodeTolerance(t *testing.T) {
 	} {
 		f32m, comp := compressedPair(t, tc.precision)
 		cacheA, cacheB := f32m.NewKVCache(), comp.NewKVCache()
-		la := f32m.DecodeStep(cacheA, prompt, nil, nil)
-		lb := comp.DecodeStep(cacheB, prompt, nil, nil)
+		la := f32m.DecodeStepCfg(cacheA, prompt, DecodeStepConfig{})
+		lb := comp.DecodeStepCfg(cacheB, prompt, DecodeStepConfig{})
 		var maxd float64
 		for i := range la.Data {
 			if d := math.Abs(float64(la.Data[i] - lb.Data[i])); d > maxd {
@@ -65,7 +65,7 @@ func TestCompressForwardMatchesDecode(t *testing.T) {
 		prompt := []int{2, 5, 3, 7}
 		fwd := comp.Forward([][]int{prompt}, nil, nil)
 		cache := comp.NewKVCache()
-		dec := comp.DecodeStep(cache, prompt, nil, nil)
+		dec := comp.DecodeStepCfg(cache, prompt, DecodeStepConfig{})
 		last := fwd.Row(len(prompt) - 1)
 		for i := range last {
 			if math.Float32bits(last[i]) != math.Float32bits(dec.Data[i]) {

@@ -139,10 +139,9 @@ func bottleneckOf(a *Adapter) *BottleneckWeights {
 	}
 }
 
-// DecodeStepConfig consolidates DecodeStep's per-call knobs: the adapter,
-// the step's sparsity plan, and the workspace arena. Passing the zero
-// value decodes the plain base, densely, with allocating scratch — every
-// field's zero means "current behavior".
+// DecodeStepConfig is DecodeStepCfg's per-call configuration: the adapter,
+// the step's sparsity plan, and the workspace arena. The zero value
+// decodes the plain base, densely, with allocating scratch.
 type DecodeStepConfig struct {
 	// Adapter is the PEFT delta to decode with; nil decodes the plain base.
 	Adapter *DecodeAdapter
@@ -159,26 +158,17 @@ type DecodeStepConfig struct {
 	Stats *DecodeStats
 }
 
-// DecodeStep feeds ids (batch 1) through the model against the cache,
-// appending their K/V rows, and returns the logits of the last new row as
-// a [1, vocab] tensor. The first call on an empty cache is the prefill: if
-// the adapter carries a trainable prompt, its rows are prepended exactly
-// as Forward prepends them. ws is the step workspace (nil allocates); the
-// returned logits are workspace-backed and must be read before the
-// caller's Release. The cache must not be shared across concurrent calls;
+// DecodeStepCfg is the one entry point of the cached decode path. It
+// feeds ids (batch 1) through the model against the cache, appending their
+// K/V rows, and returns the logits of the last new row as a [1, vocab]
+// tensor. The first call on an empty cache is the prefill: if the adapter
+// carries a trainable prompt, its rows are prepended exactly as Forward
+// prepends them. The cache must not be shared across concurrent calls;
 // the model itself is only read.
-//
-// DecodeStep is the dense compat wrapper over DecodeStepCfg.
-func (m *Transformer) DecodeStep(cache *KVCache, ids []int, ad *DecodeAdapter, ws *tensor.Arena) *tensor.Tensor {
-	return m.DecodeStepCfg(cache, ids, DecodeStepConfig{Adapter: ad, WS: ws})
-}
-
-// DecodeStepCfg is DecodeStep with the consolidated config: the plan-aware
-// primary entry point of the cached decode path.
 func (m *Transformer) DecodeStepCfg(cache *KVCache, ids []int, cfg DecodeStepConfig) *tensor.Tensor {
 	ad, ws := cfg.Adapter, cfg.WS
 	if len(ids) == 0 {
-		panic("nn: DecodeStep with no tokens")
+		panic("nn: DecodeStepCfg with no tokens")
 	}
 	d := m.Cfg.Dim
 	promptRows := 0
@@ -477,10 +467,10 @@ func decodeBottleneck(bw *BottleneckWeights, z *tensor.Tensor, ws *tensor.Arena)
 	return y
 }
 
-// DecodeSession consolidates GenerateCached's per-sequence state: the
-// adapter, the KV cache, the workspace arena, and an optional sparsity
-// planner. Every field's zero value means "current behavior" — fresh
-// cache, self adapter, allocating scratch, fully dense steps.
+// DecodeSession is GenerateCachedCfg's per-sequence state: the adapter,
+// the KV cache, the workspace arena, and an optional sparsity planner.
+// Every field's zero value means the default — fresh cache, self adapter,
+// allocating scratch, fully dense steps.
 type DecodeSession struct {
 	// Adapter selects the PEFT delta; nil applies the model's own attached
 	// modules (SelfAdapter), matching what Forward would run.
@@ -499,20 +489,12 @@ type DecodeSession struct {
 	Stats *DecodeStats
 }
 
-// GenerateCached is Generate on the KV-cached decode path: same sampling,
-// same stop conditions, same RNG consumption, bit-identical tokens — one
-// full-prefix prefill, then one row of compute per emitted token instead
-// of the naive O(prefix) re-run.
-//
-// GenerateCached is the dense compat wrapper over GenerateCachedCfg.
-func (m *Transformer) GenerateCached(prompt []int, cfg GenerateConfig, ad *DecodeAdapter, cache *KVCache, ws *tensor.Arena) []int {
-	return m.GenerateCachedCfg(prompt, cfg, DecodeSession{Adapter: ad, Cache: cache, WS: ws})
-}
-
-// GenerateCachedCfg is GenerateCached with the consolidated session
-// config, threading a sparsity planner through the token loop when one is
-// set: one PlanStep per emitted token, plan buffers released with the
-// step's workspace.
+// GenerateCachedCfg is Generate on the KV-cached decode path: same
+// sampling, same stop conditions, same RNG consumption, bit-identical
+// tokens — one full-prefix prefill, then one row of compute per emitted
+// token instead of the naive O(prefix) re-run. A session planner is
+// threaded through the token loop: one PlanStep per emitted token, plan
+// buffers released with the step's workspace.
 func (m *Transformer) GenerateCachedCfg(prompt []int, cfg GenerateConfig, sess DecodeSession) []int {
 	if cfg.MaxTokens == 0 {
 		cfg.MaxTokens = 16

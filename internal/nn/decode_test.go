@@ -89,7 +89,7 @@ func TestDecodeBitIdenticalToGenerate(t *testing.T) {
 					ws = tensor.NewArena()
 				}
 				cfg.RNG = tensor.NewRNG(777) // same sampling stream
-				got := m.GenerateCached(prompt, cfg, nil, nil, ws)
+				got := m.GenerateCachedCfg(prompt, cfg, DecodeSession{WS: ws})
 				if len(got) != len(want) {
 					t.Fatalf("%s: cached emitted %d tokens, naive %d (%v vs %v)", label, len(got), len(want), got, want)
 				}
@@ -110,12 +110,12 @@ func TestDecodeStepIncrementalMatchesPrefill(t *testing.T) {
 	m := NewTransformer(tinyConfig(), tensor.NewRNG(480))
 	prompt := []int{3, 1, 4, 1, 5}
 
-	oneShot := m.DecodeStep(m.NewKVCache(), prompt, nil, nil)
+	oneShot := m.DecodeStepCfg(m.NewKVCache(), prompt, DecodeStepConfig{})
 
 	cache := m.NewKVCache()
 	var last *tensor.Tensor
 	for _, tok := range prompt {
-		last = m.DecodeStep(cache, []int{tok}, nil, nil)
+		last = m.DecodeStepCfg(cache, []int{tok}, DecodeStepConfig{})
 	}
 	for i := range oneShot.Data {
 		if oneShot.Data[i] != last.Data[i] {
@@ -131,7 +131,7 @@ func TestDecodeRespectsMaxSeq(t *testing.T) {
 	cfg.MaxSeq = 6
 	m := NewTransformer(cfg, tensor.NewRNG(481))
 	naive := m.Generate([]int{1, 2, 3}, GenerateConfig{MaxTokens: 50})
-	cached := m.GenerateCached([]int{1, 2, 3}, GenerateConfig{MaxTokens: 50}, nil, nil, nil)
+	cached := m.GenerateCachedCfg([]int{1, 2, 3}, GenerateConfig{MaxTokens: 50}, DecodeSession{})
 	if len(cached) != len(naive) {
 		t.Fatalf("cached emitted %d tokens at MaxSeq, naive %d", len(cached), len(naive))
 	}
@@ -195,7 +195,7 @@ func TestConcurrentDecodeSharedBase(t *testing.T) {
 			go func(ji int) {
 				defer wg.Done()
 				j := jobs[ji]
-				got := base.GenerateCached(j.prompt, GenerateConfig{MaxTokens: 8}, j.ad, nil, tensor.NewArena())
+				got := base.GenerateCachedCfg(j.prompt, GenerateConfig{MaxTokens: 8}, DecodeSession{Adapter: j.ad, WS: tensor.NewArena()})
 				if len(got) != len(j.want) {
 					errs[ji] = fmt.Errorf("seq %d: got %v, want %v", ji, got, j.want)
 					return
@@ -261,7 +261,7 @@ func TestDecodeLoRAFreezeAParity(t *testing.T) {
 	trainSteps(m, 3)
 	prompt := []int{2, 7, 1}
 	want := m.Generate(prompt, GenerateConfig{MaxTokens: 6})
-	got := m.GenerateCached(prompt, GenerateConfig{MaxTokens: 6}, nil, nil, tensor.NewArena())
+	got := m.GenerateCachedCfg(prompt, GenerateConfig{MaxTokens: 6}, DecodeSession{WS: tensor.NewArena()})
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("LoRA-FA decode diverges: got %v, want %v", got, want)

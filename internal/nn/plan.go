@@ -19,7 +19,7 @@ import (
 // DecodePlan is one decode step's sparsity decision. Block slices are
 // typically arena-backed (tensor.IntsIn against the step workspace) and
 // valid only until the sequence's next Release — a plan is consumed by
-// exactly one DecodeStep call.
+// exactly one DecodeStepCfg call.
 type DecodePlan struct {
 	// Blk is the block size shared by the MLP neuron blocks and the
 	// attention KV-position blocks.

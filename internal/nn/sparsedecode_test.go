@@ -30,7 +30,7 @@ func TestDecodePlanDenseEscape(t *testing.T) {
 	trainSteps(m, 2)
 	prompt := []int{1, 4, 2, 9}
 	cfg := GenerateConfig{MaxTokens: 8, RNG: tensor.NewRNG(77)}
-	want := m.GenerateCached(prompt, cfg, nil, nil, tensor.NewArena())
+	want := m.GenerateCachedCfg(prompt, cfg, DecodeSession{WS: tensor.NewArena()})
 
 	p := &fixedPlanner{plan: &DecodePlan{Blk: 8, MLPDensity: 1, AttnDensity: 1}}
 	cfg.RNG = tensor.NewRNG(77)
@@ -54,7 +54,7 @@ func TestDecodeAttentionSparseFullCoverage(t *testing.T) {
 	trainSteps(m, 2)
 	prompt := []int{2, 7, 1, 3, 5, 6, 4, 8}
 	cfg := GenerateConfig{MaxTokens: 6, RNG: tensor.NewRNG(78)}
-	want := m.GenerateCached(prompt, cfg, nil, nil, tensor.NewArena())
+	want := m.GenerateCachedCfg(prompt, cfg, DecodeSession{WS: tensor.NewArena()})
 
 	// MaxSeq 16 at blk 4 → blocks {0,1,2,3} cover every position the run
 	// can reach; MLP selections stay nil (dense).
@@ -106,7 +106,7 @@ func TestDecodeSparseGuards(t *testing.T) {
 	mustPanic(t, "gelu sparse MLP", func() {
 		plan := &DecodePlan{Blk: 8, MLP: [][]int{{0}, {0}}}
 		cache := gm.NewKVCache()
-		gm.DecodeStep(cache, []int{1, 2}, nil, nil) // prefill
+		gm.DecodeStepCfg(cache, []int{1, 2}, DecodeStepConfig{}) // prefill
 		gm.DecodeStepCfg(cache, []int{3}, DecodeStepConfig{Plan: plan})
 	})
 
@@ -116,7 +116,7 @@ func TestDecodeSparseGuards(t *testing.T) {
 		// leaves the query row with nothing visible.
 		plan := &DecodePlan{Blk: 4, Attn: [][]int{{3}, {3}}}
 		cache := m.NewKVCache()
-		m.DecodeStep(cache, []int{1, 2}, nil, nil)
+		m.DecodeStepCfg(cache, []int{1, 2}, DecodeStepConfig{})
 		m.DecodeStepCfg(cache, []int{3}, DecodeStepConfig{Plan: plan})
 	})
 }

@@ -9,7 +9,9 @@ import (
 // This file is the repository's metric catalogue: one constructor per
 // subsystem, each registering its instruments under stable lexp_* names
 // and returning pre-resolved handles so hot paths never touch the
-// registry again. README "Operations" documents the full catalogue;
+// registry again. Every constructor accepts a nil registry and then
+// returns a bundle of nil (no-op) handles, so subsystems build and update
+// their bundle unconditionally. README "Operations" documents the full catalogue;
 // changes here should keep that table in sync.
 
 // TrainMetrics instruments train.Engine's step loop.
@@ -270,13 +272,21 @@ func (m *SparsityMetrics) layerGauge(cache *atomic.Pointer[[]*Gauge], vec *Gauge
 	return grown[layer]
 }
 
-// SetAttn records one layer's mean attention density.
+// SetAttn records one layer's mean attention density. Like every
+// instrument update it is a no-op on a nil receiver — planners hold a nil
+// *SparsityMetrics when nobody is watching.
 func (m *SparsityMetrics) SetAttn(layer int, density float64) {
+	if m == nil {
+		return
+	}
 	m.layerGauge(&m.attnG, m.attn, layer).Set(density)
 }
 
 // SetMLP records one layer's MLP block density.
 func (m *SparsityMetrics) SetMLP(layer int, density float64) {
+	if m == nil {
+		return
+	}
 	m.layerGauge(&m.mlpG, m.mlp, layer).Set(density)
 }
 

@@ -16,6 +16,11 @@
 //   - Metric and label names are validated at registration and panic on
 //     misuse — a malformed exposition is a programming error, not a
 //     runtime condition.
+//   - "Metrics off" is a nil *Registry, not a branch at every call site:
+//     registering on a nil registry returns nil handles, and every update
+//     method (and Vec.With) is a no-op on a nil receiver — the idiom
+//     trace.Span uses. Subsystems build their bundles unconditionally and
+//     update them unconditionally; off costs one nil check per update.
 package obs
 
 import (
@@ -84,6 +89,9 @@ type child struct {
 }
 
 func (r *Registry) family(name, help string, kind Kind, bounds []float64, keys []string) *family {
+	if r == nil {
+		return nil
+	}
 	if !nameRe.MatchString(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -107,8 +115,14 @@ func (r *Registry) family(name, help string, kind Kind, bounds []float64, keys [
 	return f
 }
 
+// noChild is what a nil family (nil registry) resolves to: no instruments.
+var noChild child
+
 // get returns (creating if needed) the child for the given label values.
 func (f *family) get(values []string) *child {
+	if f == nil {
+		return &noChild
+	}
 	if len(values) != len(f.keys) {
 		panic(fmt.Sprintf("obs: metric %s wants %d label values, got %d", f.name, len(f.keys), len(values)))
 	}
@@ -233,7 +247,7 @@ func checkBounds(name string, bounds []float64) []float64 {
 // ---- instrument value types ----
 
 // Counter is a monotonically increasing float64. All methods are
-// lock-free and allocation-free.
+// lock-free and allocation-free; updates on a nil *Counter are no-ops.
 type Counter struct{ bits atomic.Uint64 }
 
 // Inc adds 1.
@@ -241,24 +255,40 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds a non-negative delta; negative deltas panic (counters only go up).
 func (c *Counter) Add(d float64) {
+	if c == nil {
+		return
+	}
 	if d < 0 {
 		panic("obs: counter cannot decrease")
 	}
 	addFloat(&c.bits, d)
 }
 
-// Value returns the current total.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
+// Value returns the current total (0 for a nil counter).
+func (c *Counter) Value() float64 {
+	if c == nil {
+		return 0
+	}
+	return math.Float64frombits(c.bits.Load())
+}
 
 // Gauge is an arbitrary float64 level. All methods are lock-free and
-// allocation-free.
+// allocation-free; updates on a nil *Gauge are no-ops.
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) {
+	if g != nil {
+		g.bits.Store(math.Float64bits(v))
+	}
+}
 
 // Add adjusts the gauge by d (negative deltas allowed).
-func (g *Gauge) Add(d float64) { addFloat(&g.bits, d) }
+func (g *Gauge) Add(d float64) {
+	if g != nil {
+		addFloat(&g.bits, d)
+	}
+}
 
 // Inc adds 1.
 func (g *Gauge) Inc() { g.Add(1) }
@@ -281,6 +311,7 @@ func addFloat(bits *atomic.Uint64, d float64) {
 // Histogram counts observations into fixed buckets (upper bounds are
 // inclusive, Prometheus-style) and tracks their sum. Observe is lock-free
 // and allocation-free: a binary search over the bounds plus three atomics.
+// Observing into a nil *Histogram is a no-op.
 type Histogram struct {
 	bounds    []float64
 	counts    []atomic.Uint64 // len(bounds)+1; the last is the +Inf bucket
@@ -299,6 +330,9 @@ func newHistogram(bounds []float64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	h.counts[sort.SearchFloat64s(h.bounds, v)].Add(1)
 	h.n.Add(1)
 	addFloat(&h.sum, v)
@@ -318,6 +352,9 @@ type Exemplar struct {
 // belongs on request-scoped paths where the caller is already sampled —
 // never inside the zero-alloc step loops, which use plain Observe.
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
+	if h == nil {
+		return
+	}
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.n.Add(1)

@@ -170,7 +170,7 @@ func (rl runtimeLayer) PlanAttention(x *tensor.Tensor, batch, seq int) ([]*spars
 	t0 := time.Now()
 	layouts := rp.Set.Layers[rl.li].Attn.Predict(x, batch, seq, rp.Set.Exposer)
 	rp.elapsed += time.Since(t0)
-	if rp.Metrics != nil && len(layouts) > 0 {
+	if len(layouts) > 0 {
 		var d float64
 		for _, l := range layouts {
 			d += l.Density()
@@ -190,7 +190,7 @@ func (rl runtimeLayer) PlanMLP(x *tensor.Tensor, _, _ int) ([]int, int) {
 	t0 := time.Now()
 	blocks := mp.Predict(x)
 	rp.elapsed += time.Since(t0)
-	if rp.Metrics != nil && mp.NBlk > 0 {
+	if mp.NBlk > 0 {
 		rp.Metrics.SetMLP(rl.li, float64(len(blocks))/float64(mp.NBlk))
 	}
 	return blocks, rp.Set.Blk

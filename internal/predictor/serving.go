@@ -321,7 +321,7 @@ func (s *SequencePlanner) BeginSequence(prompt []int, ad *nn.DecodeAdapter) {
 }
 
 // assembleTokenRow builds the model-input embedding row for token id at
-// absolute position pos into s.x — the same row DecodeStep assembles.
+// absolute position pos into s.x — the same row DecodeStepCfg assembles.
 func (s *SequencePlanner) assembleTokenRow(id, pos int) {
 	d := s.sp.dim
 	m := s.sp.base
@@ -399,10 +399,8 @@ func (s *SequencePlanner) PlanStep(id, pos int, ws *tensor.Arena) *nn.DecodePlan
 		s.mlpSel[li], s.attnSel[li] = mlpBlocks, aBlocks
 		mlpSum += mlpD
 		attnSum += attnD
-		if m := sp.cfg.Metrics; m != nil {
-			m.SetMLP(li, mlpD)
-			m.SetAttn(li, attnD)
-		}
+		sp.cfg.Metrics.SetMLP(li, mlpD)
+		sp.cfg.Metrics.SetAttn(li, attnD)
 	}
 
 	s.plan = nn.DecodePlan{

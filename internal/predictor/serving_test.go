@@ -79,7 +79,7 @@ func TestServingDensityOneBitIdentical(t *testing.T) {
 			for _, withWS := range []bool{false, true} {
 				label := fmt.Sprintf("%s/temp=%.1f/ws=%v", name, temp, withWS)
 				cfg := nn.GenerateConfig{MaxTokens: 10, Temperature: temp, RNG: tensor.NewRNG(777)}
-				want := m.GenerateCached(prompt, cfg, nil, nil, tensor.NewArena())
+				want := m.GenerateCachedCfg(prompt, cfg, nn.DecodeSession{WS: tensor.NewArena()})
 
 				planner, err := sp.NewSequencePlanner(opts)
 				if err != nil {

@@ -19,6 +19,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"longexposure/internal/durable"
 	"longexposure/internal/nn"
 	"longexposure/internal/obs"
 )
@@ -105,7 +107,7 @@ type Store struct {
 
 	mu      sync.RWMutex
 	index   map[string]*Manifest
-	metrics *obs.RegistryMetrics // nil: unmetered
+	metrics *obs.RegistryMetrics // no-op handles until Instrument
 }
 
 // Instrument attaches registry observability: artifact count plus
@@ -114,9 +116,7 @@ func (s *Store) Instrument(m *obs.RegistryMetrics) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.metrics = m
-	if m != nil {
-		m.Adapters.Set(float64(len(s.index)))
-	}
+	m.Adapters.Set(float64(len(s.index)))
 }
 
 // Open creates/loads a registry at dir, rebuilding the index from the
@@ -125,7 +125,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("registry: creating %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, index: map[string]*Manifest{}}
+	s := &Store{dir: dir, index: map[string]*Manifest{}, metrics: obs.NewRegistryMetrics(nil)}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -184,26 +184,28 @@ func (s *Store) Publish(spec Spec, delta nn.ParamSet) (Manifest, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if m := s.metrics; m != nil {
-		m.Publishes.Inc()
-	}
+	s.metrics.Publishes.Inc()
 	if existing, ok := s.index[man.ID]; ok {
 		return *existing, nil
 	}
-	if err := writeAtomic(filepath.Join(s.dir, man.ID+".lexp"), weights.Bytes()); err != nil {
+	write := func(suffix string, data []byte) error {
+		return durable.WriteFile(filepath.Join(s.dir, man.ID+suffix), func(w io.Writer) error {
+			_, err := w.Write(data)
+			return err
+		})
+	}
+	if err := write(".lexp", weights.Bytes()); err != nil {
 		return Manifest{}, err
 	}
 	manJSON, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return Manifest{}, err
 	}
-	if err := writeAtomic(filepath.Join(s.dir, man.ID+".json"), append(manJSON, '\n')); err != nil {
+	if err := write(".json", append(manJSON, '\n')); err != nil {
 		return Manifest{}, err
 	}
 	s.index[man.ID] = &man
-	if m := s.metrics; m != nil {
-		m.Adapters.Set(float64(len(s.index)))
-	}
+	s.metrics.Adapters.Set(float64(len(s.index)))
 	return man, nil
 }
 
@@ -228,14 +230,6 @@ func artifactID(m Manifest, weights []byte) string {
 	h.Write(j)
 	h.Write(weights)
 	return "ad-" + hex.EncodeToString(h.Sum(nil)[:8])
-}
-
-func writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // Get returns one artifact's manifest.
@@ -271,9 +265,7 @@ func (s *Store) Load(id string) (Manifest, nn.ParamSet, error) {
 		return Manifest{}, nil, fmt.Errorf("registry: loading weights for %s: %w", id, err)
 	}
 	s.mu.RLock()
-	if m := s.metrics; m != nil {
-		m.Loads.Inc()
-	}
+	s.metrics.Loads.Inc()
 	s.mu.RUnlock()
 	return man, ps, nil
 }
@@ -310,10 +302,8 @@ func (s *Store) Delete(id string) error {
 		return fmt.Errorf("registry: unknown adapter %q", id)
 	}
 	delete(s.index, id)
-	if m := s.metrics; m != nil {
-		m.Deletes.Inc()
-		m.Adapters.Set(float64(len(s.index)))
-	}
+	s.metrics.Deletes.Inc()
+	s.metrics.Adapters.Set(float64(len(s.index)))
 	var firstErr error
 	for _, suffix := range []string{".lexp", ".json"} {
 		if err := os.Remove(filepath.Join(s.dir, id+suffix)); err != nil && firstErr == nil {

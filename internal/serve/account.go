@@ -14,15 +14,11 @@ import (
 // WithAccounting attaches the wide-event accounting plane: every
 // completed generate request and terminal job (plus every request shed
 // at admission) lands in the plane as one structured event, queryable at
-// GET /debug/events with filters and ?agg= rollups. usageAPI additionally
-// mounts GET /v1/usage, the per-tenant cumulative rollup endpoint. Pair
-// it with jobs.Config.Account on the same plane so job events and request
-// events share one ledger.
-func WithAccounting(p *account.Plane, usageAPI bool) Option {
-	return func(s *Server) {
-		s.account = p
-		s.usageAPI = usageAPI
-	}
+// GET /debug/events with filters and ?agg= rollups, and as per-tenant
+// cumulative rollups at GET /v1/usage. Pair it with jobs.Config.Account
+// on the same plane so job events and request events share one ledger.
+func WithAccounting(p *account.Plane) Option {
+	return func(s *Server) { s.account = p }
 }
 
 // tenantOf resolves the request's tenant from the traffic-control
@@ -42,9 +38,6 @@ func (s *Server) tenantOf(r *http.Request) string {
 // accountShed records a request refused at admission: sheds never reach
 // an engine, so the gateway emits their (resource-less) event here.
 func (s *Server) accountShed(r *http.Request, kind, route, verdict string) {
-	if s.account == nil {
-		return
-	}
 	ev := account.Event{Kind: kind, Tenant: s.tenantOf(r), Route: route, Outcome: "shed", Limit: verdict}
 	if id := trace.FromContext(r.Context()).TraceID(); id.Valid() {
 		ev.TraceID = id.String()

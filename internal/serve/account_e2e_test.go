@@ -50,7 +50,7 @@ func newAccountEnv(t *testing.T, workers int) *acctEnv {
 		serve.WithRegistry(reg, 2),
 		serve.WithMetrics(obsReg),
 		serve.WithTracing(tracer),
-		serve.WithAccounting(plane, true),
+		serve.WithAccounting(plane),
 	)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {

@@ -34,7 +34,7 @@ type gateway struct {
 	reg      *registry.Store
 	maxBatch int
 
-	// Wired by serve.New when WithMetrics is set (nil otherwise).
+	// Wired by serve.New (no-op handles without WithMetrics).
 	metrics      *obs.GatewayMetrics
 	inferMetrics *obs.InferMetrics    // shared by every engine built here
 	sparsity     *obs.SparsityMetrics // serving-density gauges, shared by every planner
@@ -83,15 +83,13 @@ func (g *gateway) engineFor(desc registry.BaseDesc) (*infer.Engine, error) {
 	}
 	eng := infer.New(base, infer.Config{MaxBatch: g.maxBatch, Metrics: g.inferMetrics, Planner: planner, Account: g.account})
 	g.engines[key] = eng
-	if g.metrics != nil {
-		g.metrics.Engines.Set(float64(len(g.engines)))
-		prec := desc.Precision
-		if prec == "" {
-			prec = nn.PrecisionF32
-		}
-		g.baseBytes[prec] += float64(base.WeightBytes())
-		g.metrics.BaseWeightBytes.With(prec).Set(g.baseBytes[prec])
+	g.metrics.Engines.Set(float64(len(g.engines)))
+	prec := desc.Precision
+	if prec == "" {
+		prec = nn.PrecisionF32
 	}
+	g.baseBytes[prec] += float64(base.WeightBytes())
+	g.metrics.BaseWeightBytes.With(prec).Set(g.baseBytes[prec])
 	return eng, nil
 }
 
@@ -106,14 +104,10 @@ func (g *gateway) adapterFor(id string) (registry.Manifest, *nn.DecodeAdapter, e
 	ad, hit := g.compiled[id]
 	g.mu.Unlock()
 	if hit {
-		if g.metrics != nil {
-			g.metrics.AdapterHits.Inc()
-		}
+		g.metrics.AdapterHits.Inc()
 		return man, ad, nil
 	}
-	if g.metrics != nil {
-		g.metrics.AdapterMisses.Inc()
-	}
+	g.metrics.AdapterMisses.Inc()
 	man, params, err := g.reg.Load(id)
 	if err != nil {
 		return registry.Manifest{}, nil, err
@@ -138,7 +132,7 @@ func (g *gateway) evict(id string) {
 	_, present := g.compiled[id]
 	delete(g.compiled, id)
 	g.mu.Unlock()
-	if present && g.metrics != nil {
+	if present {
 		g.metrics.AdapterEvictions.Inc()
 	}
 }
@@ -155,11 +149,9 @@ func (g *gateway) close() {
 	for _, eng := range engines {
 		eng.Close()
 	}
-	if g.metrics != nil {
-		g.metrics.Engines.Set(0)
-		for prec := range resident {
-			g.metrics.BaseWeightBytes.With(prec).Set(0)
-		}
+	g.metrics.Engines.Set(0)
+	for prec := range resident {
+		g.metrics.BaseWeightBytes.With(prec).Set(0)
 	}
 }
 
@@ -343,69 +335,28 @@ func (s *Server) generate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, r, http.StatusInternalServerError, "streaming unsupported by connection")
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	ka, kaStop := s.keepaliveTicker()
-	defer kaStop()
 	var tokens []int
-	for {
-		var ev infer.Event
-		var open bool
-		select {
-		case <-ka:
-			if writeSSEKeepalive(w) != nil {
-				return
-			}
-			flusher.Flush()
-			continue
-		case ev, open = <-stream.Events:
-			if !open {
-				return
-			}
-		}
+	streamSSE(s, w, r, stream.Events, nil, func(ev infer.Event) (string, string, any, bool) {
 		switch {
 		case ev.Err != nil:
-			writeSSEFrame(w, "error", struct {
+			return "error", "", struct {
 				Error  string `json:"error"`
 				Reason string `json:"reason,omitempty"`
-			}{ev.Err.Error(), ev.Reason})
-			flusher.Flush()
-			return
+			}{ev.Err.Error(), ev.Reason}, true
 		case ev.Done:
-			writeSSEFrame(w, "done", struct {
+			return "done", "", struct {
 				Tokens  []int  `json:"tokens"`
 				Reason  string `json:"reason"`
 				Adapter string `json:"adapter,omitempty"`
-			}{tokens, ev.Reason, req.Adapter})
-			flusher.Flush()
-			return
+			}{tokens, ev.Reason, req.Adapter}, true
 		default:
 			tokens = append(tokens, ev.Token)
-			writeSSEFrame(w, "token", struct {
+			return "token", "", struct {
 				Token int `json:"token"`
 				Index int `json:"index"`
-			}{ev.Token, ev.Index})
-			flusher.Flush()
+			}{ev.Token, ev.Index}, false
 		}
-	}
-}
-
-func writeSSEFrame(w http.ResponseWriter, event string, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+	})
 }
 
 // shutdownGateway is called from Server.Shutdown.

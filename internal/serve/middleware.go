@@ -53,9 +53,9 @@ func WithLimits(cfg LimitConfig) Option {
 // endpoint's admission controller and metric handles.
 type guard struct {
 	tenantHeader string
-	limiter      *limit.Limiter            // nil: no rate limiting
-	adm          *limit.Admission          // nil: no admission control
-	m            *obs.EndpointLimitMetrics // nil: unmetered
+	limiter      *limit.Limiter   // nil: no rate limiting
+	adm          *limit.Admission // nil: no admission control
+	m            *obs.EndpointLimitMetrics
 }
 
 // admit applies rate limiting then admission control. It either returns
@@ -74,9 +74,7 @@ func (g *guard) admit(w http.ResponseWriter, r *http.Request) (release func(), v
 			tenant = "anonymous"
 		}
 		if allowed, retryAfter := g.limiter.Allow(tenant); !allowed {
-			if g.m != nil {
-				g.m.ShedRateLimited.Inc()
-			}
+			g.m.ShedRateLimited.Inc()
 			writeRetryAfter(w, retryAfter)
 			writeError(w, r, http.StatusTooManyRequests, "rate limit exceeded for tenant %q", tenant)
 			return nil, "rate_limited", false
@@ -151,10 +149,8 @@ func skipTrace(path string) bool {
 // value we pass down.
 func (s *Server) observe(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.httpm != nil {
-			s.httpm.InFlight.Inc()
-			defer s.httpm.InFlight.Dec()
-		}
+		s.httpm.InFlight.Inc()
+		defer s.httpm.InFlight.Dec()
 		var sp *trace.Span
 		if s.tracer != nil && !skipTrace(r.URL.Path) {
 			remote, _ := trace.ParseTraceparent(r.Header.Get("traceparent"))
@@ -174,15 +170,13 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
-		if s.httpm != nil {
-			lat := s.httpm.Latency.With(route)
-			if sp != nil {
-				lat.ObserveExemplar(dur.Seconds(), sp.TraceID().String())
-			} else {
-				lat.Observe(dur.Seconds())
-			}
-			s.httpm.Requests.With(route, statusClass(sw.status)).Inc()
+		lat := s.httpm.Latency.With(route)
+		if sp != nil {
+			lat.ObserveExemplar(dur.Seconds(), sp.TraceID().String())
+		} else {
+			lat.Observe(dur.Seconds())
 		}
+		s.httpm.Requests.With(route, statusClass(sw.status)).Inc()
 		sp.SetStr("route", route)
 		sp.SetInt("status", int64(sw.status))
 		if s.limits != nil {

@@ -63,7 +63,8 @@ type Server struct {
 	mux     *http.ServeMux
 	handler http.Handler // mux, wrapped by middleware when configured
 
-	// Observability plane (nil without WithMetrics).
+	// Observability plane: obs is nil without WithMetrics, and httpm is
+	// then a bundle of no-op handles.
 	obs   *obs.Registry
 	httpm *obs.HTTPMetrics
 
@@ -83,8 +84,7 @@ type Server struct {
 	health []slo.HealthSource // readiness inputs, checked in order
 
 	// Accounting plane (nil without WithAccounting).
-	account  *account.Plane
-	usageAPI bool
+	account *account.Plane
 
 	draining     atomic.Bool   // set when Shutdown begins; read by /readyz
 	shutdownC    chan struct{} // closed when Shutdown begins; ends /v1/alerts streams
@@ -177,14 +177,15 @@ func New(store *jobs.Store, opts ...Option) *Server {
 	// registry gateway, limits, metrics, and tracing may arrive in any
 	// order).
 	s.handler = s.mux
+	s.httpm = obs.NewHTTPMetrics(s.obs)
 	if s.obs != nil {
-		s.httpm = obs.NewHTTPMetrics(s.obs)
 		s.mux.Handle("GET /metrics", s.obs.Handler())
-		if s.gw != nil {
-			s.gw.metrics = obs.NewGatewayMetrics(s.obs)
-			s.gw.inferMetrics = obs.NewInferMetrics(s.obs)
-			s.gw.sparsity = obs.NewServingSparsityMetrics(s.obs)
-		}
+	}
+	if s.gw != nil {
+		s.gw.metrics = obs.NewGatewayMetrics(s.obs)
+		s.gw.inferMetrics = obs.NewInferMetrics(s.obs)
+		s.gw.sparsity = obs.NewServingSparsityMetrics(s.obs)
+		s.gw.account = s.account
 	}
 	if s.tracer != nil {
 		s.mux.HandleFunc("GET /debug/traces", s.debugTraces)
@@ -192,24 +193,18 @@ func New(store *jobs.Store, opts ...Option) *Server {
 	if s.pprof {
 		s.mountPprof()
 	}
-	if s.httpm != nil || s.tracer != nil || s.log != nil {
+	if s.obs != nil || s.tracer != nil || s.log != nil {
 		s.handler = s.observe(s.mux)
 	}
 	if s.limits != nil {
-		var lm *obs.LimitMetrics
-		if s.obs != nil {
-			lm = obs.NewLimitMetrics(s.obs)
-		}
+		lm := obs.NewLimitMetrics(s.obs)
 		var limiter *limit.Limiter
 		if s.limits.Limit.Enabled() {
 			limiter = limit.New(s.limits.Limit)
 			limiter.Instrument(lm)
 		}
 		mk := func(endpoint string) *guard {
-			var em *obs.EndpointLimitMetrics
-			if lm != nil {
-				em = lm.Endpoint(endpoint)
-			}
+			em := lm.Endpoint(endpoint)
 			g := &guard{tenantHeader: s.limits.TenantHeader, limiter: limiter, m: em}
 			if s.limits.MaxInFlight > 0 {
 				g.adm = limit.NewAdmission(limit.AdmissionConfig{
@@ -244,13 +239,8 @@ func New(store *jobs.Store, opts ...Option) *Server {
 		}
 	}
 	if s.account != nil {
-		if s.gw != nil {
-			s.gw.account = s.account
-		}
 		s.mux.HandleFunc("GET /debug/events", s.debugEvents)
-		if s.usageAPI {
-			s.mux.HandleFunc("GET /v1/usage", s.usage)
-		}
+		s.mux.HandleFunc("GET /v1/usage", s.usage)
 	}
 	return s
 }

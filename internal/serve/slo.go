@@ -2,6 +2,7 @@ package serve
 
 import (
 	"net/http"
+	"strconv"
 
 	"longexposure/internal/slo"
 )
@@ -43,51 +44,14 @@ func (s *Server) debugFlightRecorder(w http.ResponseWriter, _ *http.Request) {
 }
 
 // streamAlerts serves GET /v1/alerts: recent alert transitions replayed,
-// then live ones, as SSE frames
-//
-//	event: <state>
-//	id: <seq>
-//	data: <AlertEvent JSON>
-//
-// The stream ends when the client disconnects, the engine stops, or the
-// server begins draining (streams must not pin a closing listener).
+// then live ones, as SSE frames named after the new alert state with the
+// transition's sequence number as id. The stream ends when the client
+// disconnects, the engine stops, or the server begins draining (streams
+// must not pin a closing listener).
 func (s *Server) streamAlerts(w http.ResponseWriter, r *http.Request) {
 	ch, cancel := s.slo.SubscribeAlerts()
 	defer cancel()
-
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, r, http.StatusInternalServerError, "streaming unsupported by connection")
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	ka, kaStop := s.keepaliveTicker()
-	defer kaStop()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.shutdownC:
-			return
-		case <-ka:
-			if writeSSEKeepalive(w) != nil {
-				return
-			}
-			flusher.Flush()
-		case e, open := <-ch:
-			if !open {
-				return // engine stopped
-			}
-			if err := writeSSEAlert(w, e); err != nil {
-				return
-			}
-			flusher.Flush()
-		}
-	}
+	streamSSE(s, w, r, ch, s.shutdownC, func(e slo.AlertEvent) (string, string, any, bool) {
+		return e.State, strconv.FormatInt(e.Seq, 10), e, false
+	})
 }

@@ -5,33 +5,27 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"longexposure/internal/jobs"
-	"longexposure/internal/slo"
 )
 
-// streamEvents serves GET /v1/jobs/{id}/events as a server-sent event
-// stream: the job's full history is replayed, then live events follow
-// until the terminal event (done/failed/cancelled) ends the stream. Each
-// frame is
+// streamSSE is the server's one server-sent-event response loop. It
+// commits the stream headers, then turns every value received on ch into
+// one frame
 //
-//	event: <kind>
-//	id: <seq>
-//	data: <event JSON>
+//	event: <event>
+//	id: <id>            (omitted when id is "")
+//	data: <data JSON>
 //
-// Clients that reconnect simply replay from the start — event logs are
-// small (one frame per training step) and replay keeps the protocol
-// stateless.
-func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	ch, cancel, err := s.store.Subscribe(id)
-	if err != nil {
-		writeError(w, r, http.StatusNotFound, "%v", err)
-		return
-	}
-	defer cancel()
-
+// until ch closes, frame marks a value as the last, the client goes away,
+// stop fires (nil never does), or a write fails. While the stream is idle
+// it emits ": keepalive" comment frames every WithSSEKeepalive interval —
+// invisible to EventSource consumers, but they keep quiet connections
+// alive through proxies that reap them.
+func streamSSE[T any](s *Server, w http.ResponseWriter, r *http.Request, ch <-chan T, stop <-chan struct{},
+	frame func(T) (event, id string, data any, last bool)) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, r, http.StatusInternalServerError, "streaming unsupported by connection")
@@ -44,63 +38,65 @@ func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	ka, kaStop := s.keepaliveTicker()
-	defer kaStop()
+	var keepalive <-chan time.Time // nil (never fires) when disabled
+	if s.keepalive > 0 {
+		t := time.NewTicker(s.keepalive)
+		defer t.Stop()
+		keepalive = t.C
+	}
+	gone := r.Context().Done()
 	for {
 		select {
-		case <-r.Context().Done():
-			return // client went away
-		case <-ka:
-			if writeSSEKeepalive(w) != nil {
+		case <-gone:
+			return
+		case <-stop:
+			return
+		case <-keepalive:
+			if _, err := io.WriteString(w, ": keepalive\n\n"); err != nil {
 				return
 			}
 			flusher.Flush()
-		case e, open := <-ch:
+		case v, open := <-ch:
 			if !open {
-				return // terminal event delivered
-			}
-			if err := writeSSE(w, e); err != nil {
 				return
 			}
+			event, id, data, last := frame(v)
+			err := writeSSE(w, event, id, data)
 			flusher.Flush()
+			if err != nil || last {
+				return
+			}
 		}
 	}
 }
 
-// keepaliveTicker returns the keepalive channel for an SSE loop (nil —
-// never firing — when keepalives are disabled) plus its stop func.
-func (s *Server) keepaliveTicker() (<-chan time.Time, func()) {
-	if s.keepalive <= 0 {
-		return nil, func() {}
-	}
-	t := time.NewTicker(s.keepalive)
-	return t.C, t.Stop
-}
-
-// writeSSEKeepalive emits one SSE comment frame. Comments are invisible
-// to EventSource consumers but keep idle connections alive through
-// proxies that reap quiet streams.
-func writeSSEKeepalive(w io.Writer) error {
-	_, err := io.WriteString(w, ": keepalive\n\n")
-	return err
-}
-
-func writeSSE(w http.ResponseWriter, e jobs.Event) error {
-	data, err := json.Marshal(e)
+// writeSSE writes one frame (see streamSSE).
+func writeSSE(w io.Writer, event, id string, data any) error {
+	b, err := json.Marshal(data)
 	if err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", e.Kind, e.Seq, data)
+	if id != "" {
+		id = "id: " + id + "\n"
+	}
+	_, err = fmt.Fprintf(w, "event: %s\n%sdata: %s\n\n", event, id, b)
 	return err
 }
 
-// writeSSEAlert frames one alert transition for the /v1/alerts stream;
-// the frame's event name is the new alert state.
-func writeSSEAlert(w http.ResponseWriter, e slo.AlertEvent) error {
-	data, err := json.Marshal(e)
+// streamEvents serves GET /v1/jobs/{id}/events: the job's full history is
+// replayed, then live events follow until the terminal event
+// (done/failed/cancelled) ends the stream. The frame's event name is the
+// event kind and its id the per-job sequence number. Clients that
+// reconnect simply replay from the start — event logs are small (one
+// frame per training step) and replay keeps the protocol stateless.
+func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request) {
+	ch, cancel, err := s.store.Subscribe(r.PathValue("id"))
 	if err != nil {
-		return err
+		writeError(w, r, http.StatusNotFound, "%v", err)
+		return
 	}
-	_, err = fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", e.State, e.Seq, data)
-	return err
+	defer cancel()
+	streamSSE(s, w, r, ch, nil, func(e jobs.Event) (string, string, any, bool) {
+		return string(e.Kind), strconv.Itoa(e.Seq), e, false
+	})
 }

@@ -1,11 +1,6 @@
 package slo
 
-import (
-	"sync"
-	"time"
-
-	"longexposure/internal/events"
-)
+import "time"
 
 // Alert states. The gauge encoding (lexp_slo_alert_state) is their
 // index: 0 inactive, 1 pending, 2 firing, 3 resolved.
@@ -57,88 +52,12 @@ type AlertEvent struct {
 	Message string `json:"message,omitempty"`
 }
 
-// hub fans alert transitions out to /v1/alerts subscribers, replaying a
-// bounded ring of recent transitions to newcomers. It reuses the same
-// bounded-backlog subscriber machinery job event streams run on.
-type hub struct {
-	backlog int
+// alertReplay is how many recent transitions a new /v1/alerts subscriber
+// is replayed before live ones.
+const alertReplay = 64
 
-	mu     sync.Mutex
-	seq    int64
-	recent []AlertEvent // bounded replay ring, oldest first
-	subs   []*events.Subscriber[AlertEvent]
-	closed bool
-}
-
-const hubRecent = 64
-
-func newHub(backlog int) *hub { return &hub{backlog: backlog} }
-
-// publish stamps a sequence number and fans the event out. Returns the
-// stamped event (for the flight recorder).
-func (h *hub) publish(e AlertEvent) AlertEvent {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.seq++
-	e.Seq = h.seq
-	if h.closed {
-		return e
-	}
-	h.recent = append(h.recent, e)
-	if len(h.recent) > hubRecent {
-		h.recent = h.recent[len(h.recent)-hubRecent:]
-	}
-	for _, sub := range h.subs {
-		sub.Push(e)
-	}
-	return e
-}
-
-// subscribe returns a channel replaying recent transitions then
-// streaming live ones, plus a cancel func (safe to call repeatedly).
-// On a closed hub the channel closes after the replay.
-func (h *hub) subscribe() (<-chan AlertEvent, func()) {
-	h.mu.Lock()
-	replay := append([]AlertEvent(nil), h.recent...)
-	sub := events.New(replay, events.Options[AlertEvent]{
-		Backlog: h.backlog,
-		Lost: func(lost int, first, next AlertEvent) AlertEvent {
-			return AlertEvent{
-				Seq:   first.Seq,
-				Time:  time.Now(),
-				State: StateLost,
-				Lost:  lost,
-			}
-		},
-	})
-	if h.closed {
-		sub.Close()
-	} else {
-		h.subs = append(h.subs, sub)
-	}
-	h.mu.Unlock()
-	cancel := func() {
-		sub.Drop()
-		h.mu.Lock()
-		for i, x := range h.subs {
-			if x == sub {
-				h.subs = append(h.subs[:i], h.subs[i+1:]...)
-				break
-			}
-		}
-		h.mu.Unlock()
-	}
-	return sub.C(), cancel
-}
-
-// close ends every subscription after its backlog drains. Idempotent.
-func (h *hub) close() {
-	h.mu.Lock()
-	h.closed = true
-	subs := h.subs
-	h.subs = nil
-	h.mu.Unlock()
-	for _, sub := range subs {
-		sub.Close()
-	}
+// lostAlert synthesizes the marker a slow /v1/alerts consumer receives in
+// place of the transitions its bounded backlog dropped.
+func lostAlert(lost int, first, _ AlertEvent) AlertEvent {
+	return AlertEvent{Seq: first.Seq, Time: time.Now(), State: StateLost, Lost: lost}
 }

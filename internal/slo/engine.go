@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"longexposure/internal/events"
 	"longexposure/internal/obs"
 	"longexposure/internal/trace"
 )
@@ -17,59 +18,35 @@ type sample struct {
 	good, total float64
 }
 
-// sampleRing is a fixed-capacity ordered ring of samples. Pushing past
-// capacity overwrites the oldest; lookups binary-search the logical
-// order. No method allocates after construction.
-type sampleRing struct {
-	buf   []sample
-	start int // index of the oldest sample
-	n     int
-}
-
-func newSampleRing(capacity int) *sampleRing {
-	return &sampleRing{buf: make([]sample, capacity)}
-}
-
-func (r *sampleRing) push(s sample) {
-	if r.n < len(r.buf) {
-		r.buf[(r.start+r.n)%len(r.buf)] = s
-		r.n++
-		return
-	}
-	r.buf[r.start] = s
-	r.start = (r.start + 1) % len(r.buf)
-}
-
-func (r *sampleRing) at(i int) sample { return r.buf[(r.start+i)%len(r.buf)] }
-
 // before returns the newest sample no newer than cutoff, falling back
 // to the oldest retained sample when the whole ring is newer (a window
 // longer than recorded history measures over what exists). ok is false
-// only on an empty ring.
-func (r *sampleRing) before(cutoff int64) (sample, bool) {
-	if r.n == 0 {
+// only on an empty ring. Binary search over the ring's age order;
+// allocation-free.
+func before(r *events.Ring[sample], cutoff int64) (sample, bool) {
+	if r.Len() == 0 {
 		return sample{}, false
 	}
-	lo, hi := 0, r.n-1 // invariant: answer index is in [lo, hi] if any sample <= cutoff
-	if r.at(0).t > cutoff {
-		return r.at(0), true
+	lo, hi := 0, r.Len()-1 // invariant: answer index is in [lo, hi] if any sample <= cutoff
+	if r.At(0).t > cutoff {
+		return *r.At(0), true
 	}
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if r.at(mid).t <= cutoff {
+		if r.At(mid).t <= cutoff {
 			lo = mid
 		} else {
 			hi = mid - 1
 		}
 	}
-	return r.at(lo), true
+	return *r.At(lo), true
 }
 
 // objective is one configured SLO plus its live evaluation state.
 type objective struct {
 	spec Objective
 	src  source
-	ring *sampleRing
+	ring events.Ring[sample]
 	m    *obs.ObjectiveSLOMetrics
 
 	state        string
@@ -104,10 +81,11 @@ type Engine struct {
 	tracer *trace.Tracer
 	rec    *Recorder
 	log    *slog.Logger
-	hub    *hub
+	alerts *events.Topic[AlertEvent]
 
 	mu         sync.Mutex
 	objs       []*objective
+	alertSeq   int64 // last AlertEvent.Seq stamped
 	firing     int
 	critFiring int
 	lastTick   time.Time
@@ -156,7 +134,7 @@ func New(cfg Config, d Deps) (*Engine, error) {
 		tracer: d.Tracer,
 		rec:    d.Recorder,
 		log:    d.Logger,
-		hub:    newHub(cfg.AlertBacklog),
+		alerts: events.NewTopic(alertReplay, events.Options[AlertEvent]{Backlog: cfg.AlertBacklog, Lost: lostAlert}),
 		stop:   make(chan struct{}),
 	}
 	for _, spec := range cfg.Objectives {
@@ -167,7 +145,7 @@ func New(cfg Config, d Deps) (*Engine, error) {
 		e.objs = append(e.objs, &objective{
 			spec:  spec,
 			src:   src,
-			ring:  newSampleRing(capacity),
+			ring:  events.NewRing[sample](capacity),
 			m:     e.m.Objective(spec.Name),
 			state: StateInactive,
 		})
@@ -188,7 +166,7 @@ func (e *Engine) Recorder() *Recorder { return e.rec }
 // and then streaming live ones, plus a cancel func. The channel closes
 // after Stop (or cancel).
 func (e *Engine) SubscribeAlerts() (<-chan AlertEvent, func()) {
-	return e.hub.subscribe()
+	return e.alerts.Subscribe()
 }
 
 // Start launches the background evaluation loop at the configured
@@ -215,7 +193,7 @@ func (e *Engine) Start() {
 func (e *Engine) Stop() {
 	e.stopOnce.Do(func() { close(e.stop) })
 	e.wg.Wait()
-	e.hub.close()
+	e.alerts.Close()
 }
 
 // Tick runs one evaluation pass as of now. Exported so tests (and the
@@ -227,9 +205,9 @@ func (e *Engine) Tick(now time.Time) {
 	e.lastTick = now
 	e.ticks++
 
-	var slot []ObjectiveTick
+	var slot, prevSlot []ObjectiveTick
 	if e.rec != nil {
-		slot = e.rec.beginTick(now)
+		slot, prevSlot = e.rec.beginTick(now)
 	}
 
 	var fired []*objective
@@ -258,9 +236,9 @@ func (e *Engine) Tick(now time.Time) {
 				Burn:      o.burn,
 				Budget:    o.budget,
 			}
-			if prevTick, ok := e.rec.prevTick(i); ok {
-				slot[i].DGood = o.good - prevTick.Good
-				slot[i].DTotal = o.total - prevTick.Total
+			if i < len(prevSlot) {
+				slot[i].DGood = o.good - prevSlot[i].Good
+				slot[i].DTotal = o.total - prevSlot[i].Total
 			}
 		}
 	}
@@ -302,7 +280,7 @@ func (e *Engine) evaluate(o *objective, now time.Time) {
 		o.fastActive, o.slowActive = false, false
 	} else {
 		o.good, o.total = good, total
-		o.ring.push(sample{t: now.UnixNano(), good: good, total: total})
+		o.ring.Put(sample{t: now.UnixNano(), good: good, total: total})
 
 		w := e.cfg.Windows
 		o.burn[0] = o.burnOver(now, w.FastShort)
@@ -353,7 +331,7 @@ func (e *Engine) evaluate(o *objective, now time.Time) {
 // what lets a quiet system recover: once the window holds only
 // flat samples, the burn is 0 and firing alerts resolve.
 func (o *objective) burnOver(now time.Time, window Duration) float64 {
-	prev, ok := o.ring.before(now.Add(-window.Std()).UnixNano())
+	prev, ok := before(&o.ring, now.Add(-window.Std()).UnixNano())
 	if !ok {
 		return 0
 	}
@@ -368,10 +346,10 @@ func (o *objective) burnOver(now time.Time, window Duration) float64 {
 	return (dBad / dTotal) / (1 - o.spec.Target)
 }
 
-// publishTransition fans one state change out to the alert hub,
+// publishTransition fans one state change out to the alert topic,
 // metrics, the structured log and the flight recorder. Callers hold
 // e.mu. Pending→inactive moves only the gauge, not the stream.
-func (e *Engine) publishTransition(o *objective, prev string, now time.Time) AlertEvent {
+func (e *Engine) publishTransition(o *objective, prev string, now time.Time) {
 	switch o.state {
 	case StatePending:
 		o.m.ToPending.Inc()
@@ -380,9 +358,11 @@ func (e *Engine) publishTransition(o *objective, prev string, now time.Time) Ale
 	case StateResolved:
 		o.m.ToResolved.Inc()
 	default:
-		return AlertEvent{} // pending → inactive: silent
+		return // pending → inactive: silent
 	}
+	e.alertSeq++
 	ev := AlertEvent{
+		Seq:             e.alertSeq,
 		Time:            now,
 		Objective:       o.spec.Name,
 		Kind:            o.spec.Kind,
@@ -397,7 +377,7 @@ func (e *Engine) publishTransition(o *objective, prev string, now time.Time) Ale
 		Message: fmt.Sprintf("objective %s: %s -> %s (budget remaining %.3f)",
 			o.spec.Name, prev, o.state, o.budget),
 	}
-	ev = e.hub.publish(ev)
+	e.alerts.Publish(ev)
 	if e.rec != nil {
 		e.rec.noteAlert(ev)
 	}
@@ -410,7 +390,6 @@ func (e *Engine) publishTransition(o *objective, prev string, now time.Time) Ale
 			slog.Float64("burn_fast_short", o.burn[0]),
 			slog.Bool("critical", o.spec.Critical))
 	}
-	return ev
 }
 
 func transitionLevel(state string) slog.Level {

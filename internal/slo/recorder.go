@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -12,6 +13,8 @@ import (
 	"sync"
 	"time"
 
+	"longexposure/internal/durable"
+	"longexposure/internal/events"
 	"longexposure/internal/trace"
 )
 
@@ -110,10 +113,16 @@ type DumpFile struct {
 	ModTime time.Time `json:"mod_time"`
 }
 
+// tickSlot is one evaluation tick as retained in the ring.
+type tickSlot struct {
+	t    int64 // UnixNano
+	objs []ObjectiveTick
+}
+
 // Recorder is the black-box flight recorder: fixed-size rings of log
-// records, alert transitions and per-tick metric deltas, dumped
-// atomically (write temp + rename) to disk on alert-firing, SIGQUIT or
-// panic. Construct with NewRecorder; attach to an Engine via Deps.
+// records, alert transitions and per-tick metric deltas (events.Ring),
+// dumped atomically (durable.WriteFile) to disk on alert-firing, SIGQUIT
+// or panic. Construct with NewRecorder; attach to an Engine via Deps.
 type Recorder struct {
 	cfg    RecorderConfig
 	tracer *trace.Tracer // nil: dumps carry no spans
@@ -121,23 +130,13 @@ type Recorder struct {
 	mu     sync.Mutex
 	engine *Engine // attached by Engine.New; nil until then
 
-	logs    []LogRecord
-	logHead int
-	logN    int
-
-	alerts    []AlertEvent
-	alertHead int
-	alertN    int
-
-	// Per-tick delta ring. Slots are preallocated on first use and then
-	// refilled in place, so recording a tick never allocates at steady
-	// state.
-	ticks     [][]ObjectiveTick
-	tickTimes []int64
-	tickHead  int
-	tickN     int
-	tickTotal int // ticks ever recorded (for first-tick delta suppression)
-	nObjs     int
+	logs   events.Ring[LogRecord]
+	alerts events.Ring[AlertEvent]
+	// Per-tick delta ring. A slot's objective slice is allocated the first
+	// time the slot is claimed and refilled in place afterwards, so
+	// recording a tick never allocates at steady state.
+	ticks events.Ring[tickSlot]
+	nObjs int
 
 	// events, when set, supplies the wide-event window included in every
 	// snapshot (see Dump.WideEvents).
@@ -150,12 +149,11 @@ type Recorder struct {
 func NewRecorder(cfg RecorderConfig, tracer *trace.Tracer) *Recorder {
 	cfg = cfg.withDefaults()
 	return &Recorder{
-		cfg:       cfg,
-		tracer:    tracer,
-		logs:      make([]LogRecord, cfg.LogRing),
-		alerts:    make([]AlertEvent, cfg.AlertRing),
-		ticks:     make([][]ObjectiveTick, cfg.TickRing),
-		tickTimes: make([]int64, cfg.TickRing),
+		cfg:    cfg,
+		tracer: tracer,
+		logs:   events.NewRing[LogRecord](cfg.LogRing),
+		alerts: events.NewRing[AlertEvent](cfg.AlertRing),
+		ticks:  events.NewRing[tickSlot](cfg.TickRing),
 	}
 }
 
@@ -180,71 +178,37 @@ func (r *Recorder) attach(e *Engine, nObjs int) {
 	r.mu.Unlock()
 }
 
-// beginTick claims and returns the next tick slot, sized for the
-// attached engine's objectives. The caller (Engine.Tick, holding its
-// own lock) fills the slot in place. Allocation-free once every ring
+// beginTick claims the next tick slot, sized for the attached engine's
+// objectives, and returns it with the previous tick's readings (nil on
+// the first tick) for delta computation. The caller (Engine.Tick, holding
+// its own lock) fills the slot in place. Allocation-free once every ring
 // slot has been claimed once.
-func (r *Recorder) beginTick(now time.Time) []ObjectiveTick {
+func (r *Recorder) beginTick(now time.Time) (slot, prev []ObjectiveTick) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var i int
-	if r.tickN < len(r.ticks) {
-		i = (r.tickHead + r.tickN) % len(r.ticks)
-		r.tickN++
-	} else {
-		i = r.tickHead
-		r.tickHead = (r.tickHead + 1) % len(r.ticks)
+	if n := r.ticks.Len(); n > 0 {
+		prev = r.ticks.At(n - 1).objs
 	}
-	r.tickTotal++
-	r.tickTimes[i] = now.UnixNano()
-	if cap(r.ticks[i]) < r.nObjs {
-		r.ticks[i] = make([]ObjectiveTick, r.nObjs)
+	s := r.ticks.Next()
+	s.t = now.UnixNano()
+	if cap(s.objs) < r.nObjs {
+		s.objs = make([]ObjectiveTick, r.nObjs)
 	}
-	r.ticks[i] = r.ticks[i][:r.nObjs]
-	return r.ticks[i]
-}
-
-// prevTick returns objective i's reading from the tick before the one
-// beginTick just claimed, for delta computation. ok is false on the
-// first tick.
-func (r *Recorder) prevTick(i int) (ObjectiveTick, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.tickTotal < 2 || len(r.ticks) < 2 {
-		return ObjectiveTick{}, false
-	}
-	// The slot beginTick just claimed is logical tickN-1; its
-	// predecessor is logical tickN-2.
-	prev := (r.tickHead + r.tickN - 2 + len(r.ticks)) % len(r.ticks)
-	if i >= len(r.ticks[prev]) {
-		return ObjectiveTick{}, false
-	}
-	return r.ticks[prev][i], true
+	s.objs = s.objs[:r.nObjs]
+	return s.objs, prev
 }
 
 // noteAlert retains one alert transition.
 func (r *Recorder) noteAlert(e AlertEvent) {
 	r.mu.Lock()
-	if r.alertN < len(r.alerts) {
-		r.alerts[(r.alertHead+r.alertN)%len(r.alerts)] = e
-		r.alertN++
-	} else {
-		r.alerts[r.alertHead] = e
-		r.alertHead = (r.alertHead + 1) % len(r.alerts)
-	}
+	r.alerts.Put(e)
 	r.mu.Unlock()
 }
 
 // noteLog retains one log record.
 func (r *Recorder) noteLog(rec LogRecord) {
 	r.mu.Lock()
-	if r.logN < len(r.logs) {
-		r.logs[(r.logHead+r.logN)%len(r.logs)] = rec
-		r.logN++
-	} else {
-		r.logs[r.logHead] = rec
-		r.logHead = (r.logHead + 1) % len(r.logs)
-	}
+	r.logs.Put(rec)
 	r.mu.Unlock()
 }
 
@@ -265,20 +229,12 @@ func (r *Recorder) snapshot(reason string, report *Report) Dump {
 	d := Dump{Time: time.Now(), Reason: reason, SLO: report}
 
 	r.mu.Lock()
-	d.Logs = make([]LogRecord, 0, r.logN)
-	for i := 0; i < r.logN; i++ {
-		d.Logs = append(d.Logs, r.logs[(r.logHead+i)%len(r.logs)])
-	}
-	d.Alerts = make([]AlertEvent, 0, r.alertN)
-	for i := 0; i < r.alertN; i++ {
-		d.Alerts = append(d.Alerts, r.alerts[(r.alertHead+i)%len(r.alerts)])
-	}
-	d.MetricDeltas = make([]TickDelta, 0, r.tickN)
-	for i := 0; i < r.tickN; i++ {
-		j := (r.tickHead + i) % len(r.ticks)
-		td := TickDelta{Time: time.Unix(0, r.tickTimes[j])}
-		td.Objectives = append([]ObjectiveTick(nil), r.ticks[j]...)
-		d.MetricDeltas = append(d.MetricDeltas, td)
+	d.Logs = r.logs.Slice()
+	d.Alerts = r.alerts.Slice()
+	d.MetricDeltas = make([]TickDelta, r.ticks.Len())
+	for i := range d.MetricDeltas {
+		slot := r.ticks.At(i)
+		d.MetricDeltas[i] = TickDelta{Time: time.Unix(0, slot.t), Objectives: append([]ObjectiveTick(nil), slot.objs...)}
 	}
 	events := r.events
 	r.mu.Unlock()
@@ -294,9 +250,9 @@ func (r *Recorder) snapshot(reason string, report *Report) Dump {
 
 // Dump assembles and writes one dump, returning its path. With no
 // configured directory it returns "" and no error (the snapshot is
-// still useful via /debug/flightrecorder). Dumps are written to a temp
-// file and renamed into place, so a reader never sees a torn file even
-// if the process dies mid-dump.
+// still useful via /debug/flightrecorder). Dumps go through
+// durable.WriteFile, so a reader never sees a torn file even if the
+// process dies mid-dump.
 func (r *Recorder) Dump(reason string) (string, error) {
 	return r.writeDump(r.Snapshot(reason))
 }
@@ -324,15 +280,10 @@ func (r *Recorder) writeDump(d Dump) (string, error) {
 		d.Time.UTC().Format("20060102T150405"), seq, sanitizeReason(d.Reason))
 	path := filepath.Join(r.cfg.Dir, name)
 	b, err := json.MarshalIndent(d, "", "  ")
+	if err == nil {
+		err = durable.WriteFile(path, func(w io.Writer) error { _, werr := w.Write(b); return werr })
+	}
 	if err != nil {
-		return "", fmt.Errorf("slo: flight recorder: %w", err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return "", fmt.Errorf("slo: flight recorder: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
 		return "", fmt.Errorf("slo: flight recorder: %w", err)
 	}
 	r.prune()

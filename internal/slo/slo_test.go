@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"longexposure/internal/events"
 	"longexposure/internal/obs"
 )
 
@@ -84,24 +85,25 @@ func TestLoadConfig(t *testing.T) {
 }
 
 func TestSampleRing(t *testing.T) {
-	r := newSampleRing(4)
-	if _, ok := r.before(100); ok {
+	ring := events.NewRing[sample](4)
+	r := &ring
+	if _, ok := before(r, 100); ok {
 		t.Fatal("empty ring reported a sample")
 	}
 	for i := 1; i <= 6; i++ { // overwrites 1 and 2
-		r.push(sample{t: int64(i * 10), total: float64(i)})
+		r.Put(sample{t: int64(i * 10), total: float64(i)})
 	}
 	// Retained: t=30..60. Exact hit, between, before-history, after-all.
-	if s, _ := r.before(40); s.total != 4 {
+	if s, _ := before(r, 40); s.total != 4 {
 		t.Fatalf("before(40) = %+v", s)
 	}
-	if s, _ := r.before(45); s.total != 4 {
+	if s, _ := before(r, 45); s.total != 4 {
 		t.Fatalf("before(45) = %+v", s)
 	}
-	if s, _ := r.before(5); s.total != 3 {
+	if s, _ := before(r, 5); s.total != 3 {
 		t.Fatalf("before(5) should fall back to oldest, got %+v", s)
 	}
-	if s, _ := r.before(999); s.total != 6 {
+	if s, _ := before(r, 999); s.total != 6 {
 		t.Fatalf("before(999) = %+v", s)
 	}
 }
@@ -187,6 +189,9 @@ func TestAlertLifecycle(t *testing.T) {
 		select {
 		case e := <-ch:
 			states = append(states, e.State)
+			if e.Seq != int64(len(states)) {
+				t.Fatalf("transition %d carries seq %d (seqs count from 1)", len(states), e.Seq)
+			}
 		case <-timeout:
 			t.Fatalf("timed out waiting for transitions, got %v", states)
 		}
@@ -338,39 +343,6 @@ func TestSources(t *testing.T) {
 			t.Fatal("attn signal not wired")
 		}
 	})
-}
-
-func TestHubReplayAndClose(t *testing.T) {
-	h := newHub(16)
-	h.publish(AlertEvent{State: StatePending, Objective: "a"})
-	h.publish(AlertEvent{State: StateFiring, Objective: "a"})
-	ch, cancel := h.subscribe()
-	defer cancel()
-	var got []AlertEvent
-	for len(got) < 2 {
-		e, ok := <-ch
-		if !ok {
-			t.Fatal("channel closed early")
-		}
-		got = append(got, e)
-	}
-	if got[0].Seq != 1 || got[1].Seq != 2 || got[1].State != StateFiring {
-		t.Fatalf("replay = %+v", got)
-	}
-	h.close()
-	h.close() // idempotent
-	for range ch {
-	}
-	// Subscribing after close yields a closed (possibly replaying) channel.
-	ch2, cancel2 := h.subscribe()
-	defer cancel2()
-	n := 0
-	for range ch2 {
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("post-close replay delivered %d events, want 2", n)
-	}
 }
 
 func TestEngineStartStop(t *testing.T) {

@@ -135,14 +135,9 @@ func (s *queueWaitSource) sample() (float64, float64, bool) {
 	if s.to == nil {
 		s.to, _ = s.reg.PeekCounterKey("lexp_limit_shed_total", s.toKey)
 	}
+	// A shed reason nobody has hit yet is a nil counter reading 0.
 	good := float64(s.h.CountAtMost(s.threshold))
-	total := float64(s.h.Count())
-	if s.qf != nil {
-		total += s.qf.Value()
-	}
-	if s.to != nil {
-		total += s.to.Value()
-	}
+	total := float64(s.h.Count()) + s.qf.Value() + s.to.Value()
 	return good, total, true
 }
 
@@ -165,13 +160,7 @@ func (s *jobFailureSource) sample() (float64, float64, bool) {
 	if s.done == nil && s.failed == nil {
 		return 0, 0, false
 	}
-	var good, bad float64
-	if s.done != nil {
-		good = s.done.Value()
-	}
-	if s.failed != nil {
-		bad = s.failed.Value()
-	}
+	good, bad := s.done.Value(), s.failed.Value() // a nil counter reads 0
 	return good, good + bad, true
 }
 

@@ -59,8 +59,9 @@ func (p PhaseTimes) Scale(n int) PhaseTimes {
 // step Gets its step-lived buffers (activations, gradients-in-flight,
 // saved-for-backward state) from that arena and Releases them after the
 // optimizer update, so steady-state training performs near-zero heap
-// allocation. Set NoWorkspace to fall back to the allocating path — the
-// two paths are bit-identical, which the determinism tests pin.
+// allocation. (The tensor layer's nil-arena allocating path survives only
+// as the in-package bit-identity oracle: workspace_test.go drives step
+// with a nil arena.)
 type Engine struct {
 	Model *nn.Transformer
 	Opt   peft.Optimizer
@@ -72,10 +73,6 @@ type Engine struct {
 	RP *predictor.RuntimePlanner
 	// ClipNorm, when positive, applies global gradient-norm clipping.
 	ClipNorm float64
-	// NoWorkspace disables the step arena: every step allocates fresh
-	// buffers exactly like the seed code. Results are bit-identical; only
-	// allocation behavior differs.
-	NoWorkspace bool
 	// Metrics, when set, receives per-step observability: step and phase
 	// latency, tokens, loss, and workspace-arena traffic. Updates are
 	// atomic handle writes — the instrumented step stays at zero
@@ -107,12 +104,8 @@ type Engine struct {
 	paramsModel *nn.Transformer
 }
 
-// Workspace returns the engine's step arena, creating it on first use
-// (nil when NoWorkspace is set).
+// Workspace returns the engine's step arena, creating it on first use.
 func (e *Engine) Workspace() *tensor.Arena {
-	if e.NoWorkspace {
-		return nil
-	}
 	if e.ws == nil {
 		e.ws = tensor.NewArena()
 	}
@@ -122,8 +115,12 @@ func (e *Engine) Workspace() *tensor.Arena {
 // Step runs one fine-tuning step on a batch and returns the loss and the
 // per-phase times.
 func (e *Engine) Step(b data.Batch) (float64, PhaseTimes) {
+	return e.step(b, e.Workspace())
+}
+
+// step is Step on an explicit workspace; nil allocates every buffer.
+func (e *Engine) step(b data.Batch, ws *tensor.Arena) (float64, PhaseTimes) {
 	var times PhaseTimes
-	ws := e.Workspace()
 
 	t0 := time.Now()
 	logits := e.Model.Forward(b.Inputs, e.Planner, ws)

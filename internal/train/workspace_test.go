@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"longexposure/internal/data"
 	"longexposure/internal/model"
 	"longexposure/internal/nn"
 	"longexposure/internal/parallel"
@@ -12,22 +13,39 @@ import (
 )
 
 // newWorkspaceTestEngine builds a deterministic LoRA engine on the small
-// sim config; noWS selects the allocating fallback path.
-func newWorkspaceTestEngine(seed uint64, noWS bool) *Engine {
+// sim config.
+func newWorkspaceTestEngine(seed uint64) *Engine {
 	r := tensor.NewRNG(seed)
 	m := nn.NewTransformer(model.SimSmall(nn.ActReLU).Config, r)
 	peft.Apply(m, peft.LoRA, peft.Options{}, r.Split())
-	return &Engine{Model: m, Opt: peft.NewAdamW(1e-3, 0), NoWorkspace: noWS}
+	return &Engine{Model: m, Opt: peft.NewAdamW(1e-3, 0)}
+}
+
+// testStep runs one step on the engine's arena, or — noWS — on a nil
+// arena: the allocating path, kept as the bit-identity oracle.
+func testStep(e *Engine, b data.Batch, noWS bool) float64 {
+	ws := e.Workspace()
+	if noWS {
+		ws = nil
+	}
+	loss, _ := e.step(b, ws)
+	return loss
 }
 
 // TestWorkspaceLossesBitIdenticalToAllocatingPath is the refactor's core
-// contract: the engine's arena path and the NoWorkspace (seed-style
+// contract: the engine's arena path and the nil-arena (seed-style
 // allocating) path must produce the exact same loss sequence, bit for bit.
 func TestWorkspaceLossesBitIdenticalToAllocatingPath(t *testing.T) {
 	run := func(noWS bool) []float64 {
-		e := newWorkspaceTestEngine(81, noWS)
+		e := newWorkspaceTestEngine(81)
 		batches := copyTaskBatches(64, 2, 8, 6, 9)
-		return e.Run(batches, 2).Losses
+		var losses []float64
+		for ep := 0; ep < 2; ep++ {
+			for _, b := range batches {
+				losses = append(losses, testStep(e, b, noWS))
+			}
+		}
+		return losses
 	}
 	ws, noWS := run(false), run(true)
 	if len(ws) != len(noWS) || len(ws) == 0 {
@@ -44,12 +62,12 @@ func TestWorkspaceLossesBitIdenticalToAllocatingPath(t *testing.T) {
 // with identical weights — one arena, one allocating — and asserts every
 // parameter (post-optimizer) matches exactly.
 func TestWorkspaceGradientsBitIdentical(t *testing.T) {
-	a := newWorkspaceTestEngine(82, false)
-	b := newWorkspaceTestEngine(82, true)
+	a := newWorkspaceTestEngine(82)
+	b := newWorkspaceTestEngine(82)
 	batches := copyTaskBatches(64, 2, 8, 2, 5)
 	for _, batch := range batches {
-		la, _ := a.Step(batch)
-		lb, _ := b.Step(batch)
+		la := testStep(a, batch, false)
+		lb := testStep(b, batch, true)
 		if la != lb {
 			t.Fatalf("losses diverge: %v vs %v", la, lb)
 		}
@@ -73,9 +91,9 @@ func TestWorkspaceStepAllocsReduced(t *testing.T) {
 
 	batches := copyTaskBatches(64, 2, 8, 2, 13)
 	measure := func(noWS bool) float64 {
-		e := newWorkspaceTestEngine(83, noWS)
-		e.Step(batches[0]) // warmup: arena fills, optimizer state appears
-		return testing.AllocsPerRun(5, func() { e.Step(batches[0]) })
+		e := newWorkspaceTestEngine(83)
+		testStep(e, batches[0], noWS) // warmup: arena fills, optimizer state appears
+		return testing.AllocsPerRun(5, func() { testStep(e, batches[0], noWS) })
 	}
 	with := measure(false)
 	without := measure(true)

@@ -186,7 +186,7 @@ var WithRegistry = serve.WithRegistry
 type Model = nn.Transformer
 
 // GenerateConfig tunes autoregressive decoding (nn.Generate and the
-// KV-cached nn.Transformer.GenerateCached).
+// KV-cached nn.Transformer.GenerateCachedCfg).
 type GenerateConfig = nn.GenerateConfig
 
 // AdapterRegistry is the content-addressed adapter artifact store.
