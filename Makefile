@@ -11,7 +11,7 @@ SUITES := kernels,kernels_precision,train_step,generate,generate_sparse,obs,trac
 # upload-artifact step looks).
 BENCH_FLAGS ?=
 
-.PHONY: build test race bench bench-precision bench-allocs bench-slo bench-all baseline loc fmt vet check ci
+.PHONY: build test race bench bench-precision bench-allocs bench-slo bench-all baseline loc fmt vet bigfiles check ci
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,10 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-check: fmt vet
+# No tracked file above 1 MB: a built binary must not be committed.
+bigfiles:
+	@git ls-files -z | xargs -0 du -k | awk '$$1>1024{print; bad=1} END{exit bad}'
+
+check: fmt vet bigfiles
 
 ci: check build test race bench

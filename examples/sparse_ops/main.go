@@ -1,8 +1,8 @@
 // sparse_ops demonstrates the Dynamic-aware Operators directly (paper §VI):
 // the offline pattern pool with pre-computed layout lookup tables, online
-// per-head combination with offset shifting, the SDD/DSD block-sparse
-// attention kernels, and the neuron-block MLP kernels — including the
-// numerical equivalence against dense references.
+// per-head combination with offset shifting, the combined block-scheduled
+// SDD/DSD attention operator that training runs, and the neuron-block MLP
+// kernels — including the numerical equivalence against dense references.
 package main
 
 import (
@@ -45,28 +45,33 @@ func main() {
 	fmt.Printf("online combine: %d heads → %d block tasks (density %.3f)\n\n",
 		combined.NumHeads(), combined.TotalBlocks(), combined.Density())
 
-	// Per-head sparse attention vs the dense reference.
+	// The combined multi-head operator — what training attention runs: one
+	// buffer for every head's active blocks, work scheduled per block. The
+	// heads share q/k/v here so each can be checked against one reference.
 	scale := float32(1 / math.Sqrt(hd))
-	fmt.Println("head  pattern                     blocks  time(sparse)  time(dense)  max|Δ| vs masked dense")
+	var qs, ks, vs, outs [][]float32
+	for range layouts {
+		qs, ks, vs = append(qs, q), append(ks, k), append(vs, v)
+		outs = append(outs, make([]float32, seq*hd))
+	}
+	start := time.Now()
+	probs := sparse.NewCombinedSparseIn(nil, combined, blk)
+	sparse.MultiHeadSDD(probs, qs, ks, hd)
+	sparse.MultiHeadCausalSoftmax(probs, scale)
+	sparse.MultiHeadDSD(outs, vs, probs, hd)
+	sparseTime := time.Since(start)
+
+	// Dense reference (full causal attention), once per head.
+	ref := make([]float32, seq*hd)
+	start = time.Now()
+	sparse.DenseCausalAttention(ref, q, k, v, seq, hd, scale)
+	denseTime := time.Since(start) * time.Duration(len(layouts))
+	fmt.Printf("combined SDD → softmax → DSD over %d heads: %v (dense: %v)\n", len(layouts), sparseTime, denseTime)
+
+	fmt.Println("head  pattern                     blocks  max|Δ| vs masked dense")
 	for h, layout := range layouts {
-		sp := sparse.NewBlockSparse(layout, blk)
-		start := time.Now()
-		sparse.SDD(sp, q, k, hd)
-		sparse.CausalSoftmax(sp, scale)
-		out := make([]float32, seq*hd)
-		sparse.DSD(out, sp, v, hd)
-		sparseTime := time.Since(start)
-
-		// Dense reference (full causal attention).
-		ref := make([]float32, seq*hd)
-		start = time.Now()
-		sparse.DenseCausalAttention(ref, q, k, v, seq, hd, scale)
-		denseTime := time.Since(start)
-
-		// Numerical check against the masked-dense computation.
-		diff := maskedDiff(out, q, k, v, seq, hd, scale, layout, blk)
-		fmt.Printf("%4d  %-26s  %6d  %12v  %11v  %.2e\n",
-			h, heads[h], layout.NNZ(), sparseTime, denseTime, diff)
+		diff := maskedDiff(outs[h], q, k, v, seq, hd, scale, layout, blk)
+		fmt.Printf("%4d  %-26s  %6d  %.2e\n", h, heads[h], layout.NNZ(), diff)
 	}
 
 	// Neuron-block MLP kernels with layout-aware weights.
@@ -83,7 +88,7 @@ func main() {
 		blocks := all[:max(1, int(float64(len(all))*frac))]
 		hiddenBuf := make([]float32, tokens*hidden)
 		outBuf := make([]float32, tokens*d)
-		start := time.Now()
+		start = time.Now()
 		sparse.FC1Sparse(hiddenBuf, x, tokens, w1, blocks, blk)
 		sparse.FC2Sparse(outBuf, hiddenBuf, tokens, w2, blocks, blk)
 		fmt.Printf("  active %3.0f%% (%3d blocks): %v\n", frac*100, len(blocks), time.Since(start))

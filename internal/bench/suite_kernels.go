@@ -159,7 +159,9 @@ func neuronBenchmarks(d, h, tokens, blk int) []Benchmark {
 
 // attentionBenchmarks runs one full causal-attention head forward, dense
 // versus block-sparse (SDD → CausalSoftmax → DSD on the local+global
-// layout), the operator-level comparison behind the paper's Figure 12.
+// layout), the operator-level comparison behind the paper's Figure 12 —
+// and attn/multihead, the operator the fine-tune step runs: the combined
+// forward trio over four heads of skewed density.
 func attentionBenchmarks(s, hd int) []Benchmark {
 	blk := 16
 	layout := benchLayout(s / blk)
@@ -174,6 +176,24 @@ func attentionBenchmarks(s, hd int) []Benchmark {
 	denseFlops := 4 * int64(s) * int64(s) * int64(hd)
 	sparseFlops := 4 * int64(layout.NNZ()) * int64(blk) * int64(blk) * int64(hd)
 	tag := fmt.Sprintf("s%dhd%d", s, hd)
+
+	var heads []*sparse.Layout
+	for _, p := range []sparse.Pattern{
+		{Kind: sparse.KindDense},
+		{Kind: sparse.KindLocal, Window: 1},
+		{Kind: sparse.KindLocalGlobal, Window: 2, Global: 1},
+		{Kind: sparse.KindStrided, Stride: 4},
+	} {
+		heads = append(heads, p.Build(s/blk))
+	}
+	combined := sparse.NewCombinedSparseIn(nil, sparse.Combine(heads), blk)
+	outs := tensor.New(len(heads), s*hd)
+	var qs, ks, vs, outH [][]float32
+	for h := range heads {
+		qs, ks, vs, outH = append(qs, q.Data), append(ks, k.Data), append(vs, v.Data), append(outH, outs.Row(h))
+	}
+	multiFlops := 4 * int64(combined.HL.TotalBlocks()) * int64(blk) * int64(blk) * int64(hd)
+
 	return []Benchmark{
 		{Name: "attn/dense/" + tag, Flops: denseFlops, Fn: func() {
 			out.Zero()
@@ -185,6 +205,13 @@ func attentionBenchmarks(s, hd int) []Benchmark {
 			sparse.SDD(scores, q.Data, k.Data, hd)
 			sparse.CausalSoftmax(scores, scale)
 			sparse.DSD(out.Data, scores, v.Data, hd)
+		}},
+		{Name: fmt.Sprintf("attn/multihead/h%d%s", len(heads), tag), Flops: multiFlops, Fn: func() {
+			outs.Zero()
+			clear(combined.Data)
+			sparse.MultiHeadSDD(combined, qs, ks, hd)
+			sparse.MultiHeadCausalSoftmax(combined, scale)
+			sparse.MultiHeadDSD(outH, vs, combined, hd)
 		}},
 	}
 }

@@ -161,7 +161,6 @@ func (s *System) Engine() *train.Engine {
 		Model:    s.Model,
 		Opt:      s.Opt,
 		Planner:  s.Planner,
-		RP:       s.Planner,
 		ClipNorm: s.Cfg.ClipNorm,
 	}
 }

@@ -21,17 +21,6 @@ func BigBirdPattern() sparse.Pattern {
 	return sparse.Pattern{Kind: sparse.KindBigBird, Window: 2, Global: 1, RandomPerRow: 2, Seed: 41}
 }
 
-// UniformLayouts replicates one pattern across all heads — how the paper's
-// baselines apply their masks.
-func UniformLayouts(p sparse.Pattern, pool *sparse.Pool, heads, nb int) []*sparse.Layout {
-	l := pool.Get(p, nb)
-	out := make([]*sparse.Layout, heads)
-	for h := range out {
-		out[h] = l
-	}
-	return out
-}
-
 // AttentionSparsity reports the mean sparsity ratio (inactive blocks /
 // causal blocks) across head layouts. The causal triangle, not the full
 // square, is the denominator: acausal blocks are never computed by anyone.

@@ -162,6 +162,8 @@ func (s *Store) runFinetune(j *Job, run *trace.Span) (*Result, error) {
 			Kind:    EventProgress,
 			Message: fmt.Sprintf("predictors trained: attention recall %.2f, MLP recall %.2f", recall.AttnRecall, recall.MLPRecall),
 		})
+		// Sparse jobs report per-layer predicted density.
+		sys.Planner.Metrics = s.sparsity
 		eng = sys.Engine()
 	} else {
 		eng = core.NewBaseline(cfg)
@@ -169,14 +171,11 @@ func (s *Store) runFinetune(j *Job, run *trace.Span) (*Result, error) {
 	if err := j.ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Thread the store's training and sparsity instruments into this
-	// job's engine: every fine-tuning step the daemon runs lands in the
-	// same lexp_train_* series, and sparse jobs report per-layer density.
+	// Thread the store's training instruments into this job's engine:
+	// every fine-tuning step the daemon runs lands in the same
+	// lexp_train_* series.
 	eng.Metrics = s.train
 	eng.Span = run
-	if eng.RP != nil {
-		eng.RP.Metrics = s.sparsity
-	}
 	// The wide-event accumulator: the engine records steps, tokens and
 	// analytic FLOPs into it at zero allocations; finish() merges it with
 	// the job identity and emits. Partial work on a failed or cancelled run

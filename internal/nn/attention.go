@@ -14,9 +14,10 @@ import (
 //
 //   - dense: full causal scores per head (the PEFT-library baseline), and
 //   - sparse: per-head block-sparse layouts from the exposer/predictor,
-//     executed with the SDD/DSD dynamic-aware operators. Head-specific masks
-//     are the paper's §IV design — each head runs its own layout, and work
-//     is balanced at block granularity.
+//     combined online and executed by the combined multi-head operator
+//     (sparse.MultiHead*, §VI-A). Head-specific masks are the paper's §IV
+//     design — each head runs its own layout, and work is scheduled at
+//     block, not head, granularity.
 //
 // The backward pass mirrors the forward structure, so the computational
 // savings of a sparse layout apply to gradient computation too (§II-D).
@@ -44,16 +45,15 @@ type MultiHeadAttention struct {
 // buffers they point at are re-Got from the workspace every step.
 type attnState struct {
 	batch, seq int
-	blk        int
-	layouts    []*sparse.Layout
 
-	qh, kh, vh  [][]float32 // per (b,h): [seq*headDim]
-	ctx         [][]float32
-	probsDense  []*tensor.Tensor
-	probsSparse []*sparse.BlockSparse
-	spBacking   []sparse.BlockSparse // storage behind probsSparse
-	dpBacking   []sparse.BlockSparse // storage behind backward's dProb
-	dpViews     []*sparse.BlockSparse
+	qh, kh, vh [][]float32 // per (b,h): [seq*headDim]
+	ctx        [][]float32
+	probsDense []*tensor.Tensor
+	// hl is the online combination of the invocation's batch·heads
+	// layouts, rebuilt in place every sparse forward; probsSparse holds
+	// the probabilities over it (nil after a dense forward).
+	hl          sparse.HeadLayouts
+	probsSparse *sparse.CombinedSparse
 
 	// Backward scratch headers (buffers are step-lived).
 	dCtxH, dqh, dkh, dvh [][]float32
@@ -147,7 +147,6 @@ func (a *MultiHeadAttention) mergeHeads(heads [][]float32, batch, seq int, ws *t
 func (a *MultiHeadAttention) Forward(x *tensor.Tensor, batch, seq int, layouts []*sparse.Layout, blk int, ws *tensor.Arena) *tensor.Tensor {
 	st := a.state(ws)
 	st.batch, st.seq = batch, seq
-	st.layouts, st.blk = layouts, blk
 	if layouts != nil {
 		if len(layouts) != a.Heads {
 			panic(fmt.Sprintf("nn: %d layouts for %d heads", len(layouts), a.Heads))
@@ -180,32 +179,19 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor, batch, seq int, layouts [
 		st.probsSparse = nil
 		parallel.ForArg(bh, denseFwdArgs{st.probsDense, ctx, st.qh, st.kh, st.vh, seq, a.HeadDim, scale}, denseFwdItem)
 	} else {
-		st.probsSparse = resetBlockSparse(&st.spBacking, st.probsSparse, bh, a.Heads, layouts, blk, ws)
+		heads := st.hl.Heads[:0]
+		for i := 0; i < bh; i++ {
+			heads = append(heads, layouts[i%a.Heads])
+		}
+		st.hl.Reset(heads)
+		st.probsSparse = sparse.NewCombinedSparseIn(ws, &st.hl, blk)
 		st.probsDense = nil
-		parallel.ForArg(bh, sparseFwdArgs{st.probsSparse, ctx, st.qh, st.kh, st.vh, a.HeadDim, scale}, sparseFwdItem)
+		sparse.MultiHeadSDD(st.probsSparse, st.qh, st.kh, a.HeadDim)
+		sparse.MultiHeadCausalSoftmax(st.probsSparse, scale)
+		sparse.MultiHeadDSD(ctx, st.vh, st.probsSparse, a.HeadDim)
 	}
 
 	return a.Wo.Forward(a.mergeHeads(ctx, batch, seq, ws), ws)
-}
-
-// resetBlockSparse rebuilds the per-(batch, head) block-sparse views over a
-// persistent backing array, taking each view's storage from the workspace.
-// Arena Gets run serially here, on the owning goroutine, before any
-// parallel fill.
-func resetBlockSparse(backing *[]sparse.BlockSparse, views []*sparse.BlockSparse, bh, heads int, layouts []*sparse.Layout, blk int, ws *tensor.Arena) []*sparse.BlockSparse {
-	if cap(*backing) < bh {
-		*backing = make([]sparse.BlockSparse, bh)
-	}
-	*backing = (*backing)[:bh]
-	if cap(views) < bh {
-		views = make([]*sparse.BlockSparse, 0, bh)
-	}
-	views = views[:0]
-	for i := 0; i < bh; i++ {
-		(*backing)[i].ResetIn(ws, layouts[i%heads], blk)
-		views = append(views, &(*backing)[i])
-	}
-	return views
 }
 
 // DenseProbs exposes the per-(batch,head) probability matrices of the last
@@ -235,7 +221,7 @@ func (a *MultiHeadAttention) Backward(dOut *tensor.Tensor, ws *tensor.Arena) *te
 	st.dvh = headBuffers(st.dvh, bh, seq*hd, ws, false)
 	dqh, dkh, dvh := st.dqh, st.dkh, st.dvh
 
-	if st.layouts == nil {
+	if st.probsSparse == nil {
 		st.dProbH = headBuffers(st.dProbH, bh, seq*seq, ws, false)
 		st.dScoreH = headBuffers(st.dScoreH, bh, seq*seq, ws, false)
 		parallel.ForArg(bh, denseBwdArgs{
@@ -244,12 +230,14 @@ func (a *MultiHeadAttention) Backward(dOut *tensor.Tensor, ws *tensor.Arena) *te
 			dqh: dqh, dkh: dkh, dvh: dvh, seq: seq, hd: hd, scale: scale,
 		}, denseBwdItem)
 	} else {
-		st.dpViews = resetBlockSparse(&st.dpBacking, st.dpViews, bh, a.Heads, st.layouts, st.blk, ws)
-		parallel.ForArg(bh, sparseBwdArgs{
-			probs: st.probsSparse, dProbs: st.dpViews,
-			dCtxH: dCtxH, qh: st.qh, kh: st.kh, vh: st.vh,
-			dqh: dqh, dkh: dkh, dvh: dvh, hd: hd, scale: scale,
-		}, sparseBwdItem)
+		p := st.probsSparse
+		// dProb restricted to active blocks (SDD), turned into dScore in place.
+		dScore := sparse.NewCombinedSparseIn(ws, p.HL, p.Blk)
+		sparse.MultiHeadSDD(dScore, dCtxH, st.vh, hd)
+		sparse.MultiHeadSoftmaxBackward(dScore, p, scale)
+		sparse.MultiHeadDSD(dqh, st.kh, dScore, hd)
+		sparse.MultiHeadDSDT(dkh, st.qh, dScore, hd)
+		sparse.MultiHeadDSDT(dvh, dCtxH, p, hd)
 	}
 
 	dq := a.mergeHeads(dqh, batch, seq, ws)
@@ -303,21 +291,6 @@ func denseFwdItem(a denseFwdArgs, i int) {
 	sparse.DenseCausalAttentionInto(a.probs[i], a.ctx[i], a.qh[i], a.kh[i], a.vh[i], a.seq, a.hd, a.scale)
 }
 
-type sparseFwdArgs struct {
-	probs      []*sparse.BlockSparse
-	ctx        [][]float32
-	qh, kh, vh [][]float32
-	hd         int
-	scale      float32
-}
-
-func sparseFwdItem(a sparseFwdArgs, i int) {
-	sp := a.probs[i]
-	sparse.SDD(sp, a.qh[i], a.kh[i], a.hd)
-	sparse.CausalSoftmax(sp, a.scale)
-	sparse.DSD(a.ctx[i], sp, a.vh[i], a.hd)
-}
-
 type denseBwdArgs struct {
 	probs           []*tensor.Tensor
 	dProbH, dScoreH [][]float32
@@ -345,24 +318,4 @@ func denseBwdItem(a denseBwdArgs, i int) {
 	tensor.GemmRange(a.dqh[i], dScore, a.kh[i], seq, hd, 0, seq)        // dQ = dS·K
 	tensor.GemmTARange(a.dkh[i], dScore, a.qh[i], seq, seq, hd, 0, seq) // dK = dSᵀ·Q
 	tensor.GemmTARange(a.dvh[i], p.Data, a.dCtxH[i], seq, seq, hd, 0, seq)
-}
-
-type sparseBwdArgs struct {
-	probs, dProbs []*sparse.BlockSparse
-	dCtxH         [][]float32
-	qh, kh, vh    [][]float32
-	dqh, dkh, dvh [][]float32
-	hd            int
-	scale         float32
-}
-
-func sparseBwdItem(a sparseBwdArgs, i int) {
-	p := a.probs[i]
-	// dProb restricted to active blocks (SDD).
-	dProb := a.dProbs[i]
-	sparse.SDD(dProb, a.dCtxH[i], a.vh[i], a.hd)
-	sparse.SoftmaxBackward(dProb, p, a.scale) // dProb now holds dScore
-	sparse.DSD(a.dqh[i], dProb, a.kh[i], a.hd)
-	sparse.DSDT(a.dkh[i], dProb, a.qh[i], a.hd)
-	sparse.DSDT(a.dvh[i], p, a.dCtxH[i], a.hd)
 }

@@ -93,23 +93,3 @@ func crossEntropyChunk(a ceArgs, lo, hi int) {
 		grad[t] -= a.invCount
 	}
 }
-
-// Accuracy returns the fraction of non-ignored positions where the argmax
-// of logits equals the target.
-func Accuracy(logits *tensor.Tensor, targets []int) float64 {
-	tokens := logits.Dim(0)
-	correct, count := 0, 0
-	for i := 0; i < tokens; i++ {
-		if targets[i] == IgnoreIndex {
-			continue
-		}
-		count++
-		if tensor.ArgmaxRow(logits, i) == targets[i] {
-			correct++
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return float64(correct) / float64(count)
-}

@@ -228,22 +228,6 @@ func TestAttentionHeadSplitMergeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestAccuracyHelper(t *testing.T) {
-	logits := tensor.FromSlice([]float32{
-		1, 9, 0,
-		5, 1, 0,
-		0, 0, 7,
-	}, 3, 3)
-	targets := []int{1, 0, IgnoreIndex}
-	if acc := Accuracy(logits, targets); acc != 1 {
-		t.Fatalf("Accuracy = %v, want 1", acc)
-	}
-	targets = []int{0, 0, IgnoreIndex}
-	if acc := Accuracy(logits, targets); acc != 0.5 {
-		t.Fatalf("Accuracy = %v, want 0.5", acc)
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	good := tinyConfig()
 	if err := good.Validate(); err != nil {

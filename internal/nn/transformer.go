@@ -60,11 +60,6 @@ type SparsePlan struct {
 	MLP  [][]int            // [layer] active neuron blocks
 }
 
-// NewDensePlan returns a plan with every component dense — the baseline.
-func NewDensePlan(layers int) *SparsePlan {
-	return &SparsePlan{Attn: make([][]*sparse.Layout, layers), MLP: make([][]int, layers)}
-}
-
 // Layer implements Planner. A nil *SparsePlan plans everything dense, so a
 // typed-nil plan passed through the Planner interface stays harmless.
 func (p *SparsePlan) Layer(i int) LayerPlanner {

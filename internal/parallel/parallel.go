@@ -203,19 +203,13 @@ func ForBlocked(n, block int, body func(lo, hi int)) {
 	ForBlockedArg(n, block, body, func(b func(lo, hi int), lo, hi int) { b(lo, hi) })
 }
 
-// ReduceFloat64 computes a deterministic parallel reduction over [0, n):
-// each chunk accumulates body(i) into a partial sum in index order, then the
-// partials are combined in chunk order. The result is therefore independent
-// of scheduling (though it may differ from a single serial sum by the usual
-// floating-point reassociation across the fixed chunk boundaries).
-func ReduceFloat64(n int, body func(i int) float64) float64 {
-	return ReduceFloat64Arg(n, body, func(b func(i int) float64, i int) float64 { return b(i) })
-}
-
-// ReduceFloat64Arg is ReduceFloat64 for allocation-free call sites: body
-// should be a plain function with per-call state carried in arg (see
-// ForChunkedArg). Chunking — and therefore the floating-point association —
-// is identical to ReduceFloat64's.
+// ReduceFloat64Arg computes a deterministic parallel reduction over [0, n):
+// each chunk accumulates body(arg, i) into a partial sum in index order,
+// then the partials are combined in chunk order. The result is therefore
+// independent of scheduling (though it may differ from a single serial sum
+// by the usual floating-point reassociation across the fixed chunk
+// boundaries). body should be a plain function with per-call state carried
+// in arg, so the call site allocates nothing (see ForChunkedArg).
 func ReduceFloat64Arg[T any](n int, arg T, body func(arg T, i int) float64) float64 {
 	if n <= 0 {
 		return 0

@@ -45,7 +45,7 @@ func TestForChunkedZeroAndNegative(t *testing.T) {
 
 func TestReduceFloat64Correct(t *testing.T) {
 	n := 1234
-	got := ReduceFloat64(n, func(i int) float64 { return float64(i) })
+	got := ReduceFloat64Arg(n, 1.0, func(scale float64, i int) float64 { return scale * float64(i) })
 	want := float64(n*(n-1)) / 2
 	if got != want {
 		t.Fatalf("sum = %v, want %v", got, want)
@@ -54,10 +54,10 @@ func TestReduceFloat64Correct(t *testing.T) {
 
 func TestReduceFloat64Deterministic(t *testing.T) {
 	n := 9999
-	body := func(i int) float64 { return 1.0 / float64(i+1) }
-	first := ReduceFloat64(n, body)
+	body := func(num float64, i int) float64 { return num / float64(i+1) }
+	first := ReduceFloat64Arg(n, 1.0, body)
 	for trial := 0; trial < 10; trial++ {
-		if got := ReduceFloat64(n, body); got != first {
+		if got := ReduceFloat64Arg(n, 1.0, body); got != first {
 			t.Fatalf("trial %d: %v != %v", trial, got, first)
 		}
 	}

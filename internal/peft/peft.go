@@ -94,9 +94,6 @@ func ParseMethod(s string) (Method, error) {
 // AllMethods lists every method in Table I order.
 func AllMethods() []Method { return []Method{FullFT, LoRA, Adapter, BitFit, PTuning} }
 
-// PEFTMethods lists only the parameter-efficient ones.
-func PEFTMethods() []Method { return []Method{LoRA, Adapter, BitFit, PTuning} }
-
 // Options tunes the injected modules.
 type Options struct {
 	LoRARank     int     // default 8
@@ -227,13 +224,4 @@ func injectedParam(name string) bool {
 	return strings.Contains(name, ".lora_") ||
 		strings.Contains(name, ".adapter_") ||
 		name == "prompt"
-}
-
-// TrainableRatio reports trainable/total scalar parameters after Apply.
-func TrainableRatio(m *nn.Transformer) float64 {
-	total, trainable := m.NumParams()
-	if total == 0 {
-		return 0
-	}
-	return float64(trainable) / float64(total)
 }

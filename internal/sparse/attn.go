@@ -9,9 +9,11 @@ import (
 // This file contains the per-head 2-D block-sparse attention kernels.
 // Shapes: q, k, v and their gradients are [s, hd] row-major with
 // s = layout.NB() * blk; scores/probabilities are BlockSparse over the
-// layout. All kernels are serial — callers parallelize over (batch, head)
-// or over the combined Task list, which is how workload balance across
-// heads with different sparsity is achieved.
+// layout. All kernels are serial. They are the primitives of the combined
+// multi-head operator in combined.go — the one attention path training
+// runs, which issues the same per-block products over a balanced schedule
+// and runs the row-wise softmax passes through HeadView — and the
+// reference its tests compare against at bit equality.
 
 // SDD computes dst(block br,bc) += a[rows of br] · b[rows of bc]ᵀ, the
 // sampled-dense-dense product that produces attention scores (Q·Kᵀ) and,

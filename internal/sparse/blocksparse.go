@@ -21,24 +21,6 @@ func NewBlockSparse(l *Layout, blk int) *BlockSparse {
 	return &BlockSparse{L: l, Blk: blk, Data: make([]float32, l.NNZ()*blk*blk)}
 }
 
-// NewBlockSparseIn is NewBlockSparse with the block storage taken from the
-// workspace arena (sized by the layout's active-block count); ws == nil
-// allocates exactly like NewBlockSparse.
-func NewBlockSparseIn(ws *tensor.Arena, l *Layout, blk int) *BlockSparse {
-	m := &BlockSparse{}
-	m.ResetIn(ws, l, blk)
-	return m
-}
-
-// ResetIn re-points m at layout l with zeroed storage from ws (or a fresh
-// allocation when ws is nil). Callers that keep a persistent backing array
-// of BlockSparse structs use it to rebuild per-step views without
-// allocating the structs each step.
-func (m *BlockSparse) ResetIn(ws *tensor.Arena, l *Layout, blk int) {
-	m.L, m.Blk = l, blk
-	m.Data = tensor.FloatsIn(ws, l.NNZ()*blk*blk)
-}
-
 // Block returns the storage of block id as a blk×blk row-major slice.
 func (m *BlockSparse) Block(id int32) []float32 {
 	bb := m.Blk * m.Blk

@@ -13,15 +13,17 @@ import (
 // block granularity, so heads with very different sparsity cannot imbalance
 // the workers — §VI-A's "the basic unit of operation is the block rather
 // than the individual head".
+//
+// The MultiHead* passes below are the attention operator of the fine-tune
+// step (nn.MultiHeadAttention, forward and backward). Each keeps its own
+// schedule — tasks, or (head, block-row/column) pairs — and hands every
+// block product to the tensor.Gemm*Range core the serial per-head kernel
+// of attn.go uses, in the same per-row block order, so the two agree bit
+// for bit.
 type CombinedSparse struct {
 	HL   *HeadLayouts
 	Blk  int
 	Data []float32 // TotalBlocks · Blk²
-}
-
-// NewCombinedSparse allocates zeroed storage for a head combination.
-func NewCombinedSparse(hl *HeadLayouts, blk int) *CombinedSparse {
-	return NewCombinedSparseIn(nil, hl, blk)
 }
 
 // NewCombinedSparseIn takes the combined buffer from the workspace arena
@@ -48,33 +50,49 @@ func (c *CombinedSparse) HeadView(h int) *BlockSparse {
 	return &BlockSparse{L: c.HL.Heads[h], Blk: c.Blk, Data: c.Data[lo:hi]}
 }
 
-// MultiHeadSDD computes every head's active score blocks from per-head
-// query/key buffers (q[h], k[h]: [s·hd] row-major), parallelized over the
-// combined task list. Each task writes exactly one block, so scheduling is
-// balanced regardless of per-head sparsity skew.
-func MultiHeadSDD(c *CombinedSparse, q, k [][]float32, hd int) {
-	if len(q) != c.HL.NumHeads() || len(k) != c.HL.NumHeads() {
-		panic(fmt.Sprintf("sparse: MultiHeadSDD got %d/%d buffers for %d heads", len(q), len(k), c.HL.NumHeads()))
+// mhArgs carries one combined pass's operands by value through the
+// allocation-free parallel.For*Arg fan-outs: c is the sparse operand, x and
+// y the per-head dense ones ([s·n] row-major each), nb the block-grid side
+// of the (head, block-row/column) passes, p the stored probabilities of the
+// softmax backward.
+type mhArgs struct {
+	c, p  *CombinedSparse
+	x, y  [][]float32
+	n, nb int
+	scale float32
+}
+
+// checkHeads panics unless every per-head buffer list has one entry per
+// combined head.
+func (c *CombinedSparse) checkHeads(op string, bufs ...[][]float32) {
+	for _, b := range bufs {
+		if len(b) != c.HL.NumHeads() {
+			panic(fmt.Sprintf("sparse: %s got %d buffers for %d heads", op, len(b), c.HL.NumHeads()))
+		}
 	}
-	blk := c.Blk
-	tasks := c.HL.Tasks
-	parallel.ForChunked(len(tasks), func(lo, hi int) {
-		for ti := lo; ti < hi; ti++ {
-			task := tasks[ti]
-			qh, kh := q[task.Head], k[task.Head]
-			out := c.block(task.Off)
-			for i := 0; i < blk; i++ {
-				qr := qh[(task.BR*blk+i)*hd : (task.BR*blk+i+1)*hd]
-				row := out[i*blk : (i+1)*blk]
-				for j := 0; j < blk; j++ {
-					kr := kh[(task.BC*blk+j)*hd : (task.BC*blk+j+1)*hd]
-					var s float32
-					for x, qv := range qr {
-						s += qv * kr[x]
-					}
-					row[j] += s
-				}
-			}
+}
+
+// nb returns the block-grid side shared by every combined head.
+func (c *CombinedSparse) nb() int {
+	if c.HL.NumHeads() == 0 {
+		return 0
+	}
+	return c.HL.Heads[0].NB()
+}
+
+// MultiHeadSDD computes every head's active blocks of a[h]·b[h]ᵀ (a[h],
+// b[h]: [s·k] row-major) — the scores Q·Kᵀ and, in backward, dProb =
+// dOut·Vᵀ — parallelized over the combined task list. Each task is one
+// block product on the shared tensor.GemmTBRange core, exactly as the
+// serial SDD issues it, so scheduling is balanced regardless of per-head
+// sparsity skew and the result is bit-identical to per-head SDD.
+func MultiHeadSDD(c *CombinedSparse, a, b [][]float32, k int) {
+	c.checkHeads("MultiHeadSDD", a, b)
+	parallel.ForChunkedArg(len(c.HL.Tasks), mhArgs{c: c, x: a, y: b, n: k}, func(g mhArgs, lo, hi int) {
+		blk, k := g.c.Blk, g.n
+		for _, t := range g.c.HL.Tasks[lo:hi] {
+			tensor.GemmTBRange(g.c.block(t.Off),
+				g.x[t.Head][t.BR*blk*k:(t.BR+1)*blk*k], g.y[t.Head][t.BC*blk*k:(t.BC+1)*blk*k], k, blk, 0, blk)
 		}
 	})
 }
@@ -83,45 +101,57 @@ func MultiHeadSDD(c *CombinedSparse, q, k [][]float32, hd int) {
 // parallelized over heads (rows are the unit of coupling, and rows never
 // cross heads).
 func MultiHeadCausalSoftmax(c *CombinedSparse, scale float32) {
-	parallel.For(c.HL.NumHeads(), func(h int) {
-		CausalSoftmax(c.HeadView(h), scale)
+	parallel.ForArg(c.HL.NumHeads(), mhArgs{c: c, scale: scale}, func(g mhArgs, h int) {
+		CausalSoftmax(g.c.HeadView(h), g.scale)
 	})
 }
 
-// MultiHeadDSD computes out[h] += headProbs·v[h] for every head,
-// parallelized over (head, block-row) pairs — each pair owns a disjoint
-// slice of its head's output, so the pass is race-free and finer-grained
-// than per-head scheduling.
-func MultiHeadDSD(out, v [][]float32, c *CombinedSparse, hd int) {
-	if len(out) != c.HL.NumHeads() || len(v) != c.HL.NumHeads() {
-		panic("sparse: MultiHeadDSD buffer count mismatch")
-	}
-	blk := c.Blk
-	nb := 0
-	if c.HL.NumHeads() > 0 {
-		nb = c.HL.Heads[0].NB()
-	}
-	parallel.For(c.HL.NumHeads()*nb, func(idx int) {
-		h, br := idx/nb, idx%nb
-		sp := c.HeadView(h)
-		vh, oh := v[h], out[h]
-		for _, bc32 := range sp.L.RowBlocks(br) {
-			bc := int(bc32)
-			id, _ := sp.L.BlockID(br, bc)
-			blkData := sp.Block(id)
-			for i := 0; i < blk; i++ {
-				dst := oh[(br*blk+i)*hd : (br*blk+i+1)*hd]
-				row := blkData[i*blk : (i+1)*blk]
-				for j, w := range row {
-					if w == 0 {
-						continue
-					}
-					src := vh[(bc*blk+j)*hd : (bc*blk+j+1)*hd]
-					for x, sv := range src {
-						dst[x] += w * sv
-					}
-				}
-			}
+// MultiHeadSoftmaxBackward turns every head's dProb into dScore in place,
+// given the stored probabilities p over the same combination (see
+// SoftmaxBackward); parallelized over heads like the forward softmax.
+func MultiHeadSoftmaxBackward(dProb, p *CombinedSparse, scale float32) {
+	parallel.ForArg(p.HL.NumHeads(), mhArgs{c: dProb, p: p, scale: scale}, func(g mhArgs, h int) {
+		SoftmaxBackward(g.c.HeadView(h), g.p.HeadView(h), g.scale)
+	})
+}
+
+// MultiHeadDSD computes out[h] += c_h·b[h] for every head (b[h], out[h]:
+// [s·n]) — probabilities·V and, in backward, dScores·K — parallelized over
+// (head, block-row) pairs: each pair owns a disjoint slice of its head's
+// output, so the pass is race-free and finer-grained than per-head
+// scheduling. Block products run on tensor.GemmRange in RowBlocks order,
+// as in the serial DSD.
+func MultiHeadDSD(out, b [][]float32, c *CombinedSparse, n int) {
+	c.checkHeads("MultiHeadDSD", out, b)
+	nb := c.nb()
+	parallel.ForArg(c.HL.NumHeads()*nb, mhArgs{c: c, x: out, y: b, n: n, nb: nb}, func(g mhArgs, idx int) {
+		blk, n := g.c.Blk, g.n
+		h, br := idx/g.nb, idx%g.nb
+		l := g.c.HL.Heads[h]
+		dst := g.x[h][br*blk*n : (br+1)*blk*n]
+		off := g.c.HL.DataOff[h] + int(l.RowPtr(br))
+		for i, bc := range l.RowBlocks(br) {
+			tensor.GemmRange(dst, g.c.block(off+i), g.y[h][int(bc)*blk*n:(int(bc)+1)*blk*n], blk, n, 0, blk)
+		}
+	})
+}
+
+// MultiHeadDSDT computes out[h] += c_hᵀ·b[h] for every head — dV =
+// probabilitiesᵀ·dOut and dK = dScoresᵀ·Q — parallelized over (head,
+// block-column) pairs, each owning a disjoint slice of its head's output.
+// Block products run on tensor.GemmTARange in ColBlocks order, as in the
+// serial DSDT.
+func MultiHeadDSDT(out, b [][]float32, c *CombinedSparse, n int) {
+	c.checkHeads("MultiHeadDSDT", out, b)
+	nb := c.nb()
+	parallel.ForArg(c.HL.NumHeads()*nb, mhArgs{c: c, x: out, y: b, n: n, nb: nb}, func(g mhArgs, idx int) {
+		blk, n := g.c.Blk, g.n
+		h, bc := idx/g.nb, idx%g.nb
+		l := g.c.HL.Heads[h]
+		dst := g.x[h][bc*blk*n : (bc+1)*blk*n]
+		for _, br := range l.ColBlocks(bc) {
+			id, _ := l.BlockID(int(br), bc)
+			tensor.GemmTARange(dst, g.c.block(g.c.HL.DataOff[h]+int(id)), g.y[h][int(br)*blk*n:(int(br)+1)*blk*n], blk, blk, n, 0, blk)
 		}
 	})
 }

@@ -1,9 +1,10 @@
 package sparse
 
 import (
-	"math"
+	"slices"
 	"testing"
 
+	"longexposure/internal/parallel"
 	"longexposure/internal/tensor"
 )
 
@@ -31,67 +32,130 @@ func randHeadBufs(seed uint64, heads, s, hd int) [][]float32 {
 	return out
 }
 
+// batchedSkewedHeads repeats the skewed layouts once per batch element —
+// the batch·heads > heads shape nn.MultiHeadAttention combines.
+func batchedSkewedHeads(nb, batch int) []*Layout {
+	base := skewedHeads(nb)
+	var heads []*Layout
+	for i := 0; i < batch*len(base); i++ {
+		heads = append(heads, base[i%len(base)])
+	}
+	return heads
+}
+
+func zeroHeadBufs(heads, n int) [][]float32 {
+	out := make([][]float32, heads)
+	for h := range out {
+		out[h] = make([]float32, n)
+	}
+	return out
+}
+
+func requireSameBits(t *testing.T, what string, h int, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s head %d [%d]: %v vs %v", what, h, i, got[i], want[i])
+		}
+	}
+}
+
 func TestMultiHeadSDDMatchesPerHead(t *testing.T) {
 	nb, blk, hd := 4, 4, 6
 	s := nb * blk
-	heads := skewedHeads(nb)
+	heads := batchedSkewedHeads(nb, 2)
 	hl := Combine(heads)
 	q := randHeadBufs(1, len(heads), s, hd)
 	k := randHeadBufs(2, len(heads), s, hd)
 
-	c := NewCombinedSparse(hl, blk)
+	c := NewCombinedSparseIn(nil, hl, blk)
 	MultiHeadSDD(c, q, k, hd)
 
 	for h, layout := range heads {
 		want := NewBlockSparse(layout, blk)
 		SDD(want, q[h], k[h], hd)
-		got := c.HeadView(h)
-		for i := range want.Data {
-			if math.Abs(float64(got.Data[i]-want.Data[i])) > 1e-4 {
-				t.Fatalf("head %d data[%d]: %v vs %v", h, i, got.Data[i], want.Data[i])
-			}
+		requireSameBits(t, "scores", h, c.HeadView(h).Data, want.Data)
+	}
+}
+
+// TestMultiHeadPipelineMatchesPerHead runs attention forward and backward
+// through the combined passes and through the serial per-head kernels, at
+// one worker and at four, and requires bit equality: the combined operator
+// reschedules the block products, it must not change any of them.
+func TestMultiHeadPipelineMatchesPerHead(t *testing.T) {
+	nb, blk, hd := 4, 4, 6
+	s := nb * blk
+	const scale = 0.4
+	heads := batchedSkewedHeads(nb, 2)
+	n := len(heads)
+	q := randHeadBufs(3, n, s, hd)
+	k := randHeadBufs(4, n, s, hd)
+	v := randHeadBufs(5, n, s, hd)
+	dOut := randHeadBufs(6, n, s, hd)
+
+	for _, workers := range []int{1, 4} {
+		old := parallel.SetWorkers(workers)
+		hl := Combine(heads)
+		p := NewCombinedSparseIn(nil, hl, blk)
+		MultiHeadSDD(p, q, k, hd)
+		MultiHeadCausalSoftmax(p, scale)
+		out := zeroHeadBufs(n, s*hd)
+		MultiHeadDSD(out, v, p, hd)
+
+		dS := NewCombinedSparseIn(nil, hl, blk)
+		MultiHeadSDD(dS, dOut, v, hd)
+		MultiHeadSoftmaxBackward(dS, p, scale)
+		dq, dk, dv := zeroHeadBufs(n, s*hd), zeroHeadBufs(n, s*hd), zeroHeadBufs(n, s*hd)
+		MultiHeadDSD(dq, k, dS, hd)
+		MultiHeadDSDT(dk, q, dS, hd)
+		MultiHeadDSDT(dv, dOut, p, hd)
+		parallel.SetWorkers(old)
+
+		for h, layout := range heads {
+			sp := NewBlockSparse(layout, blk)
+			SDD(sp, q[h], k[h], hd)
+			CausalSoftmax(sp, scale)
+			want := make([]float32, s*hd)
+			DSD(want, sp, v[h], hd)
+			requireSameBits(t, "out", h, out[h], want)
+
+			dProb := NewBlockSparse(layout, blk)
+			SDD(dProb, dOut[h], v[h], hd)
+			SoftmaxBackward(dProb, sp, scale)
+			requireSameBits(t, "dScore", h, dS.HeadView(h).Data, dProb.Data)
+			wq, wk, wv := make([]float32, s*hd), make([]float32, s*hd), make([]float32, s*hd)
+			DSD(wq, dProb, k[h], hd)
+			DSDT(wk, dProb, q[h], hd)
+			DSDT(wv, sp, dOut[h], hd)
+			requireSameBits(t, "dQ", h, dq[h], wq)
+			requireSameBits(t, "dK", h, dk[h], wk)
+			requireSameBits(t, "dV", h, dv[h], wv)
 		}
 	}
 }
 
-func TestMultiHeadPipelineMatchesPerHead(t *testing.T) {
-	nb, blk, hd := 4, 4, 6
-	s := nb * blk
-	heads := skewedHeads(nb)
-	hl := Combine(heads)
-	q := randHeadBufs(3, len(heads), s, hd)
-	k := randHeadBufs(4, len(heads), s, hd)
-	v := randHeadBufs(5, len(heads), s, hd)
-
-	// Combined pipeline.
-	c := NewCombinedSparse(hl, blk)
-	MultiHeadSDD(c, q, k, hd)
-	MultiHeadCausalSoftmax(c, 0.4)
-	out := make([][]float32, len(heads))
-	for h := range out {
-		out[h] = make([]float32, s*hd)
+// TestHeadLayoutsResetRecyclesBacking pins the per-step contract
+// nn.MultiHeadAttention relies on: rebuilding a combination in place
+// yields exactly what a fresh Combine does and, once warm, allocates
+// nothing.
+func TestHeadLayoutsResetRecyclesBacking(t *testing.T) {
+	dense, local := batchedSkewedHeads(4, 2), []*Layout{Pattern{Kind: KindLocal, Window: 1}.Build(4)}
+	var hl HeadLayouts
+	hl.Reset(dense)
+	hl.Reset(local)
+	want := Combine(local)
+	if hl.TotalBlocks() != want.TotalBlocks() || !slices.Equal(hl.DataOff, want.DataOff) || !slices.Equal(hl.Tasks, want.Tasks) {
+		t.Fatalf("Reset built %+v, Combine built %+v", hl, *want)
 	}
-	MultiHeadDSD(out, v, c, hd)
-
-	// Per-head reference.
-	for h, layout := range heads {
-		sp := NewBlockSparse(layout, blk)
-		SDD(sp, q[h], k[h], hd)
-		CausalSoftmax(sp, 0.4)
-		want := make([]float32, s*hd)
-		DSD(want, sp, v[h], hd)
-		for i := range want {
-			if math.Abs(float64(out[h][i]-want[i])) > 1e-4 {
-				t.Fatalf("head %d out[%d]: %v vs %v", h, i, out[h][i], want[i])
-			}
-		}
+	if allocs := testing.AllocsPerRun(10, func() { hl.Reset(dense); hl.Reset(local) }); allocs != 0 {
+		t.Fatalf("warm Reset allocates %v times", allocs)
 	}
 }
 
 func TestHeadViewSharesStorage(t *testing.T) {
 	heads := skewedHeads(3)
 	hl := Combine(heads)
-	c := NewCombinedSparse(hl, 2)
+	c := NewCombinedSparseIn(nil, hl, 2)
 	view := c.HeadView(1)
 	view.Data[0] = 7
 	bb := 4
@@ -105,7 +169,7 @@ func TestHeadViewSharesStorage(t *testing.T) {
 
 func TestMultiHeadSDDBufferCountPanics(t *testing.T) {
 	heads := skewedHeads(3)
-	c := NewCombinedSparse(Combine(heads), 2)
+	c := NewCombinedSparseIn(nil, Combine(heads), 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -114,9 +178,13 @@ func TestMultiHeadSDDBufferCountPanics(t *testing.T) {
 	MultiHeadSDD(c, make([][]float32, 1), make([][]float32, 1), 2)
 }
 
-// BenchmarkBalancedVsPerHead demonstrates the §VI-A claim: with heavily
-// skewed per-head sparsity, block-granular scheduling balances workers
-// better than head-granular scheduling.
+// BenchmarkBalancedVsPerHead is the multi-worker balance demonstration of
+// §VI-A. "per-head" is the serial kernel run head after head, so it does
+// not scale with workers; "balanced-tasks" spreads the same block products
+// — both arms issue identical tensor.GemmTBRange calls — over the worker
+// pool at block granularity, so one dense head among sparse ones cannot
+// hold the others up. At one worker (-cpu 1) the two rows must be equal
+// within noise: only the task-list bookkeeping differs.
 func BenchmarkBalancedVsPerHead(b *testing.B) {
 	nb, blk, hd := 16, 16, 64
 	s := nb * blk
@@ -132,7 +200,7 @@ func BenchmarkBalancedVsPerHead(b *testing.B) {
 
 	b.Run("balanced-tasks", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c := NewCombinedSparse(hl, blk)
+			c := NewCombinedSparseIn(nil, hl, blk)
 			MultiHeadSDD(c, q, k, hd)
 		}
 	})

@@ -51,19 +51,6 @@ func NewLayout(nb int, active func(br, bc int) bool) *Layout {
 	return l
 }
 
-// NewLayoutFromBlocks builds a layout from an explicit list of active block
-// coordinates (duplicates are merged).
-func NewLayoutFromBlocks(nb int, blocks [][2]int) *Layout {
-	seen := make(map[[2]int]bool, len(blocks))
-	for _, b := range blocks {
-		if b[0] < 0 || b[0] >= nb || b[1] < 0 || b[1] >= nb {
-			panic(fmt.Sprintf("sparse: block %v outside %d×%d grid", b, nb, nb))
-		}
-		seen[b] = true
-	}
-	return NewLayout(nb, func(br, bc int) bool { return seen[[2]int{br, bc}] })
-}
-
 // NB returns the number of blocks per side.
 func (l *Layout) NB() int { return l.nb }
 

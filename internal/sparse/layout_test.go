@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -50,8 +51,14 @@ func TestBlockIDDenseEnumeration(t *testing.T) {
 	}
 }
 
+// layoutFromBlocks builds a layout from an explicit list of active block
+// coordinates.
+func layoutFromBlocks(nb int, blocks [][2]int) *Layout {
+	return NewLayout(nb, func(br, bc int) bool { return slices.Contains(blocks, [2]int{br, bc}) })
+}
+
 func TestBlockIDInactive(t *testing.T) {
-	l := NewLayoutFromBlocks(3, [][2]int{{0, 0}, {2, 1}})
+	l := layoutFromBlocks(3, [][2]int{{0, 0}, {2, 1}})
 	if _, ok := l.BlockID(1, 0); ok {
 		t.Fatal("inactive block reported active")
 	}
@@ -61,7 +68,7 @@ func TestBlockIDInactive(t *testing.T) {
 }
 
 func TestDensitySparsity(t *testing.T) {
-	l := NewLayoutFromBlocks(4, [][2]int{{0, 0}, {1, 1}, {2, 2}, {3, 3}})
+	l := layoutFromBlocks(4, [][2]int{{0, 0}, {1, 1}, {2, 2}, {3, 3}})
 	if l.Density() != 0.25 {
 		t.Fatalf("Density = %v", l.Density())
 	}
@@ -71,8 +78,8 @@ func TestDensitySparsity(t *testing.T) {
 }
 
 func TestUnionIntersect(t *testing.T) {
-	a := NewLayoutFromBlocks(3, [][2]int{{0, 0}, {1, 0}})
-	b := NewLayoutFromBlocks(3, [][2]int{{0, 0}, {2, 1}})
+	a := layoutFromBlocks(3, [][2]int{{0, 0}, {1, 0}})
+	b := layoutFromBlocks(3, [][2]int{{0, 0}, {2, 1}})
 	u := a.Union(b)
 	if u.NNZ() != 3 || !u.Active(0, 0) || !u.Active(1, 0) || !u.Active(2, 1) {
 		t.Fatalf("Union wrong: nnz=%d", u.NNZ())
@@ -87,24 +94,24 @@ func TestUnionIntersect(t *testing.T) {
 }
 
 func TestCausalityChecks(t *testing.T) {
-	causal := NewLayoutFromBlocks(3, [][2]int{{0, 0}, {1, 1}, {2, 2}, {2, 0}})
+	causal := layoutFromBlocks(3, [][2]int{{0, 0}, {1, 1}, {2, 2}, {2, 0}})
 	if !causal.IsCausal() || !causal.CoversDiagonal() {
 		t.Fatal("causal layout misclassified")
 	}
-	acausal := NewLayoutFromBlocks(3, [][2]int{{0, 0}, {0, 2}, {1, 1}, {2, 2}})
+	acausal := layoutFromBlocks(3, [][2]int{{0, 0}, {0, 2}, {1, 1}, {2, 2}})
 	if acausal.IsCausal() {
 		t.Fatal("acausal layout classified causal")
 	}
-	noDiag := NewLayoutFromBlocks(3, [][2]int{{0, 0}, {1, 1}, {2, 0}})
+	noDiag := layoutFromBlocks(3, [][2]int{{0, 0}, {1, 1}, {2, 0}})
 	if noDiag.CoversDiagonal() {
 		t.Fatal("missing diagonal block not detected")
 	}
 }
 
 func TestLayoutEqual(t *testing.T) {
-	a := NewLayoutFromBlocks(3, [][2]int{{0, 0}, {1, 0}})
-	b := NewLayoutFromBlocks(3, [][2]int{{0, 0}, {1, 0}})
-	c := NewLayoutFromBlocks(3, [][2]int{{0, 0}, {1, 1}})
+	a := layoutFromBlocks(3, [][2]int{{0, 0}, {1, 0}})
+	b := layoutFromBlocks(3, [][2]int{{0, 0}, {1, 0}})
+	c := layoutFromBlocks(3, [][2]int{{0, 0}, {1, 1}})
 	if !a.Equal(b) {
 		t.Fatal("equal layouts compare unequal")
 	}

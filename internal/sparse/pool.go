@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -74,15 +75,23 @@ type HeadLayouts struct {
 // Combine assembles per-head layouts into a flat, balanced task list.
 // It is O(total active blocks); no layout is rebuilt.
 func Combine(heads []*Layout) *HeadLayouts {
-	hl := &HeadLayouts{
-		Heads:   heads,
-		DataOff: make([]int, len(heads)+1),
-	}
+	hl := &HeadLayouts{}
+	hl.Reset(heads)
+	return hl
+}
+
+// Reset rebuilds hl in place as the combination of heads, recycling the
+// DataOff and Tasks backing arrays — the per-step form of Combine, so a
+// holder that combines every step allocates only when a step has more
+// active blocks than any before it. heads may be hl.Heads[:0] re-appended.
+func (hl *HeadLayouts) Reset(heads []*Layout) {
+	hl.Heads = heads
+	hl.DataOff = append(slices.Grow(hl.DataOff[:0], len(heads)+1), 0)
 	for h, l := range heads {
-		hl.DataOff[h+1] = hl.DataOff[h] + l.NNZ()
+		hl.DataOff = append(hl.DataOff, hl.DataOff[h]+l.NNZ())
 	}
 	hl.total = hl.DataOff[len(heads)]
-	hl.Tasks = make([]Task, 0, hl.total)
+	hl.Tasks = slices.Grow(hl.Tasks[:0], hl.total)
 	for h, l := range heads {
 		base := hl.DataOff[h]
 		for br := 0; br < l.NB(); br++ {
@@ -92,7 +101,6 @@ func Combine(heads []*Layout) *HeadLayouts {
 			}
 		}
 	}
-	return hl
 }
 
 // TotalBlocks returns the number of active blocks across all heads.

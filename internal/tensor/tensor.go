@@ -145,19 +145,6 @@ func (t *Tensor) Row(i int) []float32 {
 	return t.Data[i*n : (i+1)*n]
 }
 
-// SameShape reports whether t and u have identical shapes.
-func (t *Tensor) SameShape(u *Tensor) bool {
-	if len(t.shape) != len(u.shape) {
-		return false
-	}
-	for i := range t.shape {
-		if t.shape[i] != u.shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // MaxAbsDiff returns the largest absolute elementwise difference between two
 // tensors of equal size — the workhorse of numeric equivalence tests.
 func MaxAbsDiff(a, b *Tensor) float64 {

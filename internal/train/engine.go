@@ -14,7 +14,6 @@ import (
 	"longexposure/internal/nn"
 	"longexposure/internal/obs"
 	"longexposure/internal/peft"
-	"longexposure/internal/predictor"
 	"longexposure/internal/tensor"
 	"longexposure/internal/trace"
 )
@@ -65,12 +64,10 @@ func (p PhaseTimes) Scale(n int) PhaseTimes {
 type Engine struct {
 	Model *nn.Transformer
 	Opt   peft.Optimizer
-	// Planner selects sparse execution; nil runs the dense baseline.
+	// Planner selects sparse execution; nil runs the dense baseline. A
+	// planner with a TakeElapsed method (predictor.RuntimePlanner) has its
+	// prediction time reported as the Predict phase.
 	Planner nn.Planner
-	// RP, when set, is the runtime predictor whose elapsed time is
-	// reported as the Predict phase (it must be the same object Planner
-	// routes through).
-	RP *predictor.RuntimePlanner
 	// ClipNorm, when positive, applies global gradient-norm clipping.
 	ClipNorm float64
 	// Metrics, when set, receives per-step observability: step and phase
@@ -127,8 +124,9 @@ func (e *Engine) step(b data.Batch, ws *tensor.Arena) (float64, PhaseTimes) {
 	flat := e.Model.FlattenTargetsIn(ws, b.Targets)
 	loss, dLogits := nn.CrossEntropyIn(ws, logits, flat)
 	times.Forward = time.Since(t0)
-	if e.RP != nil {
-		times.Predict = e.RP.TakeElapsed()
+	timed, predicts := e.Planner.(interface{ TakeElapsed() time.Duration })
+	if predicts {
+		times.Predict = timed.TakeElapsed()
 		times.Forward -= times.Predict
 	}
 
@@ -157,7 +155,7 @@ func (e *Engine) step(b data.Batch, ws *tensor.Arena) (float64, PhaseTimes) {
 		sp.SetInt("step", e.stepSeq)
 		sp.SetFloat("loss", loss)
 		sp.ChildAt("train.forward", t0, t0.Add(times.Forward))
-		if e.RP != nil {
+		if predicts {
 			sp.ChildAt("train.predict", t0.Add(times.Forward), t1)
 		}
 		sp.ChildAt("train.backward", t1, t1.Add(times.Backward))

@@ -86,7 +86,7 @@ func TestEngineWithLongExposurePlanner(t *testing.T) {
 	set.Train(samples, spec.Config.Heads, predictor.TrainConfig{Epochs: 8})
 
 	rp := set.Planner()
-	e := &Engine{Model: m, Opt: peft.NewAdamW(1e-3, 0), Planner: rp, RP: rp}
+	e := &Engine{Model: m, Opt: peft.NewAdamW(1e-3, 0), Planner: rp}
 	loss, times := e.Step(batches[0])
 	if math.IsNaN(loss) {
 		t.Fatal("sparse step produced NaN loss")
