@@ -11,7 +11,7 @@ SUITES := kernels,kernels_precision,train_step,generate,generate_sparse,obs,trac
 # upload-artifact step looks).
 BENCH_FLAGS ?=
 
-.PHONY: build test race bench bench-precision bench-allocs bench-slo bench-all baseline loc fmt vet bigfiles check ci
+.PHONY: build test race bench bench-smoke bench-precision bench-allocs bench-slo bench-all baseline loc fmt vet bigfiles check ci
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,13 @@ race:
 # ns/op (relative tolerance) and allocs/op (absolute tolerance).
 bench:
 	$(GO) run ./cmd/lebench -suite $(SUITES) -short $(BENCH_FLAGS) -baseline $(BASELINES) -tolerance 0.20 -alloc-tolerance 16
+
+# The repo's end-to-end benchmark (BENCHMARK.json, benchmark/README.md):
+# all seven workloads at the default 10 s window, results in a temp dir,
+# failing if any workload reports correct:false. Shorter windows are too
+# short for finetune.sparse.seq512's checks (timed steps, falling loss).
+bench-smoke:
+	@dir=$$(mktemp -d); $(GO) run ./benchmark -out "$$dir"; s=$$?; rm -rf "$$dir"; exit $$s
 
 # Reduced-precision pipeline alone: f16/int8 packed GEMM vs the f32 tiled
 # core, decode/prefill TB shapes, 2:4 N:M vs dense, and end-to-end int8
@@ -76,4 +83,4 @@ bigfiles:
 
 check: fmt vet bigfiles
 
-ci: check build test race bench
+ci: check build test race bench bench-smoke

@@ -105,7 +105,7 @@ func randSlice(rng *tensor.RNG, n int) []float32 {
 
 func maskedDiff(got, q, k, v []float32, s, hd int, scale float32, l *sparse.Layout, blk int) float64 {
 	scores := tensor.New(s, s)
-	tensor.GemmTBRange(scores.Data, q, k, hd, s, 0, s)
+	tensor.GemmTBRange(scores.Data, q, k, hd, s, s, 0, s)
 	for i := 0; i < s; i++ {
 		row := scores.Row(i)
 		for j := 0; j < s; j++ {
@@ -118,7 +118,7 @@ func maskedDiff(got, q, k, v []float32, s, hd int, scale float32, l *sparse.Layo
 		tensor.SoftmaxRow(row)
 	}
 	want := make([]float32, s*hd)
-	tensor.GemmRange(want, scores.Data, v, s, hd, 0, s)
+	tensor.GemmRange(want, scores.Data, v, s, hd, s, 0, s)
 	var m float64
 	for i := range want {
 		d := math.Abs(float64(got[i] - want[i]))

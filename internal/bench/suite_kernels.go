@@ -47,13 +47,9 @@ func gemmBenchmarks(n int) []Benchmark {
 	r.FillNormal(b, 1)
 	flops := 2 * int64(n) * int64(n) * int64(n)
 	bytes := 4 * 3 * int64(n) * int64(n)
-	core := func(fn func(cc, aa, bb []float32, k, nn, lo, hi int)) func() {
-		return func() {
-			c.Zero()
-			fn(c.Data, a.Data, b.Data, n, n, 0, n)
-		}
-	}
-	coreTA := func(fn func(cc, aa, bb []float32, kDim, m, nn, lo, hi int)) func() {
+	// All three layouts take (c, a, b, three dims, lo, hi); at n×n×n every
+	// dim (and the leading dimension) is n.
+	core := func(fn func(cc, aa, bb []float32, d0, d1, d2, lo, hi int)) func() {
 		return func() {
 			c.Zero()
 			fn(c.Data, a.Data, b.Data, n, n, n, 0, n)
@@ -64,8 +60,8 @@ func gemmBenchmarks(n int) []Benchmark {
 		{Name: fmt.Sprintf("gemm/dense/tiled/%d", n), Flops: flops, Bytes: bytes, Fn: core(tensor.GemmRange)},
 		{Name: fmt.Sprintf("gemm/tb/naive/%d", n), Flops: flops, Bytes: bytes, Fn: core(tensor.GemmTBRangeNaive)},
 		{Name: fmt.Sprintf("gemm/tb/tiled/%d", n), Flops: flops, Bytes: bytes, Fn: core(tensor.GemmTBRange)},
-		{Name: fmt.Sprintf("gemm/ta/naive/%d", n), Flops: flops, Bytes: bytes, Fn: coreTA(tensor.GemmTARangeNaive)},
-		{Name: fmt.Sprintf("gemm/ta/tiled/%d", n), Flops: flops, Bytes: bytes, Fn: coreTA(tensor.GemmTARange)},
+		{Name: fmt.Sprintf("gemm/ta/naive/%d", n), Flops: flops, Bytes: bytes, Fn: core(tensor.GemmTARangeNaive)},
+		{Name: fmt.Sprintf("gemm/ta/tiled/%d", n), Flops: flops, Bytes: bytes, Fn: core(tensor.GemmTARange)},
 		{Name: fmt.Sprintf("matmul/%d", n), Flops: flops, Bytes: bytes, Fn: func() { tensor.MatMul(a, b) }},
 	}
 }

@@ -61,7 +61,7 @@ func packedGemmBenchmarks(n int) []Benchmark {
 	return []Benchmark{
 		{Name: fmt.Sprintf("gemm/f32/tiled/%d", n), Flops: flops, Bytes: f32Bytes, Fn: func() {
 			c.Zero()
-			tensor.GemmRange(c.Data, a.Data, b.Data, n, n, 0, n)
+			tensor.GemmRange(c.Data, a.Data, b.Data, n, n, n, 0, n)
 		}},
 		{Name: fmt.Sprintf("gemm/f16/packed/%d", n), Flops: flops,
 			Bytes: 4*2*int64(n)*int64(n) + f16.Bytes(), Fn: func() {
@@ -102,7 +102,7 @@ func decodeMatvecBenchmarks(k, n int) []Benchmark {
 		out = append(out,
 			Benchmark{Name: "decode/tb/f32/" + tag, Flops: flops, Bytes: actBytes + 4*int64(n)*int64(k), Fn: func() {
 				y.Zero()
-				tensor.GemmTBRange(y.Data, x.Data, w.Data, k, n, 0, m)
+				tensor.GemmTBRange(y.Data, x.Data, w.Data, k, n, n, 0, m)
 			}},
 			Benchmark{Name: "decode/tb/f16/" + tag, Flops: flops, Bytes: actBytes + f16.Bytes(), Fn: func() {
 				y.Zero()
@@ -137,7 +137,7 @@ func prefillMatvecBenchmarks(m, k, n int) []Benchmark {
 	return []Benchmark{
 		{Name: "prefill/tb/f32/" + tag, Flops: flops, Bytes: actBytes + 4*int64(n)*int64(k), Fn: func() {
 			y.Zero()
-			tensor.GemmTBRange(y.Data, x.Data, w.Data, k, n, 0, m)
+			tensor.GemmTBRange(y.Data, x.Data, w.Data, k, n, n, 0, m)
 		}},
 		{Name: "prefill/tb/f16/" + tag, Flops: flops, Bytes: actBytes + f16.Bytes(), Fn: func() {
 			y.Zero()
@@ -174,7 +174,7 @@ func nmBenchmarks(rows, cols int) []Benchmark {
 			Benchmark{Name: "nm/dense/" + tag, Flops: 2 * int64(m) * int64(rows) * int64(cols),
 				Bytes: actBytes + 4*int64(rows)*int64(cols), Fn: func() {
 					y.Zero()
-					tensor.GemmTBRange(y.Data, x.Data, w.Data, cols, rows, 0, m)
+					tensor.GemmTBRange(y.Data, x.Data, w.Data, cols, rows, rows, 0, m)
 				}},
 			Benchmark{Name: "nm/24/" + tag, Flops: int64(m) * int64(rows) * int64(cols),
 				Bytes: actBytes + nm.Bytes(), Fn: func() {

@@ -8,20 +8,24 @@ import (
 
 	"longexposure/internal/data"
 	"longexposure/internal/parallel"
+	"longexposure/internal/peft"
 	"longexposure/internal/predictor"
 	"longexposure/internal/tensor"
 )
 
-// goldenSparseRun fine-tunes the sim model for 8 steps under predicted
-// attention + MLP sparsity (4 heads × batch 2 on a 32-token, 8×8-block
-// grid, so batch·heads > heads and the heads' layouts differ) and returns
-// the loss bits of every step plus an FNV-1a hash folding the bits of every
-// trainable (LoRA) gradient after every step.
-func goldenSparseRun(workers int) (losses [8]uint64, gradHash uint64) {
+// goldenSparseRun fine-tunes the sim model for 8 steps with method under
+// predicted attention + MLP sparsity (4 heads × batch 2 on a 32-token,
+// 8×8-block grid, so batch·heads > heads and the heads' layouts differ) and
+// returns the loss bits of every step plus an FNV-1a hash folding the bits
+// of every trainable gradient after every step. Under peft.FullFT the
+// backbone weights are trainable, so the neuron-block weight-gradient
+// kernels run too.
+func goldenSparseRun(method peft.Method, workers int) (losses [8]uint64, gradHash uint64) {
 	old := parallel.SetWorkers(workers)
 	defer parallel.SetWorkers(old)
 
 	cfg := simConfig()
+	cfg.Method = method
 	cfg.Spec.Config.Heads = 4
 	cfg.Seed = 14
 	cfg.Prime = true // pre-trained-like statistics: the predicted layouts are sparse and differ by head
@@ -56,21 +60,32 @@ func goldenSparseRun(workers int) (losses [8]uint64, gradHash uint64) {
 	return losses, h.Sum64()
 }
 
-// TestGoldenSparseFineTune pins the sparse fine-tune bit for bit: the
-// values below were generated by running this test at the commit before
-// nn.MultiHeadAttention moved onto the combined multi-head operator
-// (58bcd65), so they prove that move changed no loss and no gradient bit.
+// TestGoldenSparseFineTune pins the sparse fine-tune bit for bit. The LoRA
+// values were generated at the commit before nn.MultiHeadAttention moved
+// onto the combined multi-head operator (58bcd65), the FullFT values at the
+// commit before the neuron-block MLP kernels moved onto the tensor GEMM
+// cores (0edb10a), so they prove neither move changed a loss or gradient bit.
 func TestGoldenSparseFineTune(t *testing.T) {
-	wantLosses := [8]uint64{
-		0x4012596ebd4d131e, 0x40126905e17521f7, 0x401218cf0fdd635e, 0x4012ec9ea91374d2,
-		0x401250729eb37e9e, 0x401264c512651177, 0x4012140f27ed6438, 0x4012e61c0e876e32,
-	}
-	const wantGradHash uint64 = 0x8f1d39125a10faaf
-	for _, workers := range []int{1, 4} {
-		losses, gradHash := goldenSparseRun(workers)
-		if losses != wantLosses || gradHash != wantGradHash {
-			t.Errorf("workers=%d:\nlosses   %#x\ngradHash %#x\nwant     %#x\n         %#x",
-				workers, losses, gradHash, wantLosses, wantGradHash)
+	for _, tc := range []struct {
+		method       peft.Method
+		wantLosses   [8]uint64
+		wantGradHash uint64
+	}{
+		{peft.LoRA, [8]uint64{
+			0x4012596ebd4d131e, 0x40126905e17521f7, 0x401218cf0fdd635e, 0x4012ec9ea91374d2,
+			0x401250729eb37e9e, 0x401264c512651177, 0x4012140f27ed6438, 0x4012e61c0e876e32,
+		}, 0x8f1d39125a10faaf},
+		{peft.FullFT, [8]uint64{
+			0x4012596ebd4d131e, 0x401241ad3b779cfe, 0x4011e48d53788c9b, 0x40125ecda9f5a353,
+			0x4010ecc365f958e8, 0x40113b39c9fc4bfb, 0x401115883ec0d834, 0x40116f423f220a37,
+		}, 0x3be86fc5b132448f},
+	} {
+		for _, workers := range []int{1, 4} {
+			losses, gradHash := goldenSparseRun(tc.method, workers)
+			if losses != tc.wantLosses || gradHash != tc.wantGradHash {
+				t.Errorf("%v workers=%d:\nlosses   %#x\ngradHash %#x\nwant     %#x\n         %#x",
+					tc.method, workers, losses, gradHash, tc.wantLosses, tc.wantGradHash)
+			}
 		}
 	}
 }

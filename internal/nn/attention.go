@@ -306,7 +306,7 @@ func denseBwdItem(a denseBwdArgs, i int) {
 	p := a.probs[i] // [seq, seq]
 	// dProb = dCtx·Vᵀ.
 	dProb := a.dProbH[i]
-	tensor.GemmTBRange(dProb, a.dCtxH[i], a.vh[i], hd, seq, 0, seq)
+	tensor.GemmTBRange(dProb, a.dCtxH[i], a.vh[i], hd, seq, seq, 0, seq)
 	// Softmax backward row-wise, then score scale.
 	dScore := a.dScoreH[i]
 	for r := 0; r < seq; r++ {
@@ -315,7 +315,7 @@ func denseBwdItem(a denseBwdArgs, i int) {
 	for j := range dScore {
 		dScore[j] *= a.scale
 	}
-	tensor.GemmRange(a.dqh[i], dScore, a.kh[i], seq, hd, 0, seq)        // dQ = dS·K
+	tensor.GemmRange(a.dqh[i], dScore, a.kh[i], seq, hd, seq, 0, seq)   // dQ = dS·K
 	tensor.GemmTARange(a.dkh[i], dScore, a.qh[i], seq, seq, hd, 0, seq) // dK = dSᵀ·Q
 	tensor.GemmTARange(a.dvh[i], p.Data, a.dCtxH[i], seq, seq, hd, 0, seq)
 }

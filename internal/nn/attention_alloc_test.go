@@ -52,3 +52,36 @@ func TestSparseAttentionSteadyStateAllocs(t *testing.T) {
 			few, fewBlocks, many, manyBlocks)
 	}
 }
+
+// TestSparseMLPSteadyStateAllocs pins the same contract for the neuron-block
+// MLP path: with a warm arena, one worker, and W1/W2 trainable (so all six
+// neuron kernels run, weight gradients included), a sparse forward +
+// backward allocates nothing — the kernels reach the GEMM cores through
+// static chunk functions, with no per-call closure.
+func TestSparseMLPSteadyStateAllocs(t *testing.T) {
+	old := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(old)
+
+	const tokens, dim, hidden, blk = 12, 16, 64, 8
+	blocks := []int{0, 1, 3, 6}
+	r := tensor.NewRNG(79)
+	m := NewMLP("mlp", dim, hidden, ActReLU, r)
+	x, dOut := tensor.New(tokens, dim), tensor.New(tokens, dim)
+	r.FillNormal(x, 1)
+	r.FillNormal(dOut, 1)
+	for _, p := range m.Params() {
+		if p.Frozen || p.Grad == nil {
+			t.Fatalf("%s: want a trainable parameter with a gradient buffer", p.Name)
+		}
+	}
+	ws := tensor.NewArena()
+	step := func() {
+		m.Forward(x, blocks, blk, ws)
+		m.Backward(dOut, ws)
+		ws.Release()
+	}
+	step() // warm-up: arena fill
+	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
+		t.Fatalf("sparse MLP forward+backward allocates %v/step, want 0", allocs)
+	}
+}

@@ -3,11 +3,12 @@
 // deterministic parallel-for helpers.
 //
 // The kernels in internal/tensor and internal/sparse are data-parallel over
-// independent output regions, so the idiomatic Go approach is a bounded pool
-// of goroutines fed index ranges through closures and joined with a
-// sync.WaitGroup. Chunking is deterministic: the same n and the same worker
-// count always produce the same chunk boundaries, which keeps reductions
-// reproducible.
+// independent output regions: each call splits an index range into at most
+// Workers() contiguous chunks, runs a plain function on every chunk with
+// the call's operands passed by value (so a warm single-worker call
+// allocates nothing), and joins the chunks with a sync.WaitGroup. Chunking
+// is deterministic: the same n and the same worker count always produce the
+// same chunk boundaries, which keeps reductions reproducible.
 package parallel
 
 import (
@@ -24,7 +25,7 @@ func init() {
 	maxWorkers.Store(int64(runtime.GOMAXPROCS(0)))
 }
 
-// SetWorkers sets the number of workers used by For and ForBlocked.
+// SetWorkers sets the number of workers the parallel-for helpers use.
 // Values below 1 are clamped to 1. It returns the previous setting.
 func SetWorkers(n int) int {
 	if n < 1 {
@@ -36,40 +37,18 @@ func SetWorkers(n int) int {
 // Workers reports the current worker count.
 func Workers() int { return int(maxWorkers.Load()) }
 
-// For runs body(i) for every i in [0, n) across the worker pool.
-// Iterations are distributed in contiguous chunks so adjacent indices land on
-// the same worker (cache-friendly for row-major tensor kernels).
+// ForChunkedArg splits [0, n) into at most Workers() contiguous chunks and
+// runs body(arg, lo, hi) for each chunk, in parallel. A chunk is never
+// empty, n <= 0 runs nothing, and panics in body propagate to the caller.
+// With a single worker (or n == 1) the body runs on the calling goroutine.
 //
-// body must not panic across goroutines; panics propagate to the caller.
-func For(n int, body func(i int)) {
-	ForChunked(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
-
-// ForChunked splits [0, n) into at most Workers() contiguous chunks and runs
-// body(lo, hi) for each chunk, in parallel. A chunk is never empty.
-// With a single worker (or n == 1) the body runs on the calling goroutine,
-// which keeps small kernels allocation-free.
-//
-// Note on allocation: because body may cross a goroutine boundary, a
-// closure passed here is always heap-allocated at its creation site, even
-// on the single-worker fast path — Go's escape analysis is path-
-// insensitive. Hot kernels that must be allocation-free in steady state
-// use the *Arg variants below, which take a plain function plus an explicit
-// argument struct so nothing escapes.
-func ForChunked(n int, body func(lo, hi int)) {
-	ForChunkedArg(n, body, func(b func(lo, hi int), lo, hi int) { b(lo, hi) })
-}
-
-// ForChunkedArg is ForChunked for allocation-free call sites: body should
-// be a plain top-level function (or a closure that captures nothing), with
-// all per-call state carried in arg by value. On the single-worker fast
-// path neither body nor arg escapes, so a warm training step performs no
-// heap allocation; with multiple workers each spawned chunk captures one
-// copy of arg.
+// body should be a plain top-level function (or a closure that captures
+// nothing), with all per-call state carried in arg by value: a capturing
+// closure would be heap-allocated at its creation site even on the
+// single-worker path, since Go's escape analysis is path-insensitive.
+// Called that way, neither body nor arg escapes on the fast path and a warm
+// training step performs no heap allocation; with multiple workers each
+// spawned chunk captures one copy of arg.
 func ForChunkedArg[T any](n int, arg T, body func(arg T, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -115,10 +94,11 @@ func forChunkedArgSlow[T any](n, w int, arg T, body func(arg T, lo, hi int)) {
 	}
 }
 
-// ForArg runs body(arg, i) for every i in [0, n) across the worker pool —
-// the allocation-free variant of For (see ForChunkedArg). Implemented
-// directly rather than by delegation: referencing a generic function as a
-// value binds its dictionary at runtime, which itself allocates.
+// ForArg runs body(arg, i) for every i in [0, n) across the worker pool,
+// chunked exactly like ForChunkedArg so adjacent indices land on the same
+// worker. Implemented directly rather than by delegation: referencing a
+// generic function as a value binds its dictionary at runtime, which
+// itself allocates.
 func ForArg[T any](n int, arg T, body func(arg T, i int)) {
 	if n <= 0 {
 		return
@@ -151,10 +131,15 @@ func forItemChunk[T any](p forItem[T], lo, hi int) {
 	}
 }
 
-// ForBlockedArg is ForBlocked for allocation-free call sites (see
-// ForChunkedArg). Chunk boundaries are identical to ForBlocked's: the tile
-// count is chunked exactly like ForChunked, and each chunk's half-open
-// range is scaled back to elements with the final boundary clamped to n.
+// ForBlockedArg splits [0, n) into at most Workers() contiguous chunks whose
+// boundaries are multiples of block (except the final boundary, which is n)
+// and runs body(arg, lo, hi) for each chunk, in parallel. It is the
+// tile-aligned variant of ForChunkedArg: kernels that amortize per-call
+// setup over rows (e.g. the packed-panel GEMM cores) use it so no worker
+// receives a sliver smaller than one tile. The tile count is chunked
+// exactly like ForChunkedArg, and each chunk's half-open range is scaled
+// back to elements with the final boundary clamped to n. Block values
+// below 1 are treated as 1.
 func ForBlockedArg[T any](n, block int, arg T, body func(arg T, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -171,7 +156,7 @@ func ForBlockedArg[T any](n, block int, arg T, body func(arg T, lo, hi int)) {
 		body(arg, 0, n)
 		return
 	}
-	// Slow path: chunk the tile count exactly as ForChunked would, mapping
+	// Slow path: chunk the tile count exactly as ForChunkedArg would, mapping
 	// each tile chunk back to a clamped element range.
 	forChunkedArgSlow(tiles, w, forBlock[T]{n, block, arg, body}, forBlockChunk[T])
 }
@@ -189,18 +174,6 @@ func forBlockChunk[T any](p forBlock[T], tLo, tHi int) {
 		hi = p.n
 	}
 	p.body(p.arg, tLo*p.block, hi)
-}
-
-// ForBlocked splits [0, n) into at most Workers() contiguous chunks whose
-// boundaries are multiples of block (except the final boundary, which is n)
-// and runs body(lo, hi) for each chunk, in parallel. It is the tile-aligned
-// variant of ForChunked: kernels that amortize per-call setup over rows
-// (e.g. the packed-panel GEMM cores) use it so no worker receives a sliver
-// smaller than one tile. Chunking is deterministic — the same n, block, and
-// Workers() always produce the same boundaries. A chunk is never empty;
-// block values below 1 are treated as 1.
-func ForBlocked(n, block int, body func(lo, hi int)) {
-	ForBlockedArg(n, block, body, func(b func(lo, hi int), lo, hi int) { b(lo, hi) })
 }
 
 // ReduceFloat64Arg computes a deterministic parallel reduction over [0, n):

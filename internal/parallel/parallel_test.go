@@ -11,7 +11,7 @@ import (
 func TestForCoversAllIndicesOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
 		counts := make([]int32, n)
-		For(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
+		ForArg(n, counts, func(counts []int32, i int) { atomic.AddInt32(&counts[i], 1) })
 		for i, c := range counts {
 			if c != 1 {
 				t.Fatalf("n=%d: index %d visited %d times", n, i, c)
@@ -23,7 +23,7 @@ func TestForCoversAllIndicesOnce(t *testing.T) {
 func TestForChunkedBoundaries(t *testing.T) {
 	n := 103
 	var total atomic.Int64
-	ForChunked(n, func(lo, hi int) {
+	ForChunkedArg(n, 0, func(_, lo, hi int) {
 		if lo < 0 || hi > n || lo >= hi {
 			t.Errorf("bad chunk [%d,%d)", lo, hi)
 		}
@@ -36,8 +36,8 @@ func TestForChunkedBoundaries(t *testing.T) {
 
 func TestForChunkedZeroAndNegative(t *testing.T) {
 	called := false
-	ForChunked(0, func(lo, hi int) { called = true })
-	ForChunked(-5, func(lo, hi int) { called = true })
+	ForChunkedArg(0, 0, func(_, lo, hi int) { called = true })
+	ForChunkedArg(-5, 0, func(_, lo, hi int) { called = true })
 	if called {
 		t.Fatal("body called for n<=0")
 	}
@@ -90,7 +90,7 @@ func TestForBlockedBoundaries(t *testing.T) {
 	} {
 		var mu sync.Mutex
 		covered := make([]int, tc.n)
-		ForBlocked(tc.n, tc.block, func(lo, hi int) {
+		ForBlockedArg(tc.n, tc.block, 0, func(_, lo, hi int) {
 			if lo < 0 || hi > tc.n || lo >= hi {
 				t.Errorf("n=%d block=%d: bad chunk [%d,%d)", tc.n, tc.block, lo, hi)
 			}
@@ -124,7 +124,7 @@ func TestForBlockedDeterministicChunking(t *testing.T) {
 	record := func(n, block int) [][2]int {
 		var mu sync.Mutex
 		var chunks [][2]int
-		ForBlocked(n, block, func(lo, hi int) {
+		ForBlockedArg(n, block, 0, func(_, lo, hi int) {
 			mu.Lock()
 			chunks = append(chunks, [2]int{lo, hi})
 			mu.Unlock()
@@ -144,8 +144,8 @@ func TestForBlockedDeterministicChunking(t *testing.T) {
 
 func TestForBlockedZero(t *testing.T) {
 	called := false
-	ForBlocked(0, 8, func(lo, hi int) { called = true })
-	ForBlocked(-3, 8, func(lo, hi int) { called = true })
+	ForBlockedArg(0, 8, 0, func(_, lo, hi int) { called = true })
+	ForBlockedArg(-3, 8, 0, func(_, lo, hi int) { called = true })
 	if called {
 		t.Fatal("body called for n<=0")
 	}
@@ -168,7 +168,7 @@ func TestSingleWorkerRunsInline(t *testing.T) {
 	old := SetWorkers(1)
 	defer SetWorkers(old)
 	sum := 0 // no synchronization: must be safe with one worker
-	For(100, func(i int) { sum += i })
+	ForArg(100, 0, func(_, i int) { sum += i })
 	if sum != 4950 {
 		t.Fatalf("sum = %d, want 4950", sum)
 	}
@@ -180,7 +180,7 @@ func TestForChunkedPanicPropagates(t *testing.T) {
 			t.Fatal("panic did not propagate")
 		}
 	}()
-	ForChunked(100, func(lo, hi int) {
+	ForChunkedArg(100, 0, func(_, lo, hi int) {
 		if lo == 0 {
 			panic("boom")
 		}

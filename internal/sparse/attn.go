@@ -28,7 +28,7 @@ func SDD(dst *BlockSparse, a, b []float32, k int) {
 		for _, bc32 := range dst.L.RowBlocks(br) {
 			bc := int(bc32)
 			id, _ := dst.L.BlockID(br, bc)
-			tensor.GemmTBRange(dst.Block(id), aRows, b[bc*blk*k:(bc*blk+blk)*k], k, blk, 0, blk)
+			tensor.GemmTBRange(dst.Block(id), aRows, b[bc*blk*k:(bc*blk+blk)*k], k, blk, blk, 0, blk)
 		}
 	}
 }
@@ -44,7 +44,7 @@ func DSD(dst []float32, sp *BlockSparse, b []float32, n int) {
 		for _, bc32 := range sp.L.RowBlocks(br) {
 			bc := int(bc32)
 			id, _ := sp.L.BlockID(br, bc)
-			tensor.GemmRange(out, sp.Block(id), b[bc*blk*n:(bc*blk+blk)*n], blk, n, 0, blk)
+			tensor.GemmRange(out, sp.Block(id), b[bc*blk*n:(bc*blk+blk)*n], blk, n, blk, 0, blk)
 		}
 	}
 }
@@ -183,7 +183,7 @@ func DenseCausalAttention(out, q, k, v []float32, s, hd int, scale float32) *ten
 // matrix into a caller-provided zeroed [s, s] tensor — the workspace path,
 // where scores come from the step arena instead of a fresh allocation.
 func DenseCausalAttentionInto(scores *tensor.Tensor, out, q, k, v []float32, s, hd int, scale float32) {
-	tensor.GemmTBRange(scores.Data, q, k, hd, s, 0, s)
+	tensor.GemmTBRange(scores.Data, q, k, hd, s, s, 0, s)
 	for i := 0; i < s; i++ {
 		row := scores.Row(i)
 		for j := 0; j <= i; j++ {
@@ -194,5 +194,5 @@ func DenseCausalAttentionInto(scores *tensor.Tensor, out, q, k, v []float32, s, 
 		}
 		tensor.SoftmaxRow(row)
 	}
-	tensor.GemmRange(out, scores.Data, v, s, hd, 0, s)
+	tensor.GemmRange(out, scores.Data, v, s, hd, s, 0, s)
 }

@@ -11,7 +11,7 @@ import (
 // where score (i,j) is kept only if the block containing it is active.
 func denseMaskedAttention(q, k, v []float32, s, hd int, scale float32, l *Layout, blk int) ([]float32, *tensor.Tensor) {
 	scores := tensor.New(s, s)
-	tensor.GemmTBRange(scores.Data, q, k, hd, s, 0, s)
+	tensor.GemmTBRange(scores.Data, q, k, hd, s, s, 0, s)
 	for i := 0; i < s; i++ {
 		row := scores.Row(i)
 		for j := 0; j < s; j++ {
@@ -24,7 +24,7 @@ func denseMaskedAttention(q, k, v []float32, s, hd int, scale float32, l *Layout
 		tensor.SoftmaxRow(row)
 	}
 	out := make([]float32, s*hd)
-	tensor.GemmRange(out, scores.Data, v, s, hd, 0, s)
+	tensor.GemmRange(out, scores.Data, v, s, hd, s, 0, s)
 	return out, scores
 }
 
@@ -49,7 +49,7 @@ func TestSDDMatchesDenseGather(t *testing.T) {
 	SDD(sp, q, k, hd)
 
 	dense := tensor.New(s, s)
-	tensor.GemmTBRange(dense.Data, q, k, hd, s, 0, s)
+	tensor.GemmTBRange(dense.Data, q, k, hd, s, s, 0, s)
 	for br := 0; br < nb; br++ {
 		for _, bc := range l.RowBlocks(br) {
 			id, _ := l.BlockID(br, int(bc))

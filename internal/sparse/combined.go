@@ -92,7 +92,7 @@ func MultiHeadSDD(c *CombinedSparse, a, b [][]float32, k int) {
 		blk, k := g.c.Blk, g.n
 		for _, t := range g.c.HL.Tasks[lo:hi] {
 			tensor.GemmTBRange(g.c.block(t.Off),
-				g.x[t.Head][t.BR*blk*k:(t.BR+1)*blk*k], g.y[t.Head][t.BC*blk*k:(t.BC+1)*blk*k], k, blk, 0, blk)
+				g.x[t.Head][t.BR*blk*k:(t.BR+1)*blk*k], g.y[t.Head][t.BC*blk*k:(t.BC+1)*blk*k], k, blk, blk, 0, blk)
 		}
 	})
 }
@@ -131,7 +131,7 @@ func MultiHeadDSD(out, b [][]float32, c *CombinedSparse, n int) {
 		dst := g.x[h][br*blk*n : (br+1)*blk*n]
 		off := g.c.HL.DataOff[h] + int(l.RowPtr(br))
 		for i, bc := range l.RowBlocks(br) {
-			tensor.GemmRange(dst, g.c.block(off+i), g.y[h][int(bc)*blk*n:(int(bc)+1)*blk*n], blk, n, 0, blk)
+			tensor.GemmRange(dst, g.c.block(off+i), g.y[h][int(bc)*blk*n:(int(bc)+1)*blk*n], blk, n, blk, 0, blk)
 		}
 	})
 }

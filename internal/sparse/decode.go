@@ -2,10 +2,11 @@ package sparse
 
 // Decode-path neuron kernels: the single-row gather/scatter counterparts
 // of FC1Sparse/FC2Sparse. A decode step computes one token row, where the
-// training kernels' parallel dispatch (goroutine handoff plus closure
-// capture) costs more than the arithmetic it would split — these run
-// serially on the calling goroutine and allocate nothing, keeping the
-// cached decode loop at 0 allocs/op.
+// training kernels' route through the GEMM cores does not pay: FC2's
+// GemmRange packs a transposed B panel on every call, and with m = 1 that
+// pack is swept by a single row, costing as much as the arithmetic it
+// feeds. These run serially on the calling goroutine and allocate
+// nothing, keeping the cached decode loop at 0 allocs/op.
 //
 // Both kernels are 4-way unrolled like the tiled GEMM micro-kernels
 // (gemm_tiled.go): four independent accumulator chains sharing each x

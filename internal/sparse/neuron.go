@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"longexposure/internal/parallel"
+	"longexposure/internal/tensor"
 )
 
 // Neuron-centric MLP kernels (§VI-B). An MLP block is FC1 [d → H] followed
@@ -17,8 +18,15 @@ import (
 // The paper's memory-coalescing optimization is reflected in the storage
 // layouts: FC1 weights are stored column-major so an active neuron's input
 // weights are contiguous, FC2 weights row-major so an active neuron's
-// output weights are contiguous. On CPU, contiguity buys cache lines and
-// hardware prefetch — the same effect coalescing buys on GPU.
+// output weights are contiguous. Either way a run of adjacent active
+// blocks is one contiguous [run·blk × d] weight slab, so the kernels hand
+// all arithmetic to the shared tensor GEMM cores: each walks the block
+// list as maximal runs (the last clamped to H) and makes one core call per
+// run on its slab — GemmTBRange writing hidden[:, run] with row stride H,
+// GemmRange reading it with lda = H, or GemmTARange reading it with m = H
+// for the weight gradients. Per output element the cores perform a fixed
+// k-ascending, zero-skipping float sequence, so the result does not depend
+// on how the blocks group into runs or how rows split across workers.
 
 // ColMajor stores a [In × Out] weight matrix column-by-column:
 // column c occupies Data[c*In : (c+1)*In]. FC1 uses it.
@@ -67,96 +75,28 @@ func (w *RowMajor) Row(r int) []float32 { return w.Data[r*w.Out : (r+1)*w.Out] }
 // [tokens × H] (H == w.Out) with inactive columns untouched (callers keep
 // them zero). Parallel over token rows.
 func FC1Sparse(hidden, x []float32, tokens int, w *ColMajor, blocks []int, blk int) {
-	d, H := w.In, w.Out
-	parallel.ForChunked(tokens, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xi := x[i*d : (i+1)*d]
-			out := hidden[i*H : (i+1)*H]
-			for _, nb := range blocks {
-				for c := nb * blk; c < (nb+1)*blk && c < H; c++ {
-					col := w.Col(c)
-					var s float32
-					for kk, xv := range xi {
-						s += xv * col[kk]
-					}
-					out[c] += s
-				}
-			}
-		}
-	})
+	parallel.ForChunkedArg(tokens, neuronCall{hidden, x, w.Data, blocks, blk, w.Out, w.In, tokens}, hiddenChunk)
 }
 
 // FC2Sparse computes out += hidden[:, active] · W2[active, :] for the active
 // neuron blocks only. hidden is [tokens × H] (H == w.In), out is
 // [tokens × d] (d == w.Out). Parallel over token rows.
 func FC2Sparse(out, hidden []float32, tokens int, w *RowMajor, blocks []int, blk int) {
-	H, d := w.In, w.Out
-	parallel.ForChunked(tokens, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			hid := hidden[i*H : (i+1)*H]
-			oi := out[i*d : (i+1)*d]
-			for _, nb := range blocks {
-				for h := nb * blk; h < (nb+1)*blk && h < H; h++ {
-					hv := hid[h]
-					if hv == 0 {
-						continue
-					}
-					row := w.Row(h)
-					for c, wv := range row {
-						oi[c] += hv * wv
-					}
-				}
-			}
-		}
-	})
+	parallel.ForChunkedArg(tokens, neuronCall{hidden, out, w.Data, blocks, blk, w.In, w.Out, tokens}, denseChunk)
 }
 
 // FC1GradInput computes dx += dHidden[:, active] · W1[:, active]ᵀ — the
 // input gradient through FC1 restricted to active neurons. Parallel over
 // token rows.
 func FC1GradInput(dx, dHidden []float32, tokens int, w *ColMajor, blocks []int, blk int) {
-	d, H := w.In, w.Out
-	parallel.ForChunked(tokens, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dh := dHidden[i*H : (i+1)*H]
-			dxi := dx[i*d : (i+1)*d]
-			for _, nb := range blocks {
-				for c := nb * blk; c < (nb+1)*blk && c < H; c++ {
-					g := dh[c]
-					if g == 0 {
-						continue
-					}
-					col := w.Col(c)
-					for kk, wv := range col {
-						dxi[kk] += g * wv
-					}
-				}
-			}
-		}
-	})
+	parallel.ForChunkedArg(tokens, neuronCall{dHidden, dx, w.Data, blocks, blk, w.Out, w.In, tokens}, denseChunk)
 }
 
 // FC2GradHidden computes dHidden[:, active] += dOut · W2[active, :]ᵀ — the
 // hidden gradient through FC2 restricted to active neurons. Parallel over
 // token rows.
 func FC2GradHidden(dHidden, dOut []float32, tokens int, w *RowMajor, blocks []int, blk int) {
-	H, d := w.In, w.Out
-	parallel.ForChunked(tokens, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			do := dOut[i*d : (i+1)*d]
-			dh := dHidden[i*H : (i+1)*H]
-			for _, nb := range blocks {
-				for h := nb * blk; h < (nb+1)*blk && h < H; h++ {
-					row := w.Row(h)
-					var s float32
-					for c, wv := range row {
-						s += do[c] * wv
-					}
-					dh[h] += s
-				}
-			}
-		}
-	})
+	parallel.ForChunkedArg(tokens, neuronCall{dHidden, dOut, w.Data, blocks, blk, w.In, w.Out, tokens}, hiddenChunk)
 }
 
 // FC1GradWeight accumulates dW1[:, active] += xᵀ · dHidden[:, active] into a
@@ -164,45 +104,68 @@ func FC2GradHidden(dHidden, dOut []float32, tokens int, w *RowMajor, blocks []in
 // i.e. the full fine-tuning baseline). Parallel over active blocks, so no
 // two goroutines write the same column.
 func FC1GradWeight(dW *ColMajor, x, dHidden []float32, tokens int, blocks []int, blk int) {
-	d, H := dW.In, dW.Out
-	parallel.For(len(blocks), func(bi int) {
-		nb := blocks[bi]
-		for c := nb * blk; c < (nb+1)*blk && c < H; c++ {
-			col := dW.Col(c)
-			for i := 0; i < tokens; i++ {
-				g := dHidden[i*H+c]
-				if g == 0 {
-					continue
-				}
-				xi := x[i*d : (i+1)*d]
-				for kk, xv := range xi {
-					col[kk] += g * xv
-				}
-			}
-		}
-	})
+	parallel.ForChunkedArg(len(blocks), neuronCall{dHidden, x, dW.Data, blocks, blk, dW.Out, dW.In, tokens}, weightChunk)
 }
 
 // FC2GradWeight accumulates dW2[active, :] += hiddenᵀ[active, :] · dOut into
 // a row-major gradient buffer. Parallel over active blocks.
 func FC2GradWeight(dW *RowMajor, hidden, dOut []float32, tokens int, blocks []int, blk int) {
-	H, d := dW.In, dW.Out
-	parallel.For(len(blocks), func(bi int) {
-		nb := blocks[bi]
-		for h := nb * blk; h < (nb+1)*blk && h < H; h++ {
-			row := dW.Row(h)
-			for i := 0; i < tokens; i++ {
-				hv := hidden[i*H+h]
-				if hv == 0 {
-					continue
-				}
-				do := dOut[i*d : (i+1)*d]
-				for c, dv := range do {
-					row[c] += hv * dv
-				}
-			}
-		}
-	})
+	parallel.ForChunkedArg(len(blocks), neuronCall{hidden, dOut, dW.Data, blocks, blk, dW.In, dW.Out, tokens}, weightChunk)
+}
+
+// neuronCall carries one kernel invocation by value, so the fan-out uses
+// the static chunk functions below and a warm step allocates nothing (see
+// parallel.ForChunkedArg). Every kernel relates the same three operands:
+// hid, the [tokens × h] hidden-width matrix; dense, the [tokens × d]
+// model-width matrix; and w, the [h × d] weight (or weight-gradient)
+// storage, in which each neuron's d weights are one contiguous row.
+type neuronCall struct {
+	hid, dense, w     []float32
+	blocks            []int
+	blk, h, d, tokens int
+}
+
+// run returns the neuron range [h0, h1) covered by the maximal run of
+// adjacent blocks starting at blocks[i], clamped to h, and the index of
+// the block after the run.
+func (g neuronCall) run(blocks []int, i int) (h0, h1, next int) {
+	next = i + 1
+	for next < len(blocks) && blocks[next] == blocks[next-1]+1 {
+		next++
+	}
+	return blocks[i] * g.blk, min((blocks[next-1]+1)*g.blk, g.h), next
+}
+
+// hiddenChunk computes hid[:, run] += dense · w[run]ᵀ for token rows
+// [lo, hi): FC1Sparse and FC2GradHidden.
+func hiddenChunk(g neuronCall, lo, hi int) {
+	for i := 0; i < len(g.blocks); {
+		h0, h1, next := g.run(g.blocks, i)
+		tensor.GemmTBRange(g.hid[h0:], g.dense, g.w[h0*g.d:h1*g.d], g.d, h1-h0, g.h, lo, hi)
+		i = next
+	}
+}
+
+// denseChunk computes dense += hid[:, run] · w[run] for token rows
+// [lo, hi): FC2Sparse and FC1GradInput.
+func denseChunk(g neuronCall, lo, hi int) {
+	for i := 0; i < len(g.blocks); {
+		h0, h1, next := g.run(g.blocks, i)
+		tensor.GemmRange(g.dense, g.hid[h0:], g.w[h0*g.d:h1*g.d], h1-h0, g.d, g.h, lo, hi)
+		i = next
+	}
+}
+
+// weightChunk computes w[run] += hid[:, run]ᵀ · dense for the runs within
+// blocks[lo:hi): FC1GradWeight and FC2GradWeight. Chunks own disjoint
+// blocks, hence disjoint weight rows.
+func weightChunk(g neuronCall, lo, hi int) {
+	blocks := g.blocks[lo:hi]
+	for i := 0; i < len(blocks); {
+		h0, h1, next := g.run(blocks, i)
+		tensor.GemmTARange(g.w[h0*g.d:h1*g.d], g.hid[h0:], g.dense, g.tokens, g.h, g.d, 0, h1-h0)
+		i = next
+	}
 }
 
 // AllBlocks returns the block list {0, 1, …, ⌈H/blk⌉−1}, the "fully dense"

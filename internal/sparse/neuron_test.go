@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"math"
 	"testing"
 
 	"longexposure/internal/tensor"
@@ -42,10 +41,10 @@ func TestFC1SparseAllBlocksEqualsDense(t *testing.T) {
 	FC1Sparse(got, x, tokens, w, AllBlocks(H, blk), blk)
 
 	want := make([]float32, tokens*H)
-	tensor.GemmRange(want, x, wrm, d, H, 0, tokens)
+	tensor.GemmRange(want, x, wrm, d, H, d, 0, tokens)
 
 	for i := range want {
-		if math.Abs(float64(got[i]-want[i])) > 1e-4 {
+		if got[i] != want[i] {
 			t.Fatalf("FC1[%d]: %v vs %v", i, got[i], want[i])
 		}
 	}
@@ -80,7 +79,7 @@ func TestFC1SparseSubsetTouchesOnlyActive(t *testing.T) {
 				for kk := 0; kk < d; kk++ {
 					want += x[i*d+kk] * col[kk]
 				}
-				if math.Abs(float64(v-want)) > 1e-4 {
+				if v != want {
 					t.Fatalf("active column %d wrong", c)
 				}
 			}
@@ -100,10 +99,10 @@ func TestFC2SparseAllBlocksEqualsDense(t *testing.T) {
 	FC2Sparse(got, hidden, tokens, w, AllBlocks(H, blk), blk)
 
 	want := make([]float32, tokens*d)
-	tensor.GemmRange(want, hidden, wrm, H, d, 0, tokens)
+	tensor.GemmRange(want, hidden, wrm, H, d, H, 0, tokens)
 
 	for i := range want {
-		if math.Abs(float64(got[i]-want[i])) > 1e-4 {
+		if got[i] != want[i] {
 			t.Fatalf("FC2[%d]: %v vs %v", i, got[i], want[i])
 		}
 	}
@@ -130,10 +129,10 @@ func TestFC2SparseSubsetEqualsZeroedHidden(t *testing.T) {
 		}
 	}
 	want := make([]float32, tokens*d)
-	tensor.GemmRange(want, hz, w.Data, H, d, 0, tokens)
+	tensor.GemmRange(want, hz, w.Data, H, d, H, 0, tokens)
 
 	for i := range want {
-		if math.Abs(float64(got[i]-want[i])) > 1e-4 {
+		if got[i] != want[i] {
 			t.Fatalf("FC2 subset[%d]: %v vs %v", i, got[i], want[i])
 		}
 	}
@@ -153,10 +152,10 @@ func TestFC1GradInputMatchesDense(t *testing.T) {
 	// dx = dHidden · W1ᵀ; with row-major W1 [d,H]: dx = dHidden · (W1ᵀ) =
 	// GemmTB(dHidden [tokens,H], W1 [d,H]).
 	want := make([]float32, tokens*d)
-	tensor.GemmTBRange(want, dHidden, wrm, H, d, 0, tokens)
+	tensor.GemmTBRange(want, dHidden, wrm, H, d, d, 0, tokens)
 
 	for i := range want {
-		if math.Abs(float64(got[i]-want[i])) > 1e-4 {
+		if got[i] != want[i] {
 			t.Fatalf("FC1GradInput[%d]: %v vs %v", i, got[i], want[i])
 		}
 	}
@@ -174,10 +173,10 @@ func TestFC2GradHiddenMatchesDense(t *testing.T) {
 
 	// dHidden = dOut · W2ᵀ = GemmTB(dOut [tokens,d], W2 [H,d]).
 	want := make([]float32, tokens*H)
-	tensor.GemmTBRange(want, dOut, w.Data, d, H, 0, tokens)
+	tensor.GemmTBRange(want, dOut, w.Data, d, H, H, 0, tokens)
 
 	for i := range want {
-		if math.Abs(float64(got[i]-want[i])) > 1e-4 {
+		if got[i] != want[i] {
 			t.Fatalf("FC2GradHidden[%d]: %v vs %v", i, got[i], want[i])
 		}
 	}
@@ -199,7 +198,7 @@ func TestFC1GradWeightMatchesDense(t *testing.T) {
 	for row := 0; row < d; row++ {
 		for c := 0; c < H; c++ {
 			got := dW.Col(c)[row]
-			if math.Abs(float64(got-want[row*H+c])) > 1e-4 {
+			if got != want[row*H+c] {
 				t.Fatalf("dW1(%d,%d): %v vs %v", row, c, got, want[row*H+c])
 			}
 		}
@@ -220,9 +219,112 @@ func TestFC2GradWeightMatchesDense(t *testing.T) {
 	tensor.GemmTARange(want, hidden, dOut, tokens, H, d, 0, H)
 
 	for i := range want {
-		if math.Abs(float64(dW.Data[i]-want[i])) > 1e-4 {
+		if dW.Data[i] != want[i] {
 			t.Fatalf("dW2[%d]: %v vs %v", i, dW.Data[i], want[i])
 		}
+	}
+}
+
+// TestNeuronKernelsMatchDenseCores pins all six kernels bit for bit
+// against one dense core call over the full hidden width, on block lists
+// the single-run tests above miss: a partial trailing block (H % blk != 0),
+// adjacent runs mixed with isolated blocks, and hidden rows holding exact
+// zeros beside zero-free rows, so both micro-kernel dispatch branches run.
+// The reference zeroes the inactive hidden columns (their products are then
+// skipped) and, for the hidden-width outputs, restores the inactive columns
+// the kernels must leave untouched.
+func TestNeuronKernelsMatchDenseCores(t *testing.T) {
+	for _, tc := range []struct {
+		name              string
+		tokens, d, H, blk int
+		blocks            []int
+	}{
+		{"all-blocks", 6, 8, 16, 4, AllBlocks(16, 4)},
+		{"partial-trailing", 5, 12, 30, 8, []int{0, 2, 3}},
+		{"mixed-runs", 7, 16, 64, 4, []int{0, 1, 2, 5, 7, 8, 12, 15}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := tensor.NewRNG(10)
+			tokens, d, H := tc.tokens, tc.d, tc.H
+			active := make([]bool, H)
+			for _, nb := range tc.blocks {
+				for c := nb * tc.blk; c < min((nb+1)*tc.blk, H); c++ {
+					active[c] = true
+				}
+			}
+			x, dOut := randVec(r, tokens*d), randVec(r, tokens*d)
+			hidden := randVec(r, tokens*H)
+			for i := 0; i < tokens; i += 2 {
+				for c := i % 3; c < H; c += 3 {
+					hidden[i*H+c] = 0 // even rows: exact zeros (skip branch)
+				}
+			}
+			hz := append([]float32(nil), hidden...)
+			for i := range hz {
+				if !active[i%H] {
+					hz[i] = 0
+				}
+			}
+			w1, w2 := NewColMajor(d, H), NewRowMajor(H, d)
+			copy(w1.Data, randVec(r, H*d))
+			copy(w2.Data, randVec(r, H*d))
+
+			// same reports the first element where got and want differ.
+			same := func(kernel string, got, want []float32) {
+				t.Helper()
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%s[%d]: %v vs %v", kernel, i, got[i], want[i])
+					}
+				}
+			}
+			// hiddenOut runs a hidden-width kernel over a random start and
+			// the dense TB reference with inactive columns restored.
+			hiddenOut := func(kernel string, run func(out []float32), a, w []float32) {
+				t.Helper()
+				start := randVec(r, tokens*H)
+				got := append([]float32(nil), start...)
+				run(got)
+				want := append([]float32(nil), start...)
+				tensor.GemmTBRange(want, a, w, d, H, H, 0, tokens)
+				for i := range want {
+					if !active[i%H] {
+						want[i] = start[i]
+					}
+				}
+				same(kernel, got, want)
+			}
+			hiddenOut("FC1Sparse", func(out []float32) { FC1Sparse(out, x, tokens, w1, tc.blocks, tc.blk) }, x, w1.Data)
+			hiddenOut("FC2GradHidden", func(out []float32) { FC2GradHidden(out, dOut, tokens, w2, tc.blocks, tc.blk) }, dOut, w2.Data)
+
+			denseOut := func(kernel string, run func(out []float32), w []float32) {
+				t.Helper()
+				start := randVec(r, tokens*d)
+				got := append([]float32(nil), start...)
+				run(got)
+				want := append([]float32(nil), start...)
+				tensor.GemmRange(want, hz, w, H, d, H, 0, tokens)
+				same(kernel, got, want)
+			}
+			denseOut("FC2Sparse", func(out []float32) { FC2Sparse(out, hidden, tokens, w2, tc.blocks, tc.blk) }, w2.Data)
+			denseOut("FC1GradInput", func(out []float32) { FC1GradInput(out, hidden, tokens, w1, tc.blocks, tc.blk) }, w1.Data)
+
+			weightOut := func(kernel string, run func(dW []float32), b []float32) {
+				t.Helper()
+				start := randVec(r, H*d)
+				got := append([]float32(nil), start...)
+				run(got)
+				want := append([]float32(nil), start...)
+				tensor.GemmTARange(want, hz, b, tokens, H, d, 0, H)
+				same(kernel, got, want)
+			}
+			weightOut("FC1GradWeight", func(dW []float32) {
+				FC1GradWeight(&ColMajor{In: d, Out: H, Data: dW}, x, hidden, tokens, tc.blocks, tc.blk)
+			}, x)
+			weightOut("FC2GradWeight", func(dW []float32) {
+				FC2GradWeight(&RowMajor{In: H, Out: d, Data: dW}, hidden, dOut, tokens, tc.blocks, tc.blk)
+			}, dOut)
+		})
 	}
 }
 

@@ -34,8 +34,9 @@ const (
 func gemmTiledWorthIt(k, n int) bool { return k >= 8 && n >= gemmNR }
 
 // gemmRangeTiled computes c[i,:] += a[i,:]·b for rows i in [loM, hiM),
-// a: [m,k], b: [k,n], c: [m,n] row-major. Bit-identical to GemmRangeNaive.
-func gemmRangeTiled(c, a, b []float32, k, n, loM, hiM int) {
+// a: [m,k] with row stride lda, b: [k,n], c: [m,n] row-major.
+// Bit-identical to GemmRangeNaive.
+func gemmRangeTiled(c, a, b []float32, k, n, lda, loM, hiM int) {
 	var packed [gemmKC * gemmNC]float32
 	for k0 := 0; k0 < k; k0 += gemmKC {
 		kc := min(gemmKC, k-k0)
@@ -43,7 +44,7 @@ func gemmRangeTiled(c, a, b []float32, k, n, loM, hiM int) {
 			nc := min(gemmNC, n-j0)
 			packPanelT(packed[:], b, n, k0, j0, kc, nc)
 			for i := loM; i < hiM; i++ {
-				gemmMicroRowDispatch(c[i*n+j0:i*n+j0+nc], a[i*k+k0:i*k+k0+kc], packed[:nc*kc])
+				gemmMicroRowDispatch(c[i*n+j0:i*n+j0+nc], a[i*lda+k0:i*lda+k0+kc], packed[:nc*kc])
 			}
 		}
 	}
@@ -146,12 +147,12 @@ func gemmMicroRowDense(ci, ai, bt []float32) {
 }
 
 // gemmTBRangeTiled computes c[i,j] += dot(a[i,:], b[j,:]) (c += a·bᵀ) for
-// rows i in [loM, hiM), cache-blocked over rows of b so a stripe of B rows
-// stays resident while every output row sweeps it, with 4 independent dot
-// accumulators sharing each load of a[i,:]. B's rows are already the dot
-// streams, so no packing is needed. Bit-identical to GemmTBRangeNaive
-// (one accumulator per output element, k ascending).
-func gemmTBRangeTiled(c, a, b []float32, k, n, loM, hiM int) {
+// rows i in [loM, hiM) of c (row stride ldc), cache-blocked over rows of b
+// so a stripe of B rows stays resident while every output row sweeps it,
+// with 4 independent dot accumulators sharing each load of a[i,:]. B's rows
+// are already the dot streams, so no packing is needed. Bit-identical to
+// GemmTBRangeNaive (one accumulator per output element, k ascending).
+func gemmTBRangeTiled(c, a, b []float32, k, n, ldc, loM, hiM int) {
 	// Stripe of B rows sized to L1d: jb rows of k float32 ≤ 32 KiB.
 	jb := (32 * 1024 / 4) / k
 	jb -= jb % gemmNR
@@ -163,7 +164,7 @@ func gemmTBRangeTiled(c, a, b []float32, k, n, loM, hiM int) {
 		jFull := je - (je-j0)%gemmNR
 		for i := loM; i < hiM; i++ {
 			ai := a[i*k : (i+1)*k]
-			ci := c[i*n : (i+1)*n]
+			ci := c[i*ldc : i*ldc+n]
 			for j := j0; j < jFull; j += gemmNR {
 				b0 := b[j*k : (j+1)*k]
 				b1 := b[(j+1)*k : (j+2)*k]

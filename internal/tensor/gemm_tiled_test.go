@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -25,41 +26,68 @@ func fillWithZeros(r *RNG, t *Tensor) {
 	}
 }
 
+// gemmPads are the extra columns of row stride the strided cases add: 0 is
+// the dense layout, 3 a column window of a wider matrix (the sparse MLP
+// reads and writes hidden[:, run] this way).
+var gemmPads = []int{0, 3}
+
+// padCols sets the stride padding — columns [w, ld) of every row — of t.
+func padCols(t *Tensor, w, ld int, v float32) {
+	for i := 0; i+ld <= len(t.Data); i += ld {
+		for j := w; j < ld; j++ {
+			t.Data[i+j] = v
+		}
+	}
+}
+
 func TestGemmTiledBitIdentical(t *testing.T) {
 	r := NewRNG(11)
-	for _, d := range gemmShapes() {
-		m, k, n := d[0], d[1], d[2]
-		a, b := New(m, k), New(k, n)
-		fillWithZeros(r, a)
-		fillWithZeros(r, b)
-		got, want := New(m, n), New(m, n)
-		r.FillNormal(got, 1)
-		want.CopyFrom(got)
-		GemmRange(got.Data, a.Data, b.Data, k, n, 0, m)
-		GemmRangeNaive(want.Data, a.Data, b.Data, k, n, 0, m)
-		for i := range got.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("GemmRange m,k,n=%v: bit mismatch at %d: %v vs %v", d, i, got.Data[i], want.Data[i])
+	for _, pad := range gemmPads {
+		for _, d := range gemmShapes() {
+			m, k, n := d[0], d[1], d[2]
+			lda := k + pad
+			a, b := New(m, lda), New(k, n)
+			fillWithZeros(r, a)
+			fillWithZeros(r, b)
+			// A read of a's padding would turn the row into NaN.
+			padCols(a, k, lda, float32(math.NaN()))
+			got, want := New(m, n), New(m, n)
+			r.FillNormal(got, 1)
+			want.CopyFrom(got)
+			GemmRange(got.Data, a.Data, b.Data, k, n, lda, 0, m)
+			GemmRangeNaive(want.Data, a.Data, b.Data, k, n, lda, 0, m)
+			for i := range got.Data {
+				if got.Data[i] != want.Data[i] {
+					t.Fatalf("GemmRange m,k,n=%v lda=%d: bit mismatch at %d: %v vs %v", d, lda, i, got.Data[i], want.Data[i])
+				}
 			}
 		}
 	}
 }
 
 func TestGemmTBTiledBitIdentical(t *testing.T) {
+	const sentinel = -12345
 	r := NewRNG(12)
-	for _, d := range gemmShapes() {
-		m, k, n := d[0], d[1], d[2]
-		a, b := New(m, k), New(n, k)
-		fillWithZeros(r, a)
-		fillWithZeros(r, b)
-		got, want := New(m, n), New(m, n)
-		r.FillNormal(got, 1)
-		want.CopyFrom(got)
-		GemmTBRange(got.Data, a.Data, b.Data, k, n, 0, m)
-		GemmTBRangeNaive(want.Data, a.Data, b.Data, k, n, 0, m)
-		for i := range got.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("GemmTBRange m,k,n=%v: bit mismatch at %d: %v vs %v", d, i, got.Data[i], want.Data[i])
+	for _, pad := range gemmPads {
+		for _, d := range gemmShapes() {
+			m, k, n := d[0], d[1], d[2]
+			ldc := n + pad
+			a, b := New(m, k), New(n, k)
+			fillWithZeros(r, a)
+			fillWithZeros(r, b)
+			got, want := New(m, ldc), New(m, ldc)
+			r.FillNormal(got, 1)
+			padCols(got, n, ldc, sentinel)
+			want.CopyFrom(got)
+			GemmTBRange(got.Data, a.Data, b.Data, k, n, ldc, 0, m)
+			GemmTBRangeNaive(want.Data, a.Data, b.Data, k, n, ldc, 0, m)
+			for i := range got.Data {
+				if got.Data[i] != want.Data[i] {
+					t.Fatalf("GemmTBRange m,k,n=%v ldc=%d: bit mismatch at %d: %v vs %v", d, ldc, i, got.Data[i], want.Data[i])
+				}
+				if i%ldc >= n && got.Data[i] != sentinel {
+					t.Fatalf("GemmTBRange m,k,n=%v ldc=%d: padding at %d overwritten: %v", d, ldc, i, got.Data[i])
+				}
 			}
 		}
 	}
@@ -98,7 +126,7 @@ func TestGemmTiledSubrange(t *testing.T) {
 	before := New(m, n)
 	before.CopyFrom(c)
 	lo, hi := 5, 13
-	GemmRange(c.Data, a.Data, b.Data, k, n, lo, hi)
+	GemmRange(c.Data, a.Data, b.Data, k, n, k, lo, hi)
 	for i := 0; i < m; i++ {
 		changed := false
 		for j := 0; j < n; j++ {
@@ -113,7 +141,7 @@ func TestGemmTiledSubrange(t *testing.T) {
 	}
 }
 
-func benchGemmCore(b *testing.B, n int, core func(c, a, bb []float32, k, nn, lo, hi int)) {
+func benchGemmCore(b *testing.B, n int, core func(c, a, bb []float32, k, nn, ld, lo, hi int)) {
 	r := NewRNG(21)
 	x, y, c := New(n, n), New(n, n), New(n, n)
 	r.FillNormal(x, 1)
@@ -121,7 +149,7 @@ func benchGemmCore(b *testing.B, n int, core func(c, a, bb []float32, k, nn, lo,
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core(c.Data, x.Data, y.Data, n, n, 0, n)
+		core(c.Data, x.Data, y.Data, n, n, n, 0, n)
 	}
 	flops := 2 * int64(n) * int64(n) * int64(n)
 	b.ReportMetric(float64(flops*int64(b.N))/b.Elapsed().Seconds()/1e9, "GFLOP/s")

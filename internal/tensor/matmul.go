@@ -14,25 +14,28 @@ import (
 // per-element arithmetic exactly.
 
 // GemmRange computes c[i,:] += a[i,:]·b for rows i in [loM, hiM), with
-// a: [m,k], b: [k,n], c: [m,n], all row-major. Large shapes run the
-// register-blocked, panel-tiled core (gemm_tiled.go); skinny ones fall back
-// to the naive core. Both produce bit-identical results.
-func GemmRange(c, a, b []float32, k, n, loM, hiM int) {
+// a: [m,k] stored with row stride lda ≥ k, b: [k,n], c: [m,n], all
+// row-major. A dense a passes lda = k; a wider stride reads a column
+// window of a larger matrix (the sparse MLP's active hidden neurons).
+// Large shapes run the register-blocked, panel-tiled core
+// (gemm_tiled.go); skinny ones fall back to the naive core. Both produce
+// bit-identical results.
+func GemmRange(c, a, b []float32, k, n, lda, loM, hiM int) {
 	if gemmTiledWorthIt(k, n) {
-		gemmRangeTiled(c, a, b, k, n, loM, hiM)
+		gemmRangeTiled(c, a, b, k, n, lda, loM, hiM)
 		return
 	}
-	GemmRangeNaive(c, a, b, k, n, loM, hiM)
+	GemmRangeNaive(c, a, b, k, n, lda, loM, hiM)
 }
 
 // GemmRangeNaive is the seed i-k-j core, retained as the correctness
 // reference, the fallback for skinny shapes, and the baseline that
 // cmd/lebench measures the tiled core against. The i-k-j loop order streams
 // rows of b, the cache-friendly order for row-major data.
-func GemmRangeNaive(c, a, b []float32, k, n, loM, hiM int) {
+func GemmRangeNaive(c, a, b []float32, k, n, lda, loM, hiM int) {
 	for i := loM; i < hiM; i++ {
 		ci := c[i*n : (i+1)*n]
-		ai := a[i*k : (i+1)*k]
+		ai := a[i*lda : i*lda+k]
 		for kk := 0; kk < k; kk++ {
 			aik := ai[kk]
 			if aik == 0 {
@@ -47,23 +50,25 @@ func GemmRangeNaive(c, a, b []float32, k, n, loM, hiM int) {
 }
 
 // GemmTBRange computes c[i,j] += dot(a[i,:], b[j,:]) for rows i in [loM,
-// hiM), with a: [m,k], b: [n,k] (i.e. c += a·bᵀ). Row-row dot products make
-// this the fastest core on CPU; attention scores use it. Large shapes run
-// the cache-blocked 4-wide core; results are bit-identical either way.
-func GemmTBRange(c, a, b []float32, k, n, loM, hiM int) {
+// hiM), with a: [m,k], b: [n,k] (i.e. c += a·bᵀ) and c: [m,n] stored with
+// row stride ldc ≥ n. A dense c passes ldc = n; a wider stride writes a
+// column window of a larger matrix. Row-row dot products make this the
+// fastest core on CPU; attention scores use it. Large shapes run the
+// cache-blocked 4-wide core; results are bit-identical either way.
+func GemmTBRange(c, a, b []float32, k, n, ldc, loM, hiM int) {
 	if gemmTiledWorthIt(k, n) {
-		gemmTBRangeTiled(c, a, b, k, n, loM, hiM)
+		gemmTBRangeTiled(c, a, b, k, n, ldc, loM, hiM)
 		return
 	}
-	GemmTBRangeNaive(c, a, b, k, n, loM, hiM)
+	GemmTBRangeNaive(c, a, b, k, n, ldc, loM, hiM)
 }
 
 // GemmTBRangeNaive is the seed dot-product core, retained as the
 // correctness reference and lebench baseline.
-func GemmTBRangeNaive(c, a, b []float32, k, n, loM, hiM int) {
+func GemmTBRangeNaive(c, a, b []float32, k, n, ldc, loM, hiM int) {
 	for i := loM; i < hiM; i++ {
 		ai := a[i*k : (i+1)*k]
-		ci := c[i*n : (i+1)*n]
+		ci := c[i*ldc : i*ldc+n]
 		for j := 0; j < n; j++ {
 			bj := b[j*k : (j+1)*k]
 			var s float32
@@ -105,9 +110,9 @@ func GemmTARangeNaive(c, a, b []float32, kDim, m, n, loM, hiM int) {
 	}
 }
 
-// matmulRowTile is the row granularity handed to parallel.ForBlocked by the
-// MatMul drivers: no worker receives fewer rows than this (except the tail),
-// so the per-call panel packing of the tiled cores stays amortized.
+// matmulRowTile is the row granularity handed to parallel.ForBlockedArg by
+// the MatMul drivers: no worker receives fewer rows than this (except the
+// tail), so the per-call panel packing of the tiled cores stays amortized.
 const matmulRowTile = 8
 
 // gemmCall carries one driver invocation's operands so the parallel fan-out
@@ -118,8 +123,8 @@ type gemmCall struct {
 	k, n, m int
 }
 
-func gemmRangeChunk(g gemmCall, lo, hi int)   { GemmRange(g.c, g.a, g.b, g.k, g.n, lo, hi) }
-func gemmTBRangeChunk(g gemmCall, lo, hi int) { GemmTBRange(g.c, g.a, g.b, g.k, g.n, lo, hi) }
+func gemmRangeChunk(g gemmCall, lo, hi int)   { GemmRange(g.c, g.a, g.b, g.k, g.n, g.k, lo, hi) }
+func gemmTBRangeChunk(g gemmCall, lo, hi int) { GemmTBRange(g.c, g.a, g.b, g.k, g.n, g.n, lo, hi) }
 func gemmTARangeChunk(g gemmCall, lo, hi int) { GemmTARange(g.c, g.a, g.b, g.k, g.m, g.n, lo, hi) }
 
 func check2D(t *Tensor, name string) (rows, cols int) {
@@ -234,13 +239,19 @@ func MatMulTAIn(ws *Arena, a, b *Tensor) *Tensor {
 func Transpose(a *Tensor) *Tensor {
 	m, n := check2D(a, "a")
 	t := New(n, m)
-	parallel.ForChunked(m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a.Data[i*n : (i+1)*n]
-			for j, v := range ai {
-				t.Data[j*m+i] = v
-			}
-		}
-	})
+	parallel.ForChunkedArg(m, transposeArgs{t.Data, a.Data, m, n}, transposeChunk)
 	return t
+}
+
+type transposeArgs struct {
+	t, a []float32
+	m, n int
+}
+
+func transposeChunk(g transposeArgs, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		for j, v := range g.a[i*g.n : (i+1)*g.n] {
+			g.t[j*g.m+i] = v
+		}
+	}
 }

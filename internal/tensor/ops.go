@@ -49,6 +49,7 @@ func MulInto(dst, src *Tensor) {
 
 // rowVecArgs / addRowVectorChunk: static kernel body for AddRowVector so
 // the hot bias-add never allocates a closure (parallel.ForChunkedArg).
+// SoftmaxRows reuses the struct with v unset.
 type rowVecArgs struct {
 	data, v []float32
 	n       int
@@ -191,11 +192,13 @@ func GeLUGradRange(dx, dy, pre []float32, lo, hi int) {
 // zeros rather than NaN.
 func SoftmaxRows(t *Tensor) {
 	rows, cols := check2D(t, "t")
-	parallel.ForChunked(rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			SoftmaxRow(t.Data[i*cols : (i+1)*cols])
-		}
-	})
+	parallel.ForChunkedArg(rows, rowVecArgs{data: t.Data, n: cols}, softmaxRowsChunk)
+}
+
+func softmaxRowsChunk(a rowVecArgs, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		SoftmaxRow(a.data[i*a.n : (i+1)*a.n])
+	}
 }
 
 // NegInf is the mask value for softmax: scores set to NegInf are excluded.
