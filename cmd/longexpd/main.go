@@ -84,7 +84,7 @@ func main() {
 		cache    = flag.Int("cache", 64, "result cache capacity (entries)")
 		drain    = flag.Duration("drain", 30*time.Second, "graceful shutdown budget for draining jobs")
 		regDir   = flag.String("registry", "adapters", "adapter registry directory; empty disables publishing and serving")
-		maxBatch = flag.Int("max-batch", 4, "concurrent sequences per decode step in the generation engine")
+		maxBatch = flag.Int("max-batch", 4, "sequences stacked into one decode step in the generation engine")
 
 		metrics      = flag.Bool("metrics", true, "instrument all subsystems and expose Prometheus text format at GET /metrics")
 		rateLimit    = flag.Float64("rate-limit", 0, "per-tenant request rate (req/s) on /v1/generate and POST /v1/jobs; 0 disables rate limiting")

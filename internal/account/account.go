@@ -67,8 +67,11 @@ type Event struct {
 
 	PeakKVRows  int64 `json:"peak_kv_rows,omitempty"`
 	PeakKVBytes int64 `json:"peak_kv_bytes,omitempty"`
-	ArenaBytes  int64 `json:"arena_bytes,omitempty"` // workspace-arena gets × mean buffer, proxy: gets
+	// ArenaBytes is the workspace arena's footprint: the training engine's
+	// for jobs, the serving engine's one shared step arena for generates.
+	ArenaBytes int64 `json:"arena_bytes,omitempty"`
 
+	// A generate's PrefillNs/DecodeNs sum its shared steps' wall time.
 	QueueWaitNs int64 `json:"queue_wait_ns,omitempty"`
 	PrefillNs   int64 `json:"prefill_ns,omitempty"`
 	DecodeNs    int64 `json:"decode_ns,omitempty"`

@@ -6,7 +6,8 @@
 // cached-vs-naive ns/op ratio is exactly the tokens/s speedup the
 // inference gateway banks per sequence. allocs_per_op locks in the cached
 // path's arena discipline next to the naive path's per-token reallocation
-// of the whole prefix.
+// of the whole prefix. batch_b4 runs four generations per op; its ns/op
+// against 4 × cached_ws is what the stacked step buys.
 package bench
 
 import (
@@ -114,6 +115,24 @@ func generateSuite(o Options) []Benchmark {
 
 	var cache *nn.KVCache
 	var ws *tensor.Arena
+	// batchB4 decodes four copies of cached_ws's generation in lockstep,
+	// one DecodeBatch per token row — the engine's step at batch 4.
+	var batch [4]nn.DecodeSeq
+	var next [4]int
+	batchB4 := func() {
+		for i := range batch {
+			batch[i].Cache.Reset()
+			batch[i].IDs = prompt
+		}
+		for n := len(prompt); n < m.Cfg.MaxSeq; n++ {
+			logits := m.DecodeBatch(batch[:], ws)
+			for i := range batch {
+				next[i] = nn.SampleToken(logits.Row(i), 0, nil)
+				batch[i].IDs = next[i : i+1]
+			}
+			ws.Release()
+		}
+	}
 	return []Benchmark{
 		{
 			Name:  "generate/cached_ws",
@@ -128,6 +147,19 @@ func generateSuite(o Options) []Benchmark {
 				cache.Reset()
 				m.GenerateCachedCfg(prompt, cfg, nn.DecodeSession{Cache: cache, WS: ws})
 			},
+		},
+		{
+			Name:  "generate/batch_b4",
+			Flops: 4 * flops,
+			Setup: func() {
+				setup()
+				ws = tensor.NewArena()
+				for i := range batch {
+					batch[i].Cache = m.NewKVCache()
+				}
+				batchB4() // warm the arena
+			},
+			Fn: batchB4,
 		},
 		{
 			Name:  "generate/naive",

@@ -1,10 +1,11 @@
 // Package infer is the generation engine behind the inference gateway: it
 // compiles registry adapter artifacts into the functional decode weights
-// nn.DecodeStepCfg consumes, and schedules concurrent generation requests
-// over one shared frozen base with continuous batching — sequences are
-// admitted and retired every decode step, each carrying its own KV cache,
-// workspace arena and adapter, so requests for different adapters run side
-// by side without touching the base model's weights.
+// nn.DecodeBatch consumes, and schedules generation requests over one
+// shared frozen base with continuous batching — sequences are admitted and
+// retired every decode step, and each step is one stacked nn.DecodeBatch
+// pass on the scheduler goroutine, in which every sequence carries its own
+// KV cache, adapter and plan. Requests for different adapters share each
+// pass over the base without touching its weights.
 package infer
 
 import (

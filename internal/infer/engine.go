@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -52,14 +53,20 @@ var ErrClosed = errors.New("infer: engine closed")
 
 // Engine decodes generation requests on one shared frozen base with
 // continuous batching: a scheduler loop admits queued sequences up to
-// MaxBatch, runs one decode step for every active sequence concurrently,
-// retires finished ones, and immediately backfills from the queue — a new
-// request never waits for the longest running sequence to drain. The base
-// model is strictly read-only here; every sequence owns its KV cache,
-// workspace arena, RNG and adapter.
+// MaxBatch, runs one stacked decode step over every active sequence on the
+// scheduler goroutine, retires finished ones, and immediately backfills
+// from the queue — a new request never waits for the longest running
+// sequence to drain. The rows of all active sequences pass through the
+// shared base together in one nn.DecodeBatch call; each sequence's KV
+// cache, adapter, plan and RNG stay its own. The base is read-only here.
 type Engine struct {
 	base *nn.Transformer
 	cfg  Config
+
+	// The step arena (plans included, released once per step) and segment
+	// list every scheduler step reuses. Scheduler-goroutine only.
+	ws   *tensor.Arena
+	segs []nn.DecodeSeq
 
 	submit    chan *sequence
 	closed    chan struct{}
@@ -95,6 +102,7 @@ func New(base *nn.Transformer, cfg Config) *Engine {
 	e := &Engine{
 		base:   base,
 		cfg:    cfg,
+		ws:     tensor.NewArena(),
 		submit: make(chan *sequence, cfg.Queue),
 		closed: make(chan struct{}),
 	}
@@ -191,30 +199,24 @@ type sequence struct {
 	stop    int
 	rng     *tensor.RNG
 	cache   *nn.KVCache
-	ws      *tensor.Arena
 	planner nn.DecodePlanner // nil: dense sequence
 	out     chan Event
 	emitted int
 	started bool
 	nextBuf [1]int
 
-	// Realized densities of the last step's plan (1.0 when dense),
-	// aggregated by the scheduler into the batch-level gauges. Written by
-	// the sequence's step goroutine, read by the scheduler after Wait.
-	planMLPDensity, planAttnDensity float64
-	planned                         bool
-	queued                          time.Time // when Generate enqueued the sequence
-	admitted                        time.Time // when the scheduler first saw the sequence
+	queued   time.Time // when Generate enqueued the sequence
+	admitted time.Time // when the scheduler first saw the sequence
 
 	// span covers the sequence's whole lifetime (enqueue through terminal
-	// event); per-step children hang off it. nil when the request is
-	// unsampled — every use below is a nil-safe no-op.
-	span *trace.Span
+	// event); stepSpan is the current step's child, open from prepare to
+	// emit. nil when the request is unsampled — every use below is a
+	// nil-safe no-op.
+	span, stepSpan *trace.Span
 
-	// Accounting accumulator: stats is written by the step goroutine
-	// (plain field arithmetic via DecodeStepConfig.Stats — the hot path
-	// stays zero-alloc), ev is assembled at Generate time and completed
-	// on the scheduler goroutine at retirement.
+	// Accounting accumulator: stats is written by the step (plain field
+	// arithmetic via DecodeSeq.Stats — the hot path stays zero-alloc), ev
+	// is assembled at Generate time and completed at retirement.
 	stats               nn.DecodeStats
 	ev                  account.Event
 	prefillNs, decodeNs int64
@@ -280,7 +282,6 @@ func (e *Engine) Generate(ctx context.Context, req Request) (*Stream, error) {
 		stop:    req.StopToken,
 		rng:     tensor.NewRNG(req.Seed),
 		cache:   e.base.NewKVCache(),
-		ws:      tensor.NewArena(),
 		planner: planner,
 		// One slot per possible token plus the terminal event: sends from
 		// the scheduler can never block on a lagging consumer.
@@ -356,34 +357,11 @@ func (e *Engine) run() {
 		m.BatchOccupancy.Observe(float64(len(active)))
 		e.setLevels(len(active), len(e.submit), e.prevKV)
 
-		// One decode step per active sequence, concurrently. Each sequence
-		// touches only its own cache/arena/RNG; the base is read-only.
-		emitted := 0
-		for _, s := range active {
-			emitted -= s.emitted
-		}
-		var wg sync.WaitGroup
-		for _, s := range active {
-			wg.Add(1)
-			batch := len(active)
-			go func(s *sequence) {
-				defer wg.Done()
-				s.step(e.base, batch)
-			}(s)
-		}
-		wg.Wait()
+		m.Tokens.Add(float64(e.step(active)))
 
 		kvRows := 0
-		sparseSteps := 0
-		var mlpD, attnD float64
 		keep := active[:0]
 		for _, s := range active {
-			emitted += s.emitted
-			if s.planned {
-				sparseSteps++
-				mlpD += s.planMLPDensity
-				attnD += s.planAttnDensity
-			}
 			if s.done {
 				s.finish()
 				e.account(s)
@@ -395,13 +373,7 @@ func (e *Engine) run() {
 			keep = append(keep, s)
 		}
 		active = keep
-		m.Tokens.Add(float64(emitted))
 		e.setLevels(len(active), e.prevQueue, kvRows)
-		if sparseSteps > 0 {
-			m.SparseSteps.Add(float64(sparseSteps))
-			m.PlanMLPDensity.Set(mlpD / float64(sparseSteps))
-			m.PlanAttnDensity.Set(attnD / float64(sparseSteps))
-		}
 
 		select {
 		case <-e.closed:
@@ -409,6 +381,9 @@ func (e *Engine) run() {
 			return
 		default:
 		}
+		// The step never blocked, so the stream consumers it woke have not
+		// run: yield, so tokens go out now rather than at a preemption.
+		runtime.Gosched()
 	}
 }
 
@@ -429,7 +404,7 @@ func (e *Engine) account(s *sequence) {
 	ev.AttnSavedFLOPs = s.stats.AttnSavedFLOPs
 	ev.PeakKVRows = s.stats.PeakKVRows
 	ev.PeakKVBytes = s.stats.PeakKVRows * e.base.KVRowBytes()
-	ev.ArenaBytes = s.ws.AllocBytes()
+	ev.ArenaBytes = e.ws.AllocBytes()
 	if !s.admitted.IsZero() {
 		ev.QueueWaitNs = s.admitted.Sub(s.queued).Nanoseconds()
 	} else {
@@ -494,61 +469,105 @@ func (e *Engine) failAll(active []*sequence) {
 	}
 }
 
-// step advances the sequence by one token: the first call runs the full
-// prompt prefill, later calls decode exactly one row against the cache.
-// Bounds and stop conditions mirror nn.Generate so served tokens are
-// bit-identical to the naive path. batch is the decode batch occupancy
-// this step ran under, recorded as a span attribute.
-func (s *sequence) step(base *nn.Transformer, batch int) {
+// step runs one stacked decode step on the scheduler goroutine and returns
+// the tokens it emitted: every running sequence adds its segment to one
+// DecodeBatch call, then samples, emits and checks stops on its own logits
+// row. A panic anywhere in the step fails every sequence still in it with
+// reason "error": their caches are in an unknown state.
+func (e *Engine) step(active []*sequence) (emitted int) {
 	defer func() {
 		if r := recover(); r != nil {
-			s.done = true
-			s.reason = "error"
-			s.err = fmt.Errorf("infer: decode panicked: %v", r)
+			err := fmt.Errorf("infer: decode panicked: %v", r)
+			for _, s := range active {
+				if !s.done {
+					s.done, s.reason, s.err = true, "error", err
+					s.stepSpan.Finish()
+				}
+			}
 		}
+		e.ws.Release()
 	}()
+	t0 := time.Now()
+	e.segs = e.segs[:0]
+	planned, mlpD, attnD := 0, 0.0, 0.0
+	for _, s := range active {
+		seg, ok := s.prepare(e.base, e.ws)
+		if !ok {
+			continue
+		}
+		e.segs = append(e.segs, seg)
+		if seg.Plan != nil {
+			planned++
+			mlpD += seg.Plan.MLPDensity
+			attnD += seg.Plan.AttnDensity
+		}
+	}
+	if m := e.cfg.Metrics; planned > 0 {
+		m.SparseSteps.Add(float64(planned))
+		m.PlanMLPDensity.Set(mlpD / float64(planned))
+		m.PlanAttnDensity.Set(attnD / float64(planned))
+	}
+	if len(e.segs) == 0 {
+		return 0
+	}
+	logits := e.base.DecodeBatch(e.segs, e.ws)
+	d := time.Since(t0).Nanoseconds()
+	for _, s := range active {
+		if !s.done {
+			s.emit(logits.Row(emitted), d, len(e.segs))
+			emitted++
+		}
+	}
+	return emitted
+}
+
+// prepare is the pre-step: it finishes a cancelled sequence or one at
+// MaxSeq, and otherwise opens the step span, plans the step in the shared
+// arena, and returns the sequence's segment of the batch — the whole
+// prompt on the first step, then the last emitted token.
+func (s *sequence) prepare(base *nn.Transformer, ws *tensor.Arena) (nn.DecodeSeq, bool) {
 	if s.ctx.Err() != nil {
 		s.done, s.reason = true, "cancelled"
-		return
+		return nn.DecodeSeq{}, false
 	}
 	if s.pRows+len(s.prompt)+s.emitted >= base.Cfg.MaxSeq {
 		s.done, s.reason = true, "max_seq"
-		return
+		return nn.DecodeSeq{}, false
 	}
-
-	var logits *tensor.Tensor
-	var sp *trace.Span
-	t0 := time.Now()
-	prefill := !s.started
-	s.planned, s.planMLPDensity, s.planAttnDensity = false, 1, 1
-	if prefill {
+	seg := nn.DecodeSeq{Cache: s.cache, Adapter: s.ad, Stats: &s.stats}
+	if !s.started {
 		// Prefill always runs dense: the planner's position summaries are
 		// built from these very rows, and prefill is one step regardless.
-		sp = s.span.StartChild("infer.prefill")
-		logits = base.DecodeStepCfg(s.cache, s.prompt, nn.DecodeStepConfig{Adapter: s.ad, WS: s.ws, Stats: &s.stats})
-		s.started = true
-	} else {
-		sp = s.span.StartChild("infer.decode_step")
-		sp.SetInt("step", int64(s.emitted))
-		var plan *nn.DecodePlan
-		if s.planner != nil {
-			plan = s.planner.PlanStep(s.nextBuf[0], s.cache.Len, s.ws)
-		}
-		if plan != nil {
-			s.planned = true
-			s.planMLPDensity, s.planAttnDensity = plan.MLPDensity, plan.AttnDensity
-			sp.SetBool("sparse", true)
-		}
-		logits = base.DecodeStepCfg(s.cache, s.nextBuf[:], nn.DecodeStepConfig{Adapter: s.ad, Plan: plan, WS: s.ws, Stats: &s.stats})
+		s.stepSpan = s.span.StartChild("infer.prefill")
+		seg.IDs = s.prompt
+		return seg, true
 	}
-	tok := nn.SampleToken(logits.Row(0), s.temp, s.rng)
-	sp.SetInt("batch", int64(batch))
-	sp.Finish()
-	s.ws.Release()
-	if d := time.Since(t0).Nanoseconds(); prefill {
-		s.prefillNs += d
-	} else {
+	s.stepSpan = s.span.StartChild("infer.decode_step")
+	s.stepSpan.SetInt("step", int64(s.emitted))
+	if s.planner != nil {
+		seg.Plan = s.planner.PlanStep(s.nextBuf[0], s.cache.Len, ws)
+	}
+	if seg.Plan != nil {
+		s.stepSpan.SetBool("sparse", true)
+	}
+	seg.IDs = s.nextBuf[:]
+	return seg, true
+}
+
+// emit is the post-step: it samples the sequence's logits row with its own
+// RNG, charges the step's wall time d to its phase, streams the token and
+// checks stops — mirroring nn.Generate, so served tokens are bit-identical
+// to the naive path. batch, the step's sequence count, tags the span.
+func (s *sequence) emit(logits []float32, d int64, batch int) {
+	tok := nn.SampleToken(logits, s.temp, s.rng)
+	s.stepSpan.SetInt("batch", int64(batch))
+	s.stepSpan.Finish()
+	s.stepSpan = nil
+	if s.started {
 		s.decodeNs += d
+	} else {
+		s.prefillNs += d
+		s.started = true
 	}
 	s.nextBuf[0] = tok
 

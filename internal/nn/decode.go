@@ -19,11 +19,16 @@ import (
 // path would have appended, against cached K/V rows that are themselves
 // bit-equal to what a full re-run would produce.
 //
+// The same independence makes bit-identity hold across batch composition:
+// DecodeBatch stacks many sequences' rows — each with its own KVCache,
+// DecodeAdapter and plan — through the shared base, and a sequence's
+// logits equal decoding it alone, whichever sequences share its step.
+//
 // Unlike Forward, nothing here writes to the layer structs (no l.x, no
 // ln.xhat, no attention state): the model is treated as read-only weights,
-// so any number of sequences — each with its own KVCache, Arena and
-// DecodeAdapter — can decode concurrently on one shared frozen base. That
-// is the multi-adapter serving structure internal/infer builds on.
+// so every active sequence decodes in one stacked step on one shared
+// frozen base. That is the multi-adapter serving structure internal/infer
+// builds on.
 
 // KVCache holds one sequence's cached attention keys and values: per layer,
 // per head, a packed [MaxSeq·headDim] buffer. Len counts cached positions
@@ -82,8 +87,8 @@ type LayerAdapter struct {
 
 // DecodeAdapter is a detachable PEFT delta applied functionally during
 // decoding — the base model's weights are never touched, so different
-// requests can decode with different adapters on one shared base
-// concurrently. A nil *DecodeAdapter decodes the plain base.
+// requests can decode with different adapters in one step on one shared
+// base. A nil *DecodeAdapter decodes the plain base.
 type DecodeAdapter struct {
 	Prompt *tensor.Tensor // [P, dim] trainable prompt (P-Tuning), or nil
 	Layers []LayerAdapter // len == Cfg.Layers, or nil
@@ -158,94 +163,121 @@ type DecodeStepConfig struct {
 	Stats *DecodeStats
 }
 
-// DecodeStepCfg is the one entry point of the cached decode path. It
-// feeds ids (batch 1) through the model against the cache, appending their
-// K/V rows, and returns the logits of the last new row as a [1, vocab]
-// tensor. The first call on an empty cache is the prefill: if the adapter
-// carries a trainable prompt, its rows are prepended exactly as Forward
-// prepends them. The cache must not be shared across concurrent calls;
-// the model itself is only read.
+// DecodeStepCfg is DecodeBatch for one sequence: it feeds ids (batch 1)
+// through the model against the cache, appending their K/V rows, and
+// returns the logits of the last new row as a [1, vocab] tensor.
 func (m *Transformer) DecodeStepCfg(cache *KVCache, ids []int, cfg DecodeStepConfig) *tensor.Tensor {
-	ad, ws := cfg.Adapter, cfg.WS
-	if len(ids) == 0 {
-		panic("nn: DecodeStepCfg with no tokens")
+	seq := [1]DecodeSeq{{Cache: cache, IDs: ids, Adapter: cfg.Adapter, Plan: cfg.Plan, Stats: cfg.Stats}}
+	return m.DecodeBatch(seq[:], cfg.WS)
+}
+
+// DecodeSeq is one sequence's share of a DecodeBatch step: its cache, the
+// ids it feeds, and DecodeStepConfig's per-sequence fields.
+type DecodeSeq struct {
+	Cache   *KVCache
+	IDs     []int
+	Adapter *DecodeAdapter
+	Plan    *DecodePlan
+	Stats   *DecodeStats
+}
+
+// DecodeBatch is the one implementation of the cached decode path: one
+// step for every sequence, their rows stacked into one [Σrows, dim]
+// activation. LayerNorms, Q/K/V/O projections, the dense MLP, residuals
+// and the LM head run once over all rows; each sequence's LoRA and
+// bottleneck deltas, attention against its own cache and sparse MLP run on
+// its own rows. A call on an empty cache is that sequence's prefill, its
+// adapter's prompt rows prepended as Forward prepends them. It returns
+// [len(seqs), vocab] logits, row i from seqs[i]'s last new row. Caches
+// must be distinct; the model is only read; invalid input panics before
+// any cache is written.
+func (m *Transformer) DecodeBatch(seqs []DecodeSeq, ws *tensor.Arena) *tensor.Tensor {
+	if len(seqs) == 0 {
+		panic("nn: DecodeBatch with no sequences")
 	}
 	d := m.Cfg.Dim
-	promptRows := 0
-	if cache.Len == 0 {
-		promptRows = ad.PromptLen()
-	}
-	n := promptRows + len(ids)
-	p0 := cache.Len
-	if p0+n > m.Cfg.MaxSeq {
-		panic(fmt.Sprintf("nn: sequence %d exceeds MaxSeq %d", p0+n, m.Cfg.MaxSeq))
+	// Sequence i owns rows [offs[i], offs[i+1]) of every activation.
+	offs := tensor.IntsIn(ws, len(seqs)+1)
+	for i := range seqs {
+		s := &seqs[i]
+		if len(s.IDs) == 0 {
+			panic("nn: decode step with no tokens")
+		}
+		n := len(s.IDs)
+		if s.Cache.Len == 0 {
+			n += s.Adapter.PromptLen()
+		}
+		if s.Cache.Len+n > m.Cfg.MaxSeq {
+			panic(fmt.Sprintf("nn: sequence %d exceeds MaxSeq %d", s.Cache.Len+n, m.Cfg.MaxSeq))
+		}
+		offs[i+1] = offs[i] + n
 	}
 
-	// Row assembly mirrors Forward: prompt rows, then token embeddings,
-	// then positional embeddings added over all rows.
-	x := tensor.NewIn(ws, n, d)
-	for p := 0; p < promptRows; p++ {
-		copy(x.Data[p*d:(p+1)*d], ad.Prompt.Data[p*d:(p+1)*d])
+	x := tensor.NewIn(ws, offs[len(seqs)], d)
+	for i := range seqs {
+		m.embedRows(x.Data[offs[i]*d:offs[i+1]*d], &seqs[i])
 	}
-	for i, id := range ids {
+	for li, blk := range m.Blocks {
+		x = decodeBlock(blk, x, seqs, offs, li, ws)
+	}
+
+	// Only each sequence's last row feeds the final norm and head, so a
+	// prefill skips the vocab projection for every earlier row.
+	last := tensor.NewIn(ws, len(seqs), d)
+	for i := range seqs {
+		s := &seqs[i]
+		n := offs[i+1] - offs[i]
+		if s.Stats != nil {
+			m.noteDecodeStep(s.Stats, n, s.Cache.Len, s.Plan)
+		}
+		s.Cache.Len += n
+		copy(last.Data[i*d:(i+1)*d], x.Data[(offs[i+1]-1)*d:offs[i+1]*d])
+	}
+	return decodeLinear(m.Head, decodeLayerNorm(m.LNF, last, ws), ws)
+}
+
+// embedRows assembles one sequence's rows into x as Forward does: prompt
+// rows, token embeddings, then positional embeddings from the cache on.
+func (m *Transformer) embedRows(x []float32, s *DecodeSeq) {
+	d := m.Cfg.Dim
+	promptRows := len(x)/d - len(s.IDs)
+	if promptRows > 0 {
+		copy(x, s.Adapter.Prompt.Data[:promptRows*d])
+	}
+	for i, id := range s.IDs {
 		if id < 0 || id >= m.Cfg.Vocab {
 			panic(fmt.Sprintf("nn: embedding id %d outside vocab %d", id, m.Cfg.Vocab))
 		}
-		copy(x.Data[(promptRows+i)*d:(promptRows+i+1)*d], m.TokEmb.Table.W.Data[id*d:(id+1)*d])
+		copy(x[(promptRows+i)*d:(promptRows+i+1)*d], m.TokEmb.Table.W.Data[id*d:(id+1)*d])
 	}
-	for r := 0; r < n; r++ {
+	p0 := s.Cache.Len
+	for r := 0; r < len(x)/d; r++ {
 		pos := m.PosEmb.Table.W.Data[(p0+r)*d : (p0+r+1)*d]
-		row := x.Data[r*d : (r+1)*d]
+		row := x[r*d : (r+1)*d]
 		for j, v := range pos {
 			row[j] += v
 		}
 	}
-
-	for li, blk := range m.Blocks {
-		x = decodeBlock(blk, x, &cache.layers[li], cache, p0, ad.layer(li), cfg.Plan, li, ws)
-	}
-	cache.Len = p0 + n
-	if cfg.Stats != nil {
-		m.noteDecodeStep(cfg.Stats, n, p0, cfg.Plan)
-	}
-
-	// Only the last row's logits are consumed downstream (the final norm
-	// and head feed nothing back into the blocks), so the prefill skips
-	// the vocab projection for every earlier row.
-	last := tensor.WrapIn(ws, x.Data[(n-1)*d:n*d], 1, d)
-	ln := decodeLayerNorm(m.LNF, last, ws)
-	var logits *tensor.Tensor
-	if m.Head.Packed != nil {
-		logits = tensor.MatMulPackedIn(ws, ln, m.Head.Packed)
-	} else {
-		logits = tensor.MatMulIn(ws, ln, m.Head.W.W)
-	}
-	tensor.AddRowVector(logits, m.Head.B.W.Data)
-	return logits
 }
 
-// decodeBlock mirrors TransformerBlock.Forward's dense path, with the
-// adapter's injections applied functionally and the step plan's per-layer
-// selections gating the attention and MLP kernels.
-func decodeBlock(b *TransformerBlock, x *tensor.Tensor, kv *kvLayer, cache *KVCache, p0 int, la *LayerAdapter, plan *DecodePlan, li int, ws *tensor.Arena) *tensor.Tensor {
-	var attnBlocks, mlpBlocks []int
-	blk := 0
-	if plan != nil {
-		attnBlocks, mlpBlocks, blk = plan.layerAttn(li), plan.layerMLP(li), plan.Blk
-	}
+// rowsOf views rows [lo, hi) of t.
+func rowsOf(ws *tensor.Arena, t *tensor.Tensor, lo, hi int) *tensor.Tensor {
+	cols := t.Dim(1)
+	return tensor.WrapIn(ws, t.Data[lo*cols:hi*cols], hi-lo, cols)
+}
+
+// decodeBlock mirrors TransformerBlock.Forward's dense path over the
+// stacked rows, each sequence's adapter and plan applied to its segment.
+func decodeBlock(b *TransformerBlock, x *tensor.Tensor, seqs []DecodeSeq, offs []int, li int, ws *tensor.Arena) *tensor.Tensor {
 	h := decodeLayerNorm(b.LN1, x, ws)
-	attnOut := decodeAttention(b.Attn, h, kv, cache, p0, la, attnBlocks, blk, ws)
-	if la != nil && la.AttnScaled != nil {
-		attnOut = decodeBottleneck(la.AttnScaled, attnOut, ws)
-	}
+	attnOut := decodeAttention(b.Attn, h, seqs, offs, li, ws)
+	decodeBottlenecks(attnOut, seqs, offs, li, false, ws)
 	x1 := tensor.CloneIn(ws, x)
 	tensor.AddInto(x1, attnOut)
 
 	h2 := decodeLayerNorm(b.LN2, x1, ws)
-	mlpOut := decodeMLP(b.MLP, h2, mlpBlocks, blk, ws)
-	if la != nil && la.MLPScaled != nil {
-		mlpOut = decodeBottleneck(la.MLPScaled, mlpOut, ws)
-	}
+	mlpOut := decodeMLPRows(b.MLP, h2, seqs, offs, li, ws)
+	decodeBottlenecks(mlpOut, seqs, offs, li, true, ws)
 	x2 := tensor.CloneIn(ws, x1)
 	tensor.AddInto(x2, mlpOut)
 	return x2
@@ -265,10 +297,9 @@ func decodeLayerNorm(ln *LayerNorm, x *tensor.Tensor, ws *tensor.Arena) *tensor.
 	return y
 }
 
-// decodeLinear is Linear.Forward against explicit LoRA weights, caching
-// nothing: y = x·W + b (+ Scale·(x·A)·B), the exact op sequence of the
-// training layer.
-func decodeLinear(l *Linear, x *tensor.Tensor, lw *LoRAPair, ws *tensor.Arena) *tensor.Tensor {
+// decodeLinear is Linear.Forward's base product, caching nothing:
+// y = x·W + b. A sequence's LoRA delta is added to its rows by addLoRA.
+func decodeLinear(l *Linear, x *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 	var y *tensor.Tensor
 	if l.Packed != nil {
 		y = tensor.MatMulPackedIn(ws, x, l.Packed)
@@ -276,141 +307,155 @@ func decodeLinear(l *Linear, x *tensor.Tensor, lw *LoRAPair, ws *tensor.Arena) *
 		y = tensor.MatMulIn(ws, x, l.W.W)
 	}
 	tensor.AddRowVector(y, l.B.W.Data)
-	if lw != nil {
-		xa := tensor.MatMulIn(ws, x, lw.A)
-		delta := tensor.MatMulIn(ws, xa, lw.B)
-		tensor.AddScaledInto(y, delta, lw.Scale)
-	}
 	return y
 }
 
-// decodeAttention computes causal attention for the n new rows against the
-// cached prefix, appending the rows' K/V to the cache. Per new row r at
-// absolute position p0+r it mirrors row p0+r of the training kernel
-// (sparse.DenseCausalAttentionInto) operation for operation: raw dot
-// scores, scale on the visible prefix, stable softmax, probability-weighted
-// V accumulation with the zero-probability skip.
+// addLoRA adds a sequence's delta Scale·(x·A)·B to y (views of its rows),
+// the training layer's op sequence after its base product.
+func addLoRA(y, x *tensor.Tensor, lw *LoRAPair, ws *tensor.Arena) {
+	xa := tensor.MatMulIn(ws, x, lw.A)
+	delta := tensor.MatMulIn(ws, xa, lw.B)
+	tensor.AddScaledInto(y, delta, lw.Scale)
+}
+
+// decodeAttention projects all rows once, adds each sequence's Q/V LoRA
+// and attends against its own cache, then projects all rows once.
+func decodeAttention(a *MultiHeadAttention, x *tensor.Tensor, seqs []DecodeSeq, offs []int, li int, ws *tensor.Arena) *tensor.Tensor {
+	q := decodeLinear(a.Wq, x, ws)
+	k := decodeLinear(a.Wk, x, ws)
+	v := decodeLinear(a.Wv, x, ws)
+	ctx := tensor.NewIn(ws, x.Dim(0), a.Dim)
+	d := a.Dim
+	for i := range seqs {
+		s := &seqs[i]
+		lo, hi := offs[i], offs[i+1]
+		if la := s.Adapter.layer(li); la != nil {
+			xs := rowsOf(ws, x, lo, hi)
+			if la.Q != nil {
+				addLoRA(rowsOf(ws, q, lo, hi), xs, la.Q, ws)
+			}
+			if la.V != nil {
+				addLoRA(rowsOf(ws, v, lo, hi), xs, la.V, ws)
+			}
+		}
+		attendCached(a, ctx.Data[lo*d:hi*d], q.Data[lo*d:hi*d], k.Data[lo*d:hi*d], v.Data[lo*d:hi*d],
+			&s.Cache.layers[li], s.Cache.Len, s.Plan, li, ws)
+	}
+	return decodeLinear(a.Wo, ctx, ws)
+}
+
+// attendCached computes causal attention for one sequence's n new rows
+// (q, k, v, ctx: [n, dim]) against its cached prefix, appending the rows'
+// K/V to the cache at p0. Per new row r at absolute position p0+r it
+// mirrors row p0+r of the training kernel (sparse.DenseCausalAttentionInto)
+// operation for operation: raw dot scores, scale on the visible prefix,
+// stable softmax, probability-weighted V accumulation with the
+// zero-probability skip.
 //
-// attnBlocks, when non-nil on a single-row step, restricts the visible
-// prefix to the listed KV-position blocks of size blk (ascending; the
+// The plan's layer-li selection, when non-nil on a single-row step,
+// restricts the visible prefix to the listed KV-position blocks (the
 // block holding the current position must be listed): scores are gathered
 // compactly over just the selected positions, softmax normalizes over that
 // support, and only the selected V rows accumulate — the block-sparse
-// attention read of the paper's shadowy attention, on the cache. Prefill
-// and multi-row steps ignore the selection and attend densely.
-func decodeAttention(a *MultiHeadAttention, x *tensor.Tensor, kv *kvLayer, cache *KVCache, p0 int, la *LayerAdapter, attnBlocks []int, blk int, ws *tensor.Arena) *tensor.Tensor {
-	var loraQ, loraV *LoRAPair
-	if la != nil {
-		loraQ, loraV = la.Q, la.V
-	}
-	q := decodeLinear(a.Wq, x, loraQ, ws)
-	k := decodeLinear(a.Wk, x, nil, ws)
-	v := decodeLinear(a.Wv, x, loraV, ws)
-
-	n, d := x.Dim(0), a.Dim
-	hd := a.HeadDim
+// attention read of the paper's shadowy attention, on the cache. Skipped
+// positions cost nothing, which is where the tokens/sec win at long
+// prefixes comes from. Prefill and multi-row steps attend densely.
+func attendCached(a *MultiHeadAttention, ctx, q, k, v []float32, kv *kvLayer, p0 int, plan *DecodePlan, li int, ws *tensor.Arena) {
+	attnBlocks, blk := plan.layerAttn(li)
+	d, hd := a.Dim, a.HeadDim
+	n := len(q) / d
 	for r := 0; r < n; r++ {
 		for h := 0; h < a.Heads; h++ {
-			copy(kv.k[h][(p0+r)*hd:(p0+r+1)*hd], k.Data[r*d+h*hd:r*d+(h+1)*hd])
-			copy(kv.v[h][(p0+r)*hd:(p0+r+1)*hd], v.Data[r*d+h*hd:r*d+(h+1)*hd])
+			copy(kv.k[h][(p0+r)*hd:(p0+r+1)*hd], k[r*d+h*hd:r*d+(h+1)*hd])
+			copy(kv.v[h][(p0+r)*hd:(p0+r+1)*hd], v[r*d+h*hd:r*d+(h+1)*hd])
 		}
 	}
+	// Dense reads one span, the visible prefix; a selection one per block.
+	spans := 1
 	if attnBlocks != nil && n == 1 {
-		return decodeAttentionSparse(a, q, kv, p0, attnBlocks, blk, ws)
+		spans = len(attnBlocks)
+	} else {
+		attnBlocks = nil
+	}
+	span := func(b, p int) (lo, hi int) {
+		if attnBlocks == nil {
+			return 0, p + 1
+		}
+		return attnBlocks[b] * blk, min((attnBlocks[b]+1)*blk, p+1)
 	}
 
 	scale := float32(1 / math.Sqrt(float64(hd)))
-	ctx := tensor.NewIn(ws, n, d)
 	scores := tensor.FloatsDirtyIn(ws, p0+n)
 	for h := 0; h < a.Heads; h++ {
 		kh, vh := kv.k[h], kv.v[h]
 		for r := 0; r < n; r++ {
 			p := p0 + r // absolute position; rows 0..p are visible
-			qrow := q.Data[r*d+h*hd : r*d+(h+1)*hd]
-			row := scores[:p+1]
-			for j := 0; j <= p; j++ {
-				kj := kh[j*hd : (j+1)*hd]
-				var s float32
-				for c, qv := range qrow {
-					s += qv * kj[c]
+			qrow := q[r*d+h*hd : r*d+(h+1)*hd]
+			cnt := 0
+			for b := 0; b < spans; b++ {
+				lo, hi := span(b, p)
+				for j := lo; j < hi; j++ {
+					kj := kh[j*hd : (j+1)*hd]
+					var s float32
+					for c, qv := range qrow {
+						s += qv * kj[c]
+					}
+					scores[cnt] = s * scale
+					cnt++
 				}
-				row[j] = s
 			}
-			for j := range row {
-				row[j] *= scale
+			if cnt == 0 {
+				panic("nn: decode plan selects no visible attention blocks")
 			}
+			row := scores[:cnt]
 			tensor.SoftmaxRow(row)
-			out := ctx.Data[r*d+h*hd : r*d+(h+1)*hd]
-			for j, pj := range row {
-				if pj == 0 {
-					continue
-				}
-				vj := vh[j*hd : (j+1)*hd]
-				for c, vv := range vj {
-					out[c] += pj * vv
+			out := ctx[r*d+h*hd : r*d+(h+1)*hd]
+			cnt = 0
+			for b := 0; b < spans; b++ {
+				lo, hi := span(b, p)
+				for j := lo; j < hi; j++ {
+					pj := row[cnt]
+					cnt++
+					if pj == 0 {
+						continue
+					}
+					vj := vh[j*hd : (j+1)*hd]
+					for c, vv := range vj {
+						out[c] += pj * vv
+					}
 				}
 			}
 		}
 	}
-
-	return decodeLinear(a.Wo, ctx, nil, ws)
 }
 
-// decodeAttentionSparse is the single-row block-sparse attention read: the
-// query row attends only to the KV positions inside the selected blocks.
-// The compact gather touches selected K/V rows once each — skipped
-// positions cost nothing, which is where the tokens/sec win at long
-// prefixes comes from.
-func decodeAttentionSparse(a *MultiHeadAttention, q *tensor.Tensor, kv *kvLayer, p int, blocks []int, blk int, ws *tensor.Arena) *tensor.Tensor {
-	d, hd := a.Dim, a.HeadDim
-	scale := float32(1 / math.Sqrt(float64(hd)))
-	ctx := tensor.NewIn(ws, 1, d)
-	scores := tensor.FloatsDirtyIn(ws, p+1)
-	for h := 0; h < a.Heads; h++ {
-		kh, vh := kv.k[h], kv.v[h]
-		qrow := q.Data[h*hd : (h+1)*hd]
-		cnt := 0
-		for _, nb := range blocks {
-			hi := (nb + 1) * blk
-			if hi > p+1 {
-				hi = p + 1
+// decodeMLPRows runs adjacent dense sequences through one decodeMLP call
+// (usually all of them: one pass over the weights) and a sequence whose
+// plan selects neuron blocks here on its own rows. A 2:4 FC1 never shares:
+// its four-token kernel sums in another order than its one-token kernel.
+func decodeMLPRows(mlp *MLP, x *tensor.Tensor, seqs []DecodeSeq, offs []int, li int, ws *tensor.Arena) *tensor.Tensor {
+	var out *tensor.Tensor
+	for i := 0; i < len(seqs); {
+		blocks, blk := seqs[i].Plan.layerMLP(li)
+		j := i + 1
+		for blocks == nil && mlp.NMW1 == nil && j < len(seqs) {
+			if next, _ := seqs[j].Plan.layerMLP(li); next != nil {
+				break
 			}
-			for j := nb * blk; j < hi; j++ {
-				kj := kh[j*hd : (j+1)*hd]
-				var s float32
-				for c, qv := range qrow {
-					s += qv * kj[c]
-				}
-				scores[cnt] = s * scale
-				cnt++
-			}
+			j++
 		}
-		if cnt == 0 {
-			panic("nn: decode plan selects no visible attention blocks")
+		lo, hi := offs[i], offs[j]
+		y := decodeMLP(mlp, rowsOf(ws, x, lo, hi), blocks, blk, ws)
+		if lo == 0 && hi == x.Dim(0) {
+			return y
 		}
-		row := scores[:cnt]
-		tensor.SoftmaxRow(row)
-		out := ctx.Data[h*hd : (h+1)*hd]
-		cnt = 0
-		for _, nb := range blocks {
-			hi := (nb + 1) * blk
-			if hi > p+1 {
-				hi = p + 1
-			}
-			for j := nb * blk; j < hi; j++ {
-				pj := row[cnt]
-				cnt++
-				if pj == 0 {
-					continue
-				}
-				vj := vh[j*hd : (j+1)*hd]
-				for c, vv := range vj {
-					out[c] += pj * vv
-				}
-			}
+		if out == nil {
+			out = tensor.NewIn(ws, x.Dim(0), mlp.Dim)
 		}
+		copy(out.Data[lo*mlp.Dim:hi*mlp.Dim], y.Data)
+		i = j
 	}
-	return decodeLinear(a.Wo, ctx, nil, ws)
+	return out
 }
 
 // decodeMLP is MLP.Forward without the layer-struct caches. blocks selects
@@ -453,6 +498,25 @@ func decodeMLP(m *MLP, x *tensor.Tensor, blocks []int, blk int, ws *tensor.Arena
 	m.fc2Dense(out, hidden, tokens)
 	tensor.AddRowVector(out, m.B2.W.Data)
 	return out
+}
+
+// decodeBottlenecks applies each sequence's post-attention (or, with mlp,
+// post-MLP) bottleneck adapter to its rows of y, in place.
+func decodeBottlenecks(y *tensor.Tensor, seqs []DecodeSeq, offs []int, li int, mlp bool, ws *tensor.Arena) {
+	for i := range seqs {
+		la := seqs[i].Adapter.layer(li)
+		if la == nil {
+			continue
+		}
+		bw := la.AttnScaled
+		if mlp {
+			bw = la.MLPScaled
+		}
+		if bw != nil {
+			seg := rowsOf(ws, y, offs[i], offs[i+1])
+			copy(seg.Data, decodeBottleneck(bw, seg, ws).Data)
+		}
+	}
 }
 
 // decodeBottleneck is Adapter.Forward against explicit weights:

@@ -12,21 +12,22 @@ package nn
 //
 // plus one 2·d·vocab head projection per step (last row only — the
 // prefill skips the vocab projection for earlier rows, and so does the
-// accounting). The dense-equivalent number uses density 1 everywhere;
-// executed scales the gated terms by the step plan's realized densities,
-// matching the kernels: MLP selections apply to every row, attention
-// selections only to single-row steps (DecodeStepCfg attends densely on
-// multi-row steps). A forced density-1.0 plan yields full-coverage (nil)
-// selections and density exactly 1, so executed == dense-equivalent
-// exactly — no float drift, the identity the accounting tests pin.
+// accounting), recorded per sequence of a DecodeBatch step over its own
+// rows. The dense-equivalent number uses density 1 everywhere; executed
+// scales the gated terms by the step plan's realized densities, matching
+// the kernels: MLP selections apply to every row, attention selections
+// only to single-row steps (DecodeBatch attends densely on multi-row
+// steps). A forced density-1.0 plan yields full-coverage (nil) selections
+// and density exactly 1, so executed == dense-equivalent exactly — no
+// float drift, the identity the accounting tests pin.
 
 // DecodeStats accumulates per-step FLOP and plan counters across a
 // sequence's decode steps. Callers own the struct (preallocate it next to
 // the KV cache); recording is plain field arithmetic — no allocation, no
 // synchronization — so it is safe on the zero-alloc decode hot path but
-// must not be shared across concurrently decoding sequences.
+// must not be shared across sequences.
 type DecodeStats struct {
-	Steps        int64 // DecodeStepCfg calls recorded
+	Steps        int64 // decode steps recorded
 	Rows         int64 // token rows processed (prompt rows included)
 	PlannedSteps int64 // steps that ran under a non-nil sparsity plan
 
@@ -38,28 +39,8 @@ type DecodeStats struct {
 	PeakKVRows int64 // high-water cache length across recorded steps
 }
 
-// Reset zeroes the accumulator for reuse by a new sequence.
-func (st *DecodeStats) Reset() { *st = DecodeStats{} }
-
-// SavedFLOPs is the total attributed saving across layer kinds.
-func (st *DecodeStats) SavedFLOPs() int64 { return st.MLPSavedFLOPs + st.AttnSavedFLOPs }
-
-// Add folds another accumulator in (for aggregating across sequences).
-func (st *DecodeStats) Add(o *DecodeStats) {
-	st.Steps += o.Steps
-	st.Rows += o.Rows
-	st.PlannedSteps += o.PlannedSteps
-	st.DenseFLOPs += o.DenseFLOPs
-	st.ExecFLOPs += o.ExecFLOPs
-	st.MLPSavedFLOPs += o.MLPSavedFLOPs
-	st.AttnSavedFLOPs += o.AttnSavedFLOPs
-	if o.PeakKVRows > st.PeakKVRows {
-		st.PeakKVRows = o.PeakKVRows
-	}
-}
-
-// noteDecodeStep records one DecodeStepCfg call of n rows appended at
-// cache position p0, planned by plan (nil = dense).
+// noteDecodeStep records one sequence's segment of a decode step: n rows
+// appended at cache position p0, planned by plan (nil = dense).
 func (m *Transformer) noteDecodeStep(st *DecodeStats, n, p0 int, plan *DecodePlan) {
 	d := int64(m.Cfg.Dim)
 	layers := int64(m.Cfg.Layers)

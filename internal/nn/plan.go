@@ -16,10 +16,10 @@ import (
 // runs, so "density 1.0" degrades to bit-identical dense output by
 // construction rather than by kernel equivalence.
 
-// DecodePlan is one decode step's sparsity decision. Block slices are
-// typically arena-backed (tensor.IntsIn against the step workspace) and
-// valid only until the sequence's next Release — a plan is consumed by
-// exactly one DecodeStepCfg call.
+// DecodePlan is one sequence's sparsity decision for one decode step.
+// Block slices are typically arena-backed (tensor.IntsIn against the step
+// workspace) and valid only until its next Release — a plan is consumed
+// by exactly one DecodeBatch step.
 type DecodePlan struct {
 	// Blk is the block size shared by the MLP neuron blocks and the
 	// attention KV-position blocks.
@@ -45,20 +45,20 @@ type DecodePlan struct {
 	MLPDensity, AttnDensity float64
 }
 
-// layerMLP returns the active MLP blocks for a layer (nil = dense).
-func (p *DecodePlan) layerMLP(li int) []int {
-	if p == nil || p.MLP == nil || li >= len(p.MLP) {
-		return nil
+// layerMLP returns a layer's active MLP blocks (nil = dense) and Blk.
+func (p *DecodePlan) layerMLP(li int) ([]int, int) {
+	if p == nil || li >= len(p.MLP) {
+		return nil, 0
 	}
-	return p.MLP[li]
+	return p.MLP[li], p.Blk
 }
 
-// layerAttn returns the visible KV blocks for a layer (nil = dense).
-func (p *DecodePlan) layerAttn(li int) []int {
-	if p == nil || p.Attn == nil || li >= len(p.Attn) {
-		return nil
+// layerAttn returns a layer's visible KV blocks (nil = dense) and Blk.
+func (p *DecodePlan) layerAttn(li int) ([]int, int) {
+	if p == nil || li >= len(p.Attn) {
+		return nil, 0
 	}
-	return p.Attn[li]
+	return p.Attn[li], p.Blk
 }
 
 // DecodePlanner produces per-step sparsity plans for one sequence. A

@@ -321,7 +321,7 @@ func (s *SequencePlanner) BeginSequence(prompt []int, ad *nn.DecodeAdapter) {
 }
 
 // assembleTokenRow builds the model-input embedding row for token id at
-// absolute position pos into s.x — the same row DecodeStepCfg assembles.
+// absolute position pos into s.x — the same row DecodeBatch assembles.
 func (s *SequencePlanner) assembleTokenRow(id, pos int) {
 	d := s.sp.dim
 	m := s.sp.base

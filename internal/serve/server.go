@@ -99,9 +99,9 @@ type Server struct {
 type Option func(*Server)
 
 // WithRegistry enables the inference gateway over an adapter registry:
-// the /v1/adapters CRUD and the /v1/generate streaming endpoint, with
-// maxBatch sequences decoded concurrently per shared base (<= 0 uses the
-// infer default). Pair it with jobs.Config.Registry on the same store so
+// the /v1/adapters CRUD and the /v1/generate streaming endpoint, with up
+// to maxBatch sequences stacked into each decode step per shared base
+// (<= 0 uses the infer default). Pair it with jobs.Config.Registry on the same store so
 // completed fine-tuning jobs are immediately servable.
 func WithRegistry(reg *registry.Store, maxBatch int) Option {
 	return func(s *Server) {
