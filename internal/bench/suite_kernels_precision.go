@@ -9,6 +9,8 @@
 //     streaming dominates, and the m=64 prefill shape where the packed path
 //     reaches f32 ns/op parity at a ≥1.8x bytes/op reduction — the
 //     documented acceptance claim;
+//   - ns/op of the decode-shaped x·W product (m=1 and m=4), where the row
+//     kernels read the weights in place instead of packing panels;
 //   - the 2:4 N:M structured-sparse matvec vs the dense core at 50%
 //     structured sparsity;
 //   - end-to-end cached decode on the sim model, f32 base vs int8 base.
@@ -40,6 +42,8 @@ func precisionSuite(o Options) []Benchmark {
 		out = append(out, packedGemmBenchmarks(n)...)
 	}
 	out = append(out, decodeMatvecBenchmarks(1024, 1024)...)
+	out = append(out, decodeABBenchmarks(256, 64)...)
+	out = append(out, decodeABBenchmarks(3072, 768)...)
 	out = append(out, prefillMatvecBenchmarks(64, 1536, 1536)...)
 	out = append(out, nmBenchmarks(1024, 1024)...)
 	out = append(out, decodeE2EBenchmarks(o)...)
@@ -111,6 +115,45 @@ func decodeMatvecBenchmarks(k, n int) []Benchmark {
 			Benchmark{Name: "decode/tb/int8/" + tag, Flops: flops, Bytes: actBytes + i8.Bytes(), Fn: func() {
 				y.Zero()
 				tensor.GemmTBRangePacked(y.Data, x.Data, i8, k, n, 0, m)
+			}},
+		)
+	}
+	return out
+}
+
+// decodeABBenchmarks is the decode step's other orientation, c += x·W with
+// W stored [k → n] (FC2, the attention projections, LoRA, the LM head) via
+// GemmRange / GemmRangePacked, at m=1 (one stream) and m=4 (a four-stream
+// batched step). This is the orientation whose tiled cores pack B into
+// panels, so these rows time the row kernels that skip the pack at small m
+// and place each core's crossover. It runs at the sim FC2 shape (256×64)
+// and at OPT-125M's (3072×768, 9.4 MB of f32 weights, past L2), where four
+// rows go back to the tiled core.
+func decodeABBenchmarks(k, n int) []Benchmark {
+	r := tensor.NewRNG(uint64(k * n))
+	const mb = 4
+	x, y, w := tensor.New(mb, k), tensor.New(mb, n), tensor.New(k, n)
+	r.FillNormal(x, 1)
+	r.FillNormal(w, 1)
+	f16 := tensor.PackF16(w)
+	i8 := tensor.PackInt8(w, tensor.ScalePerCol)
+	var out []Benchmark
+	for _, m := range []int{1, mb} {
+		flops := 2 * int64(m) * int64(k) * int64(n)
+		actBytes := 4 * int64(m) * int64(k+n)
+		tag := fmt.Sprintf("m%dk%dn%d", m, k, n)
+		out = append(out,
+			Benchmark{Name: "decode/ab/f32/" + tag, Flops: flops, Bytes: actBytes + 4*int64(k)*int64(n), Fn: func() {
+				y.Zero()
+				tensor.GemmRange(y.Data, x.Data, w.Data, k, n, k, 0, m)
+			}},
+			Benchmark{Name: "decode/ab/f16/" + tag, Flops: flops, Bytes: actBytes + f16.Bytes(), Fn: func() {
+				y.Zero()
+				tensor.GemmRangePacked(y.Data, x.Data, f16, k, n, 0, m)
+			}},
+			Benchmark{Name: "decode/ab/int8/" + tag, Flops: flops, Bytes: actBytes + i8.Bytes(), Fn: func() {
+				y.Zero()
+				tensor.GemmRangePacked(y.Data, x.Data, i8, k, n, 0, m)
 			}},
 		)
 	}

@@ -283,6 +283,10 @@ func decodeBlock(b *TransformerBlock, x *tensor.Tensor, seqs []DecodeSeq, offs [
 	return x2
 }
 
+// decodeRowGrain is the fewest rows decodeLayerNorm hands one worker, so a
+// decode step's few rows normalize on the calling goroutine.
+const decodeRowGrain = 8
+
 // decodeLayerNorm is LayerNorm.Forward without the saved-for-backward
 // caches on the layer struct (scratch comes from the workspace instead).
 func decodeLayerNorm(ln *LayerNorm, x *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
@@ -290,7 +294,7 @@ func decodeLayerNorm(ln *LayerNorm, x *tensor.Tensor, ws *tensor.Arena) *tensor.
 	y := tensor.NewIn(ws, tokens, d)
 	xhat := tensor.FloatsDirtyIn(ws, tokens*d)
 	invStd := tensor.FloatsDirtyIn(ws, tokens)
-	parallel.ForChunkedArg(tokens, lnFwdArgs{
+	parallel.ForBlockedArg(tokens, decodeRowGrain, lnFwdArgs{
 		x: x.Data, y: y.Data, xhat: xhat, invStd: invStd,
 		g: ln.Gamma.W.Data, b: ln.Beta.W.Data, d: d, eps: ln.Eps,
 	}, lnForwardChunk)
@@ -462,9 +466,9 @@ func decodeMLPRows(mlp *MLP, x *tensor.Tensor, seqs []DecodeSeq, offs []int, li 
 // the execution path exactly as MLP.Forward does: nil runs dense;
 // otherwise only the listed neuron blocks compute, their biases included
 // and everything else — bias too — contributing nothing. The sparse path
-// uses the serial single-row gather/scatter kernels: decode steps are one
-// row, where the training kernels' parallel dispatch would cost more than
-// the math.
+// runs the training kernels one row at a time (sparse.DecodeFC1Gather /
+// DecodeFC2Scatter): a one-row call stays on the calling goroutine, and the
+// GEMM cores read the active weights in place at that size.
 func decodeMLP(m *MLP, x *tensor.Tensor, blocks []int, blk int, ws *tensor.Arena) *tensor.Tensor {
 	if blocks != nil && m.Act != ActReLU {
 		panic("nn: neuron sparsity requires ReLU activation")

@@ -169,28 +169,31 @@ func TestDecodeBatchMatchesPerSequence(t *testing.T) {
 }
 
 // TestDecodeBatchSteadyStateAllocs pins the stacked step's memory
-// contract: with a warm arena and one worker, a B=4 step — LoRA,
-// bottleneck, plain and sparse rows, stats recorded — allocates nothing.
+// contract: with a warm arena, a B=4 step — LoRA, bottleneck, plain and
+// sparse rows, stats recorded — allocates nothing, at one worker and at
+// two (a few-row step must not fan out to goroutines).
 func TestDecodeBatchSteadyStateAllocs(t *testing.T) {
-	old := parallel.SetWorkers(1)
-	defer parallel.SetWorkers(old)
-
-	m := NewTransformer(tinyConfig(), tensor.NewRNG(903))
-	seqs := raggedBatch(m, true)[1:] // the four decode rows
-	p0 := make([]int, len(seqs))
-	for i := range seqs {
-		p0[i] = seqs[i].Cache.Len
-	}
-	ws := tensor.NewArena()
-	step := func() {
+	for _, workers := range []int{1, 2} {
+		old := parallel.SetWorkers(workers)
+		m := NewTransformer(tinyConfig(), tensor.NewRNG(903))
+		seqs := raggedBatch(m, true)[1:] // the four decode rows
+		p0 := make([]int, len(seqs))
 		for i := range seqs {
-			seqs[i].Cache.Len = p0[i] // rewind: decode the same positions every run
+			p0[i] = seqs[i].Cache.Len
 		}
-		m.DecodeBatch(seqs, ws)
-		ws.Release()
-	}
-	step() // warm-up: arena fill
-	if allocs := testing.AllocsPerRun(10, step); allocs != 0 {
-		t.Fatalf("B=%d decode step allocates %v/step, want 0", len(seqs), allocs)
+		ws := tensor.NewArena()
+		step := func() {
+			for i := range seqs {
+				seqs[i].Cache.Len = p0[i] // rewind: decode the same positions every run
+			}
+			m.DecodeBatch(seqs, ws)
+			ws.Release()
+		}
+		step() // warm-up: arena fill
+		allocs := testing.AllocsPerRun(10, step)
+		parallel.SetWorkers(old)
+		if allocs != 0 {
+			t.Fatalf("workers=%d: B=%d decode step allocates %v/step, want 0", workers, len(seqs), allocs)
+		}
 	}
 }

@@ -17,17 +17,47 @@ package tensor
 // choose between a branch-free kernel and one that keeps the naive core's
 // zero-product skip (see gemmMicroRowDispatch).
 //
+// The pack is a full copy of B, paid once per call whatever the row count.
+// A decode-sized call (one row per sequence) sweeps each panel only a few
+// times, so the copy costs as much as the arithmetic it feeds. For such
+// calls (gemmRowsWorthIt) GemmRange skips it: gemmRangeRows reads B's rows
+// where they lie, panel by panel of gemmKC rows, eight C values held in
+// registers per row, one a-element load feeding eight multiply-adds from a
+// contiguous B-row segment.
+//
 // Numerical contract: for every output element the sequence of float32
 // additions is exactly the sequence the naive core performs (k ascending,
 // zero products skipped, C read-modify-written between panels — loads and
-// stores are exact). The tiled cores are therefore bit-identical to the
-// naive cores, not merely close; TestGemmTiledBitIdentical pins this.
+// stores are exact). The tiled and row cores are therefore bit-identical
+// to the naive cores, not merely close, and a row's result does not depend
+// on how many rows share the call; TestGemmTiledBitIdentical and
+// TestGemmRowCountIndependent pin this.
 
 const (
 	gemmNR = 4   // register tile width: C columns held in registers
 	gemmKC = 256 // B-panel depth (rows of B packed per stripe)
 	gemmNC = 32  // B-panel width; gemmKC*gemmNC*4B = 32 KiB ≈ L1d
+
+	gemmRowNR     = 8       // row-kernel tile width: C columns held in registers
+	gemmRowsMaxM  = 4       // most rows GemmRange runs on the row kernel
+	gemmRowsMaxKN = 1 << 19 // largest b (k·n elements, 2 MiB) read in place past two rows
 )
+
+// gemmRowsWorthIt reports whether m rows over a [k,n] b run on the row
+// kernel. The row kernel re-reads b once per row where the tiled core packs
+// it once per call and sweeps the copy from L1, so the row count that pays
+// falls as b grows. Single thread on an Intel Xeon VM (48 KiB L1d, 2 MiB
+// L2), row kernel against tiled core:
+//   - one or two rows win at every size measured: 1×256×64 8 vs 34 µs,
+//     1×3072×768 1.7 vs 3.9 ms, 2×768×3072 3.8 vs 4.1 ms;
+//   - four rows win while b is small (4×256×64 28 vs 38 µs, 4×512×512
+//     0.48 vs 0.55 ms), tie at 4×768×768 (2.2 vs 2.1 ms) and lose past
+//     gemmRowsMaxKN (4×3072×768 6.2 vs 5.7 ms, 4×768×3072 ≈10 vs 6.2 ms);
+//   - eight rows tie at 8×64×64 (13 vs 14 µs) and lose from 8×512×256 on
+//     (0.47 vs 0.44 ms; 8×3072×768 12 vs 9 ms).
+func gemmRowsWorthIt(m, k, n int) bool {
+	return m <= 2 || m <= gemmRowsMaxM && k*n <= gemmRowsMaxKN
+}
 
 // gemmTiledWorthIt reports whether the panel machinery pays for itself.
 // Skinny products (LoRA ranks, tiny blocks) stay on the naive cores.
@@ -47,6 +77,61 @@ func gemmRangeTiled(c, a, b []float32, k, n, lda, loM, hiM int) {
 				gemmMicroRowDispatch(c[i*n+j0:i*n+j0+nc], a[i*lda+k0:i*lda+k0+kc], packed[:nc*kc])
 			}
 		}
+	}
+}
+
+// gemmRangeRows computes c[i,:] += a[i,:]·b for rows i in [loM, hiM) without
+// packing. k is cut into panels of gemmKC rows of b, and every row of the
+// range sweeps a panel before the next, so the rows share each panel from
+// cache instead of each streaming all of b (2×3072×768: 3.1 ms panelled,
+// 5.3 ms full height; 1×3072×768: 1.7 vs 2.8 ms). C is read and written
+// between panels, which is exact, so the result is bit-identical to
+// GemmRangeNaive: per output element the same k-ascending, zero-skipping
+// sequence.
+func gemmRangeRows(c, a, b []float32, k, n, lda, loM, hiM int) {
+	for k0 := 0; k0 < k; k0 += gemmKC {
+		kc := min(gemmKC, k-k0)
+		for i := loM; i < hiM; i++ {
+			gemmRow(c[i*n:(i+1)*n], a[i*lda+k0:i*lda+k0+kc], b[k0*n:])
+		}
+	}
+}
+
+// gemmRow accumulates ci[j] += Σ_kk ai[kk]·b[kk, j] for b row-major with
+// len(ci) columns, gemmRowNR C columns held in registers across all of ai,
+// one a-element load feeding gemmRowNR multiply-adds from b[kk, j:j+gemmRowNR].
+// Products of zero ai[kk] are skipped as the naive core skips them; on rows
+// without zeros a branch-free copy of this loop measured no faster.
+func gemmRow(ci, ai, b []float32) {
+	n := len(ci)
+	j := 0
+	for ; j+gemmRowNR <= n; j += gemmRowNR {
+		c0, c1, c2, c3, c4, c5, c6, c7 := ci[j], ci[j+1], ci[j+2], ci[j+3], ci[j+4], ci[j+5], ci[j+6], ci[j+7]
+		for kk, av := range ai {
+			if av == 0 {
+				continue
+			}
+			bk := (*[gemmRowNR]float32)(b[kk*n+j:])
+			c0 += av * bk[0]
+			c1 += av * bk[1]
+			c2 += av * bk[2]
+			c3 += av * bk[3]
+			c4 += av * bk[4]
+			c5 += av * bk[5]
+			c6 += av * bk[6]
+			c7 += av * bk[7]
+		}
+		ci[j], ci[j+1], ci[j+2], ci[j+3], ci[j+4], ci[j+5], ci[j+6], ci[j+7] = c0, c1, c2, c3, c4, c5, c6, c7
+	}
+	for ; j < n; j++ {
+		c0 := ci[j]
+		for kk, av := range ai {
+			if av == 0 {
+				continue
+			}
+			c0 += av * b[kk*n+j]
+		}
+		ci[j] = c0
 	}
 }
 

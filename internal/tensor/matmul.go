@@ -17,10 +17,16 @@ import (
 // a: [m,k] stored with row stride lda ≥ k, b: [k,n], c: [m,n], all
 // row-major. A dense a passes lda = k; a wider stride reads a column
 // window of a larger matrix (the sparse MLP's active hidden neurons).
-// Large shapes run the register-blocked, panel-tiled core
-// (gemm_tiled.go); skinny ones fall back to the naive core. Both produce
-// bit-identical results.
+// The row count picks the core (gemm_tiled.go): a decode-sized call — one
+// or two rows, or up to gemmRowsMaxM rows of a b that fits in L2 — runs a
+// row kernel that reads b in place; more rows run the register-blocked,
+// panel-tiled core, whose per-call pack of b they amortize, and skinny
+// shapes the naive core. All produce bit-identical results.
 func GemmRange(c, a, b []float32, k, n, lda, loM, hiM int) {
+	if gemmRowsWorthIt(hiM-loM, k, n) {
+		gemmRangeRows(c, a, b, k, n, lda, loM, hiM)
+		return
+	}
 	if gemmTiledWorthIt(k, n) {
 		gemmRangeTiled(c, a, b, k, n, lda, loM, hiM)
 		return

@@ -47,8 +47,18 @@ func MulInto(dst, src *Tensor) {
 	}
 }
 
+// Fan-out grains of the elementwise kernels: no worker receives fewer rows
+// or elements than this, so a decode step's few-row bias add or activation
+// runs on the calling goroutine rather than spawning (and allocating) a
+// goroutine per worker. Each row and element is computed independently, so
+// results do not depend on the split.
+const (
+	opRowGrain     = 8
+	opElementGrain = 4096
+)
+
 // rowVecArgs / addRowVectorChunk: static kernel body for AddRowVector so
-// the hot bias-add never allocates a closure (parallel.ForChunkedArg).
+// the hot bias-add never allocates a closure (see parallel.ForChunkedArg).
 // SoftmaxRows reuses the struct with v unset.
 type rowVecArgs struct {
 	data, v []float32
@@ -71,7 +81,7 @@ func AddRowVector(t *Tensor, v []float32) {
 	if len(v) != n {
 		panic(fmt.Sprintf("tensor: AddRowVector length %d vs cols %d", len(v), n))
 	}
-	parallel.ForChunkedArg(m, rowVecArgs{t.Data, v, n}, addRowVectorChunk)
+	parallel.ForBlockedArg(m, opRowGrain, rowVecArgs{t.Data, v, n}, addRowVectorChunk)
 }
 
 // Sum returns the sum of all elements (deterministic parallel reduction).
@@ -148,7 +158,7 @@ func ReLUIn(ws *Arena, t *Tensor, wantMask bool) *Tensor {
 		md = mask.Data
 	}
 	d := t.Data
-	parallel.ForChunkedArg(len(d), reluArgs{d, md}, reluChunk)
+	parallel.ForBlockedArg(len(d), opElementGrain, reluArgs{d, md}, reluChunk)
 	return mask
 }
 
@@ -165,7 +175,7 @@ func GeLU(t *Tensor) *Tensor {
 // GeLUIn is GeLU with the pre-activation copy taken from ws.
 func GeLUIn(ws *Arena, t *Tensor) *Tensor {
 	pre := CloneIn(ws, t)
-	parallel.ForChunkedArg(len(t.Data), t.Data, geluChunk)
+	parallel.ForBlockedArg(len(t.Data), opElementGrain, t.Data, geluChunk)
 	return pre
 }
 

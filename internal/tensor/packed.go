@@ -11,13 +11,16 @@ import (
 // Reduced-precision weight storage for the frozen base. The paper stores
 // parameters in fp16 and computes in fp32 (§VII-A); on CPU the win is not
 // arithmetic but bytes: a packed matrix streams half (fp16) or a quarter
-// (int8) of the weight bytes of the f32 path through the same register-
-// blocked micro-kernels. The conversion to f32 happens once per L1 panel at
-// pack time — amortized over every output row of the range — so the inner
-// loops are byte-for-byte the dense micro-kernels from gemm_tiled.go and the
-// packed product is bit-identical to the f32 product over the dequantized
-// matrix (TestGemmPackedBitIdentical pins this). Packed weights are
-// read-only by construction: there is no gradient path, which is exactly the
+// (int8) of the weight bytes of the f32 path. A multi-row product widens to
+// f32 once per L1 panel at pack time — amortized over every output row of
+// the range — and runs the dense micro-kernels from gemm_tiled.go
+// unchanged. A single row (a one-stream decode step) would sweep each
+// panel once, so it skips the panel and widens each weight inside the row
+// kernel instead (gemmRowF16/gemmRowI8). Either way every weight is widened
+// to exactly the f32 value Dequant produces, so the packed product is
+// bit-identical to the f32 product over the dequantized matrix
+// (TestGemmPackedBitIdentical pins this). Packed weights are read-only by
+// construction: there is no gradient path, which is exactly the
 // frozen-base contract PEFT serving relies on.
 
 // WeightFormat selects the storage element of a PackedWeights.
@@ -171,9 +174,8 @@ func (p *PackedWeights) Dequant() *Tensor {
 // reduced-precision storage: same transposed column-stream layout, same
 // 32 KiB L1 write region, with the element conversion folded into the copy.
 // After packing, the panel is plain f32 and the dense micro-kernels run
-// unchanged — the conversion cost is O(k·n) per sweep regardless of how many
-// output rows amortize it, which is why m=1 decode steps see bandwidth
-// savings rather than flops savings.
+// unchanged — the conversion cost is O(k·n) per call regardless of how many
+// output rows amortize it, which is why a single row skips the pack.
 
 // packPanelTF16 packs b[k0:k0+kc, j0:j0+nc] of an fp16 [k,n] matrix,
 // transposed and widened.
@@ -225,9 +227,29 @@ func packRowsI8(packed []float32, b []int8, scale []float32, k, k0, j0, kc, nc i
 
 // GemmRangePacked computes c[i,:] += a[i,:]·B for rows i in [loM, hiM),
 // where B is the packed matrix p viewed as [k,n] (p.Rows == k, p.Cols == n).
-// Bit-identical to GemmRange over p.Dequant(). WeightI8 requires
+// A single row (a one-stream decode step) reads B where it lies, widening
+// each weight inside the row kernel; more rows widen B once per call into
+// L1 panels swept by the dense micro-kernels. Either way each weight is
+// widened to exactly the float32 Dequant produces, so the result is
+// bit-identical to GemmRange over p.Dequant(). WeightI8 requires
 // ScalePerCol.
+//
+// The fused kernel widens every weight once per row, the panel pack once
+// per call, so it pays only for one row. Single thread on an Intel Xeon VM
+// at k=256, n=64 (kernels_precision decode/ab rows): one row takes 15 µs
+// fused against 28–31 µs packed for int8 and 23 against 31–33 µs for f16;
+// at two rows of f16 the pack already wins (k=n=64: 12 vs 10 µs), and at
+// four rows both formats take about twice as long fused.
 func GemmRangePacked(c, a []float32, p *PackedWeights, k, n, loM, hiM int) {
+	if hiM-loM == 1 {
+		ai, ci := a[loM*k:(loM+1)*k], c[loM*n:(loM+1)*n]
+		if p.Format == WeightF16 {
+			gemmRowF16(ci, ai, p.F16)
+		} else {
+			gemmRowI8(ci, ai, p.I8, p.Scale)
+		}
+		return
+	}
 	var packed [gemmKC * gemmNC]float32
 	for k0 := 0; k0 < k; k0 += gemmKC {
 		kc := min(gemmKC, k-k0)
@@ -242,6 +264,77 @@ func GemmRangePacked(c, a []float32, p *PackedWeights, k, n, loM, hiM int) {
 				gemmMicroRowDispatch(c[i*n+j0:i*n+j0+nc], a[i*k+k0:i*k+k0+kc], packed[:nc*kc])
 			}
 		}
+	}
+}
+
+// gemmRowF16 is gemmRow over an fp16 [k,n] matrix, each weight widened in
+// the load.
+func gemmRowF16(ci, ai []float32, b []half.Float16) {
+	n := len(ci)
+	j := 0
+	for ; j+gemmRowNR <= n; j += gemmRowNR {
+		c0, c1, c2, c3, c4, c5, c6, c7 := ci[j], ci[j+1], ci[j+2], ci[j+3], ci[j+4], ci[j+5], ci[j+6], ci[j+7]
+		for kk, av := range ai {
+			if av == 0 {
+				continue
+			}
+			bk := (*[gemmRowNR]half.Float16)(b[kk*n+j:])
+			c0 += av * bk[0].ToFloat32()
+			c1 += av * bk[1].ToFloat32()
+			c2 += av * bk[2].ToFloat32()
+			c3 += av * bk[3].ToFloat32()
+			c4 += av * bk[4].ToFloat32()
+			c5 += av * bk[5].ToFloat32()
+			c6 += av * bk[6].ToFloat32()
+			c7 += av * bk[7].ToFloat32()
+		}
+		ci[j], ci[j+1], ci[j+2], ci[j+3], ci[j+4], ci[j+5], ci[j+6], ci[j+7] = c0, c1, c2, c3, c4, c5, c6, c7
+	}
+	for ; j < n; j++ {
+		c0 := ci[j]
+		for kk, av := range ai {
+			if av == 0 {
+				continue
+			}
+			c0 += av * b[kk*n+j].ToFloat32()
+		}
+		ci[j] = c0
+	}
+}
+
+// gemmRowI8 is gemmRow over an int8 [k,n] matrix with per-column
+// scales, each weight widened in the load as Dequant widens it.
+func gemmRowI8(ci, ai []float32, b []int8, scale []float32) {
+	n := len(ci)
+	j := 0
+	for ; j+gemmRowNR <= n; j += gemmRowNR {
+		s := (*[gemmRowNR]float32)(scale[j:])
+		c0, c1, c2, c3, c4, c5, c6, c7 := ci[j], ci[j+1], ci[j+2], ci[j+3], ci[j+4], ci[j+5], ci[j+6], ci[j+7]
+		for kk, av := range ai {
+			if av == 0 {
+				continue
+			}
+			bk := (*[gemmRowNR]int8)(b[kk*n+j:])
+			c0 += av * (float32(bk[0]) * s[0])
+			c1 += av * (float32(bk[1]) * s[1])
+			c2 += av * (float32(bk[2]) * s[2])
+			c3 += av * (float32(bk[3]) * s[3])
+			c4 += av * (float32(bk[4]) * s[4])
+			c5 += av * (float32(bk[5]) * s[5])
+			c6 += av * (float32(bk[6]) * s[6])
+			c7 += av * (float32(bk[7]) * s[7])
+		}
+		ci[j], ci[j+1], ci[j+2], ci[j+3], ci[j+4], ci[j+5], ci[j+6], ci[j+7] = c0, c1, c2, c3, c4, c5, c6, c7
+	}
+	for ; j < n; j++ {
+		c0, sj := ci[j], scale[j]
+		for kk, av := range ai {
+			if av == 0 {
+				continue
+			}
+			c0 += av * (float32(b[kk*n+j]) * sj)
+		}
+		ci[j] = c0
 	}
 }
 

@@ -32,61 +32,81 @@ func fillRand(t *Tensor, seed uint64) {
 // TestGemmPackedBitIdentical: the packed kernels must produce bit-for-bit
 // the result of the f32 cores run over the dequantized matrix — the packed
 // path changes storage, never arithmetic. Shapes straddle the panel edges
-// (k > gemmKC, n not a multiple of gemmNC or gemmNR).
+// (k > gemmKC, n not a multiple of gemmNC or gemmNR), and row counts
+// straddle the row kernels' crossovers.
 func TestGemmPackedBitIdentical(t *testing.T) {
-	const m, k, n = 9, 300, 70
-	a := New(m, k)
-	w := New(k, n)
-	fillRand(a, 1)
-	fillRand(w, 2)
-	// Exact zeros in a exercise the zero-skip dispatch.
-	for i := 0; i < len(a.Data); i += 17 {
-		a.Data[i] = 0
-	}
+	const k, n, kz = 300, 70, 150
+	for _, m := range packedRowCounts {
+		a := New(m, k)
+		w := New(k, n)
+		fillRand(a, 1)
+		fillRand(w, 2)
+		// Exact zeros in a exercise the zero-skip dispatch; column kz is
+		// zero in every row, so fp16's infinite row kz must be skipped.
+		for i := 0; i < len(a.Data); i += 17 {
+			a.Data[i] = 0
+		}
+		for i := 0; i < m; i++ {
+			a.Data[i*k+kz] = 0
+		}
+		wInf := w.Clone()
+		for j := 0; j < n; j++ {
+			wInf.Data[kz*n+j] = float32(math.Inf(1 - 2*(j%2)))
+		}
 
-	for _, tc := range []struct {
-		name string
-		p    *PackedWeights
-	}{
-		{"f16", PackF16(w)},
-		{"int8", PackInt8(w, ScalePerCol)},
-	} {
-		want := MatMul(a, tc.p.Dequant())
-		got := New(m, n)
-		MatMulPackedInto(got, a, tc.p)
-		for i := range want.Data {
-			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-				t.Fatalf("%s: element %d: got %g, want %g", tc.name, i, got.Data[i], want.Data[i])
+		for _, tc := range []struct {
+			name string
+			p    *PackedWeights
+		}{
+			{"f16", PackF16(wInf)},
+			{"int8", PackInt8(w, ScalePerCol)},
+		} {
+			want := MatMul(a, tc.p.Dequant())
+			got := New(m, n)
+			MatMulPackedInto(got, a, tc.p)
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("%s m=%d: element %d: got %g, want %g", tc.name, m, i, got.Data[i], want.Data[i])
+				}
+				if math.IsInf(float64(got.Data[i]), 0) || math.IsNaN(float64(got.Data[i])) {
+					t.Fatalf("%s m=%d: element %d = %g, a zero product was not skipped", tc.name, m, i, got.Data[i])
+				}
 			}
 		}
 	}
 }
+
+// packedRowCounts straddles the packed row kernels' crossover and the
+// drivers' row tile.
+var packedRowCounts = []int{1, 2, 4, 5, 8, 9}
 
 // TestGemmTBPacked pins the TB contract: widening B's rows quad-wise over
 // the full contraction makes a·Pᵀ bit-identical to the f32 TB core over the
 // dequantized matrix for k ≤ 2048 (same stripe width, one accumulator per
 // output element, k ascending).
 func TestGemmTBPacked(t *testing.T) {
-	const m, k, n = 5, 300, 70
-	a := New(m, k)
-	w := New(n, k) // logical B: [n,k], output j indexes rows
-	fillRand(a, 3)
-	fillRand(w, 4)
+	const k, n = 300, 70
+	for _, m := range packedRowCounts {
+		a := New(m, k)
+		w := New(n, k) // logical B: [n,k], output j indexes rows
+		fillRand(a, 3)
+		fillRand(w, 4)
 
-	for _, tc := range []struct {
-		name string
-		p    *PackedWeights
-	}{
-		{"f16", PackF16(w)},
-		{"int8", PackInt8(w, ScalePerRow)},
-	} {
-		want := New(m, n)
-		MatMulTBInto(want, a, tc.p.Dequant())
-		got := New(m, n)
-		MatMulTBPackedInto(got, a, tc.p)
-		for i := range want.Data {
-			if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-				t.Fatalf("%s: element %d: got %g, want %g", tc.name, i, got.Data[i], want.Data[i])
+		for _, tc := range []struct {
+			name string
+			p    *PackedWeights
+		}{
+			{"f16", PackF16(w)},
+			{"int8", PackInt8(w, ScalePerRow)},
+		} {
+			want := New(m, n)
+			MatMulTBInto(want, a, tc.p.Dequant())
+			got := New(m, n)
+			MatMulTBPackedInto(got, a, tc.p)
+			for i := range want.Data {
+				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+					t.Fatalf("%s m=%d: element %d: got %g, want %g", tc.name, m, i, got.Data[i], want.Data[i])
+				}
 			}
 		}
 	}
