@@ -11,7 +11,7 @@ SUITES := kernels,kernels_precision,train_step,generate,generate_sparse,obs,trac
 # upload-artifact step looks).
 BENCH_FLAGS ?=
 
-.PHONY: build test race bench bench-smoke bench-precision bench-allocs bench-slo bench-all baseline loc fmt vet bigfiles check ci
+.PHONY: build test race bench bench-smoke bench-allocs baseline loc fmt vet bigfiles check ci
 
 build:
 	$(GO) build ./...
@@ -35,12 +35,6 @@ bench:
 bench-smoke:
 	@dir=$$(mktemp -d); $(GO) run ./benchmark -out "$$dir"; s=$$?; rm -rf "$$dir"; exit $$s
 
-# Reduced-precision pipeline alone: f16/int8 packed GEMM vs the f32 tiled
-# core, decode/prefill TB shapes, 2:4 N:M vs dense, and end-to-end int8
-# decode — gated on ns/op, allocs/op and the declared bytes/op model.
-bench-precision:
-	$(GO) run ./cmd/lebench -suite kernels_precision -short -baseline $(BASELINES) -tolerance 0.20 -alloc-tolerance 16
-
 # Allocation gate alone: the train_step, obs, trace, slo and account
 # suites compare the workspace-arena step (bare and instrumented), the
 # instrumented decode step, the SLO evaluation tick, and the wide-event
@@ -48,16 +42,6 @@ bench-precision:
 # job's allocation axis without its ns/op axis.
 bench-allocs:
 	$(GO) run ./cmd/lebench -suite train_step,obs,trace,slo,account -short -baseline $(BASELINES) -tolerance 1000 -alloc-tolerance 16
-
-# SLO engine alone: the zero-alloc evaluation tick (bare and with the
-# flight recorder's per-tick capture) plus the /readyz enabled/disabled
-# parity pair.
-bench-slo:
-	$(GO) run ./cmd/lebench -suite slo -short -baseline $(BASELINES) -tolerance 0.20 -alloc-tolerance 16
-
-# Every suite at full size (kernels + train step + whole-experiment timings).
-bench-all:
-	$(GO) run ./cmd/lebench -suite all
 
 # Regenerate the checked-in baselines from this machine. Commit the result
 # only when intentionally resetting the perf reference (e.g. after a

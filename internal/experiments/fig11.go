@@ -183,7 +183,7 @@ func visualizePrediction(sys *core.System, ids [][]int, blk int) [][]string {
 	seq := m.TotalSeq(len(ids[0]))
 
 	// Predicted mask.
-	pred := sys.Predictors.Layers[0].Attn.PredictMasks(b0.LN1Out(), batch, seq)[0]
+	pred := sys.Predictors.Layers[0].Attn.PredictMasks(b0.LN1Out(nil), batch, seq)[0]
 	// Target mask from true probabilities.
 	target := sys.Exposer.HeadMasks(b0.Attn.DenseProbs(nil), batch, sys.Cfg.Spec.Config.Heads)[0]
 

@@ -27,7 +27,7 @@ func Fig4(o Options) *Report {
 	// sparsity per layer.
 	var mlpRows [][]string
 	for li, b := range sys.Model.Blocks {
-		mask := b.MLP.ActivationMask()
+		mask := b.MLP.ActivationMask(nil)
 		mlpRows = append(mlpRows, []string{
 			itoa(li),
 			f3(exposer.PerTokenMLPSparsity(mask)),

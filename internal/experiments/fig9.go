@@ -59,8 +59,8 @@ func Fig9(o Options) *Report {
 	var mlpRows [][]string
 	leBlocks := make([][]int, len(sys.Model.Blocks))
 	for li, b := range sys.Model.Blocks {
-		mask := b.MLP.ActivationMask()
-		hidden := b.MLP.HiddenActivations()
+		mask := b.MLP.ActivationMask(nil)
+		hidden := b.MLP.HiddenActivations(nil)
 		shadowy := exposer.ShadowyMLPSparsity(mask)
 		row := []string{itoa(li), f3(shadowy)}
 		for ti, th := range thresholds {
@@ -79,11 +79,11 @@ func Fig9(o Options) *Report {
 	reps := o.pick(3, 20)
 	var timeRows [][]string
 	for li, b := range sys.Model.Blocks {
-		x := b.LN1Out()
+		x := b.LN1Out(nil)
 		dense := timeIt(reps, func() { b.Attn.Forward(x, batch, seq, nil, 0, nil) })
 		sparseT := timeIt(reps, func() { b.Attn.Forward(x, batch, seq, leLayouts[li], blk, nil) })
 
-		x2 := b.LN2Out()
+		x2 := b.LN2Out(nil)
 		mDense := timeIt(reps, func() { b.MLP.Forward(x2, nil, 0, nil) })
 		mSparse := timeIt(reps, func() { b.MLP.Forward(x2, leBlocks[li], blk, nil) })
 

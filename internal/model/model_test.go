@@ -68,14 +68,14 @@ func TestPrimeSparsityInducesTrainedLLMStatistics(t *testing.T) {
 	m.Forward(ids, nil, nil)
 
 	for li, b := range m.Blocks {
-		mask := b.MLP.ActivationMask()
+		mask := b.MLP.ActivationMask(nil)
 		perTok := exposer.PerTokenMLPSparsity(mask)
 		if perTok < 0.6 {
 			t.Errorf("layer %d: per-token MLP sparsity %.2f < 0.6 (priming failed)", li, perTok)
 		}
 		// Importance must be heavy-tailed enough for the 2%-threshold
 		// filter to drop something.
-		blocks := exposer.FilterNeuronBlocksAt(b.MLP.HiddenActivations(), 8, 0.02)
+		blocks := exposer.FilterNeuronBlocksAt(b.MLP.HiddenActivations(nil), 8, 0.02)
 		total := (spec.Config.Hidden + 7) / 8
 		if len(blocks) == total {
 			t.Errorf("layer %d: threshold filter dropped nothing", li)

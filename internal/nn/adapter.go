@@ -11,7 +11,13 @@ type Adapter struct {
 	Dim, Bottleneck int
 	Down, Up        *Linear
 
-	mask *tensor.Tensor // ReLU mask cache
+	// def serves nil-workspace invocations (single-owner usage).
+	def adapterState
+}
+
+// adapterState is what one Adapter invocation saves for its backward.
+type adapterState struct {
+	mask *tensor.Tensor // bottleneck ReLU mask
 }
 
 // NewAdapter constructs an adapter with near-identity initialization.
@@ -34,7 +40,7 @@ func (a *Adapter) Params() ParamSet {
 // Forward computes y = z + up(relu(down(z))). ws is the step workspace.
 func (a *Adapter) Forward(z *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 	h := a.Down.Forward(z, ws)
-	a.mask = tensor.ReLUIn(ws, h, true)
+	stateOf(ws, a, &a.def).mask = tensor.ReLUIn(ws, h, true)
 	y := a.Up.Forward(h, ws)
 	tensor.AddInto(y, z)
 	return y
@@ -43,7 +49,7 @@ func (a *Adapter) Forward(z *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 // Backward propagates dy through the bottleneck and the residual.
 func (a *Adapter) Backward(dy *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 	dh := a.Up.Backward(dy, ws)
-	tensor.MulInto(dh, a.mask)
+	tensor.MulInto(dh, stateOf(ws, a, &a.def).mask)
 	dz := a.Down.Backward(dh, ws)
 	tensor.AddInto(dz, dy) // residual branch
 	return dz

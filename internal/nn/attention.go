@@ -22,15 +22,10 @@ import (
 // The backward pass mirrors the forward structure, so the computational
 // savings of a sparse layout apply to gradient computation too (§II-D).
 //
-// Saved-for-backward attention state does not live on the layer struct:
-// each invocation's state is keyed by the workspace it ran with (the
-// layer's own fallback state serves nil-workspace calls), removing the
-// probsDense/probsSparse layer-struct sharing hazard. Note this makes the
-// *attention state* invocation-scoped, not the whole layer: the Linear
-// projections still cache their inputs on their structs, so the supported
-// unit of concurrency remains one model replica per worker (as
-// train.DataParallel arranges and the -race replica tests pin) — not one
-// layer shared by concurrent steps.
+// Like every layer, attention keeps its saved-for-backward state in the
+// arena it ran with (stateOf), not on its struct. The unit of concurrency
+// is the arena, not the model replica: concurrent steps may share one
+// model, each with a private arena.
 type MultiHeadAttention struct {
 	Dim, Heads, HeadDim int
 	Wq, Wk, Wv, Wo      *Linear
@@ -58,15 +53,6 @@ type attnState struct {
 	// Backward scratch headers (buffers are step-lived).
 	dCtxH, dqh, dkh, dvh [][]float32
 	dProbH, dScoreH      [][]float32
-}
-
-// state resolves the invocation state for a workspace: the arena-held
-// per-layer state when ws is non-nil, the layer's own fallback otherwise.
-func (a *MultiHeadAttention) state(ws *tensor.Arena) *attnState {
-	if ws == nil {
-		return &a.def
-	}
-	return ws.StateFor(a, func() any { return new(attnState) }).(*attnState)
 }
 
 // NewMultiHeadAttention constructs the four projection layers.
@@ -145,7 +131,7 @@ func (a *MultiHeadAttention) mergeHeads(heads [][]float32, batch, seq int, ws *t
 // head h's block layout (blk is the block size in tokens, and seq must be
 // a multiple of blk). ws is the step workspace (nil allocates).
 func (a *MultiHeadAttention) Forward(x *tensor.Tensor, batch, seq int, layouts []*sparse.Layout, blk int, ws *tensor.Arena) *tensor.Tensor {
-	st := a.state(ws)
+	st := stateOf(ws, a, &a.def)
 	st.batch, st.seq = batch, seq
 	if layouts != nil {
 		if len(layouts) != a.Heads {
@@ -200,14 +186,14 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor, batch, seq int, layouts [
 // masks from and the predictor trains against. Index is batch*Heads + head.
 // Nil after a sparse forward.
 func (a *MultiHeadAttention) DenseProbs(ws *tensor.Arena) []*tensor.Tensor {
-	return a.state(ws).probsDense
+	return stateOf(ws, a, &a.def).probsDense
 }
 
 // Backward propagates dOut: [batch*seq, dim] and returns dx. The sparse
 // path computes gradients only on active blocks. ws must be the workspace
 // the matching Forward ran with.
 func (a *MultiHeadAttention) Backward(dOut *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
-	st := a.state(ws)
+	st := stateOf(ws, a, &a.def)
 	batch, seq, hd := st.batch, st.seq, a.HeadDim
 	scale := float32(1 / math.Sqrt(float64(hd)))
 

@@ -18,16 +18,29 @@ type TransformerBlock struct {
 	AdptA    *Adapter
 	AdptM    *Adapter
 
-	ln1Out, ln2Out *tensor.Tensor // cached sublayer inputs (predictor signals)
+	// def serves nil-workspace invocations (single-owner usage).
+	def blockState
 }
 
-// LN1Out returns the normalized input the attention sublayer saw in the last
-// forward — the input the attention predictor is trained on.
-func (b *TransformerBlock) LN1Out() *tensor.Tensor { return b.ln1Out }
+// blockState keeps one block invocation's sublayer inputs (predictor
+// signals); the block's backward reads nothing from it.
+type blockState struct {
+	ln1Out, ln2Out *tensor.Tensor
+}
+
+// LN1Out returns the normalized input the attention sublayer saw in the
+// last forward run with the given workspace (nil for workspace-less
+// forwards) — the input the attention predictor is trained on.
+func (b *TransformerBlock) LN1Out(ws *tensor.Arena) *tensor.Tensor {
+	return stateOf(ws, b, &b.def).ln1Out
+}
 
 // LN2Out returns the normalized input the MLP sublayer saw in the last
-// forward — the input the MLP predictor is trained on.
-func (b *TransformerBlock) LN2Out() *tensor.Tensor { return b.ln2Out }
+// forward run with the given workspace — the input the MLP predictor is
+// trained on.
+func (b *TransformerBlock) LN2Out(ws *tensor.Arena) *tensor.Tensor {
+	return stateOf(ws, b, &b.def).ln2Out
+}
 
 // NewTransformerBlock builds one decoder block.
 func NewTransformerBlock(name string, dim, heads, hidden int, act Activation, rng *tensor.RNG) *TransformerBlock {
@@ -58,8 +71,9 @@ func (b *TransformerBlock) Params() ParamSet {
 // the LayerNorm outputs — the exact tensors the sublayers consume, and the
 // inputs the predictors were trained on.
 func (b *TransformerBlock) Forward(x *tensor.Tensor, batch, seq int, planner LayerPlanner, ws *tensor.Arena) *tensor.Tensor {
+	st := stateOf(ws, b, &b.def)
 	h := b.LN1.Forward(x, ws)
-	b.ln1Out = h
+	st.ln1Out = h
 	var attnLayouts []*sparse.Layout
 	blk := 0
 	if planner != nil {
@@ -73,7 +87,7 @@ func (b *TransformerBlock) Forward(x *tensor.Tensor, batch, seq int, planner Lay
 	tensor.AddInto(x1, attnOut)
 
 	h2 := b.LN2.Forward(x1, ws)
-	b.ln2Out = h2
+	st.ln2Out = h2
 	var mlpBlocks []int
 	mblk := 0
 	if planner != nil {

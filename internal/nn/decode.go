@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"longexposure/internal/parallel"
-	"longexposure/internal/sparse"
 	"longexposure/internal/tensor"
 )
 
@@ -24,11 +22,13 @@ import (
 // DecodeAdapter and plan — through the shared base, and a sequence's
 // logits equal decoding it alone, whichever sequences share its step.
 //
-// Unlike Forward, nothing here writes to the layer structs (no l.x, no
-// ln.xhat, no attention state): the model is treated as read-only weights,
-// so every active sequence decodes in one stacked step on one shared
-// frozen base. That is the multi-adapter serving structure internal/infer
-// builds on.
+// Decode runs the layers' own forwards — LayerNorm.Forward, MLP.Forward
+// and the base product Linear.Forward is built on — so there is one
+// forward per layer kind. What they save lands in the step arena, never on
+// the layer structs: the model is read-only weights, so every active
+// sequence decodes in one stacked step on one shared frozen base, and
+// concurrent decoders each bring their own arena. That is the
+// multi-adapter serving structure internal/infer builds on.
 
 // KVCache holds one sequence's cached attention keys and values: per layer,
 // per head, a packed [MaxSeq·headDim] buffer. Len counts cached positions
@@ -154,8 +154,9 @@ type DecodeStepConfig struct {
 	// Attention selections apply only to single-row steps (prefill and
 	// multi-row steps attend densely); MLP selections apply to every row.
 	Plan *DecodePlan
-	// WS is the step workspace (nil allocates). The returned logits are
-	// workspace-backed and must be read before the caller's Release.
+	// WS is the step workspace (nil decodes on a fresh private arena). The
+	// returned logits are workspace-backed and must be read before the
+	// caller's Release.
 	WS *tensor.Arena
 	// Stats, when set, accumulates the step's analytic FLOP and plan
 	// counters (see DecodeStats). Recording is plain field arithmetic on
@@ -189,11 +190,15 @@ type DecodeSeq struct {
 // its own rows. A call on an empty cache is that sequence's prefill, its
 // adapter's prompt rows prepended as Forward prepends them. It returns
 // [len(seqs), vocab] logits, row i from seqs[i]'s last new row. Caches
-// must be distinct; the model is only read; invalid input panics before
-// any cache is written.
+// must be distinct; the model is only read (a nil ws decodes on a fresh
+// private arena, so nil-workspace decoders may share the model too);
+// invalid input panics before any cache is written.
 func (m *Transformer) DecodeBatch(seqs []DecodeSeq, ws *tensor.Arena) *tensor.Tensor {
 	if len(seqs) == 0 {
 		panic("nn: DecodeBatch with no sequences")
+	}
+	if ws == nil {
+		ws = tensor.NewArena()
 	}
 	d := m.Cfg.Dim
 	// Sequence i owns rows [offs[i], offs[i+1]) of every activation.
@@ -215,7 +220,12 @@ func (m *Transformer) DecodeBatch(seqs []DecodeSeq, ws *tensor.Arena) *tensor.Te
 
 	x := tensor.NewIn(ws, offs[len(seqs)], d)
 	for i := range seqs {
-		m.embedRows(x.Data[offs[i]*d:offs[i+1]*d], &seqs[i])
+		s := &seqs[i]
+		var prompt []float32
+		if s.Cache.Len == 0 && s.Adapter.PromptLen() > 0 {
+			prompt = s.Adapter.Prompt.Data
+		}
+		m.EmbedRows(x.Data[offs[i]*d:offs[i+1]*d], prompt, s.IDs, s.Cache.Len)
 	}
 	for li, blk := range m.Blocks {
 		x = decodeBlock(blk, x, seqs, offs, li, ws)
@@ -233,31 +243,7 @@ func (m *Transformer) DecodeBatch(seqs []DecodeSeq, ws *tensor.Arena) *tensor.Te
 		s.Cache.Len += n
 		copy(last.Data[i*d:(i+1)*d], x.Data[(offs[i+1]-1)*d:offs[i+1]*d])
 	}
-	return decodeLinear(m.Head, decodeLayerNorm(m.LNF, last, ws), ws)
-}
-
-// embedRows assembles one sequence's rows into x as Forward does: prompt
-// rows, token embeddings, then positional embeddings from the cache on.
-func (m *Transformer) embedRows(x []float32, s *DecodeSeq) {
-	d := m.Cfg.Dim
-	promptRows := len(x)/d - len(s.IDs)
-	if promptRows > 0 {
-		copy(x, s.Adapter.Prompt.Data[:promptRows*d])
-	}
-	for i, id := range s.IDs {
-		if id < 0 || id >= m.Cfg.Vocab {
-			panic(fmt.Sprintf("nn: embedding id %d outside vocab %d", id, m.Cfg.Vocab))
-		}
-		copy(x[(promptRows+i)*d:(promptRows+i+1)*d], m.TokEmb.Table.W.Data[id*d:(id+1)*d])
-	}
-	p0 := s.Cache.Len
-	for r := 0; r < len(x)/d; r++ {
-		pos := m.PosEmb.Table.W.Data[(p0+r)*d : (p0+r+1)*d]
-		row := x[r*d : (r+1)*d]
-		for j, v := range pos {
-			row[j] += v
-		}
-	}
+	return m.Head.base(m.LNF.Forward(last, ws), ws)
 }
 
 // rowsOf views rows [lo, hi) of t.
@@ -269,13 +255,13 @@ func rowsOf(ws *tensor.Arena, t *tensor.Tensor, lo, hi int) *tensor.Tensor {
 // decodeBlock mirrors TransformerBlock.Forward's dense path over the
 // stacked rows, each sequence's adapter and plan applied to its segment.
 func decodeBlock(b *TransformerBlock, x *tensor.Tensor, seqs []DecodeSeq, offs []int, li int, ws *tensor.Arena) *tensor.Tensor {
-	h := decodeLayerNorm(b.LN1, x, ws)
+	h := b.LN1.Forward(x, ws)
 	attnOut := decodeAttention(b.Attn, h, seqs, offs, li, ws)
 	decodeBottlenecks(attnOut, seqs, offs, li, false, ws)
 	x1 := tensor.CloneIn(ws, x)
 	tensor.AddInto(x1, attnOut)
 
-	h2 := decodeLayerNorm(b.LN2, x1, ws)
+	h2 := b.LN2.Forward(x1, ws)
 	mlpOut := decodeMLPRows(b.MLP, h2, seqs, offs, li, ws)
 	decodeBottlenecks(mlpOut, seqs, offs, li, true, ws)
 	x2 := tensor.CloneIn(ws, x1)
@@ -283,51 +269,12 @@ func decodeBlock(b *TransformerBlock, x *tensor.Tensor, seqs []DecodeSeq, offs [
 	return x2
 }
 
-// decodeRowGrain is the fewest rows decodeLayerNorm hands one worker, so a
-// decode step's few rows normalize on the calling goroutine.
-const decodeRowGrain = 8
-
-// decodeLayerNorm is LayerNorm.Forward without the saved-for-backward
-// caches on the layer struct (scratch comes from the workspace instead).
-func decodeLayerNorm(ln *LayerNorm, x *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
-	tokens, d := x.Dim(0), x.Dim(1)
-	y := tensor.NewIn(ws, tokens, d)
-	xhat := tensor.FloatsDirtyIn(ws, tokens*d)
-	invStd := tensor.FloatsDirtyIn(ws, tokens)
-	parallel.ForBlockedArg(tokens, decodeRowGrain, lnFwdArgs{
-		x: x.Data, y: y.Data, xhat: xhat, invStd: invStd,
-		g: ln.Gamma.W.Data, b: ln.Beta.W.Data, d: d, eps: ln.Eps,
-	}, lnForwardChunk)
-	return y
-}
-
-// decodeLinear is Linear.Forward's base product, caching nothing:
-// y = x·W + b. A sequence's LoRA delta is added to its rows by addLoRA.
-func decodeLinear(l *Linear, x *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
-	var y *tensor.Tensor
-	if l.Packed != nil {
-		y = tensor.MatMulPackedIn(ws, x, l.Packed)
-	} else {
-		y = tensor.MatMulIn(ws, x, l.W.W)
-	}
-	tensor.AddRowVector(y, l.B.W.Data)
-	return y
-}
-
-// addLoRA adds a sequence's delta Scale·(x·A)·B to y (views of its rows),
-// the training layer's op sequence after its base product.
-func addLoRA(y, x *tensor.Tensor, lw *LoRAPair, ws *tensor.Arena) {
-	xa := tensor.MatMulIn(ws, x, lw.A)
-	delta := tensor.MatMulIn(ws, xa, lw.B)
-	tensor.AddScaledInto(y, delta, lw.Scale)
-}
-
 // decodeAttention projects all rows once, adds each sequence's Q/V LoRA
 // and attends against its own cache, then projects all rows once.
 func decodeAttention(a *MultiHeadAttention, x *tensor.Tensor, seqs []DecodeSeq, offs []int, li int, ws *tensor.Arena) *tensor.Tensor {
-	q := decodeLinear(a.Wq, x, ws)
-	k := decodeLinear(a.Wk, x, ws)
-	v := decodeLinear(a.Wv, x, ws)
+	q := a.Wq.base(x, ws)
+	k := a.Wk.base(x, ws)
+	v := a.Wv.base(x, ws)
 	ctx := tensor.NewIn(ws, x.Dim(0), a.Dim)
 	d := a.Dim
 	for i := range seqs {
@@ -336,16 +283,16 @@ func decodeAttention(a *MultiHeadAttention, x *tensor.Tensor, seqs []DecodeSeq, 
 		if la := s.Adapter.layer(li); la != nil {
 			xs := rowsOf(ws, x, lo, hi)
 			if la.Q != nil {
-				addLoRA(rowsOf(ws, q, lo, hi), xs, la.Q, ws)
+				la.Q.addTo(rowsOf(ws, q, lo, hi), xs, ws)
 			}
 			if la.V != nil {
-				addLoRA(rowsOf(ws, v, lo, hi), xs, la.V, ws)
+				la.V.addTo(rowsOf(ws, v, lo, hi), xs, ws)
 			}
 		}
 		attendCached(a, ctx.Data[lo*d:hi*d], q.Data[lo*d:hi*d], k.Data[lo*d:hi*d], v.Data[lo*d:hi*d],
 			&s.Cache.layers[li], s.Cache.Len, s.Plan, li, ws)
 	}
-	return decodeLinear(a.Wo, ctx, ws)
+	return a.Wo.base(ctx, ws)
 }
 
 // attendCached computes causal attention for one sequence's n new rows
@@ -433,10 +380,12 @@ func attendCached(a *MultiHeadAttention, ctx, q, k, v []float32, kv *kvLayer, p0
 	}
 }
 
-// decodeMLPRows runs adjacent dense sequences through one decodeMLP call
+// decodeMLPRows runs adjacent dense sequences through one MLP.Forward call
 // (usually all of them: one pass over the weights) and a sequence whose
-// plan selects neuron blocks here on its own rows. A 2:4 FC1 never shares:
-// its four-token kernel sums in another order than its one-token kernel.
+// plan selects neuron blocks here on its own rows. Every other MLP kernel
+// is row-count independent, so a row's output does not depend on who
+// shares its call; a 2:4 FC1 never shares, because its four-token kernel
+// sums in another order than its one-token kernel.
 func decodeMLPRows(mlp *MLP, x *tensor.Tensor, seqs []DecodeSeq, offs []int, li int, ws *tensor.Arena) *tensor.Tensor {
 	var out *tensor.Tensor
 	for i := 0; i < len(seqs); {
@@ -449,7 +398,7 @@ func decodeMLPRows(mlp *MLP, x *tensor.Tensor, seqs []DecodeSeq, offs []int, li 
 			j++
 		}
 		lo, hi := offs[i], offs[j]
-		y := decodeMLP(mlp, rowsOf(ws, x, lo, hi), blocks, blk, ws)
+		y := mlp.Forward(rowsOf(ws, x, lo, hi), blocks, blk, ws)
 		if lo == 0 && hi == x.Dim(0) {
 			return y
 		}
@@ -459,48 +408,6 @@ func decodeMLPRows(mlp *MLP, x *tensor.Tensor, seqs []DecodeSeq, offs []int, li 
 		copy(out.Data[lo*mlp.Dim:hi*mlp.Dim], y.Data)
 		i = j
 	}
-	return out
-}
-
-// decodeMLP is MLP.Forward without the layer-struct caches. blocks selects
-// the execution path exactly as MLP.Forward does: nil runs dense;
-// otherwise only the listed neuron blocks compute, their biases included
-// and everything else — bias too — contributing nothing. The sparse path
-// runs the training kernels one row at a time (sparse.DecodeFC1Gather /
-// DecodeFC2Scatter): a one-row call stays on the calling goroutine, and the
-// GEMM cores read the active weights in place at that size.
-func decodeMLP(m *MLP, x *tensor.Tensor, blocks []int, blk int, ws *tensor.Arena) *tensor.Tensor {
-	if blocks != nil && m.Act != ActReLU {
-		panic("nn: neuron sparsity requires ReLU activation")
-	}
-	tokens := x.Dim(0)
-	if blocks != nil {
-		if m.compressed() {
-			panic("nn: neuron-block sparsity on a compressed MLP — compressed bases serve dense")
-		}
-		hidden := tensor.NewIn(ws, tokens, m.Hidden) // zeroed: inactive neurons stay 0
-		out := tensor.NewIn(ws, tokens, m.Dim)
-		w1 := sparse.ColMajor{In: m.Dim, Out: m.Hidden, Data: m.W1.W.Data}
-		w2 := sparse.RowMajor{In: m.Hidden, Out: m.Dim, Data: m.W2.W.Data}
-		for r := 0; r < tokens; r++ {
-			sparse.DecodeFC1Gather(hidden.Data[r*m.Hidden:(r+1)*m.Hidden], x.Data[r*m.Dim:(r+1)*m.Dim], &w1, m.B1.W.Data, blocks, blk)
-			sparse.DecodeFC2Scatter(out.Data[r*m.Dim:(r+1)*m.Dim], hidden.Data[r*m.Hidden:(r+1)*m.Hidden], &w2, blocks, blk)
-		}
-		tensor.AddRowVector(out, m.B2.W.Data)
-		return out
-	}
-	hidden := tensor.NewIn(ws, tokens, m.Hidden)
-	m.fc1Dense(hidden, x, tokens)
-	tensor.AddRowVector(hidden, m.B1.W.Data)
-	switch m.Act {
-	case ActReLU:
-		tensor.ReLUIn(ws, hidden, false)
-	case ActGeLU:
-		tensor.GeLUIn(ws, hidden)
-	}
-	out := tensor.NewIn(ws, tokens, m.Dim)
-	m.fc2Dense(out, hidden, tokens)
-	tensor.AddRowVector(out, m.B2.W.Data)
 	return out
 }
 

@@ -1,18 +1,13 @@
 package nn
 
-import (
-	"fmt"
-
-	"longexposure/internal/tensor"
-)
+import "longexposure/internal/tensor"
 
 // Embedding is a lookup table [vocab, dim]. The transformer uses two:
-// token embeddings and learned positional embeddings.
+// token embeddings and learned positional embeddings. Transformer.EmbedRows
+// reads both tables and Transformer.Backward scatters their gradients.
 type Embedding struct {
 	Vocab, Dim int
 	Table      *Parameter
-
-	ids []int // forward cache
 }
 
 // NewEmbedding constructs an embedding with N(0, 0.02) init.
@@ -29,41 +24,13 @@ func NewEmbedding(name string, vocab, dim int, rng *tensor.RNG) *Embedding {
 // Params returns the table.
 func (e *Embedding) Params() ParamSet { return ParamSet{e.Table} }
 
-// Forward gathers rows for ids → [len(ids), dim]. ws is the step
-// workspace; ids may itself be workspace-backed (it is only read until the
-// step's Release).
-func (e *Embedding) Forward(ids []int, ws *tensor.Arena) *tensor.Tensor {
-	e.ids = ids
-	out := tensor.NewIn(ws, len(ids), e.Dim)
-	for i, id := range ids {
-		if id < 0 || id >= e.Vocab {
-			panic(fmt.Sprintf("nn: embedding id %d outside vocab %d", id, e.Vocab))
-		}
-		copy(out.Data[i*e.Dim:(i+1)*e.Dim], e.Table.W.Data[id*e.Dim:(id+1)*e.Dim])
-	}
-	return out
-}
-
-// Backward scatter-adds dy into the table gradient (when trainable).
-// Embeddings produce no input gradient.
-func (e *Embedding) Backward(dy *tensor.Tensor) {
-	if e.Table.Frozen {
+// accumulateRow adds src into row r of p's gradient when p is trainable.
+func accumulateRow(p *Parameter, r int, src []float32) {
+	if p.Frozen {
 		return
 	}
-	for i, id := range e.ids {
-		src := dy.Data[i*e.Dim : (i+1)*e.Dim]
-		dst := e.Table.Grad.Data[id*e.Dim : (id+1)*e.Dim]
-		for j, v := range src {
-			dst[j] += v
-		}
+	dst := p.Grad.Data[r*len(src) : (r+1)*len(src)]
+	for j, v := range src {
+		dst[j] += v
 	}
-}
-
-// ForwardRange gathers the rows [lo, lo+n) — the positional-embedding path.
-func (e *Embedding) ForwardRange(lo, n int, ws *tensor.Arena) *tensor.Tensor {
-	ids := tensor.IntsIn(ws, n)
-	for i := range ids {
-		ids[i] = lo + i
-	}
-	return e.Forward(ids, ws)
 }

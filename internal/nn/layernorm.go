@@ -15,10 +15,19 @@ type LayerNorm struct {
 	Beta  *Parameter
 	Eps   float64
 
-	// Forward cache.
-	xhat   *tensor.Tensor // normalized input [tokens, dim]
-	invStd []float32      // per-token 1/σ
+	// def serves nil-workspace invocations (single-owner usage).
+	def lnState
 }
+
+// lnState is what one LayerNorm invocation saves for its backward.
+type lnState struct {
+	xhat   []float32 // normalized input [tokens, dim]
+	invStd []float32 // per-token 1/σ
+}
+
+// lnRowGrain is the fewest rows Forward hands one worker, so a decode
+// step's few rows normalize on the calling goroutine.
+const lnRowGrain = 8
 
 // NewLayerNorm constructs a layer norm with gamma=1, beta=0.
 func NewLayerNorm(name string, dim int) *LayerNorm {
@@ -38,14 +47,14 @@ func (ln *LayerNorm) Params() ParamSet { return ParamSet{ln.Gamma, ln.Beta} }
 // Forward normalizes x: [tokens, dim] → y of the same shape. ws is the
 // step workspace (nil allocates).
 func (ln *LayerNorm) Forward(x *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
+	st := stateOf(ws, ln, &ln.def)
 	tokens, d := x.Dim(0), x.Dim(1)
 	y := tensor.NewIn(ws, tokens, d)
-	ln.xhat = tensor.NewIn(ws, tokens, d)
-	ln.invStd = tensor.FloatsIn(ws, tokens)
-	g, b := ln.Gamma.W.Data, ln.Beta.W.Data
-	parallel.ForChunkedArg(tokens, lnFwdArgs{
-		x: x.Data, y: y.Data, xhat: ln.xhat.Data, invStd: ln.invStd,
-		g: g, b: b, d: d, eps: ln.Eps,
+	st.xhat = tensor.FloatsDirtyIn(ws, tokens*d)
+	st.invStd = tensor.FloatsDirtyIn(ws, tokens)
+	parallel.ForBlockedArg(tokens, lnRowGrain, lnFwdArgs{
+		x: x.Data, y: y.Data, xhat: st.xhat, invStd: st.invStd,
+		g: ln.Gamma.W.Data, b: ln.Beta.W.Data, d: d, eps: ln.Eps,
 	}, lnForwardChunk)
 	return y
 }
@@ -87,6 +96,7 @@ func lnForwardChunk(a lnFwdArgs, lo, hi int) {
 
 // Backward propagates dy and accumulates dGamma/dBeta when trainable.
 func (ln *LayerNorm) Backward(dy *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
+	st := stateOf(ws, ln, &ln.def)
 	tokens, d := dy.Dim(0), dy.Dim(1)
 	dx := tensor.NewIn(ws, tokens, d)
 	g := ln.Gamma.W.Data
@@ -94,7 +104,7 @@ func (ln *LayerNorm) Backward(dy *tensor.Tensor, ws *tensor.Arena) *tensor.Tenso
 	// Parameter grads: reductions over tokens, parallel over features.
 	if !ln.Gamma.Frozen || !ln.Beta.Frozen {
 		parallel.ForChunkedArg(d, lnGradArgs{
-			dy: dy.Data, xhat: ln.xhat.Data,
+			dy: dy.Data, xhat: st.xhat,
 			gg: ln.Gamma.Grad.Data, gb: ln.Beta.Grad.Data,
 			tokens: tokens, d: d,
 			wantG: !ln.Gamma.Frozen, wantB: !ln.Beta.Frozen,
@@ -104,8 +114,8 @@ func (ln *LayerNorm) Backward(dy *tensor.Tensor, ws *tensor.Arena) *tensor.Tenso
 	// Input grad: dx = (invStd/d) · (d·dŷ − Σdŷ − x̂·Σ(dŷ·x̂)) with
 	// dŷ = dy ⊙ gamma.
 	parallel.ForChunkedArg(tokens, lnBwdArgs{
-		dy: dy.Data, xhat: ln.xhat.Data, dx: dx.Data,
-		g: g, invStd: ln.invStd, d: d,
+		dy: dy.Data, xhat: st.xhat, dx: dx.Data,
+		g: g, invStd: st.invStd, d: d,
 	}, lnInputGradChunk)
 	return dx
 }

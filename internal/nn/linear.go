@@ -24,9 +24,14 @@ type Linear struct {
 	LoRAB     *Parameter
 	LoRAScale float32
 
-	// Forward cache.
+	// def serves nil-workspace invocations (single-owner usage).
+	def linearState
+}
+
+// linearState is what one Linear invocation saves for its backward.
+type linearState struct {
 	x  *tensor.Tensor // input [tokens, in]
-	xa *tensor.Tensor // x·A [tokens, r], cached for LoRA backward
+	xa *tensor.Tensor // x·A [tokens, r], saved for LoRA backward
 }
 
 // NewLinear constructs a linear layer with Xavier-initialized weights.
@@ -63,11 +68,23 @@ func (l *Linear) Params() ParamSet {
 	return ps
 }
 
-// Forward computes y = x·W + b (+ LoRA branch), caching x for backward.
+// Forward computes y = x·W + b (+ LoRA branch), saving x for backward.
 // x: [tokens, in] → y: [tokens, out]. ws is the step workspace all
-// step-lived outputs come from (nil allocates, exactly as the seed code).
+// step-lived outputs and the saved state come from (nil allocates, and
+// saves into the layer's single-owner fallback).
 func (l *Linear) Forward(x *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
-	l.x = x
+	st := stateOf(ws, l, &l.def)
+	st.x = x
+	y := l.base(x, ws)
+	if l.HasLoRA() {
+		st.xa = l.lora().addTo(y, x, ws)
+	}
+	return y
+}
+
+// base computes the frozen base product y = x·W + b, saving nothing — the
+// part of Forward the decode path shares across sequences.
+func (l *Linear) base(x *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 	var y *tensor.Tensor
 	if l.Packed != nil {
 		y = tensor.MatMulPackedIn(ws, x, l.Packed)
@@ -75,12 +92,21 @@ func (l *Linear) Forward(x *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 		y = tensor.MatMulIn(ws, x, l.W.W)
 	}
 	tensor.AddRowVector(y, l.B.W.Data)
-	if l.HasLoRA() {
-		l.xa = tensor.MatMulIn(ws, x, l.LoRAA.W)
-		delta := tensor.MatMulIn(ws, l.xa, l.LoRAB.W)
-		tensor.AddScaledInto(y, delta, l.LoRAScale)
-	}
 	return y
+}
+
+// lora views the attached LoRA branch as a LoRAPair.
+func (l *Linear) lora() LoRAPair {
+	return LoRAPair{A: l.LoRAA.W, B: l.LoRAB.W, Scale: l.LoRAScale}
+}
+
+// addTo adds the delta Scale·(x·A)·B to y and returns x·A. It is the one
+// LoRA forward: Linear.Forward runs it on the attached branch, decode on
+// each sequence's rows with that sequence's adapter.
+func (p LoRAPair) addTo(y, x *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
+	xa := tensor.MatMulIn(ws, x, p.A)
+	tensor.AddScaledInto(y, tensor.MatMulIn(ws, xa, p.B), p.Scale)
+	return xa
 }
 
 // Backward propagates dy: accumulates parameter gradients for unfrozen
@@ -90,9 +116,10 @@ func (l *Linear) Backward(dy *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 	if l.Packed != nil {
 		panic("nn: Backward through a packed (compressed) linear layer — compressed bases are serving-only")
 	}
+	st := stateOf(ws, l, &l.def)
 	tokens := dy.Dim(0)
 	if !l.W.Frozen {
-		tensor.MatMulTAInto(l.W.Grad, l.x, dy) // dW += xᵀ·dy
+		tensor.MatMulTAInto(l.W.Grad, st.x, dy) // dW += xᵀ·dy
 	}
 	if !l.B.Frozen {
 		accumulateColumnSum(l.B.Grad.Data, dy)
@@ -106,11 +133,11 @@ func (l *Linear) Backward(dy *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 		dxa := tensor.MatMulTBIn(ws, dy, l.LoRAB.W) // B: [r,out] → dy·Bᵀ
 		tensor.Scale(dxa, l.LoRAScale)
 		if !l.LoRAB.Frozen {
-			ga := tensor.MatMulTAIn(ws, l.xa, dy)
+			ga := tensor.MatMulTAIn(ws, st.xa, dy)
 			tensor.AddScaledInto(l.LoRAB.Grad, ga, l.LoRAScale)
 		}
 		if !l.LoRAA.Frozen {
-			tensor.MatMulTAInto(l.LoRAA.Grad, l.x, dxa)
+			tensor.MatMulTAInto(l.LoRAA.Grad, st.x, dxa)
 		}
 		dxL := tensor.MatMulTBIn(ws, dxa, l.LoRAA.W) // A: [in,r] → dxa·Aᵀ
 		tensor.AddInto(dx, dxL)

@@ -49,14 +49,19 @@ type MLP struct {
 	PackedW1, PackedW2 *tensor.PackedWeights // W1: per-row scales, W2: per-col
 	NMW1, NMW2         *sparse.NMWeights     // 2:4 block-structured
 
-	// Forward cache.
-	x       *tensor.Tensor
-	hidden  *tensor.Tensor // post-activation [tokens, hidden]
-	preAct  *tensor.Tensor // pre-activation copy (GeLU backward)
-	mask    *tensor.Tensor // ReLU activation mask
-	blocks  []int          // active neuron blocks; nil → dense
-	blk     int
-	lastAct *tensor.Tensor // hidden used by FC2 (== hidden)
+	// def serves nil-workspace invocations (single-owner usage).
+	def mlpState
+}
+
+// mlpState is what one MLP invocation saves for its backward — and what
+// the exposer and predictor-data collection read back.
+type mlpState struct {
+	x      *tensor.Tensor
+	hidden *tensor.Tensor // post-activation [tokens, hidden]
+	preAct *tensor.Tensor // pre-activation copy (GeLU backward)
+	mask   *tensor.Tensor // ReLU activation mask
+	blocks []int          // active neuron blocks; nil → dense
+	blk    int
 }
 
 // NewMLP constructs the feed-forward block with Xavier init.
@@ -97,38 +102,35 @@ func (m *MLP) Forward(x *tensor.Tensor, blocks []int, blk int, ws *tensor.Arena)
 	if blocks != nil && m.Act == ActGeLU {
 		panic("nn: neuron sparsity requires ReLU activation")
 	}
-	tokens := x.Dim(0)
-	m.x = x
-	m.blocks, m.blk = blocks, blk
-
 	if blocks != nil && m.compressed() {
 		panic("nn: neuron-block sparsity on a compressed MLP — compressed bases serve dense")
 	}
-	m.hidden = tensor.NewIn(ws, tokens, m.Hidden)
+	st := stateOf(ws, m, &m.def)
+	tokens := x.Dim(0)
+	st.x = x
+	st.blocks, st.blk = blocks, blk
+
+	st.hidden = tensor.NewIn(ws, tokens, m.Hidden)
 	if blocks == nil {
 		// Dense: hidden = x·W1ᵀ(param) + b1.
-		m.fc1Dense(m.hidden, x, tokens)
-		tensor.AddRowVector(m.hidden, m.B1.W.Data)
-		switch m.Act {
-		case ActReLU:
-			m.mask = tensor.ReLUIn(ws, m.hidden, true)
-			m.preAct = nil
-		case ActGeLU:
-			m.preAct = tensor.GeLUIn(ws, m.hidden)
-			m.mask = nil
-		}
+		m.fc1Dense(st.hidden, x, tokens)
+		tensor.AddRowVector(st.hidden, m.B1.W.Data)
 	} else {
-		sparse.FC1Sparse(m.hidden.Data, x.Data, tokens, m.colMajorW1(m.W1.W), blocks, blk)
-		addBiasBlocks(m.hidden, m.B1.W.Data, blocks, blk)
-		m.mask = tensor.ReLUIn(ws, m.hidden, true)
-		m.preAct = nil
+		sparse.FC1Sparse(st.hidden.Data, x.Data, tokens, m.colMajorW1(m.W1.W), blocks, blk)
+		addBiasBlocks(st.hidden, m.B1.W.Data, blocks, blk)
+	}
+	switch m.Act {
+	case ActReLU:
+		st.mask, st.preAct = tensor.ReLUIn(ws, st.hidden, true), nil
+	case ActGeLU:
+		st.mask, st.preAct = nil, tensor.GeLUIn(ws, st.hidden)
 	}
 
 	out := tensor.NewIn(ws, tokens, m.Dim)
 	if blocks == nil {
-		m.fc2Dense(out, m.hidden, tokens)
+		m.fc2Dense(out, st.hidden, tokens)
 	} else {
-		sparse.FC2Sparse(out.Data, m.hidden.Data, tokens, m.rowMajorW2(m.W2.W), blocks, blk)
+		sparse.FC2Sparse(out.Data, st.hidden.Data, tokens, m.rowMajorW2(m.W2.W), blocks, blk)
 	}
 	tensor.AddRowVector(out, m.B2.W.Data)
 	return out
@@ -172,31 +174,32 @@ func (m *MLP) Backward(dOut *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 	if m.compressed() {
 		panic("nn: Backward through a compressed MLP — compressed bases are serving-only")
 	}
+	st := stateOf(ws, m, &m.def)
 	tokens := dOut.Dim(0)
 	if !m.B2.Frozen {
 		accumulateColumnSum(m.B2.Grad.Data, dOut)
 	}
 
 	dHidden := tensor.NewIn(ws, tokens, m.Hidden)
-	if m.blocks == nil {
+	if st.blocks == nil {
 		tensor.MatMulTBInto(dHidden, dOut, m.W2.W) // dHidden = dOut·W2ᵀ (W2: [hidden,dim])
 		if !m.W2.Frozen {
-			tensor.MatMulTAInto(m.W2.Grad, m.hidden, dOut)
+			tensor.MatMulTAInto(m.W2.Grad, st.hidden, dOut)
 		}
 	} else {
-		sparse.FC2GradHidden(dHidden.Data, dOut.Data, tokens, m.rowMajorW2(m.W2.W), m.blocks, m.blk)
+		sparse.FC2GradHidden(dHidden.Data, dOut.Data, tokens, m.rowMajorW2(m.W2.W), st.blocks, st.blk)
 		if !m.W2.Frozen {
-			sparse.FC2GradWeight(m.rowMajorW2(m.W2.Grad), m.hidden.Data, dOut.Data, tokens, m.blocks, m.blk)
+			sparse.FC2GradWeight(m.rowMajorW2(m.W2.Grad), st.hidden.Data, dOut.Data, tokens, st.blocks, st.blk)
 		}
 	}
 
 	// Activation backward.
 	switch m.Act {
 	case ActReLU:
-		tensor.MulInto(dHidden, m.mask)
+		tensor.MulInto(dHidden, st.mask)
 	case ActGeLU:
 		dh := dHidden.Data
-		pre := m.preAct.Data
+		pre := st.preAct.Data
 		dy := tensor.FloatsDirtyIn(ws, len(dh))
 		copy(dy, dh)
 		clear(dh)
@@ -208,28 +211,32 @@ func (m *MLP) Backward(dOut *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 	}
 
 	dx := tensor.NewIn(ws, tokens, m.Dim)
-	if m.blocks == nil {
+	if st.blocks == nil {
 		tensor.MatMulInto(dx, dHidden, m.W1.W) // dx = dHidden·W1(param) = dHidden·Wcᵀ
 		if !m.W1.Frozen {
-			tensor.MatMulTAInto(m.W1.Grad, dHidden, m.x)
+			tensor.MatMulTAInto(m.W1.Grad, dHidden, st.x)
 		}
 	} else {
-		sparse.FC1GradInput(dx.Data, dHidden.Data, tokens, m.colMajorW1(m.W1.W), m.blocks, m.blk)
+		sparse.FC1GradInput(dx.Data, dHidden.Data, tokens, m.colMajorW1(m.W1.W), st.blocks, st.blk)
 		if !m.W1.Frozen {
-			sparse.FC1GradWeight(m.colMajorW1(m.W1.Grad), m.x.Data, dHidden.Data, tokens, m.blocks, m.blk)
+			sparse.FC1GradWeight(m.colMajorW1(m.W1.Grad), st.x.Data, dHidden.Data, tokens, st.blocks, st.blk)
 		}
 	}
 	return dx
 }
 
-// ActivationMask exposes the last forward's ReLU mask [tokens, hidden] —
+// ActivationMask exposes the ReLU mask [tokens, hidden] of the last
+// forward run with the given workspace (nil for workspace-less forwards) —
 // the raw signal the exposer and predictor-training data collection read.
-func (m *MLP) ActivationMask() *tensor.Tensor { return m.mask }
+// Nil for GeLU.
+func (m *MLP) ActivationMask(ws *tensor.Arena) *tensor.Tensor { return stateOf(ws, m, &m.def).mask }
 
-// HiddenActivations exposes the last forward's post-activation hidden
-// matrix [tokens, hidden] — the magnitude signal the exposer's neuron
-// importance filter ranks.
-func (m *MLP) HiddenActivations() *tensor.Tensor { return m.hidden }
+// HiddenActivations exposes the post-activation hidden matrix [tokens,
+// hidden] of the last forward run with the given workspace — the
+// magnitude signal the exposer's neuron importance filter ranks.
+func (m *MLP) HiddenActivations(ws *tensor.Arena) *tensor.Tensor {
+	return stateOf(ws, m, &m.def).hidden
+}
 
 type geluGradArgs struct{ dh, dy, pre []float32 }
 

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"sync"
 	"testing"
 
 	"longexposure/internal/sparse"
@@ -38,6 +39,64 @@ func TestSparseFullPlanMatchesDenseForward(t *testing.T) {
 	sparseOut := m.Forward(ids, fullSparsePlan(cfg, 8, 4), nil)
 	if d := tensor.MaxAbsDiff(dense, sparseOut); d > 1e-3 {
 		t.Fatalf("sparse full plan diverges from dense: %v", d)
+	}
+}
+
+// TestSharedModelConcurrentForward pins the arena as the unit of
+// concurrency: four goroutines share one model, each running dense and
+// statically planned sparse forwards on a private arena, and every logit,
+// LN1 output and activation mask read back through that arena equals a
+// serial run's bit for bit. Run under -race it also proves the forwards
+// write nothing to the shared layers.
+func TestSharedModelConcurrentForward(t *testing.T) {
+	cfg := tinyConfig()
+	m := NewTransformer(cfg, tensor.NewRNG(205))
+	const seq, blk = 8, 4
+	local := sparse.Pattern{Kind: sparse.KindLocal, Window: 1}.Build(seq / blk)
+	plan := &SparsePlan{Blk: blk}
+	for l := 0; l < cfg.Layers; l++ {
+		plan.Attn = append(plan.Attn, []*sparse.Layout{local, local})
+		plan.MLP = append(plan.MLP, []int{l, 3})
+	}
+	ids := [][]int{{1, 2, 3, 4, 5, 6, 7, 8}, {8, 7, 6, 5, 4, 3, 2, 1}}
+
+	// run returns, per planner, the logits then each block's LN1 output
+	// and activation mask, copied out before the arena is released.
+	run := func(ws *tensor.Arena) [][]float32 {
+		var out [][]float32
+		for _, p := range []Planner{nil, plan} {
+			out = append(out, append([]float32(nil), m.Forward(ids, p, ws).Data...))
+			for _, b := range m.Blocks {
+				out = append(out, append([]float32(nil), b.LN1Out(ws).Data...))
+				out = append(out, append([]float32(nil), b.MLP.ActivationMask(ws).Data...))
+			}
+			ws.Release()
+		}
+		return out
+	}
+	want := run(tensor.NewArena())
+
+	got := make([][][]float32, 4)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ws := tensor.NewArena()
+			for rep := 0; rep < 3; rep++ {
+				got[g] = run(ws)
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for i := range want {
+			for j := range want[i] {
+				if got[g][i][j] != want[i][j] {
+					t.Fatalf("goroutine %d: tensor %d[%d] = %v, serial %v", g, i, j, got[g][i][j], want[i][j])
+				}
+			}
+		}
 	}
 }
 

@@ -5,11 +5,13 @@
 //
 // Layers expose explicit Forward/Backward pairs instead of a generic
 // autograd tape: the model is a fixed pipeline of coarse fused kernels —
-// exactly how the paper reasons about the computation — and each layer
-// caches what its backward needs. The sparse paths consume the layouts and
-// neuron-block lists produced by internal/exposer and internal/predictor and
-// execute through internal/sparse, so "inactive weights drop out of the
-// gradient computation" (paper §II-D) is literally what the code does.
+// exactly how the paper reasons about the computation. What a backward
+// needs is saved in per-layer state held by the step workspace (stateOf),
+// never on the layer struct, so layers are read-only weights under an
+// arena. The sparse paths consume the layouts and neuron-block lists
+// produced by internal/exposer and internal/predictor and execute through
+// internal/sparse, so "inactive weights drop out of the gradient
+// computation" (paper §II-D) is literally what the code does.
 package nn
 
 import (
@@ -17,6 +19,19 @@ import (
 
 	"longexposure/internal/tensor"
 )
+
+// stateOf resolves the saved-for-backward state of one layer invocation:
+// the state ws holds for key (the layer itself), created on first use and
+// kept across Release, or the layer's single-owner fallback def when ws is
+// nil. The unit of concurrency is therefore the arena: concurrent forwards
+// over one model are safe when each runs with its own arena, while
+// nil-workspace calls share def and need a single owner.
+func stateOf[S any](ws *tensor.Arena, key any, def *S) *S {
+	if ws == nil {
+		return def
+	}
+	return ws.StateFor(key, func() any { return new(S) }).(*S)
+}
 
 // Parameter is a named weight tensor with its gradient buffer and a freeze
 // flag. PEFT methods work by freezing all backbone parameters and leaving

@@ -72,12 +72,12 @@ func TestDecodeAttentionSparseFullCoverage(t *testing.T) {
 	}
 }
 
-// TestDecodeMLPSparseMatchesTrainingKernel pins the serial decode
-// gather/scatter kernels to the training sparse path (MLP.Forward with
-// the same block selection) bit for bit — the decode path must disagree
-// with training only by being cheaper, never by computing different
-// numbers.
-func TestDecodeMLPSparseMatchesTrainingKernel(t *testing.T) {
+// TestMLPForwardRowsIndependent pins the property the stacked decode step
+// relies on when it runs many sequences' rows through one MLP.Forward
+// call: a three-row forward equals three one-row forwards bit for bit,
+// dense and under each neuron-block selection — a row's output never
+// depends on which rows share its call.
+func TestMLPForwardRowsIndependent(t *testing.T) {
 	m := NewTransformer(tinyConfig(), tensor.NewRNG(702))
 	mlp := m.Blocks[0].MLP
 	blk := 8 // Hidden 32 → blocks {0..3}
@@ -85,12 +85,16 @@ func TestDecodeMLPSparseMatchesTrainingKernel(t *testing.T) {
 	x := tensor.New(3, m.Cfg.Dim)
 	rng.FillNormal(x, 1)
 
-	for _, blocks := range [][]int{{0}, {1, 3}, {0, 1, 2, 3}} {
-		want := mlp.Forward(x, blocks, blk, nil)
-		got := decodeMLP(mlp, x, blocks, blk, nil)
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("blocks %v: decode MLP[%d] = %v, training %v", blocks, i, got.Data[i], want.Data[i])
+	for _, blocks := range [][]int{nil, {0}, {1, 3}, {0, 1, 2, 3}} {
+		want := mlp.Forward(x, blocks, blk, nil).Clone()
+		for r := 0; r < x.Dim(0); r++ {
+			row := tensor.New(1, m.Cfg.Dim)
+			copy(row.Data, x.Row(r))
+			got := mlp.Forward(row, blocks, blk, nil)
+			for j, v := range got.Data {
+				if w := want.Row(r)[j]; v != w {
+					t.Fatalf("blocks %v: row %d col %d = %v alone, %v among three rows", blocks, r, j, v, w)
+				}
 			}
 		}
 	}

@@ -102,9 +102,15 @@ type Transformer struct {
 	Prompt    *Parameter // nil unless prompt tuning is enabled
 	PromptLen int
 
-	// Forward cache.
-	batch, seq int // seq includes the prompt
-	realSeq    int
+	// def serves nil-workspace invocations (single-owner usage).
+	def modelState
+}
+
+// modelState is what one Transformer invocation saves for its backward.
+type modelState struct {
+	batch, seq int   // seq includes the prompt
+	realSeq    int   // tokens per sequence
+	ids        []int // flattened [batch·realSeq] token ids
 }
 
 // NewTransformer builds and initializes the model.
@@ -173,38 +179,19 @@ func (m *Transformer) Forward(ids [][]int, planner Planner, ws *tensor.Arena) *t
 	if total > m.Cfg.MaxSeq {
 		panic(fmt.Sprintf("nn: sequence %d exceeds MaxSeq %d", total, m.Cfg.MaxSeq))
 	}
-	m.batch, m.seq, m.realSeq = batch, total, s
+	st := stateOf(ws, m, &m.def)
+	st.batch, st.seq, st.realSeq = batch, total, s
+	st.ids = tensor.IntsIn(ws, batch*s)
 	d := m.Cfg.Dim
-
-	// Token embeddings for the real tokens.
-	flat := tensor.IntsIn(ws, batch*s)
-	fi := 0
-	for _, row := range ids {
-		fi += copy(flat[fi:], row)
+	var prompt []float32
+	if m.Prompt != nil {
+		prompt = m.Prompt.W.Data
 	}
-	tok := m.TokEmb.Forward(flat, ws)
-
-	// Assemble [batch·total, dim]: prompt rows then token rows, per batch.
 	x := tensor.NewIn(ws, batch*total, d)
-	for b := 0; b < batch; b++ {
-		for p := 0; p < m.PromptLen; p++ {
-			copy(x.Data[(b*total+p)*d:(b*total+p+1)*d], m.Prompt.W.Data[p*d:(p+1)*d])
-		}
-		for si := 0; si < s; si++ {
-			copy(x.Data[(b*total+m.PromptLen+si)*d:(b*total+m.PromptLen+si+1)*d],
-				tok.Data[(b*s+si)*d:(b*s+si+1)*d])
-		}
+	for b, row := range ids {
+		copy(st.ids[b*s:], row)
+		m.EmbedRows(x.Data[b*total*d:(b+1)*total*d], prompt, row, 0)
 	}
-
-	// Positional embeddings over all positions.
-	posIDs := tensor.IntsIn(ws, batch*total)
-	for b := 0; b < batch; b++ {
-		for p := 0; p < total; p++ {
-			posIDs[b*total+p] = p
-		}
-	}
-	pos := m.PosEmb.Forward(posIDs, ws)
-	tensor.AddInto(x, pos)
 
 	for li, blk := range m.Blocks {
 		var lp LayerPlanner
@@ -228,33 +215,40 @@ func (m *Transformer) Backward(dLogits *tensor.Tensor, ws *tensor.Arena) {
 		dx = m.Blocks[i].Backward(dx, ws)
 	}
 
-	// Positional embeddings see every position.
-	m.PosEmb.Backward(dx)
-
-	batch, total, s, d := m.batch, m.seq, m.realSeq, m.Cfg.Dim
-	// Prompt gradient: sum over batch at prompt positions.
-	if m.Prompt != nil && !m.Prompt.Frozen {
-		for b := 0; b < batch; b++ {
-			for p := 0; p < m.PromptLen; p++ {
-				src := dx.Data[(b*total+p)*d : (b*total+p+1)*d]
-				dst := m.Prompt.Grad.Data[p*d : (p+1)*d]
-				for j, v := range src {
-					dst[j] += v
-				}
+	// Embedding gradients: every position feeds its positional row, the
+	// leading prompt rows the prompt, the rest their token's row.
+	st := stateOf(ws, m, &m.def)
+	batch, total, s, P, d := st.batch, st.seq, st.realSeq, m.PromptLen, m.Cfg.Dim
+	for b := 0; b < batch; b++ {
+		for p := 0; p < total; p++ {
+			row := dx.Data[(b*total+p)*d : (b*total+p+1)*d]
+			accumulateRow(m.PosEmb.Table, p, row)
+			if p < P {
+				accumulateRow(m.Prompt, p, row)
+			} else {
+				accumulateRow(m.TokEmb.Table, st.ids[b*s+p-P], row)
 			}
 		}
 	}
+}
 
-	// Token embedding gradient: gather real-token rows.
-	if !m.TokEmb.Table.Frozen {
-		dTok := tensor.NewIn(ws, batch*s, d)
-		for b := 0; b < batch; b++ {
-			for si := 0; si < s; si++ {
-				copy(dTok.Data[(b*s+si)*d:(b*s+si+1)*d],
-					dx.Data[(b*total+m.PromptLen+si)*d:(b*total+m.PromptLen+si+1)*d])
-			}
+// EmbedRows writes one sequence's model-input rows into dst from absolute
+// position p0 on: the prompt rows (flattened [P, dim] prompt-tuning
+// vectors) first, then the token embeddings of ids, each row plus its
+// learned positional embedding. It is the one input assembly — Forward,
+// DecodeBatch and the serving planner's sketch all build rows through it.
+func (m *Transformer) EmbedRows(dst, prompt []float32, ids []int, p0 int) {
+	d := m.Cfg.Dim
+	dst = dst[:len(prompt)+len(ids)*d]
+	copy(dst, prompt)
+	for i, id := range ids {
+		if id < 0 || id >= m.Cfg.Vocab {
+			panic(fmt.Sprintf("nn: embedding id %d outside vocab %d", id, m.Cfg.Vocab))
 		}
-		m.TokEmb.Backward(dTok)
+		copy(dst[len(prompt)+i*d:], m.TokEmb.Table.W.Data[id*d:(id+1)*d])
+	}
+	for j, v := range m.PosEmb.Table.W.Data[p0*d : p0*d+len(dst)] {
+		dst[j] += v
 	}
 }
 

@@ -307,9 +307,9 @@ type SequencePlanner struct {
 func (s *SequencePlanner) BeginSequence(prompt []int, ad *nn.DecodeAdapter) {
 	s.observed = 0
 	clear(s.ksum)
-	pos := 0
+	pos, d := 0, s.sp.dim
 	for r := 0; r < ad.PromptLen(); r++ {
-		s.assembleVirtualRow(ad, r, pos)
+		s.sp.base.EmbedRows(s.x, ad.Prompt.Data[r*d:(r+1)*d], nil, pos)
 		s.observe(pos)
 		pos++
 	}
@@ -323,23 +323,8 @@ func (s *SequencePlanner) BeginSequence(prompt []int, ad *nn.DecodeAdapter) {
 // assembleTokenRow builds the model-input embedding row for token id at
 // absolute position pos into s.x — the same row DecodeBatch assembles.
 func (s *SequencePlanner) assembleTokenRow(id, pos int) {
-	d := s.sp.dim
-	m := s.sp.base
-	tok := m.TokEmb.Table.W.Data[id*d : (id+1)*d]
-	posRow := m.PosEmb.Table.W.Data[pos*d : (pos+1)*d]
-	for j := range s.x {
-		s.x[j] = tok[j] + posRow[j]
-	}
-}
-
-// assembleVirtualRow is assembleTokenRow for a prompt-tuning row.
-func (s *SequencePlanner) assembleVirtualRow(ad *nn.DecodeAdapter, r, pos int) {
-	d := s.sp.dim
-	prow := ad.Prompt.Data[r*d : (r+1)*d]
-	posRow := s.sp.base.PosEmb.Table.W.Data[pos*d : (pos+1)*d]
-	for j := range s.x {
-		s.x[j] = prow[j] + posRow[j]
-	}
+	ids := [1]int{id}
+	s.sp.base.EmbedRows(s.x, nil, ids[:], pos)
 }
 
 // observe folds s.x's k-projection into its position block's summary.

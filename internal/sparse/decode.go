@@ -1,10 +1,15 @@
 package sparse
 
-// Decode-path neuron kernels: FC1Sparse/FC2Sparse on one token row, with
+// One-row neuron kernels: FC1Sparse/FC2Sparse on one token row, with
 // FC1's bias and ReLU applied over the active neurons. A one-row call runs
 // on the calling goroutine, and at that size the shared GEMM cores read the
-// active weights where they lie (no per-call panel pack), so these allocate
-// nothing and keep the cached decode loop at 0 allocs/op.
+// active weights where they lie (no per-call panel pack), so these
+// allocate nothing.
+//
+// The cached decode path no longer calls them: it runs nn.MLP.Forward,
+// whose sparse path is FC1Sparse/FC2Sparse over the step's rows. Only the
+// end-to-end benchmark's sparse.decode_mlp_us probe still times these two;
+// repointing that probe at MLP.Forward is a change to the benchmark alone.
 
 // DecodeFC1Gather computes hidden[c] = relu(x · W1[:, c] + b1[c]) for the
 // active neuron blocks of one token row. Inactive entries of hidden are

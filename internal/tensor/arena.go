@@ -41,10 +41,11 @@ type Arena struct {
 	freeT []*Tensor // recycled tensor wrappers
 	usedT []*Tensor
 
-	// state holds per-key scratch that survives Release — layers use it
-	// (keyed by themselves) to keep saved-for-backward containers off
-	// their structs, so one layer invoked with two arenas never shares
-	// per-invocation state (the probsDense/probsSparse hazard).
+	// state holds per-key scratch that survives Release — every layer
+	// keeps its saved-for-backward state here, keyed by itself, and none
+	// on its struct. The unit of concurrency is therefore the arena: one
+	// model may serve any number of concurrent forwards, each with its
+	// own arena, with no per-invocation state shared between them.
 	state map[any]any
 
 	gets       int64 // buffers handed out since construction
