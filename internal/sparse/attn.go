@@ -25,9 +25,9 @@ func SDD(dst *BlockSparse, a, b []float32, k int) {
 	blk := dst.Blk
 	for br := 0; br < dst.L.NB(); br++ {
 		aRows := a[br*blk*k : (br*blk+blk)*k]
-		for _, bc32 := range dst.L.RowBlocks(br) {
-			bc := int(bc32)
-			id, _ := dst.L.BlockID(br, bc)
+		ptr := dst.L.RowPtr(br)
+		for i, bc32 := range dst.L.RowBlocks(br) {
+			bc, id := int(bc32), ptr+int32(i)
 			tensor.GemmTBRange(dst.Block(id), aRows, b[bc*blk*k:(bc*blk+blk)*k], k, blk, blk, 0, blk)
 		}
 	}
@@ -41,9 +41,9 @@ func DSD(dst []float32, sp *BlockSparse, b []float32, n int) {
 	blk := sp.Blk
 	for br := 0; br < sp.L.NB(); br++ {
 		out := dst[br*blk*n : (br*blk+blk)*n]
-		for _, bc32 := range sp.L.RowBlocks(br) {
-			bc := int(bc32)
-			id, _ := sp.L.BlockID(br, bc)
+		ptr := sp.L.RowPtr(br)
+		for i, bc32 := range sp.L.RowBlocks(br) {
+			bc, id := int(bc32), ptr+int32(i)
 			tensor.GemmRange(out, sp.Block(id), b[bc*blk*n:(bc*blk+blk)*n], blk, n, blk, 0, blk)
 		}
 	}
@@ -51,17 +51,17 @@ func DSD(dst []float32, sp *BlockSparse, b []float32, n int) {
 
 // DSDT computes dst += spᵀ · b — probabilityᵀ·dOut (for dV) and
 // dScoresᵀ·Q (for dK). It traverses column-wise via the layout's inverse
-// index so each destination block-row is written by exactly one iteration,
-// keeping the kernel race-free if callers shard over block-columns. Each
-// active block is one blkDataᵀ·bRows product, delegated to the shared
-// tensor.GemmTARange core.
+// index (ColBlocks, with ColBlockIDs' block ids) so each destination
+// block-row is written by exactly one iteration, keeping the kernel
+// race-free if callers shard over block-columns. Each active block is one
+// blkDataᵀ·bRows product, delegated to the shared tensor.GemmTARange core.
 func DSDT(dst []float32, sp *BlockSparse, b []float32, n int) {
 	blk := sp.Blk
 	for bc := 0; bc < sp.L.NB(); bc++ {
 		out := dst[bc*blk*n : (bc*blk+blk)*n]
-		for _, br32 := range sp.L.ColBlocks(bc) {
-			br := int(br32)
-			id, _ := sp.L.BlockID(br, bc)
+		ids := sp.L.ColBlockIDs(bc)
+		for i, br32 := range sp.L.ColBlocks(bc) {
+			br, id := int(br32), ids[i]
 			tensor.GemmTARange(out, sp.Block(id), b[br*blk*n:(br*blk+blk)*n], blk, blk, n, 0, blk)
 		}
 	}
@@ -73,14 +73,13 @@ func DSDT(dst []float32, sp *BlockSparse, b []float32, n int) {
 func CausalSoftmax(sp *BlockSparse, scale float32) {
 	blk := sp.Blk
 	for br := 0; br < sp.L.NB(); br++ {
-		row := sp.L.RowBlocks(br)
+		row, ptr := sp.L.RowBlocks(br), sp.L.RowPtr(br)
 		for i := 0; i < blk; i++ {
 			r := br*blk + i // absolute row
 			// Pass 1: max over active, causal entries.
 			maxV := float32(math.Inf(-1))
-			for _, bc32 := range row {
-				bc := int(bc32)
-				id, _ := sp.L.BlockID(br, bc)
+			for t, bc32 := range row {
+				bc, id := int(bc32), ptr+int32(t)
 				blkRow := sp.Block(id)[i*blk : (i+1)*blk]
 				lim := causalLimit(r, bc, blk)
 				for j := 0; j < lim; j++ {
@@ -92,9 +91,8 @@ func CausalSoftmax(sp *BlockSparse, scale float32) {
 			}
 			// Pass 2: exponentiate and sum.
 			var sum float64
-			for _, bc32 := range row {
-				bc := int(bc32)
-				id, _ := sp.L.BlockID(br, bc)
+			for t, bc32 := range row {
+				bc, id := int(bc32), ptr+int32(t)
 				blkRow := sp.Block(id)[i*blk : (i+1)*blk]
 				lim := causalLimit(r, bc, blk)
 				for j := 0; j < blk; j++ {
@@ -112,10 +110,8 @@ func CausalSoftmax(sp *BlockSparse, scale float32) {
 			}
 			inv := float32(1 / sum)
 			// Pass 3: normalize.
-			for _, bc32 := range row {
-				bc := int(bc32)
-				id, _ := sp.L.BlockID(br, bc)
-				blkRow := sp.Block(id)[i*blk : (i+1)*blk]
+			for t := range row {
+				blkRow := sp.Block(ptr + int32(t))[i*blk : (i+1)*blk]
 				for j := range blkRow {
 					blkRow[j] *= inv
 				}
@@ -145,20 +141,18 @@ func causalLimit(r, bc, blk int) int {
 func SoftmaxBackward(dProb, p *BlockSparse, scale float32) {
 	blk := p.Blk
 	for br := 0; br < p.L.NB(); br++ {
-		row := p.L.RowBlocks(br)
+		lo, hi := p.L.RowPtr(br), p.L.RowPtr(br+1)
 		for i := 0; i < blk; i++ {
 			// dot = Σ_j p_j · dProb_j over the row's active entries.
 			var dot float64
-			for _, bc32 := range row {
-				id, _ := p.L.BlockID(br, int(bc32))
+			for id := lo; id < hi; id++ {
 				pr := p.Block(id)[i*blk : (i+1)*blk]
 				dr := dProb.Block(id)[i*blk : (i+1)*blk]
 				for j := range pr {
 					dot += float64(pr[j]) * float64(dr[j])
 				}
 			}
-			for _, bc32 := range row {
-				id, _ := p.L.BlockID(br, int(bc32))
+			for id := lo; id < hi; id++ {
 				pr := p.Block(id)[i*blk : (i+1)*blk]
 				dr := dProb.Block(id)[i*blk : (i+1)*blk]
 				for j := range pr {

@@ -40,9 +40,9 @@ func (m *BlockSparse) ToDense() *tensor.Tensor {
 	s := m.Dim()
 	d := tensor.New(s, s)
 	for br := 0; br < m.L.NB(); br++ {
-		for _, bc := range m.L.RowBlocks(br) {
-			id, _ := m.L.BlockID(br, int(bc))
-			blkData := m.Block(id)
+		ptr := m.L.RowPtr(br)
+		for t, bc := range m.L.RowBlocks(br) {
+			blkData := m.Block(ptr + int32(t))
 			for i := 0; i < m.Blk; i++ {
 				copy(d.Data[(br*m.Blk+i)*s+int(bc)*m.Blk:(br*m.Blk+i)*s+(int(bc)+1)*m.Blk],
 					blkData[i*m.Blk:(i+1)*m.Blk])
@@ -59,9 +59,9 @@ func (m *BlockSparse) FromDense(d *tensor.Tensor) {
 		panic(fmt.Sprintf("sparse: FromDense shape %v, want [%d %d]", d.Shape(), s, s))
 	}
 	for br := 0; br < m.L.NB(); br++ {
-		for _, bc := range m.L.RowBlocks(br) {
-			id, _ := m.L.BlockID(br, int(bc))
-			blkData := m.Block(id)
+		ptr := m.L.RowPtr(br)
+		for t, bc := range m.L.RowBlocks(br) {
+			blkData := m.Block(ptr + int32(t))
 			for i := 0; i < m.Blk; i++ {
 				copy(blkData[i*m.Blk:(i+1)*m.Blk],
 					d.Data[(br*m.Blk+i)*s+int(bc)*m.Blk:(br*m.Blk+i)*s+(int(bc)+1)*m.Blk])

@@ -149,9 +149,9 @@ func MultiHeadDSDT(out, b [][]float32, c *CombinedSparse, n int) {
 		h, bc := idx/g.nb, idx%g.nb
 		l := g.c.HL.Heads[h]
 		dst := g.x[h][bc*blk*n : (bc+1)*blk*n]
-		for _, br := range l.ColBlocks(bc) {
-			id, _ := l.BlockID(int(br), bc)
-			tensor.GemmTARange(dst, g.c.block(g.c.HL.DataOff[h]+int(id)), g.y[h][int(br)*blk*n:(int(br)+1)*blk*n], blk, blk, n, 0, blk)
+		ids := l.ColBlockIDs(bc)
+		for t, br := range l.ColBlocks(bc) {
+			tensor.GemmTARange(dst, g.c.block(g.c.HL.DataOff[h]+int(ids[t])), g.y[h][int(br)*blk*n:(int(br)+1)*blk*n], blk, blk, n, 0, blk)
 		}
 	})
 }

@@ -24,6 +24,7 @@ type Layout struct {
 	nb     int
 	rows   [][]int32 // rows[br] = sorted active block-columns
 	cols   [][]int32 // cols[bc] = sorted active block-rows
+	colIDs [][]int32 // colIDs[bc][i] = block id of block (cols[bc][i], bc)
 	rowPtr []int32   // prefix sum of len(rows[br]); block id space
 	nnz    int
 }
@@ -36,13 +37,15 @@ func NewLayout(nb int, active func(br, bc int) bool) *Layout {
 		nb:     nb,
 		rows:   make([][]int32, nb),
 		cols:   make([][]int32, nb),
+		colIDs: make([][]int32, nb),
 		rowPtr: make([]int32, nb+1),
 	}
 	for br := 0; br < nb; br++ {
 		for bc := 0; bc < nb; bc++ {
 			if active(br, bc) {
-				l.rows[br] = append(l.rows[br], int32(bc))
 				l.cols[bc] = append(l.cols[bc], int32(br))
+				l.colIDs[bc] = append(l.colIDs[bc], l.rowPtr[br]+int32(len(l.rows[br])))
+				l.rows[br] = append(l.rows[br], int32(bc))
 			}
 		}
 		l.rowPtr[br+1] = l.rowPtr[br] + int32(len(l.rows[br]))
@@ -76,12 +79,18 @@ func (l *Layout) RowBlocks(br int) []int32 { return l.rows[br] }
 // The slice must not be mutated.
 func (l *Layout) ColBlocks(bc int) []int32 { return l.cols[bc] }
 
+// ColBlockIDs returns the block ids of block-column bc's active blocks, in
+// ColBlocks order: ColBlockIDs(bc)[i] = BlockID(ColBlocks(bc)[i], bc). The
+// slice must not be mutated.
+func (l *Layout) ColBlockIDs(bc int) []int32 { return l.colIDs[bc] }
+
 // RowPtr returns the block-id offset of block-row br: blocks of row br have
 // ids [RowPtr(br), RowPtr(br+1)).
 func (l *Layout) RowPtr(br int) int32 { return l.rowPtr[br] }
 
 // BlockID returns the dense storage index of block (br, bc) and whether the
-// block is active.
+// block is active. It is a binary search; the kernels walk RowPtr and
+// ColBlockIDs instead.
 func (l *Layout) BlockID(br, bc int) (int32, bool) {
 	row := l.rows[br]
 	i := sort.Search(len(row), func(i int) bool { return row[i] >= int32(bc) })

@@ -31,6 +31,23 @@ func TestNewLayoutRowColConsistency(t *testing.T) {
 	}
 }
 
+// TestColBlockIDsMatchBlockID: the inverse index's id table names the same
+// block BlockID finds for every active block.
+func TestColBlockIDsMatchBlockID(t *testing.T) {
+	l := NewLayout(6, func(br, bc int) bool { return bc <= br && (br*bc)%3 != 1 })
+	for bc := 0; bc < l.NB(); bc++ {
+		rows, ids := l.ColBlocks(bc), l.ColBlockIDs(bc)
+		if len(ids) != len(rows) {
+			t.Fatalf("column %d: %d ids for %d blocks", bc, len(ids), len(rows))
+		}
+		for i, br := range rows {
+			if want, _ := l.BlockID(int(br), bc); ids[i] != want {
+				t.Fatalf("block (%d,%d): ColBlockIDs says %d, BlockID %d", br, bc, ids[i], want)
+			}
+		}
+	}
+}
+
 func TestBlockIDDenseEnumeration(t *testing.T) {
 	l := NewLayout(5, func(br, bc int) bool { return bc <= br })
 	want := int32(0)

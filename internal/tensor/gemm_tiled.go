@@ -1,241 +1,287 @@
 package tensor
 
-// Register-blocked, panel-tiled GEMM cores. These are the hot paths behind
+// Register-kernel GEMM cores. These are the hot paths behind
 // GemmRange/GemmTBRange/GemmTARange; the straight i-k-j seed cores live in
 // matmul.go as GemmRangeNaive et al. and remain the correctness references.
 //
-// The structure is a scaled-down BLIS: the inner dimension is cut into
-// panels of gemmKC rows and the output columns into stripes of gemmNC, and
-// the B stripe is packed *transposed* into column streams so one panel
-// (gemmKC×gemmNC float32 = 32 KiB) sits in L1d and is swept by every output
-// row of the range. The micro-kernel is a 4×-unrolled j-loop: four C values
-// held in registers across the whole k-panel, four contiguous packed
-// streams, one a-element load feeding four multiply-adds. That removes both
-// the per-k C load/store traffic of the naive core and all inner-loop
-// bounds checks (each stream has the same length as the a slice, the
-// pattern Go's prove pass eliminates). Rows are scanned for exact zeros to
-// choose between a branch-free kernel and one that keeps the naive core's
-// zero-product skip (see gemmMicroRowDispatch).
+// Two primitives carry every product, each over a run of rows per call:
+//   - gemmAxpy: c[0:w] += Σ_kk a[kk·as]·b[kk·ldb : kk·ldb+w], the w lanes of
+//     a row of c held in registers across a k panel, one broadcast a element
+//     feeding w multiplies and adds from a contiguous b-row segment.
+//     GemmRange runs it with as = 1, reading b where it lies (ldb = n);
+//     GemmTARange with as = m, reading the strided column a[:, i] in place;
+//     GemmRangePacked over a widened row-major panel (ldb = panel width).
+//   - gemmDot: lane j accumulates the dot product of a row of a with column
+//     j of a k-major packed group of b rows, from +0, and the sum is added
+//     to c at the end. GemmTBRange packs b's rows into 32- or 8-column
+//     groups for it.
 //
-// The pack is a full copy of B, paid once per call whatever the row count.
-// A decode-sized call (one row per sequence) sweeps each panel only a few
-// times, so the copy costs as much as the arithmetic it feeds. For such
-// calls (gemmRowsWorthIt) GemmRange skips it: gemmRangeRows reads B's rows
-// where they lie, panel by panel of gemmKC rows, eight C values held in
-// registers per row, one a-element load feeding eight multiply-adds from a
-// contiguous B-row segment.
+// On amd64 with AVX (CPUID, and XGETBV for the OS's YMM state; useAVX, set
+// once at init) both run as the assembly kernels of gemm_amd64.s, eight
+// lanes per instruction: 32 lanes in four YMM registers, or 8 in one (the
+// dot kernel then runs four rows at once, one register each). Lanes past
+// the last 8-lane group run a scalar loop. Without AVX, gemmAxpy runs a Go
+// implementation of the same primitive, and GemmTBRange never packs: its
+// scalar 4-wide core reads b's rows in place. The kernels have no bounds
+// checks: gemmAxpy and gemmDot cut every operand to exactly the extent the
+// kernel touches, checked against len (span), so a short slice panics in
+// Go before any kernel runs.
 //
-// Numerical contract: for every output element the sequence of float32
-// additions is exactly the sequence the naive core performs (k ascending,
-// zero products skipped, C read-modify-written between panels — loads and
-// stores are exact). The tiled and row cores are therefore bit-identical
-// to the naive cores, not merely close, and a row's result does not depend
-// on how many rows share the call; TestGemmTiledBitIdentical and
-// TestGemmRowCountIndependent pin this.
+// Loop order: k is cut into panels of gemmKC rows of b and the columns into
+// stripes of gemmNC, and every row of a range sweeps one panel stripe
+// (32 KiB, L1d) before the next, so the rows share it from cache.
+//
+// Numerical contract: every output element sees exactly the float32
+// sequence of its naive core, so the kernels are bit-identical to the
+// naive cores, and a row's result does not depend on how many rows share
+// the call (TestGemm*BitIdentical, TestGemmRowCountIndependent):
+//   - Multiply, then add: each step rounds the product and then the sum
+//     (VMULPS, VADDPS), as the naive Go loop does — the Go compiler emits
+//     no FMA on amd64 at the default GOAMD64 level. A fused multiply-add
+//     rounds once, so it differs in the last bit on some products; through
+//     training those bits compound, and every golden pin recorded with
+//     separate roundings (TestGoldenSparseFineTune, the workspace, decode
+//     and determinism bit-identity tests, the benchmark's loss_gap) breaks.
+//   - k ascending. C (and gemmDot's partial sums) are read and written
+//     between k panels; loads and stores are exact.
+//   - Zero skip on the broadcast a: gemmAxpy skips a step whose a element
+//     compares equal to zero (±0; NaN is not skipped), as GemmRangeNaive
+//     and GemmTARangeNaive skip it. This is semantics, not only speed:
+//     0·inf would turn c into NaN, and -0 + +0 is +0. The kernel tests a
+//     contiguous a eight elements at a time and runs only the steps left,
+//     so a ReLU-sparse a saves the work without a branch per zero.
+//     gemmDot skips nothing, as GemmTBRangeNaive skips nothing.
 
 const (
-	gemmNR = 4   // register tile width: C columns held in registers
-	gemmKC = 256 // B-panel depth (rows of B packed per stripe)
-	gemmNC = 32  // B-panel width; gemmKC*gemmNC*4B = 32 KiB ≈ L1d
+	gemmNR    = 4   // scalar TB core's register tile width: C columns held in registers
+	gemmRowNR = 8   // lanes of one YMM register: the narrow kernel width
+	gemmNC    = 32  // lanes of four YMM registers: the wide kernel width
+	gemmKC    = 256 // k-panel depth; gemmKC·gemmNC·4 B = 32 KiB ≈ L1d
 
-	gemmRowNR     = 8       // row-kernel tile width: C columns held in registers
-	gemmRowsMaxM  = 4       // most rows GemmRange runs on the row kernel
-	gemmRowsMaxKN = 1 << 19 // largest b (k·n elements, 2 MiB) read in place past two rows
+	// gemmTBMinRows is the fewest rows GemmTBRange packs b for. The pack
+	// copies b once per call whatever the row count, so few rows run the
+	// scalar core, which reads b's rows in place. Single thread on a 2 GHz
+	// Intel Xeon VM, scalar against packed: one row loses to the pack at
+	// every shape measured (k×n = 64×256 8.7 vs 12 µs, 768×768 0.27 vs
+	// 0.47 ms); two rows tie overall (64×256 17 vs 15 µs, 768×768 0.45 vs
+	// 0.52 ms, 128×128 15 vs 15 µs); three rows win packed everywhere
+	// (64×256 23 vs 18 µs, 256×64 28 vs 15 µs, 768×768 0.82 vs 0.52 ms).
+	gemmTBMinRows = 3
+	// gemmTBRows is how many rows share one packed TB panel and keep their
+	// partial sums between k panels.
+	gemmTBRows = 64
+	// gemmTBSmallK is the deepest k GemmTBRange packs into its small
+	// buffer (8 KiB instead of 32 to zero per call). Attention's block
+	// products (k = head dim) are that shallow: twelve alternating pairs of
+	// the finetune.sparse.seq512 benchmark, 2 GHz Xeon VM, took gap_ms
+	// from 181 to 174 ms median with it, faster in 10 of 12.
+	gemmTBSmallK = 64
 )
 
-// gemmRowsWorthIt reports whether m rows over a [k,n] b run on the row
-// kernel. The row kernel re-reads b once per row where the tiled core packs
-// it once per call and sweeps the copy from L1, so the row count that pays
-// falls as b grows. Single thread on an Intel Xeon VM (48 KiB L1d, 2 MiB
-// L2), row kernel against tiled core:
-//   - one or two rows win at every size measured: 1×256×64 8 vs 34 µs,
-//     1×3072×768 1.7 vs 3.9 ms, 2×768×3072 3.8 vs 4.1 ms;
-//   - four rows win while b is small (4×256×64 28 vs 38 µs, 4×512×512
-//     0.48 vs 0.55 ms), tie at 4×768×768 (2.2 vs 2.1 ms) and lose past
-//     gemmRowsMaxKN (4×3072×768 6.2 vs 5.7 ms, 4×768×3072 ≈10 vs 6.2 ms);
-//   - eight rows tie at 8×64×64 (13 vs 14 µs) and lose from 8×512×256 on
-//     (0.47 vs 0.44 ms; 8×3072×768 12 vs 9 ms).
-func gemmRowsWorthIt(m, k, n int) bool {
-	return m <= 2 || m <= gemmRowsMaxM && k*n <= gemmRowsMaxKN
-}
+// useAVX selects the assembly kernels. It is set once from the CPU; tests
+// flip it to cover the portable path.
+var useAVX = cpuHasAVX()
 
-// gemmTiledWorthIt reports whether the panel machinery pays for itself.
-// Skinny products (LoRA ranks, tiny blocks) stay on the naive cores.
+// gemmTiledWorthIt reports whether the scalar TB core's 4-wide tiles pay
+// for themselves. Skinny products (LoRA ranks, tiny blocks) stay on the
+// naive core.
 func gemmTiledWorthIt(k, n int) bool { return k >= 8 && n >= gemmNR }
 
-// gemmRangeTiled computes c[i,:] += a[i,:]·b for rows i in [loM, hiM),
-// a: [m,k] with row stride lda, b: [k,n], c: [m,n] row-major.
-// Bit-identical to GemmRangeNaive.
-func gemmRangeTiled(c, a, b []float32, k, n, lda, loM, hiM int) {
-	var packed [gemmKC * gemmNC]float32
+// gemmAxpyRange computes c[i,:] += Σ_kk a[i·ars + kk·as]·b[kk,:] for rows i
+// in [loM, hiM), b: [k,n] and c: [·,n] row-major — GemmRange with ars =
+// lda, as = 1, and GemmTARange with ars = 1, as = m.
+func gemmAxpyRange(c, a, b []float32, k, n, ars, as, loM, hiM int) {
+	if hiM <= loM {
+		return
+	}
 	for k0 := 0; k0 < k; k0 += gemmKC {
 		kc := min(gemmKC, k-k0)
 		for j0 := 0; j0 < n; j0 += gemmNC {
-			nc := min(gemmNC, n-j0)
-			packPanelT(packed[:], b, n, k0, j0, kc, nc)
-			for i := loM; i < hiM; i++ {
-				gemmMicroRowDispatch(c[i*n+j0:i*n+j0+nc], a[i*lda+k0:i*lda+k0+kc], packed[:nc*kc])
-			}
+			gemmAxpy(c[loM*n+j0:], n, a[loM*ars+k0*as:], ars, as, b[k0*n+j0:], n, kc, min(gemmNC, n-j0), hiM-loM)
 		}
 	}
 }
 
-// gemmRangeRows computes c[i,:] += a[i,:]·b for rows i in [loM, hiM) without
-// packing. k is cut into panels of gemmKC rows of b, and every row of the
-// range sweeps a panel before the next, so the rows share each panel from
-// cache instead of each streaming all of b (2×3072×768: 3.1 ms panelled,
-// 5.3 ms full height; 1×3072×768: 1.7 vs 2.8 ms). C is read and written
-// between panels, which is exact, so the result is bit-identical to
-// GemmRangeNaive: per output element the same k-ascending, zero-skipping
-// sequence.
-func gemmRangeRows(c, a, b []float32, k, n, lda, loM, hiM int) {
-	for k0 := 0; k0 < k; k0 += gemmKC {
-		kc := min(gemmKC, k-k0)
-		for i := loM; i < hiM; i++ {
-			gemmRow(c[i*n:(i+1)*n], a[i*lda+k0:i*lda+k0+kc], b[k0*n:])
-		}
+// gemmAxpy computes c[r·ldc + j] += a[r·ars + kk·as]·b[kk·ldb + j] for
+// every row r < rows and lane j < w, kk ascending over kc steps, skipping
+// steps whose a element is zero.
+func gemmAxpy(c []float32, ldc int, a []float32, ars, as int, b []float32, ldb, kc, w, rows int) {
+	if kc == 0 || w == 0 || rows == 0 {
+		return
 	}
-}
-
-// gemmRow accumulates ci[j] += Σ_kk ai[kk]·b[kk, j] for b row-major with
-// len(ci) columns, gemmRowNR C columns held in registers across all of ai,
-// one a-element load feeding gemmRowNR multiply-adds from b[kk, j:j+gemmRowNR].
-// Products of zero ai[kk] are skipped as the naive core skips them; on rows
-// without zeros a branch-free copy of this loop measured no faster.
-func gemmRow(ci, ai, b []float32) {
-	n := len(ci)
+	c = span(c, (rows-1)*ldc+w)
+	a = span(a, (rows-1)*ars+(kc-1)*as+1)
+	b = span(b, (kc-1)*ldb+w)
 	j := 0
-	for ; j+gemmRowNR <= n; j += gemmRowNR {
-		c0, c1, c2, c3, c4, c5, c6, c7 := ci[j], ci[j+1], ci[j+2], ci[j+3], ci[j+4], ci[j+5], ci[j+6], ci[j+7]
-		for kk, av := range ai {
-			if av == 0 {
-				continue
-			}
-			bk := (*[gemmRowNR]float32)(b[kk*n+j:])
-			c0 += av * bk[0]
-			c1 += av * bk[1]
-			c2 += av * bk[2]
-			c3 += av * bk[3]
-			c4 += av * bk[4]
-			c5 += av * bk[5]
-			c6 += av * bk[6]
-			c7 += av * bk[7]
+	if useAVX {
+		for ; j+gemmNC <= w; j += gemmNC {
+			gemmAxpyAVX(&c[j], &a[0], &b[j], kc, as, ldb, gemmNC, rows, ldc, ars)
 		}
-		ci[j], ci[j+1], ci[j+2], ci[j+3], ci[j+4], ci[j+5], ci[j+6], ci[j+7] = c0, c1, c2, c3, c4, c5, c6, c7
-	}
-	for ; j < n; j++ {
-		c0 := ci[j]
-		for kk, av := range ai {
-			if av == 0 {
-				continue
-			}
-			c0 += av * b[kk*n+j]
+		for ; j+gemmRowNR <= w; j += gemmRowNR {
+			gemmAxpyAVX(&c[j], &a[0], &b[j], kc, as, ldb, gemmRowNR, rows, ldc, ars)
 		}
-		ci[j] = c0
-	}
-}
-
-// gemmMicroRowDispatch picks the micro-kernel per row chunk: rows with no
-// zeros (the common dense case) take the branch-free kernel — trivially
-// bit-identical since the skip never fires on them — while rows carrying
-// exact zeros (ReLU-masked activations, the shadowy-sparsity case) keep the
-// naive core's zero-product skip, for speed and for the skip's exact
-// semantics. The scan costs len(ai) compares amortized over the stripe.
-func gemmMicroRowDispatch(ci, ai, bt []float32) {
-	for _, v := range ai {
-		if v == 0 {
-			gemmMicroRow(ci, ai, bt)
+		if j == w {
 			return
 		}
 	}
-	gemmMicroRowDense(ci, ai, bt)
+	for r := 0; r < rows; r++ {
+		gemmAxpyRow(c[r*ldc+j:r*ldc+w], a[r*ars:], as, b[j:], ldb, kc)
+	}
 }
 
-// packPanelT copies b[k0:k0+kc, j0:j0+nc] transposed into packed: column
-// j0+j of the stripe becomes the contiguous stream packed[j*kc : (j+1)*kc].
-// Reads are sequential row segments; the 32 KiB write region stays in L1.
-func packPanelT(packed, b []float32, n, k0, j0, kc, nc int) {
+// gemmAxpyRow is the portable gemmAxpy for one row: groups of 8 lanes held
+// in registers, then the lanes left over one at a time.
+func gemmAxpyRow(c, a []float32, as int, b []float32, ldb, kc int) {
+	j := 0
+	for ; j+gemmRowNR <= len(c); j += gemmRowNR {
+		gemmAxpy8(c[j:j+gemmRowNR], a, as, b[j:], ldb, kc)
+	}
+	for kk := 0; j < len(c) && kk < kc; kk++ {
+		av := a[kk*as]
+		if av == 0 {
+			continue
+		}
+		for t, bv := range b[kk*ldb+j : kk*ldb+len(c)] {
+			c[j+t] += av * bv
+		}
+	}
+}
+
+// gemmAxpy8 is gemmAxpyRow's 8-lane group.
+func gemmAxpy8(c, a []float32, as int, b []float32, ldb, kc int) {
+	ci := (*[gemmRowNR]float32)(c)
+	c0, c1, c2, c3, c4, c5, c6, c7 := ci[0], ci[1], ci[2], ci[3], ci[4], ci[5], ci[6], ci[7]
 	for kk := 0; kk < kc; kk++ {
-		src := b[(k0+kk)*n+j0 : (k0+kk)*n+j0+nc]
-		for j, v := range src {
-			packed[j*kc+kk] = v
+		av := a[kk*as]
+		if av == 0 {
+			continue
+		}
+		bk := (*[gemmRowNR]float32)(b[kk*ldb:])
+		c0 += av * bk[0]
+		c1 += av * bk[1]
+		c2 += av * bk[2]
+		c3 += av * bk[3]
+		c4 += av * bk[4]
+		c5 += av * bk[5]
+		c6 += av * bk[6]
+		c7 += av * bk[7]
+	}
+	ci[0], ci[1], ci[2], ci[3], ci[4], ci[5], ci[6], ci[7] = c0, c1, c2, c3, c4, c5, c6, c7
+}
+
+// gemmTBRangeDot computes c[i,j] += dot(a[i,:], b[j,:]) for rows i in
+// [loM, hiM), a: [m,k], b: [n,k], c row stride ldc. Columns go in groups of
+// gemmNC (then gemmRowNR) b rows, each packed k-major one k panel at a
+// time and swept by the rows of a. When k spans several panels, up to
+// gemmTBRows rows share each packed panel and keep their partial sums in
+// acc between panels. Columns past the last group run the naive core. The
+// buffers are sized to k: Go zeroes them on every call.
+func gemmTBRangeDot(c, a, b []float32, k, n, ldc, loM, hiM int) {
+	if k <= gemmTBSmallK {
+		var bp [gemmTBSmallK * gemmNC]float32
+		gemmTBGroups(c, a, b, k, n, ldc, loM, hiM, bp[:], nil)
+		return
+	}
+	var bp [gemmKC * gemmNC]float32
+	if k <= gemmKC {
+		gemmTBGroups(c, a, b, k, n, ldc, loM, hiM, bp[:], nil)
+		return
+	}
+	var acc [gemmTBRows * gemmNC]float32
+	gemmTBGroups(c, a, b, k, n, ldc, loM, hiM, bp[:], acc[:])
+}
+
+// gemmTBGroups is gemmTBRangeDot over panels of len(bp)/gemmNC rows of k;
+// acc is nil when k fits one panel.
+func gemmTBGroups(c, a, b []float32, k, n, ldc, loM, hiM int, bp, acc []float32) {
+	kcMax, rows := len(bp)/gemmNC, hiM-loM
+	if acc != nil {
+		rows = len(acc) / gemmNC
+	}
+	j0 := 0
+	for j0+gemmRowNR <= n {
+		w := gemmRowNR
+		if j0+gemmNC <= n {
+			w = gemmNC
+		}
+		for r0 := loM; r0 < hiM; r0 += rows {
+			r1 := min(r0+rows, hiM)
+			var s []float32
+			if acc != nil {
+				s = acc[:(r1-r0)*w]
+				clear(s)
+			}
+			for k0 := 0; k0 < k; k0 += kcMax {
+				kc := min(kcMax, k-k0)
+				packDotGroup(bp[:kc*w], b[j0*k+k0:], k, kc, w)
+				var cr []float32
+				if k0+kc == k {
+					cr = c[r0*ldc+j0:]
+				}
+				gemmDot(cr, ldc, s, a[r0*k+k0:], k, bp[:kc*w], kc, w, r1-r0)
+			}
+		}
+		j0 += w
+	}
+	if j0 < n {
+		GemmTBRangeNaive(c[j0:], a, b[j0*k:], k, n-j0, ldc, loM, hiM)
+	}
+}
+
+// packDotGroup copies w rows of b (row stride k), kc elements each, into
+// bp k-major: bp[kk·w + j] = b[j·k + kk]. Eight rows at a time, so each
+// step writes eight contiguous lanes.
+func packDotGroup(bp, b []float32, k, kc, w int) {
+	for j := 0; j < w; j += gemmRowNR {
+		r0 := b[j*k : j*k+kc]
+		r1 := b[(j+1)*k:][:len(r0)]
+		r2 := b[(j+2)*k:][:len(r0)]
+		r3 := b[(j+3)*k:][:len(r0)]
+		r4 := b[(j+4)*k:][:len(r0)]
+		r5 := b[(j+5)*k:][:len(r0)]
+		r6 := b[(j+6)*k:][:len(r0)]
+		r7 := b[(j+7)*k:][:len(r0)]
+		for kk := range r0 {
+			d := (*[gemmRowNR]float32)(bp[kk*w+j:])
+			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = r0[kk], r1[kk], r2[kk], r3[kk], r4[kk], r5[kk], r6[kk], r7[kk]
 		}
 	}
 }
 
-// gemmMicroRow accumulates one C row stripe against the packed panel:
-// ci[j] += dot(ai, bt column j) for every j, four columns at a time with
-// the four C values in registers, initialized from C so the addition order
-// matches the naive core exactly.
-func gemmMicroRow(ci, ai, bt []float32) {
-	kc := len(ai)
-	nc := len(ci)
-	j := 0
-	for ; j+gemmNR <= nc; j += gemmNR {
-		b0 := bt[j*kc : (j+1)*kc]
-		b1 := bt[(j+1)*kc : (j+2)*kc]
-		b2 := bt[(j+2)*kc : (j+3)*kc]
-		b3 := bt[(j+3)*kc : (j+4)*kc]
-		c0, c1, c2, c3 := ci[j], ci[j+1], ci[j+2], ci[j+3]
-		for kk, aik := range ai {
-			if aik == 0 {
-				continue
-			}
-			c0 += aik * b0[kk]
-			c1 += aik * b1[kk]
-			c2 += aik * b2[kk]
-			c3 += aik * b3[kk]
-		}
-		ci[j], ci[j+1], ci[j+2], ci[j+3] = c0, c1, c2, c3
+// gemmDot accumulates, for every row r < rows and lane j < w, the sum
+// Σ_kk a[r·lda + kk]·b[kk·w + j] over kc ≥ 1 steps, kk ascending, no step
+// skipped. The lanes start from s[r·w + j], or from +0 when s is nil; they
+// are then added to c[r·ldc + j] when c is non-nil (s is left as it was)
+// and stored to s otherwise.
+func gemmDot(c []float32, ldc int, s, a []float32, lda int, b []float32, kc, w, rows int) {
+	a = span(a, (rows-1)*lda+kc)
+	b = span(b, kc*w)
+	var cp, sp *float32
+	if c != nil {
+		c = span(c, (rows-1)*ldc+w)
+		cp = &c[0]
 	}
-	for ; j < nc; j++ {
-		bj := bt[j*kc : (j+1)*kc]
-		c0 := ci[j]
-		for kk, aik := range ai {
-			if aik == 0 {
-				continue
-			}
-			c0 += aik * bj[kk]
-		}
-		ci[j] = c0
+	if s != nil {
+		s = span(s, rows*w)
+		sp = &s[0]
 	}
+	gemmDotAVX(cp, sp, &a[0], &b[0], kc, w, rows, ldc, lda)
 }
 
-// gemmMicroRowDense is gemmMicroRow without the zero-product skip — only
-// valid when ai contains no zeros, where the two are bit-identical.
-func gemmMicroRowDense(ci, ai, bt []float32) {
-	kc := len(ai)
-	nc := len(ci)
-	j := 0
-	for ; j+gemmNR <= nc; j += gemmNR {
-		b0 := bt[j*kc : (j+1)*kc]
-		b1 := bt[(j+1)*kc : (j+2)*kc]
-		b2 := bt[(j+2)*kc : (j+3)*kc]
-		b3 := bt[(j+3)*kc : (j+4)*kc]
-		c0, c1, c2, c3 := ci[j], ci[j+1], ci[j+2], ci[j+3]
-		for kk, aik := range ai {
-			c0 += aik * b0[kk]
-			c1 += aik * b1[kk]
-			c2 += aik * b2[kk]
-			c3 += aik * b3[kk]
-		}
-		ci[j], ci[j+1], ci[j+2], ci[j+3] = c0, c1, c2, c3
-	}
-	for ; j < nc; j++ {
-		bj := bt[j*kc : (j+1)*kc]
-		c0 := ci[j]
-		for kk, aik := range ai {
-			c0 += aik * bj[kk]
-		}
-		ci[j] = c0
-	}
+// span returns s[:n] for n ≥ 1, panicking when len(s) < n. A reslice
+// alone checks only against cap, and the kernels must not run past len.
+func span(s []float32, n int) []float32 {
+	_ = s[n-1]
+	return s[:n]
 }
 
 // gemmTBRangeTiled computes c[i,j] += dot(a[i,:], b[j,:]) (c += a·bᵀ) for
 // rows i in [loM, hiM) of c (row stride ldc), cache-blocked over rows of b
 // so a stripe of B rows stays resident while every output row sweeps it,
 // with 4 independent dot accumulators sharing each load of a[i,:]. B's rows
-// are already the dot streams, so no packing is needed. Bit-identical to
+// are already the dot streams, so no packing is needed — the core for
+// calls of too few rows to pay for gemmTBRangeDot's pack, and the only
+// multi-column TB core without AVX. Bit-identical to
 // GemmTBRangeNaive (one accumulator per output element, k ascending).
 func gemmTBRangeTiled(c, a, b []float32, k, n, ldc, loM, hiM int) {
 	// Stripe of B rows sized to L1d: jb rows of k float32 ≤ 32 KiB.
@@ -274,29 +320,6 @@ func gemmTBRangeTiled(c, a, b []float32, k, n, ldc, loM, hiM int) {
 					s += av * bj[kk]
 				}
 				ci[j] += s
-			}
-		}
-	}
-}
-
-// gemmTARangeTiled computes c[i,:] += Σ_k a[k,i]·b[k,:] (c += aᵀ·b) for
-// rows i in [loM, hiM), a: [kDim,m], b: [kDim,n]. Same panel scheme as
-// gemmRangeTiled; the strided column a[:,i] is gathered into a small
-// buffer once per (panel, row) and amortized over the packed stripe.
-// Bit-identical to GemmTARangeNaive.
-func gemmTARangeTiled(c, a, b []float32, kDim, m, n, loM, hiM int) {
-	var packed [gemmKC * gemmNC]float32
-	var acol [gemmKC]float32
-	for k0 := 0; k0 < kDim; k0 += gemmKC {
-		kc := min(gemmKC, kDim-k0)
-		for j0 := 0; j0 < n; j0 += gemmNC {
-			nc := min(gemmNC, n-j0)
-			packPanelT(packed[:], b, n, k0, j0, kc, nc)
-			for i := loM; i < hiM; i++ {
-				for kk := 0; kk < kc; kk++ {
-					acol[kk] = a[(k0+kk)*m+i]
-				}
-				gemmMicroRowDispatch(c[i*n+j0:i*n+j0+nc], acol[:kc], packed[:nc*kc])
 			}
 		}
 	}

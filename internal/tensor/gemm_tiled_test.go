@@ -40,14 +40,32 @@ func padCols(t *Tensor, w, ld int, v float32) {
 	}
 }
 
-// gemmRowCounts straddles gemmRowsMaxM: the row kernel below it, the
-// tiled and naive cores above.
+// gemmRowCounts straddles gemmTBMinRows and gemmRowNR: decode-sized calls
+// of one to a few rows and the multi-row calls of training.
 var gemmRowCounts = []int{1, 2, 3, 4, 5, 6, 7, 8, 9}
 
-// gemmRowShapes add what the row kernel alone sees to gemmShapes: b split
-// into several gemmKC panels with full column tiles, and a b larger than
-// gemmRowsMaxKN, on which three and four rows move to the tiled core.
-var gemmRowShapes = [][3]int{{2, 2*gemmKC + 9, 24}, {3, gemmKC + 88, gemmRowsMaxKN/(gemmKC+88) + 5}}
+// gemmRowShapes add to gemmShapes b split into several gemmKC panels with
+// full column tiles, and a b of 2 MiB and more (344×1529), many 32-column
+// stripes of panels of mixed depth.
+var gemmRowShapes = [][3]int{{2, 2*gemmKC + 9, 24}, {3, gemmKC + 88, 1529}}
+
+// forEachKernel runs f once per GEMM kernel this machine can run: the
+// portable Go kernels, and the AVX assembly where the CPU has it.
+func forEachKernel(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	defer func(old bool) { useAVX = old }(useAVX)
+	for _, avx := range []bool{false, true} {
+		if avx && !cpuHasAVX() {
+			continue
+		}
+		useAVX = avx
+		name := "go"
+		if avx {
+			name = "avx"
+		}
+		t.Run(name, f)
+	}
+}
 
 // fillZeroRows fills a [m, lda] for the GemmRange tests: even rows carry
 // exact zeros — every seventh element and all of column kz — and odd rows
@@ -64,7 +82,9 @@ func fillZeroRows(r *RNG, a *Tensor, lda, kz int) {
 	}
 }
 
-func TestGemmTiledBitIdentical(t *testing.T) {
+func TestGemmTiledBitIdentical(t *testing.T) { forEachKernel(t, testGemmTiledBitIdentical) }
+
+func testGemmTiledBitIdentical(t *testing.T) {
 	r := NewRNG(11)
 	inf := float32(math.Inf(1))
 	for _, pad := range gemmPads {
@@ -103,9 +123,10 @@ func TestGemmTiledBitIdentical(t *testing.T) {
 
 // TestGemmRowCountIndependent pins the property decode bit-identity rests
 // on: a row's result does not depend on how many rows share the call, so
-// each row computed alone (the row kernels) equals the same row of one
-// call over all rows (the tiled cores).
-func TestGemmRowCountIndependent(t *testing.T) {
+// each row computed alone equals the same row of one call over all rows.
+func TestGemmRowCountIndependent(t *testing.T) { forEachKernel(t, testGemmRowCountIndependent) }
+
+func testGemmRowCountIndependent(t *testing.T) {
 	r := NewRNG(15)
 	for _, d := range [][3]int{{9, 64, 64}, {16, 256, 64}, {33, 129, 67}, {9, 2*gemmKC + 9, 24}} {
 		m, k, n := d[0], d[1], d[2]
@@ -137,11 +158,18 @@ func TestGemmRowCountIndependent(t *testing.T) {
 	}
 }
 
-func TestGemmTBTiledBitIdentical(t *testing.T) {
+// gemmTBShapes add what GemmTBRange's packed path alone sees: more rows
+// than share one packed panel (gemmTBRows), k over several gemmKC panels,
+// and a wide group, a narrow group and a scalar tail column.
+var gemmTBShapes = [][3]int{{gemmTBRows + 6, 2*gemmKC + 9, 41}}
+
+func TestGemmTBTiledBitIdentical(t *testing.T) { forEachKernel(t, testGemmTBTiledBitIdentical) }
+
+func testGemmTBTiledBitIdentical(t *testing.T) {
 	const sentinel = -12345
 	r := NewRNG(12)
 	for _, pad := range gemmPads {
-		for _, d := range gemmShapes() {
+		for _, d := range append(gemmShapes(), gemmTBShapes...) {
 			m, k, n := d[0], d[1], d[2]
 			ldc := n + pad
 			a, b := New(m, k), New(n, k)
@@ -165,7 +193,9 @@ func TestGemmTBTiledBitIdentical(t *testing.T) {
 	}
 }
 
-func TestGemmTATiledBitIdentical(t *testing.T) {
+func TestGemmTATiledBitIdentical(t *testing.T) { forEachKernel(t, testGemmTATiledBitIdentical) }
+
+func testGemmTATiledBitIdentical(t *testing.T) {
 	r := NewRNG(13)
 	for _, d := range gemmShapes() {
 		m, k, n := d[0], d[1], d[2]
@@ -187,7 +217,9 @@ func TestGemmTATiledBitIdentical(t *testing.T) {
 
 // TestGemmTiledSubrange checks the cores honor [loM, hiM) exactly: rows
 // outside the range are untouched.
-func TestGemmTiledSubrange(t *testing.T) {
+func TestGemmTiledSubrange(t *testing.T) { forEachKernel(t, testGemmTiledSubrange) }
+
+func testGemmTiledSubrange(t *testing.T) {
 	r := NewRNG(14)
 	m, k, n := 20, 64, 48
 	a, b := New(m, k), New(k, n)
@@ -215,6 +247,42 @@ func TestGemmTiledSubrange(t *testing.T) {
 	}
 }
 
+// panics reports whether f panicked; a call that returns reports false.
+func panics(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
+}
+
+// TestGemmShortOperandPanics: the assembly kernels check no bounds, so
+// every core must panic in Go, before any kernel runs past the end, when b
+// is one element short of the extent the call needs — also when b is a
+// window of a larger buffer, its capacity running past its length, which
+// a reslice alone would not catch. Shapes include n a multiple of 8, where
+// the kernels, not a scalar tail, read b's last element.
+func TestGemmShortOperandPanics(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		for _, d := range [][3]int{{1, 16, 32}, {8, 64, 64}, {9, 2*gemmKC + 9, 40}, {5, 30, 13}} {
+			m, k, n := d[0], d[1], d[2]
+			a, c := New(m, k), New(m, n)
+			NewRNG(16).FillNormal(a, 1)
+			for _, spare := range []int{0, 64} {
+				short := make([]float32, k*n-1, k*n-1+spare)
+				cores := map[string]func(){
+					"GemmRange":   func() { GemmRange(c.Data, a.Data, short, k, n, k, 0, m) },
+					"GemmTBRange": func() { GemmTBRange(c.Data, a.Data, short, k, n, n, 0, m) },
+					"GemmTARange": func() { GemmTARange(c.Data, a.Data, short, k, m, n, 0, m) },
+				}
+				for name, run := range cores {
+					if !panics(run) {
+						t.Errorf("%s m,k,n=%v with b one element short (spare capacity %d) returned", name, d, spare)
+					}
+				}
+			}
+		}
+	})
+}
+
 func benchGemmCore(b *testing.B, n int, core func(c, a, bb []float32, k, nn, ld, lo, hi int)) {
 	r := NewRNG(21)
 	x, y, c := New(n, n), New(n, n), New(n, n)
@@ -229,11 +297,18 @@ func benchGemmCore(b *testing.B, n int, core func(c, a, bb []float32, k, nn, ld,
 	b.ReportMetric(float64(flops*int64(b.N))/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
+// taCore adapts a square aᵀ·b core to benchGemmCore's signature.
+func taCore(core func(c, a, b []float32, kDim, m, n, loM, hiM int)) func(c, a, bb []float32, k, nn, ld, lo, hi int) {
+	return func(c, a, bb []float32, k, nn, _, lo, hi int) { core(c, a, bb, k, nn, nn, lo, hi) }
+}
+
 func BenchmarkGemmCores(b *testing.B) {
 	for _, n := range []int{128, 256} {
 		b.Run(fmt.Sprintf("naive/%d", n), func(b *testing.B) { benchGemmCore(b, n, GemmRangeNaive) })
 		b.Run(fmt.Sprintf("tiled/%d", n), func(b *testing.B) { benchGemmCore(b, n, GemmRange) })
 		b.Run(fmt.Sprintf("tb-naive/%d", n), func(b *testing.B) { benchGemmCore(b, n, GemmTBRangeNaive) })
 		b.Run(fmt.Sprintf("tb-tiled/%d", n), func(b *testing.B) { benchGemmCore(b, n, GemmTBRange) })
+		b.Run(fmt.Sprintf("ta-naive/%d", n), func(b *testing.B) { benchGemmCore(b, n, taCore(GemmTARangeNaive)) })
+		b.Run(fmt.Sprintf("ta-tiled/%d", n), func(b *testing.B) { benchGemmCore(b, n, taCore(GemmTARange)) })
 	}
 }

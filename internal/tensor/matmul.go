@@ -17,27 +17,16 @@ import (
 // a: [m,k] stored with row stride lda ≥ k, b: [k,n], c: [m,n], all
 // row-major. A dense a passes lda = k; a wider stride reads a column
 // window of a larger matrix (the sparse MLP's active hidden neurons).
-// The row count picks the core (gemm_tiled.go): a decode-sized call — one
-// or two rows, or up to gemmRowsMaxM rows of a b that fits in L2 — runs a
-// row kernel that reads b in place; more rows run the register-blocked,
-// panel-tiled core, whose per-call pack of b they amortize, and skinny
-// shapes the naive core. All produce bit-identical results.
+// Every row runs the gemmAxpy kernel over b where it lies (gemm_tiled.go),
+// whatever the row count; the result is bit-identical to GemmRangeNaive.
 func GemmRange(c, a, b []float32, k, n, lda, loM, hiM int) {
-	if gemmRowsWorthIt(hiM-loM, k, n) {
-		gemmRangeRows(c, a, b, k, n, lda, loM, hiM)
-		return
-	}
-	if gemmTiledWorthIt(k, n) {
-		gemmRangeTiled(c, a, b, k, n, lda, loM, hiM)
-		return
-	}
-	GemmRangeNaive(c, a, b, k, n, lda, loM, hiM)
+	gemmAxpyRange(c, a, b, k, n, lda, 1, loM, hiM)
 }
 
 // GemmRangeNaive is the seed i-k-j core, retained as the correctness
-// reference, the fallback for skinny shapes, and the baseline that
-// cmd/lebench measures the tiled core against. The i-k-j loop order streams
-// rows of b, the cache-friendly order for row-major data.
+// reference and the baseline that cmd/lebench measures the kernels
+// against. The i-k-j loop order streams rows of b, the cache-friendly
+// order for row-major data.
 func GemmRangeNaive(c, a, b []float32, k, n, lda, loM, hiM int) {
 	for i := loM; i < hiM; i++ {
 		ci := c[i*n : (i+1)*n]
@@ -58,15 +47,23 @@ func GemmRangeNaive(c, a, b []float32, k, n, lda, loM, hiM int) {
 // GemmTBRange computes c[i,j] += dot(a[i,:], b[j,:]) for rows i in [loM,
 // hiM), with a: [m,k], b: [n,k] (i.e. c += a·bᵀ) and c: [m,n] stored with
 // row stride ldc ≥ n. A dense c passes ldc = n; a wider stride writes a
-// column window of a larger matrix. Row-row dot products make this the
-// fastest core on CPU; attention scores use it. Large shapes run the
-// cache-blocked 4-wide core; results are bit-identical either way.
+// column window of a larger matrix. Attention scores use it. With AVX,
+// from gemmTBMinRows rows and one 8-column group on, b's rows are packed
+// for the gemmDot kernel; otherwise they are read in place by the scalar
+// 4-wide core, and skinny shapes run the naive core. Results are
+// bit-identical on every path. A b shorter than n·k panics.
 func GemmTBRange(c, a, b []float32, k, n, ldc, loM, hiM int) {
-	if gemmTiledWorthIt(k, n) {
-		gemmTBRangeTiled(c, a, b, k, n, ldc, loM, hiM)
-		return
+	if hiM > loM && n*k > 0 {
+		b = span(b, n*k)
 	}
-	GemmTBRangeNaive(c, a, b, k, n, ldc, loM, hiM)
+	switch {
+	case useAVX && hiM-loM >= gemmTBMinRows && k > 0 && n >= gemmRowNR:
+		gemmTBRangeDot(c, a, b, k, n, ldc, loM, hiM)
+	case gemmTiledWorthIt(k, n):
+		gemmTBRangeTiled(c, a, b, k, n, ldc, loM, hiM)
+	default:
+		GemmTBRangeNaive(c, a, b, k, n, ldc, loM, hiM)
+	}
 }
 
 // GemmTBRangeNaive is the seed dot-product core, retained as the
@@ -88,14 +85,10 @@ func GemmTBRangeNaive(c, a, b []float32, k, n, ldc, loM, hiM int) {
 
 // GemmTARange computes c[i,:] += Σ_k a[k,i]·b[k,:] for rows i in [loM, hiM),
 // with a: [kDim,m], b: [kDim,n] (i.e. c += aᵀ·b). Weight gradients
-// (xᵀ·dy) use it. Large shapes run the panel-tiled core; results are
-// bit-identical either way.
+// (xᵀ·dy) use it. It is GemmRange's gemmAxpy kernel reading the column
+// a[:,i] in place at stride m; bit-identical to GemmTARangeNaive.
 func GemmTARange(c, a, b []float32, kDim, m, n, loM, hiM int) {
-	if gemmTiledWorthIt(kDim, n) {
-		gemmTARangeTiled(c, a, b, kDim, m, n, loM, hiM)
-		return
-	}
-	GemmTARangeNaive(c, a, b, kDim, m, n, loM, hiM)
+	gemmAxpyRange(c, a, b, kDim, n, 1, m, loM, hiM)
 }
 
 // GemmTARangeNaive is the seed aᵀ·b core, retained as the correctness
@@ -118,7 +111,7 @@ func GemmTARangeNaive(c, a, b []float32, kDim, m, n, loM, hiM int) {
 
 // matmulRowTile is the row granularity handed to parallel.ForBlockedArg by
 // the MatMul drivers: no worker receives fewer rows than this (except the
-// tail), so the per-call panel packing of the tiled cores stays amortized.
+// tail), so GemmTBRange's per-call pack of b stays amortized.
 const matmulRowTile = 8
 
 // gemmCall carries one driver invocation's operands so the parallel fan-out

@@ -13,7 +13,7 @@ import (
 // arithmetic but bytes: a packed matrix streams half (fp16) or a quarter
 // (int8) of the weight bytes of the f32 path. A multi-row product widens to
 // f32 once per L1 panel at pack time — amortized over every output row of
-// the range — and runs the dense micro-kernels from gemm_tiled.go
+// the range — and runs the dense gemmAxpy kernel from gemm_tiled.go
 // unchanged. A single row (a one-stream decode step) would sweep each
 // panel once, so it skips the panel and widens each weight inside the row
 // kernel instead (gemmRowF16/gemmRowI8). Either way every weight is widened
@@ -170,31 +170,31 @@ func (p *PackedWeights) Dequant() *Tensor {
 	return t
 }
 
-// The widening pack routines below are the packPanelT counterparts for
-// reduced-precision storage: same transposed column-stream layout, same
-// 32 KiB L1 write region, with the element conversion folded into the copy.
-// After packing, the panel is plain f32 and the dense micro-kernels run
-// unchanged — the conversion cost is O(k·n) per call regardless of how many
-// output rows amortize it, which is why a single row skips the pack.
+// The widening pack routines below copy a panel of reduced-precision
+// storage into a row-major f32 panel, the element conversion folded into
+// the copy; the panel is then plain f32 and the gemmAxpy kernel runs over
+// it unchanged. The conversion costs O(k·n) per call regardless of how
+// many output rows amortize it, which is why a single row skips the pack.
 
-// packPanelTF16 packs b[k0:k0+kc, j0:j0+nc] of an fp16 [k,n] matrix,
-// transposed and widened.
-func packPanelTF16(packed []float32, b []half.Float16, n, k0, j0, kc, nc int) {
+// widenPanelF16 widens kc rows of nc columns of an fp16 matrix with row
+// stride n into panel, row-major with row stride nc.
+func widenPanelF16(panel []float32, b []half.Float16, n, kc, nc int) {
 	for kk := 0; kk < kc; kk++ {
-		src := b[(k0+kk)*n+j0 : (k0+kk)*n+j0+nc]
-		for j, v := range src {
-			packed[j*kc+kk] = v.ToFloat32()
+		dst := panel[kk*nc : (kk+1)*nc]
+		for j, v := range b[kk*n : kk*n+nc] {
+			dst[j] = v.ToFloat32()
 		}
 	}
 }
 
-// packPanelTI8 packs the same region of an int8 [k,n] matrix with
-// per-column scales (ScalePerCol layout).
-func packPanelTI8(packed []float32, b []int8, scale []float32, n, k0, j0, kc, nc int) {
+// widenPanelI8 widens the same region of an int8 matrix, column j scaled
+// by scale[j] (ScalePerCol layout).
+func widenPanelI8(panel []float32, b []int8, scale []float32, n, kc, nc int) {
+	scale = scale[:nc]
 	for kk := 0; kk < kc; kk++ {
-		src := b[(k0+kk)*n+j0 : (k0+kk)*n+j0+nc]
-		for j, v := range src {
-			packed[j*kc+kk] = float32(v) * scale[j0+j]
+		dst := panel[kk*nc : (kk+1)*nc]
+		for j, v := range b[kk*n : kk*n+nc] {
+			dst[j] = float32(v) * scale[j]
 		}
 	}
 }
@@ -229,7 +229,7 @@ func packRowsI8(packed []float32, b []int8, scale []float32, k, k0, j0, kc, nc i
 // where B is the packed matrix p viewed as [k,n] (p.Rows == k, p.Cols == n).
 // A single row (a one-stream decode step) reads B where it lies, widening
 // each weight inside the row kernel; more rows widen B once per call into
-// L1 panels swept by the dense micro-kernels. Either way each weight is
+// L1 panels swept by the dense gemmAxpy kernel. Either way each weight is
 // widened to exactly the float32 Dequant produces, so the result is
 // bit-identical to GemmRange over p.Dequant(). WeightI8 requires
 // ScalePerCol.
@@ -250,25 +250,28 @@ func GemmRangePacked(c, a []float32, p *PackedWeights, k, n, loM, hiM int) {
 		}
 		return
 	}
-	var packed [gemmKC * gemmNC]float32
+	if hiM <= loM {
+		return
+	}
+	var panel [gemmKC * gemmNC]float32
 	for k0 := 0; k0 < k; k0 += gemmKC {
 		kc := min(gemmKC, k-k0)
 		for j0 := 0; j0 < n; j0 += gemmNC {
 			nc := min(gemmNC, n-j0)
+			bp := panel[:kc*nc]
 			if p.Format == WeightF16 {
-				packPanelTF16(packed[:], p.F16, n, k0, j0, kc, nc)
+				widenPanelF16(bp, p.F16[k0*n+j0:], n, kc, nc)
 			} else {
-				packPanelTI8(packed[:], p.I8, p.Scale, n, k0, j0, kc, nc)
+				widenPanelI8(bp, p.I8[k0*n+j0:], p.Scale[j0:], n, kc, nc)
 			}
-			for i := loM; i < hiM; i++ {
-				gemmMicroRowDispatch(c[i*n+j0:i*n+j0+nc], a[i*k+k0:i*k+k0+kc], packed[:nc*kc])
-			}
+			gemmAxpy(c[loM*n+j0:], n, a[loM*k+k0:], k, 1, bp, nc, kc, nc, hiM-loM)
 		}
 	}
 }
 
-// gemmRowF16 is gemmRow over an fp16 [k,n] matrix, each weight widened in
-// the load.
+// gemmRowF16 computes ci += ai·b for an fp16 [k,n] matrix b read in
+// place, gemmRowNR C columns held in registers and each weight widened in
+// the load; zero ai elements are skipped as GemmRangeNaive skips them.
 func gemmRowF16(ci, ai []float32, b []half.Float16) {
 	n := len(ci)
 	j := 0
@@ -302,7 +305,7 @@ func gemmRowF16(ci, ai []float32, b []half.Float16) {
 	}
 }
 
-// gemmRowI8 is gemmRow over an int8 [k,n] matrix with per-column
+// gemmRowI8 is gemmRowF16 over an int8 [k,n] matrix with per-column
 // scales, each weight widened in the load as Dequant widens it.
 func gemmRowI8(ci, ai []float32, b []int8, scale []float32) {
 	n := len(ci)
