@@ -11,13 +11,22 @@ SUITES := kernels,kernels_precision,train_step,generate,generate_sparse,obs,trac
 # upload-artifact step looks).
 BENCH_FLAGS ?=
 
-.PHONY: build test race bench bench-smoke bench-allocs baseline loc fmt vet bigfiles check ci
+.PHONY: build test fuzz race bench bench-smoke bench-allocs baseline loc fmt vet bigfiles check ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Every native fuzz target for 10 s. `go test -fuzz` takes one target in
+# one package per run, so the targets are listed from the test sources.
+fuzz:
+	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' .); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 10s $$(dirname $$f); \
+		done; \
+	done
 
 # Race detector over every package — what CI's race job runs.
 race:
@@ -70,4 +79,4 @@ bigfiles:
 
 check: fmt vet bigfiles
 
-ci: check build test race bench bench-smoke
+ci: check build test fuzz race bench bench-smoke

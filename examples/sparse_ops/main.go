@@ -55,7 +55,7 @@ func main() {
 		outs = append(outs, make([]float32, seq*hd))
 	}
 	start := time.Now()
-	probs := sparse.NewCombinedSparseIn(nil, combined, blk)
+	probs := sparse.NewCombinedSparseIn(tensor.NewArena(), combined, blk)
 	sparse.MultiHeadSDD(probs, qs, ks, hd)
 	sparse.MultiHeadCausalSoftmax(probs, scale)
 	sparse.MultiHeadDSD(outs, vs, probs, hd)

@@ -182,7 +182,7 @@ func attentionBenchmarks(s, hd int) []Benchmark {
 	} {
 		heads = append(heads, p.Build(s/blk))
 	}
-	combined := sparse.NewCombinedSparseIn(nil, sparse.Combine(heads), blk)
+	combined := sparse.NewCombinedSparseIn(tensor.NewArena(), sparse.Combine(heads), blk)
 	outs := tensor.New(len(heads), s*hd)
 	var qs, ks, vs, outH [][]float32
 	for h := range heads {

@@ -68,8 +68,9 @@ func TestBaselineSharesInitialWeights(t *testing.T) {
 	sys := New(cfg)
 	base := NewBaseline(cfg)
 	ids := [][]int{{1, 2, 3, 4}}
-	a := sys.Model.Forward(ids, nil, nil)
-	b := base.Model.Forward(ids, nil, nil)
+	ws := tensor.NewArena()
+	a := sys.Model.Forward(ids, nil, ws)
+	b := base.Model.Forward(ids, nil, ws)
 	if d := tensor.MaxAbsDiff(a, b); d != 0 {
 		t.Fatalf("baseline weights differ: %v", d)
 	}

@@ -4,6 +4,7 @@ import (
 	"longexposure/internal/core"
 	"longexposure/internal/nn"
 	"longexposure/internal/peft"
+	"longexposure/internal/tensor"
 )
 
 // Ablations probes the design choices DESIGN.md calls out, beyond the
@@ -69,11 +70,12 @@ func Ablations(o Options) *Report {
 	// 3. Matching policy: mass-weighted vs count-based recall.
 	sys := core.New(core.Config{Prime: true, Spec: spec, Method: peft.LoRA, Blk: blk, Seed: o.seed()})
 	sys.PretrainPredictors(calib, predictorTrainCfg(o))
-	sys.Model.Forward(batches[0].Inputs, nil, nil)
+	ws := tensor.NewArena()
+	sys.Model.Forward(batches[0].Inputs, nil, ws)
 	var massD, countD float64
 	var n int
 	for _, b := range sys.Model.Blocks {
-		probs := b.Attn.DenseProbs(nil)
+		probs := b.Attn.DenseProbs(ws)
 		masks, masses := sys.Exposer.HeadMasksWithMass(probs, batch, spec.Config.Heads)
 		for h, m := range masks {
 			_, lMass := sys.Exposer.MatchToPool(m, masses[h])

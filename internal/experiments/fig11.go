@@ -177,15 +177,16 @@ func randomCausalLayout(nb int, p float64, rng *tensor.RNG) *sparse.Layout {
 // mask for one head.
 func visualizePrediction(sys *core.System, ids [][]int, blk int) [][]string {
 	m := sys.Model
-	m.Forward(ids, nil, nil)
+	ws := tensor.NewArena()
+	m.Forward(ids, nil, ws)
 	b0 := m.Blocks[0]
 	batch := len(ids)
 	seq := m.TotalSeq(len(ids[0]))
 
 	// Predicted mask.
-	pred := sys.Predictors.Layers[0].Attn.PredictMasks(b0.LN1Out(nil), batch, seq)[0]
+	pred := sys.Predictors.Layers[0].Attn.PredictMasks(b0.LN1Out(ws), batch, seq)[0]
 	// Target mask from true probabilities.
-	target := sys.Exposer.HeadMasks(b0.Attn.DenseProbs(nil), batch, sys.Cfg.Spec.Config.Heads)[0]
+	target := sys.Exposer.HeadMasks(b0.Attn.DenseProbs(ws), batch, sys.Cfg.Spec.Config.Heads)[0]
 
 	nb := seq / blk
 	render := func(l *sparse.Layout) []string {

@@ -21,13 +21,14 @@ func Fig4(o Options) *Report {
 	batch, seq, blk := o.simGeometry()
 	sys := core.New(core.Config{Prime: true, Spec: spec, Method: peft.LoRA, Blk: blk, Seed: o.seed()})
 	batches := e2eBatches(spec, batch, seq, 1, o.seed())
-	sys.Model.Forward(batches[0].Inputs, nil, nil)
+	ws := tensor.NewArena()
+	sys.Model.Forward(batches[0].Inputs, nil, ws)
 
 	// MLP side (Fig 4c/4d): per-token sparsity vs overall (AND-reduced)
 	// sparsity per layer.
 	var mlpRows [][]string
 	for li, b := range sys.Model.Blocks {
-		mask := b.MLP.ActivationMask(nil)
+		mask := b.MLP.ActivationMask(ws)
 		mlpRows = append(mlpRows, []string{
 			itoa(li),
 			f3(exposer.PerTokenMLPSparsity(mask)),
@@ -40,7 +41,7 @@ func Fig4(o Options) *Report {
 	// Attention side (Fig 4a/4b): the per-row block need of a single late
 	// token vs the union over the whole sequence, layer 0.
 	b0 := sys.Model.Blocks[0]
-	probs := b0.Attn.DenseProbs(nil)
+	probs := b0.Attn.DenseProbs(ws)
 	masks := sys.Exposer.HeadMasks(probs, batch, spec.Config.Heads)
 	nb := seq / blk
 	var attnRows [][]string

@@ -10,6 +10,7 @@ import (
 	"longexposure/internal/nn"
 	"longexposure/internal/peft"
 	"longexposure/internal/sparse"
+	"longexposure/internal/tensor"
 )
 
 // Fig9 regenerates Figure 9: per-layer sparsity ratios and the performance
@@ -28,7 +29,8 @@ func Fig9(o Options) *Report {
 	sys.PretrainPredictors(idsOf(batches, 1), predictorTrainCfg(o))
 
 	// One dense forward to populate ground-truth activations.
-	sys.Model.Forward(batches[0].Inputs, nil, nil)
+	ws := tensor.NewArena()
+	sys.Model.Forward(batches[0].Inputs, nil, ws)
 
 	nb := seq / blk
 	pool := sys.Exposer.Pool()
@@ -41,7 +43,7 @@ func Fig9(o Options) *Report {
 	var attnRows [][]string
 	leLayouts := make([][]*sparse.Layout, len(sys.Model.Blocks))
 	for li, b := range sys.Model.Blocks {
-		probs := b.Attn.DenseProbs(nil)
+		probs := b.Attn.DenseProbs(ws)
 		masks := sys.Exposer.HeadMasks(probs, batch, spec.Config.Heads)
 		_, layouts := sys.Exposer.ExposeAttention(probs, batch, spec.Config.Heads)
 		leLayouts[li] = layouts
@@ -59,8 +61,8 @@ func Fig9(o Options) *Report {
 	var mlpRows [][]string
 	leBlocks := make([][]int, len(sys.Model.Blocks))
 	for li, b := range sys.Model.Blocks {
-		mask := b.MLP.ActivationMask(nil)
-		hidden := b.MLP.HiddenActivations(nil)
+		mask := b.MLP.ActivationMask(ws)
+		hidden := b.MLP.HiddenActivations(ws)
 		shadowy := exposer.ShadowyMLPSparsity(mask)
 		row := []string{itoa(li), f3(shadowy)}
 		for ti, th := range thresholds {
@@ -75,17 +77,19 @@ func Fig9(o Options) *Report {
 	r.AddSection("MLP block sparsity ratio per layer (measured; thresholds as %% of peak importance)",
 		[]string{"Layer", "Shadowy (overall)", "Thold=1%", "Thold=2%", "Thold=3%", "Thold=5%"}, mlpRows)
 
-	// Section 3: per-layer execution time, real CPU kernels.
+	// Section 3: per-layer execution time, real CPU kernels, on a second
+	// arena released every rep (ws still backs the layer inputs).
 	reps := o.pick(3, 20)
+	tws := tensor.NewArena()
 	var timeRows [][]string
 	for li, b := range sys.Model.Blocks {
-		x := b.LN1Out(nil)
-		dense := timeIt(reps, func() { b.Attn.Forward(x, batch, seq, nil, 0, nil) })
-		sparseT := timeIt(reps, func() { b.Attn.Forward(x, batch, seq, leLayouts[li], blk, nil) })
+		x := b.LN1Out(ws)
+		dense := timeIt(reps, func() { b.Attn.Forward(x, batch, seq, nil, 0, tws); tws.Release() })
+		sparseT := timeIt(reps, func() { b.Attn.Forward(x, batch, seq, leLayouts[li], blk, tws); tws.Release() })
 
-		x2 := b.LN2Out(nil)
-		mDense := timeIt(reps, func() { b.MLP.Forward(x2, nil, 0, nil) })
-		mSparse := timeIt(reps, func() { b.MLP.Forward(x2, leBlocks[li], blk, nil) })
+		x2 := b.LN2Out(ws)
+		mDense := timeIt(reps, func() { b.MLP.Forward(x2, nil, 0, tws); tws.Release() })
+		mSparse := timeIt(reps, func() { b.MLP.Forward(x2, leBlocks[li], blk, tws); tws.Release() })
 
 		timeRows = append(timeRows, []string{
 			itoa(li),

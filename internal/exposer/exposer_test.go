@@ -156,7 +156,7 @@ func TestFilterThresholdMonotonic(t *testing.T) {
 	r := tensor.NewRNG(1)
 	hidden := tensor.New(16, 64)
 	r.FillNormal(hidden, 1)
-	tensor.ReLU(hidden, false)
+	tensor.ReLUIn(tensor.NewArena(), hidden, false)
 	prev := -1
 	for _, th := range []float64{0.01, 0.02, 0.03, 0.05, 0.2, 0.5} {
 		n := len(FilterNeuronBlocksAt(hidden, 8, th))
@@ -179,7 +179,7 @@ func TestFilterBlocksSortedAndInRange(t *testing.T) {
 	r := tensor.NewRNG(2)
 	hidden := tensor.New(8, 32)
 	r.FillNormal(hidden, 1)
-	tensor.ReLU(hidden, false)
+	tensor.ReLUIn(tensor.NewArena(), hidden, false)
 	blocks := FilterNeuronBlocksAt(hidden, 8, 0.01)
 	for i, b := range blocks {
 		if b < 0 || b >= 4 {

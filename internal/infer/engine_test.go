@@ -26,15 +26,17 @@ func trainedPEFT(t *testing.T, method peft.Method, seed uint64) *nn.Transformer 
 	ids := [][]int{{2, 5, 3, 7, 2, 5, 3, 7}}
 	targets := [][]int{{5, 3, 7, 2, 5, 3, 7, 2}}
 	ps := m.Params()
+	ws := tensor.NewArena()
 	for i := 0; i < 4; i++ {
-		logits := m.Forward(ids, nil, nil)
-		flat := m.FlattenTargets(targets)
-		_, dLogits := nn.CrossEntropy(logits, flat)
+		logits := m.Forward(ids, nil, ws)
+		flat := m.FlattenTargetsIn(ws, targets)
+		_, dLogits := nn.CrossEntropyIn(ws, logits, flat)
 		ps.ZeroGrads()
-		m.Backward(dLogits, nil)
+		m.Backward(dLogits, ws)
 		for _, p := range ps.Trainable() {
 			tensor.AddScaledInto(p.W, p.Grad, -0.05)
 		}
+		ws.Release()
 	}
 	return m
 }

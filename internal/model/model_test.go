@@ -65,17 +65,18 @@ func TestPrimeSparsityInducesTrainedLLMStatistics(t *testing.T) {
 		}
 		ids[b] = row
 	}
-	m.Forward(ids, nil, nil)
+	ws := tensor.NewArena()
+	m.Forward(ids, nil, ws)
 
 	for li, b := range m.Blocks {
-		mask := b.MLP.ActivationMask(nil)
+		mask := b.MLP.ActivationMask(ws)
 		perTok := exposer.PerTokenMLPSparsity(mask)
 		if perTok < 0.6 {
 			t.Errorf("layer %d: per-token MLP sparsity %.2f < 0.6 (priming failed)", li, perTok)
 		}
 		// Importance must be heavy-tailed enough for the 2%-threshold
 		// filter to drop something.
-		blocks := exposer.FilterNeuronBlocksAt(b.MLP.HiddenActivations(nil), 8, 0.02)
+		blocks := exposer.FilterNeuronBlocksAt(b.MLP.HiddenActivations(ws), 8, 0.02)
 		total := (spec.Config.Hidden + 7) / 8
 		if len(blocks) == total {
 			t.Errorf("layer %d: threshold filter dropped nothing", li)
@@ -91,21 +92,22 @@ func TestPrimeSparsityKeepsModelTrainable(t *testing.T) {
 
 	ids := [][]int{{1, 2, 3, 4, 5, 6, 7, 8}}
 	targets := [][]int{{1, 2, 3, 4, 5, 6, 7, 8}}
-	flat := m.FlattenTargets(targets)
 	ps := m.Params()
+	ws := tensor.NewArena()
 	var first, last float64
 	for step := 0; step < 40; step++ {
-		logits := m.Forward(ids, nil, nil)
-		loss, dLogits := nn.CrossEntropy(logits, flat)
+		logits := m.Forward(ids, nil, ws)
+		loss, dLogits := nn.CrossEntropyIn(ws, logits, m.FlattenTargetsIn(ws, targets))
 		if step == 0 {
 			first = loss
 		}
 		last = loss
 		ps.ZeroGrads()
-		m.Backward(dLogits, nil)
+		m.Backward(dLogits, ws)
 		for _, p := range ps {
 			tensor.AddScaledInto(p.W, p.Grad, -0.3)
 		}
+		ws.Release()
 	}
 	if last > first*0.7 {
 		t.Fatalf("primed model does not train: %.3f → %.3f", first, last)
@@ -137,12 +139,13 @@ func TestPrimeAttentionIsLocal(t *testing.T) {
 	for i := range row {
 		row[i] = 4 + r2.Intn(spec.Config.Vocab-4)
 	}
-	m.Forward([][]int{row}, nil, nil)
+	ws := tensor.NewArena()
+	m.Forward([][]int{row}, nil, ws)
 
 	var meanDist, uniformDist float64
 	var n int
 	for _, b := range m.Blocks {
-		for _, p := range b.Attn.DenseProbs(nil) {
+		for _, p := range b.Attn.DenseProbs(ws) {
 			for i := seq / 2; i < seq; i++ { // rows with enough context
 				var d float64
 				for j := 0; j <= i; j++ {

@@ -10,9 +10,6 @@ import (
 type Adapter struct {
 	Dim, Bottleneck int
 	Down, Up        *Linear
-
-	// def serves nil-workspace invocations (single-owner usage).
-	def adapterState
 }
 
 // adapterState is what one Adapter invocation saves for its backward.
@@ -40,7 +37,7 @@ func (a *Adapter) Params() ParamSet {
 // Forward computes y = z + up(relu(down(z))). ws is the step workspace.
 func (a *Adapter) Forward(z *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 	h := a.Down.Forward(z, ws)
-	stateOf(ws, a, &a.def).mask = tensor.ReLUIn(ws, h, true)
+	stateOf[adapterState](ws, a).mask = tensor.ReLUIn(ws, h, true)
 	y := a.Up.Forward(h, ws)
 	tensor.AddInto(y, z)
 	return y
@@ -49,7 +46,7 @@ func (a *Adapter) Forward(z *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 // Backward propagates dy through the bottleneck and the residual.
 func (a *Adapter) Backward(dy *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 	dh := a.Up.Backward(dy, ws)
-	tensor.MulInto(dh, stateOf(ws, a, &a.def).mask)
+	tensor.MulInto(dh, stateOf[adapterState](ws, a).mask)
 	dz := a.Down.Backward(dh, ws)
 	tensor.AddInto(dz, dy) // residual branch
 	return dz

@@ -29,15 +29,12 @@ import (
 type MultiHeadAttention struct {
 	Dim, Heads, HeadDim int
 	Wq, Wk, Wv, Wo      *Linear
-
-	// def serves nil-workspace invocations (single-owner usage).
-	def attnState
 }
 
 // attnState is one invocation's forward cache plus backward scratch. The
 // [][]float32 headers and backing structs persist across steps (they live
-// on the arena's per-layer state or on the layer's def), while the float
-// buffers they point at are re-Got from the workspace every step.
+// in the arena's per-layer state), while the float buffers they point at
+// are re-Got from the workspace every step.
 type attnState struct {
 	batch, seq int
 
@@ -81,21 +78,14 @@ func (a *MultiHeadAttention) Params() ParamSet {
 }
 
 // headBuffers returns bh buffers of n floats reusing the header slice hdr.
-// With a workspace the buffers are carved from one slab Got on the calling
-// goroutine (so parallel fills never touch the arena); without one each
-// buffer is a fresh make, exactly like the seed code. dirty skips zeroing
-// on the arena path — only for buffers the caller fully overwrites.
+// The buffers are carved from one slab Got on the calling goroutine, so
+// parallel fills never touch the arena. dirty skips zeroing — only for
+// buffers the caller fully overwrites.
 func headBuffers(hdr [][]float32, bh, n int, ws *tensor.Arena, dirty bool) [][]float32 {
 	if cap(hdr) < bh {
 		hdr = make([][]float32, 0, bh)
 	}
 	hdr = hdr[:0]
-	if ws == nil {
-		for i := 0; i < bh; i++ {
-			hdr = append(hdr, make([]float32, n))
-		}
-		return hdr
-	}
 	var slab []float32
 	if dirty {
 		slab = ws.FloatsDirty(bh * n)
@@ -121,7 +111,7 @@ func (a *MultiHeadAttention) splitHeads(hdr [][]float32, x *tensor.Tensor, batch
 // mergeHeads inverts splitHeads.
 func (a *MultiHeadAttention) mergeHeads(heads [][]float32, batch, seq int, ws *tensor.Arena) *tensor.Tensor {
 	h, hd := a.Heads, a.HeadDim
-	out := tensor.NewIn(ws, batch*seq, a.Dim)
+	out := ws.Get(batch*seq, a.Dim)
 	parallel.ForArg(batch*h, permuteArgs{heads, out.Data, a.Dim, hd, h, seq}, mergeHeadsItem)
 	return out
 }
@@ -129,9 +119,9 @@ func (a *MultiHeadAttention) mergeHeads(heads [][]float32, batch, seq int, ws *t
 // Forward runs attention over x: [batch*seq, dim]. layouts selects the
 // execution path: nil runs dense causal attention; otherwise layouts[h] is
 // head h's block layout (blk is the block size in tokens, and seq must be
-// a multiple of blk). ws is the step workspace (nil allocates).
+// a multiple of blk). ws is the step workspace.
 func (a *MultiHeadAttention) Forward(x *tensor.Tensor, batch, seq int, layouts []*sparse.Layout, blk int, ws *tensor.Arena) *tensor.Tensor {
-	st := stateOf(ws, a, &a.def)
+	st := stateOf[attnState](ws, a)
 	st.batch, st.seq = batch, seq
 	if layouts != nil {
 		if len(layouts) != a.Heads {
@@ -160,7 +150,7 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor, batch, seq int, layouts [
 		}
 		st.probsDense = st.probsDense[:0]
 		for i := 0; i < bh; i++ {
-			st.probsDense = append(st.probsDense, tensor.NewIn(ws, seq, seq))
+			st.probsDense = append(st.probsDense, ws.Get(seq, seq))
 		}
 		st.probsSparse = nil
 		parallel.ForArg(bh, denseFwdArgs{st.probsDense, ctx, st.qh, st.kh, st.vh, seq, a.HeadDim, scale}, denseFwdItem)
@@ -181,19 +171,18 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor, batch, seq int, layouts [
 }
 
 // DenseProbs exposes the per-(batch,head) probability matrices of the last
-// dense forward run with the given workspace (nil for workspace-less
-// forwards) — the ground-truth signal the exposer derives head-specific
-// masks from and the predictor trains against. Index is batch*Heads + head.
-// Nil after a sparse forward.
+// dense forward run with the given workspace — the ground-truth signal the
+// exposer derives head-specific masks from and the predictor trains
+// against. Index is batch*Heads + head. Nil after a sparse forward.
 func (a *MultiHeadAttention) DenseProbs(ws *tensor.Arena) []*tensor.Tensor {
-	return stateOf(ws, a, &a.def).probsDense
+	return stateOf[attnState](ws, a).probsDense
 }
 
 // Backward propagates dOut: [batch*seq, dim] and returns dx. The sparse
 // path computes gradients only on active blocks. ws must be the workspace
 // the matching Forward ran with.
 func (a *MultiHeadAttention) Backward(dOut *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
-	st := stateOf(ws, a, &a.def)
+	st := stateOf[attnState](ws, a)
 	batch, seq, hd := st.batch, st.seq, a.HeadDim
 	scale := float32(1 / math.Sqrt(float64(hd)))
 

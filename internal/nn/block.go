@@ -17,9 +17,6 @@ type TransformerBlock struct {
 	MLP      *MLP
 	AdptA    *Adapter
 	AdptM    *Adapter
-
-	// def serves nil-workspace invocations (single-owner usage).
-	def blockState
 }
 
 // blockState keeps one block invocation's sublayer inputs (predictor
@@ -29,17 +26,17 @@ type blockState struct {
 }
 
 // LN1Out returns the normalized input the attention sublayer saw in the
-// last forward run with the given workspace (nil for workspace-less
-// forwards) — the input the attention predictor is trained on.
+// last forward run with the given workspace — the input the attention
+// predictor is trained on.
 func (b *TransformerBlock) LN1Out(ws *tensor.Arena) *tensor.Tensor {
-	return stateOf(ws, b, &b.def).ln1Out
+	return stateOf[blockState](ws, b).ln1Out
 }
 
 // LN2Out returns the normalized input the MLP sublayer saw in the last
 // forward run with the given workspace — the input the MLP predictor is
 // trained on.
 func (b *TransformerBlock) LN2Out(ws *tensor.Arena) *tensor.Tensor {
-	return stateOf(ws, b, &b.def).ln2Out
+	return stateOf[blockState](ws, b).ln2Out
 }
 
 // NewTransformerBlock builds one decoder block.
@@ -71,7 +68,7 @@ func (b *TransformerBlock) Params() ParamSet {
 // the LayerNorm outputs — the exact tensors the sublayers consume, and the
 // inputs the predictors were trained on.
 func (b *TransformerBlock) Forward(x *tensor.Tensor, batch, seq int, planner LayerPlanner, ws *tensor.Arena) *tensor.Tensor {
-	st := stateOf(ws, b, &b.def)
+	st := stateOf[blockState](ws, b)
 	h := b.LN1.Forward(x, ws)
 	st.ln1Out = h
 	var attnLayouts []*sparse.Layout

@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+
+	"longexposure/internal/tensor"
 )
 
 // Checkpoint format: a simple self-describing binary stream —
@@ -63,21 +66,8 @@ func (ps ParamSet) Save(w io.Writer) error {
 // checkpoint can be loaded into a PEFT-extended model).
 func (ps ParamSet) Load(r io.Reader) error {
 	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return fmt.Errorf("nn: reading checkpoint magic: %w", err)
-	}
-	if string(magic) != ckptMagic {
-		return fmt.Errorf("nn: bad checkpoint magic %q", magic)
-	}
-	var version, count uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return err
-	}
-	if version != ckptVersion {
-		return fmt.Errorf("nn: unsupported checkpoint version %d", version)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
+	count, err := readHeader(br)
+	if err != nil {
 		return err
 	}
 	byName := make(map[string]*Parameter, len(ps))
@@ -85,37 +75,20 @@ func (ps ParamSet) Load(r io.Reader) error {
 		byName[p.Name] = p
 	}
 	for i := uint32(0); i < count; i++ {
-		name, err := readString(br)
+		name, shape, n, err := readParamHeader(br)
 		if err != nil {
 			return err
-		}
-		var rank uint32
-		if err := binary.Read(br, binary.LittleEndian, &rank); err != nil {
-			return err
-		}
-		n := 1
-		shape := make([]int, rank)
-		for d := range shape {
-			var v uint32
-			if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
-				return err
-			}
-			shape[d] = int(v)
-			n *= int(v)
-		}
-		buf := make([]byte, 4*n)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return fmt.Errorf("nn: reading %s data: %w", name, err)
 		}
 		p, ok := byName[name]
 		if !ok {
 			return fmt.Errorf("nn: checkpoint parameter %q not in model", name)
 		}
-		if p.W.Len() != n {
+		// A compressed layer keeps its shape but has freed its f32 storage.
+		if p.W.Len() != n || !slices.Equal(shape, p.W.Shape()) {
 			return fmt.Errorf("nn: %s shape mismatch: checkpoint %v vs model %v", name, shape, p.W.Shape())
 		}
-		for j := 0; j < n; j++ {
-			p.W.Data[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[j*4:]))
+		if _, err := readFloats(br, p.W.Data[:0], n); err != nil {
+			return fmt.Errorf("nn: reading %s data: %w", name, err)
 		}
 	}
 	return nil
@@ -124,60 +97,106 @@ func (ps ParamSet) Load(r io.Reader) error {
 // LoadParams reads a checkpoint stream written by Save and returns a
 // freshly allocated parameter set in checkpoint order — the loader for
 // artifacts whose structure is not known in advance (the adapter deltas
-// internal/registry stores).
+// internal/registry stores). The stream is untrusted: nothing is
+// allocated ahead of the bytes that back it, so a corrupt header fails
+// with an error instead of exhausting memory.
 func LoadParams(r io.Reader) (ParamSet, error) {
 	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("nn: reading checkpoint magic: %w", err)
-	}
-	if string(magic) != ckptMagic {
-		return nil, fmt.Errorf("nn: bad checkpoint magic %q", magic)
-	}
-	var version, count uint32
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
+	count, err := readHeader(br)
+	if err != nil {
 		return nil, err
 	}
-	if version != ckptVersion {
-		return nil, fmt.Errorf("nn: unsupported checkpoint version %d", version)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, err
-	}
-	ps := make(ParamSet, 0, count)
+	var ps ParamSet
 	for i := uint32(0); i < count; i++ {
-		name, err := readString(br)
+		name, shape, n, err := readParamHeader(br)
 		if err != nil {
 			return nil, err
 		}
-		var rank uint32
-		if err := binary.Read(br, binary.LittleEndian, &rank); err != nil {
-			return nil, err
-		}
-		if rank > 8 {
-			return nil, fmt.Errorf("nn: implausible rank %d for %s", rank, name)
-		}
-		n := 1
-		shape := make([]int, rank)
-		for d := range shape {
-			var v uint32
-			if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
-				return nil, err
-			}
-			shape[d] = int(v)
-			n *= int(v)
-		}
-		buf := make([]byte, 4*n)
-		if _, err := io.ReadFull(br, buf); err != nil {
+		data, err := readFloats(br, nil, n)
+		if err != nil {
 			return nil, fmt.Errorf("nn: reading %s data: %w", name, err)
 		}
-		p := NewParameter(name, shape...)
-		for j := 0; j < n; j++ {
-			p.W.Data[j] = math.Float32frombits(binary.LittleEndian.Uint32(buf[j*4:]))
-		}
-		ps = append(ps, p)
+		ps = append(ps, &Parameter{Name: name, W: tensor.FromSlice(data, shape...), Grad: tensor.New(shape...)})
 	}
 	return ps, nil
+}
+
+// readHeader checks the stream's magic and version and returns its
+// parameter count.
+func readHeader(r io.Reader) (uint32, error) {
+	magic := make([]byte, 4)
+	if _, err := io.ReadFull(r, magic); err != nil {
+		return 0, fmt.Errorf("nn: reading checkpoint magic: %w", err)
+	}
+	if string(magic) != ckptMagic {
+		return 0, fmt.Errorf("nn: bad checkpoint magic %q", magic)
+	}
+	var version, count uint32
+	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
+		return 0, err
+	}
+	if version != ckptVersion {
+		return 0, fmt.Errorf("nn: unsupported checkpoint version %d", version)
+	}
+	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
+		return 0, err
+	}
+	return count, nil
+}
+
+// maxCkptElems bounds a stored tensor's element count so its byte size
+// (4 per element) fits an int.
+const maxCkptElems = math.MaxInt / 4
+
+// readParamHeader reads one parameter's name and shape and returns its
+// element count, rejecting an implausible rank and a dim product that
+// overflows.
+func readParamHeader(r io.Reader) (name string, shape []int, n int, err error) {
+	if name, err = readString(r); err != nil {
+		return "", nil, 0, err
+	}
+	var rank uint32
+	if err := binary.Read(r, binary.LittleEndian, &rank); err != nil {
+		return "", nil, 0, err
+	}
+	if rank > 8 {
+		return "", nil, 0, fmt.Errorf("nn: implausible rank %d for %s", rank, name)
+	}
+	n = 1
+	shape = make([]int, rank)
+	for d := range shape {
+		var v uint32
+		if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
+			return "", nil, 0, err
+		}
+		if v != 0 && n > maxCkptElems/int(v) {
+			return "", nil, 0, fmt.Errorf("nn: %s shape overflows at dim %d", name, d)
+		}
+		shape[d] = int(v)
+		n *= int(v)
+	}
+	return name, shape, n, nil
+}
+
+// readFloats appends n little-endian float32 values read from r to dst.
+// It reads in bounded chunks, so a count beyond what the stream holds
+// fails at the stream's end having allocated only about what was there;
+// a dst with room for n values is filled in place.
+func readFloats(r io.Reader, dst []float32, n int) ([]float32, error) {
+	const chunk = 1 << 14 // values per read
+	buf := make([]byte, 4*min(n, chunk))
+	for n > 0 {
+		k := min(n, chunk)
+		if _, err := io.ReadFull(r, buf[:4*k]); err != nil {
+			return nil, err
+		}
+		dst = slices.Grow(dst, k)
+		for i := 0; i < k; i++ {
+			dst = append(dst, math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
+		}
+		n -= k
+	}
+	return dst, nil
 }
 
 func writeString(w io.Writer, s string) error {

@@ -2,6 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -20,12 +23,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	// Fresh model with different weights; loading must restore function.
 	m2 := NewTransformer(cfg, tensor.NewRNG(401))
 	ids := [][]int{{1, 2, 3, 4}}
-	before := m2.Forward(ids, nil, nil).Clone()
+	ws := tensor.NewArena()
+	before := m2.Forward(ids, nil, ws).Clone()
 	if err := m2.Params().Load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	after := m2.Forward(ids, nil, nil)
-	orig := m.Forward(ids, nil, nil)
+	after := m2.Forward(ids, nil, ws)
+	orig := m.Forward(ids, nil, ws)
 	if d := tensor.MaxAbsDiff(after, orig); d != 0 {
 		t.Fatalf("restored model diverges: %v", d)
 	}
@@ -163,16 +167,17 @@ func TestGenerateLearnedPattern(t *testing.T) {
 	m := NewTransformer(cfg, r)
 	ids := [][]int{{2, 3, 2, 3, 2, 3, 2, 3}}
 	targets := [][]int{{3, 2, 3, 2, 3, 2, 3, 2}}
-	flat := m.FlattenTargets(targets)
 	ps := m.Params()
+	ws := tensor.NewArena()
 	for i := 0; i < 120; i++ {
-		logits := m.Forward(ids, nil, nil)
-		_, dLogits := CrossEntropy(logits, flat)
+		logits := m.Forward(ids, nil, ws)
+		_, dLogits := CrossEntropyIn(ws, logits, m.FlattenTargetsIn(ws, targets))
 		ps.ZeroGrads()
-		m.Backward(dLogits, nil)
+		m.Backward(dLogits, ws)
 		for _, p := range ps {
 			tensor.AddScaledInto(p.W, p.Grad, -0.3)
 		}
+		ws.Release()
 	}
 	out := m.Generate([]int{2, 3, 2, 3}, GenerateConfig{MaxTokens: 4, StopToken: -1})
 	want := []int{2, 3, 2, 3}
@@ -201,4 +206,90 @@ func TestTemperatureSamplingVariesAndStaysInVocab(t *testing.T) {
 	if len(seen) < 2 {
 		t.Fatal("high-temperature sampling produced a single token")
 	}
+}
+
+// ckptHeader starts a checkpoint stream claiming count parameters.
+func ckptHeader(count uint32) []byte {
+	b := binary.LittleEndian.AppendUint32([]byte(ckptMagic), ckptVersion)
+	return binary.LittleEndian.AppendUint32(b, count)
+}
+
+// ckptParam appends one parameter record's name and dims, without data.
+func ckptParam(b []byte, name string, dims ...uint32) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(name)))
+	b = append(b, name...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(dims)))
+	for _, d := range dims {
+		b = binary.LittleEndian.AppendUint32(b, d)
+	}
+	return b
+}
+
+// TestLoadRejectsCorruptStreams feeds both loaders headers that claim more
+// than the stream holds: each must fail with an error, having allocated
+// about what the stream holds rather than what its header claims.
+func TestLoadRejectsCorruptStreams(t *testing.T) {
+	loadParams := func(b []byte) error {
+		_, err := LoadParams(bytes.NewReader(b))
+		return err
+	}
+	loadModel := func(b []byte) error {
+		return NewTransformer(tinyConfig(), tensor.NewRNG(409)).Params().Load(bytes.NewReader(b))
+	}
+	for _, tc := range []struct {
+		name   string
+		load   func([]byte) error
+		stream []byte
+		want   string
+	}{
+		{"count beyond stream", loadParams, ckptHeader(0xFFFFFFFF), "EOF"},
+		{"dims overflow", loadParams, ckptParam(ckptHeader(1), "w", 65536, 65536, 65536, 65536), "overflows"},
+		{"shape beyond stream", loadParams, append(ckptParam(ckptHeader(1), "w", 1<<16, 1<<12), 1, 2, 3, 4), "EOF"},
+		{"dims overflow into model", loadModel, ckptParam(ckptHeader(1), "lm_head.weight", 65536, 65536, 65536, 65536), "overflows"},
+		{"shape mismatch before data", loadModel, ckptParam(ckptHeader(1), "lm_head.weight", 1<<16, 1<<10), "shape mismatch"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.load(tc.stream)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Fatalf("%s: allocated %d bytes for a %d-byte stream", tc.name, grew, len(tc.stream))
+		}
+	}
+}
+
+// FuzzLoadParams: on any stream, LoadParams either returns an error or
+// parameters whose weight and gradient lengths match their shapes — it
+// never panics.
+func FuzzLoadParams(f *testing.F) {
+	m := NewTransformer(Config{Name: "fuzz", Vocab: 5, Dim: 4, Layers: 1, Heads: 1, Hidden: 4, MaxSeq: 4}, tensor.NewRNG(410))
+	var buf bytes.Buffer
+	if err := m.Params().Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()/2])
+	f.Add(ckptHeader(0xFFFFFFFF))
+	f.Add(ckptParam(ckptHeader(1), "w", 65536, 65536, 65536, 65536))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		ps, err := LoadParams(bytes.NewReader(b))
+		if err != nil {
+			return
+		}
+		for _, p := range ps {
+			n := 1
+			for _, d := range p.W.Shape() {
+				if d != 0 && n > math.MaxInt/d {
+					t.Fatalf("%s: shape %v overflows", p.Name, p.W.Shape())
+				}
+				n *= d
+			}
+			if p.W.Len() != n || p.Grad.Len() != n {
+				t.Fatalf("%s: shape %v holds %d weights, %d grads", p.Name, p.W.Shape(), p.W.Len(), p.Grad.Len())
+			}
+		}
+	})
 }

@@ -63,7 +63,7 @@ func TestCompressForwardMatchesDecode(t *testing.T) {
 	for _, precision := range []string{PrecisionF16, PrecisionI8, PrecisionNM24} {
 		_, comp := compressedPair(t, precision)
 		prompt := []int{2, 5, 3, 7}
-		fwd := comp.Forward([][]int{prompt}, nil, nil)
+		fwd := comp.Forward([][]int{prompt}, nil, tensor.NewArena())
 		cache := comp.NewKVCache()
 		dec := comp.DecodeStepCfg(cache, prompt, DecodeStepConfig{})
 		last := fwd.Row(len(prompt) - 1)
@@ -121,10 +121,11 @@ func TestCompressGuards(t *testing.T) {
 	}
 	mlp := m.Blocks[0].MLP
 	x := tensor.New(1, m.Cfg.Dim)
-	mustPanic("sparse forward", func() { mlp.Forward(x, []int{0}, 8, nil) })
+	ws := tensor.NewArena()
+	mustPanic("sparse forward", func() { mlp.Forward(x, []int{0}, 8, ws) })
 	mustPanic("backward", func() {
-		mlp.Forward(x, nil, 0, nil)
-		mlp.Backward(tensor.New(1, m.Cfg.Dim), nil)
+		mlp.Forward(x, nil, 0, ws)
+		mlp.Backward(tensor.New(1, m.Cfg.Dim), ws)
 	})
 
 	lora := NewTransformer(tinyConfig(), tensor.NewRNG(2))

@@ -146,7 +146,7 @@ func bottleneckOf(a *Adapter) *BottleneckWeights {
 
 // DecodeStepConfig is DecodeStepCfg's per-call configuration: the adapter,
 // the step's sparsity plan, and the workspace arena. The zero value
-// decodes the plain base, densely, with allocating scratch.
+// decodes the plain base, densely, on a fresh arena.
 type DecodeStepConfig struct {
 	// Adapter is the PEFT delta to decode with; nil decodes the plain base.
 	Adapter *DecodeAdapter
@@ -168,6 +168,9 @@ type DecodeStepConfig struct {
 // through the model against the cache, appending their K/V rows, and
 // returns the logits of the last new row as a [1, vocab] tensor.
 func (m *Transformer) DecodeStepCfg(cache *KVCache, ids []int, cfg DecodeStepConfig) *tensor.Tensor {
+	if cfg.WS == nil {
+		cfg.WS = tensor.NewArena()
+	}
 	seq := [1]DecodeSeq{{Cache: cache, IDs: ids, Adapter: cfg.Adapter, Plan: cfg.Plan, Stats: cfg.Stats}}
 	return m.DecodeBatch(seq[:], cfg.WS)
 }
@@ -190,19 +193,16 @@ type DecodeSeq struct {
 // its own rows. A call on an empty cache is that sequence's prefill, its
 // adapter's prompt rows prepended as Forward prepends them. It returns
 // [len(seqs), vocab] logits, row i from seqs[i]'s last new row. Caches
-// must be distinct; the model is only read (a nil ws decodes on a fresh
-// private arena, so nil-workspace decoders may share the model too);
-// invalid input panics before any cache is written.
+// must be distinct; the model is only read, so concurrent decoders share
+// it, each with its own arena ws; invalid input panics before any cache is
+// written.
 func (m *Transformer) DecodeBatch(seqs []DecodeSeq, ws *tensor.Arena) *tensor.Tensor {
 	if len(seqs) == 0 {
 		panic("nn: DecodeBatch with no sequences")
 	}
-	if ws == nil {
-		ws = tensor.NewArena()
-	}
 	d := m.Cfg.Dim
 	// Sequence i owns rows [offs[i], offs[i+1]) of every activation.
-	offs := tensor.IntsIn(ws, len(seqs)+1)
+	offs := ws.Ints(len(seqs) + 1)
 	for i := range seqs {
 		s := &seqs[i]
 		if len(s.IDs) == 0 {
@@ -218,7 +218,7 @@ func (m *Transformer) DecodeBatch(seqs []DecodeSeq, ws *tensor.Arena) *tensor.Te
 		offs[i+1] = offs[i] + n
 	}
 
-	x := tensor.NewIn(ws, offs[len(seqs)], d)
+	x := ws.Get(offs[len(seqs)], d)
 	for i := range seqs {
 		s := &seqs[i]
 		var prompt []float32
@@ -233,7 +233,7 @@ func (m *Transformer) DecodeBatch(seqs []DecodeSeq, ws *tensor.Arena) *tensor.Te
 
 	// Only each sequence's last row feeds the final norm and head, so a
 	// prefill skips the vocab projection for every earlier row.
-	last := tensor.NewIn(ws, len(seqs), d)
+	last := ws.Get(len(seqs), d)
 	for i := range seqs {
 		s := &seqs[i]
 		n := offs[i+1] - offs[i]
@@ -249,7 +249,7 @@ func (m *Transformer) DecodeBatch(seqs []DecodeSeq, ws *tensor.Arena) *tensor.Te
 // rowsOf views rows [lo, hi) of t.
 func rowsOf(ws *tensor.Arena, t *tensor.Tensor, lo, hi int) *tensor.Tensor {
 	cols := t.Dim(1)
-	return tensor.WrapIn(ws, t.Data[lo*cols:hi*cols], hi-lo, cols)
+	return ws.Wrap(t.Data[lo*cols:hi*cols], hi-lo, cols)
 }
 
 // decodeBlock mirrors TransformerBlock.Forward's dense path over the
@@ -275,7 +275,7 @@ func decodeAttention(a *MultiHeadAttention, x *tensor.Tensor, seqs []DecodeSeq, 
 	q := a.Wq.base(x, ws)
 	k := a.Wk.base(x, ws)
 	v := a.Wv.base(x, ws)
-	ctx := tensor.NewIn(ws, x.Dim(0), a.Dim)
+	ctx := ws.Get(x.Dim(0), a.Dim)
 	d := a.Dim
 	for i := range seqs {
 		s := &seqs[i]
@@ -336,7 +336,7 @@ func attendCached(a *MultiHeadAttention, ctx, q, k, v []float32, kv *kvLayer, p0
 	}
 
 	scale := float32(1 / math.Sqrt(float64(hd)))
-	scores := tensor.FloatsDirtyIn(ws, p0+n)
+	scores := ws.FloatsDirty(p0 + n)
 	for h := 0; h < a.Heads; h++ {
 		kh, vh := kv.k[h], kv.v[h]
 		for r := 0; r < n; r++ {
@@ -403,7 +403,7 @@ func decodeMLPRows(mlp *MLP, x *tensor.Tensor, seqs []DecodeSeq, offs []int, li 
 			return y
 		}
 		if out == nil {
-			out = tensor.NewIn(ws, x.Dim(0), mlp.Dim)
+			out = ws.Get(x.Dim(0), mlp.Dim)
 		}
 		copy(out.Data[lo*mlp.Dim:hi*mlp.Dim], y.Data)
 		i = j
@@ -445,7 +445,7 @@ func decodeBottleneck(bw *BottleneckWeights, z *tensor.Tensor, ws *tensor.Arena)
 // DecodeSession is GenerateCachedCfg's per-sequence state: the adapter,
 // the KV cache, the workspace arena, and an optional sparsity planner.
 // Every field's zero value means the default — fresh cache, self adapter,
-// allocating scratch, fully dense steps.
+// one fresh arena for the call, fully dense steps.
 type DecodeSession struct {
 	// Adapter selects the PEFT delta; nil applies the model's own attached
 	// modules (SelfAdapter), matching what Forward would run.
@@ -453,7 +453,8 @@ type DecodeSession struct {
 	// Cache may be nil (a fresh one is made); pass a Reset cache to reuse
 	// its buffers.
 	Cache *KVCache
-	// WS is released after every emitted token.
+	// WS is released after every emitted token; nil uses one fresh arena
+	// for the call.
 	WS *tensor.Arena
 	// Planner, when set, plans contextual sparsity for every single-token
 	// step (the prefill always runs dense). BeginSequence is called before
@@ -482,6 +483,9 @@ func (m *Transformer) GenerateCachedCfg(prompt []int, cfg GenerateConfig, sess D
 	}
 	if sess.Adapter == nil {
 		sess.Adapter = m.SelfAdapter() // covers a prompt-tuned model's own prompt too
+	}
+	if sess.WS == nil {
+		sess.WS = tensor.NewArena()
 	}
 	promptRows := sess.Adapter.PromptLen()
 	if sess.Planner != nil {

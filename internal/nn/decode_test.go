@@ -16,15 +16,17 @@ func trainSteps(m *Transformer, steps int) {
 	ids := [][]int{{2, 5, 3, 7, 2, 5, 3, 7}}
 	targets := [][]int{{5, 3, 7, 2, 5, 3, 7, 2}}
 	ps := m.Params()
+	ws := tensor.NewArena()
 	for i := 0; i < steps; i++ {
-		logits := m.Forward(ids, nil, nil)
-		flat := m.FlattenTargets(targets)
-		_, dLogits := CrossEntropy(logits, flat)
+		logits := m.Forward(ids, nil, ws)
+		flat := m.FlattenTargetsIn(ws, targets)
+		_, dLogits := CrossEntropyIn(ws, logits, flat)
 		ps.ZeroGrads()
-		m.Backward(dLogits, nil)
+		m.Backward(dLogits, ws)
 		for _, p := range ps.Trainable() {
 			tensor.AddScaledInto(p.W, p.Grad, -0.05)
 		}
+		ws.Release()
 	}
 }
 

@@ -20,8 +20,9 @@ type GenerateConfig struct {
 
 // Generate decodes autoregressively from a prompt, re-running the full
 // prefix each step (no KV cache — fine-tuning, not serving, is this
-// repository's subject; the sim scale keeps this cheap). Returns the
-// generated continuation (prompt excluded).
+// repository's subject; the sim scale keeps this cheap) on one arena,
+// released after every token. Returns the generated continuation (prompt
+// excluded).
 func (m *Transformer) Generate(prompt []int, cfg GenerateConfig) []int {
 	if cfg.MaxTokens == 0 {
 		cfg.MaxTokens = 16
@@ -30,14 +31,15 @@ func (m *Transformer) Generate(prompt []int, cfg GenerateConfig) []int {
 		cfg.RNG = tensor.NewRNG(1)
 	}
 	seq := append([]int(nil), prompt...)
+	ws := tensor.NewArena()
 	var out []int
 	for t := 0; t < cfg.MaxTokens; t++ {
 		if m.TotalSeq(len(seq)) >= m.Cfg.MaxSeq {
 			break
 		}
-		logits := m.Forward([][]int{seq}, nil, nil)
-		last := logits.Row(logits.Dim(0) - 1)
-		next := pickToken(last, cfg.Temperature, cfg.RNG)
+		logits := m.Forward([][]int{seq}, nil, ws)
+		next := pickToken(logits.Row(logits.Dim(0)-1), cfg.Temperature, cfg.RNG)
+		ws.Release()
 		out = append(out, next)
 		if cfg.StopToken > 0 && next == cfg.StopToken {
 			break

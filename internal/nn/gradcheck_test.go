@@ -49,16 +49,16 @@ func cloneGrads(ps ParamSet) []*tensor.Tensor {
 	return out
 }
 
-// checkWorkspaceParity is the workspace-vs-nil regression harness every
+// checkWorkspaceParity is the fresh-vs-warm arena regression harness every
 // gradcheck test runs through: pass performs one forward + ZeroGrads +
 // backward with the given workspace and returns the output and the input
-// gradient. The nil pass establishes the reference; two arena passes (the
-// second exercising recycled buffers) must reproduce output, input
-// gradient, and every parameter gradient bit-for-bit — the refactor's
-// "results stay bit-identical to the allocating path" contract.
+// gradient. A pass on a fresh arena (newly made, zeroed storage)
+// establishes the reference; two passes on one reused arena (the second
+// exercising recycled buffers) must reproduce output, input gradient, and
+// every parameter gradient bit-for-bit — so no layer reads a stale buffer.
 func checkWorkspaceParity(t *testing.T, params ParamSet, pass func(ws *tensor.Arena) (y, dx *tensor.Tensor)) (yRef, dxRef *tensor.Tensor) {
 	t.Helper()
-	yRef, dxRef = pass(nil)
+	yRef, dxRef = pass(tensor.NewArena())
 	gradsRef := cloneGrads(params)
 
 	ws := tensor.NewArena()
@@ -80,8 +80,8 @@ func checkWorkspaceParity(t *testing.T, params ParamSet, pass func(ws *tensor.Ar
 		ws.Release()
 	}
 
-	// Leave the nil-workspace analytic gradients in place for the numeric
-	// check that follows (the arena passes reproduced them exactly).
+	// Leave the reference analytic gradients in place for the numeric
+	// check that follows (the warm passes reproduced them exactly).
 	return yRef, dxRef
 }
 
@@ -98,7 +98,7 @@ func TestLinearGradCheck(t *testing.T) {
 
 	// Scalar loss: 0.5·‖y − target‖².
 	loss := func() float64 {
-		y := l.Forward(x, nil)
+		y := l.Forward(x, tensor.NewArena())
 		var s float64
 		for i := range y.Data {
 			dv := float64(y.Data[i] - target.Data[i])
@@ -107,7 +107,7 @@ func TestLinearGradCheck(t *testing.T) {
 		return s
 	}
 
-	// Analytic gradients, workspace and allocating paths bit-identical.
+	// Analytic gradients, fresh and warm arenas bit-identical.
 	_, dx := checkWorkspaceParity(t, l.Params(), func(ws *tensor.Arena) (*tensor.Tensor, *tensor.Tensor) {
 		y := l.Forward(x, ws)
 		dy := y.Clone()
@@ -136,7 +136,7 @@ func TestLayerNormGradCheck(t *testing.T) {
 	r.FillNormal(target, 1)
 
 	loss := func() float64 {
-		y := ln.Forward(x, nil)
+		y := ln.Forward(x, tensor.NewArena())
 		var s float64
 		for i := range y.Data {
 			dv := float64(y.Data[i] - target.Data[i])
@@ -164,13 +164,13 @@ func TestCrossEntropyGradCheck(t *testing.T) {
 	r.FillNormal(logits, 1)
 	targets := []int{2, IgnoreIndex, 0, 5}
 
-	lossVal, dLogits := CrossEntropy(logits, targets)
+	lossVal, dLogits := CrossEntropyIn(tensor.NewArena(), logits, targets)
 	if lossVal <= 0 {
 		t.Fatalf("loss = %v", lossVal)
 	}
 
-	// The workspace variant must reproduce loss and gradient exactly,
-	// including on recycled buffers.
+	// A reused arena must reproduce loss and gradient exactly, including on
+	// recycled buffers.
 	ws := tensor.NewArena()
 	for round := 0; round < 2; round++ {
 		lw, dw := CrossEntropyIn(ws, logits, targets)
@@ -184,7 +184,7 @@ func TestCrossEntropyGradCheck(t *testing.T) {
 	}
 
 	loss := func() float64 {
-		l, _ := CrossEntropy(logits, targets)
+		l, _ := CrossEntropyIn(tensor.NewArena(), logits, targets)
 		return l
 	}
 	checkGrad(t, "logits", loss, logits, dLogits, sampleIndices(r, logits.Len(), 15))
@@ -209,11 +209,11 @@ func TestTransformerFullGradCheck(t *testing.T) {
 
 	ids := [][]int{{1, 3, 5, 7}, {2, 4, 6, 8}}
 	targets := [][]int{{3, 5, 7, 9}, {4, 6, 8, 10}}
-	flat := m.FlattenTargets(targets)
+	flat := m.FlattenTargetsIn(tensor.NewArena(), targets)
 
 	loss := func() float64 {
-		logits := m.Forward(ids, nil, nil)
-		l, _ := CrossEntropy(logits, flat)
+		ws := tensor.NewArena()
+		l, _ := CrossEntropyIn(ws, m.Forward(ids, nil, ws), flat)
 		return l
 	}
 
@@ -256,14 +256,14 @@ func TestTransformerPromptGradCheck(t *testing.T) {
 
 	ids := [][]int{{1, 2, 3, 4}}
 	targets := [][]int{{2, 3, 4, 5}}
-	flat := m.FlattenTargets(targets)
+	flat := m.FlattenTargetsIn(tensor.NewArena(), targets)
 	if len(flat) != 6 || flat[0] != IgnoreIndex || flat[1] != IgnoreIndex {
-		t.Fatalf("FlattenTargets = %v", flat)
+		t.Fatalf("FlattenTargetsIn = %v", flat)
 	}
 
 	loss := func() float64 {
-		logits := m.Forward(ids, nil, nil)
-		l, _ := CrossEntropy(logits, flat)
+		ws := tensor.NewArena()
+		l, _ := CrossEntropyIn(ws, m.Forward(ids, nil, ws), flat)
 		return l
 	}
 	checkWorkspaceParity(t, m.Params(), func(ws *tensor.Arena) (*tensor.Tensor, *tensor.Tensor) {
@@ -283,7 +283,7 @@ func TestAdapterGradCheckAndIdentityInit(t *testing.T) {
 	r.FillNormal(x, 1)
 
 	// Identity at init: Up.W is zero, so y = x + Up.B (bias is zero too).
-	y := a.Forward(x, nil)
+	y := a.Forward(x, tensor.NewArena())
 	if d := tensor.MaxAbsDiff(y, x); d > 1e-6 {
 		t.Fatalf("fresh adapter is not identity: diff %v", d)
 	}
@@ -293,7 +293,7 @@ func TestAdapterGradCheckAndIdentityInit(t *testing.T) {
 	target := tensor.New(4, 6)
 	r.FillNormal(target, 1)
 	loss := func() float64 {
-		out := a.Forward(x, nil)
+		out := a.Forward(x, tensor.NewArena())
 		var s float64
 		for i := range out.Data {
 			dv := float64(out.Data[i] - target.Data[i])
@@ -324,7 +324,7 @@ func TestAttentionIsolatedGradCheck(t *testing.T) {
 	r.FillNormal(target, 1)
 
 	loss := func() float64 {
-		y := a.Forward(x, batch, seq, nil, 0, nil)
+		y := a.Forward(x, batch, seq, nil, 0, tensor.NewArena())
 		var s float64
 		for i := range y.Data {
 			dv := float64(y.Data[i] - target.Data[i])
@@ -355,7 +355,7 @@ func TestMLPIsolatedGradCheck(t *testing.T) {
 	target := tensor.New(4, 6)
 	r.FillNormal(target, 1)
 	loss := func() float64 {
-		y := m.Forward(x, nil, 0, nil)
+		y := m.Forward(x, nil, 0, tensor.NewArena())
 		var s float64
 		for i := range y.Data {
 			dv := float64(y.Data[i] - target.Data[i])
@@ -385,7 +385,7 @@ func TestBlockIsolatedGradCheck(t *testing.T) {
 	r.FillNormal(target, 1)
 
 	loss := func() float64 {
-		y := b.Forward(x, batch, seq, nil, nil)
+		y := b.Forward(x, batch, seq, nil, tensor.NewArena())
 		var s float64
 		for i := range y.Data {
 			dv := float64(y.Data[i] - target.Data[i])

@@ -14,9 +14,6 @@ type LayerNorm struct {
 	Gamma *Parameter
 	Beta  *Parameter
 	Eps   float64
-
-	// def serves nil-workspace invocations (single-owner usage).
-	def lnState
 }
 
 // lnState is what one LayerNorm invocation saves for its backward.
@@ -45,13 +42,13 @@ func NewLayerNorm(name string, dim int) *LayerNorm {
 func (ln *LayerNorm) Params() ParamSet { return ParamSet{ln.Gamma, ln.Beta} }
 
 // Forward normalizes x: [tokens, dim] → y of the same shape. ws is the
-// step workspace (nil allocates).
+// step workspace.
 func (ln *LayerNorm) Forward(x *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
-	st := stateOf(ws, ln, &ln.def)
+	st := stateOf[lnState](ws, ln)
 	tokens, d := x.Dim(0), x.Dim(1)
-	y := tensor.NewIn(ws, tokens, d)
-	st.xhat = tensor.FloatsDirtyIn(ws, tokens*d)
-	st.invStd = tensor.FloatsDirtyIn(ws, tokens)
+	y := ws.Get(tokens, d)
+	st.xhat = ws.FloatsDirty(tokens * d)
+	st.invStd = ws.FloatsDirty(tokens)
 	parallel.ForBlockedArg(tokens, lnRowGrain, lnFwdArgs{
 		x: x.Data, y: y.Data, xhat: st.xhat, invStd: st.invStd,
 		g: ln.Gamma.W.Data, b: ln.Beta.W.Data, d: d, eps: ln.Eps,
@@ -96,9 +93,9 @@ func lnForwardChunk(a lnFwdArgs, lo, hi int) {
 
 // Backward propagates dy and accumulates dGamma/dBeta when trainable.
 func (ln *LayerNorm) Backward(dy *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
-	st := stateOf(ws, ln, &ln.def)
+	st := stateOf[lnState](ws, ln)
 	tokens, d := dy.Dim(0), dy.Dim(1)
-	dx := tensor.NewIn(ws, tokens, d)
+	dx := ws.Get(tokens, d)
 	g := ln.Gamma.W.Data
 
 	// Parameter grads: reductions over tokens, parallel over features.

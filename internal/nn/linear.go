@@ -23,9 +23,6 @@ type Linear struct {
 	LoRAA     *Parameter
 	LoRAB     *Parameter
 	LoRAScale float32
-
-	// def serves nil-workspace invocations (single-owner usage).
-	def linearState
 }
 
 // linearState is what one Linear invocation saves for its backward.
@@ -70,10 +67,9 @@ func (l *Linear) Params() ParamSet {
 
 // Forward computes y = x·W + b (+ LoRA branch), saving x for backward.
 // x: [tokens, in] → y: [tokens, out]. ws is the step workspace all
-// step-lived outputs and the saved state come from (nil allocates, and
-// saves into the layer's single-owner fallback).
+// step-lived outputs and the saved state come from.
 func (l *Linear) Forward(x *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
-	st := stateOf(ws, l, &l.def)
+	st := stateOf[linearState](ws, l)
 	st.x = x
 	y := l.base(x, ws)
 	if l.HasLoRA() {
@@ -116,7 +112,7 @@ func (l *Linear) Backward(dy *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 	if l.Packed != nil {
 		panic("nn: Backward through a packed (compressed) linear layer — compressed bases are serving-only")
 	}
-	st := stateOf(ws, l, &l.def)
+	st := stateOf[linearState](ws, l)
 	tokens := dy.Dim(0)
 	if !l.W.Frozen {
 		tensor.MatMulTAInto(l.W.Grad, st.x, dy) // dW += xᵀ·dy
@@ -124,7 +120,7 @@ func (l *Linear) Backward(dy *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 	if !l.B.Frozen {
 		accumulateColumnSum(l.B.Grad.Data, dy)
 	}
-	dx := tensor.NewIn(ws, tokens, l.In)
+	dx := ws.Get(tokens, l.In)
 	tensor.MatMulTBInto(dx, dy, l.W.W) // dx = dy·Wᵀ  (W: [in,out])
 
 	if l.HasLoRA() {

@@ -11,24 +11,19 @@ import (
 // prompt tokens in instruction tuning).
 const IgnoreIndex = -1
 
-// CrossEntropy computes the mean softmax cross-entropy of logits
+// CrossEntropyIn computes the mean softmax cross-entropy of logits
 // [tokens, vocab] against integer targets, skipping IgnoreIndex positions,
 // and returns the loss together with dLogits (already divided by the count
 // of contributing positions). This is the fused loss kernel: probabilities
-// are never materialized beyond the gradient buffer.
-func CrossEntropy(logits *tensor.Tensor, targets []int) (float64, *tensor.Tensor) {
-	return CrossEntropyIn(nil, logits, targets)
-}
-
-// CrossEntropyIn is CrossEntropy with dLogits and the per-token loss
-// scratch taken from the step workspace (plain allocation when ws is nil).
-// The returned gradient is valid until the workspace's Release.
+// are never materialized beyond the gradient buffer. dLogits and the
+// per-token loss scratch come from the step workspace; the returned
+// gradient is valid until the workspace's Release.
 func CrossEntropyIn(ws *tensor.Arena, logits *tensor.Tensor, targets []int) (float64, *tensor.Tensor) {
 	tokens, vocab := logits.Dim(0), logits.Dim(1)
 	if len(targets) != tokens {
 		panic("nn: CrossEntropy targets length mismatch")
 	}
-	dLogits := tensor.NewIn(ws, tokens, vocab)
+	dLogits := ws.Get(tokens, vocab)
 
 	count := 0
 	for _, t := range targets {
@@ -41,7 +36,7 @@ func CrossEntropyIn(ws *tensor.Arena, logits *tensor.Tensor, targets []int) (flo
 	}
 	invCount := float32(1 / float64(count))
 
-	losses := tensor.Float64sIn(ws, tokens)
+	losses := ws.Float64s(tokens)
 	parallel.ForChunkedArg(tokens, ceArgs{
 		logits: logits.Data, grad: dLogits.Data, losses: losses,
 		targets: targets, vocab: vocab, invCount: invCount,

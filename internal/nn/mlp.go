@@ -48,9 +48,6 @@ type MLP struct {
 	// contextual-sparsity paths refuse them.
 	PackedW1, PackedW2 *tensor.PackedWeights // W1: per-row scales, W2: per-col
 	NMW1, NMW2         *sparse.NMWeights     // 2:4 block-structured
-
-	// def serves nil-workspace invocations (single-owner usage).
-	def mlpState
 }
 
 // mlpState is what one MLP invocation saves for its backward — and what
@@ -105,12 +102,12 @@ func (m *MLP) Forward(x *tensor.Tensor, blocks []int, blk int, ws *tensor.Arena)
 	if blocks != nil && m.compressed() {
 		panic("nn: neuron-block sparsity on a compressed MLP — compressed bases serve dense")
 	}
-	st := stateOf(ws, m, &m.def)
+	st := stateOf[mlpState](ws, m)
 	tokens := x.Dim(0)
 	st.x = x
 	st.blocks, st.blk = blocks, blk
 
-	st.hidden = tensor.NewIn(ws, tokens, m.Hidden)
+	st.hidden = ws.Get(tokens, m.Hidden)
 	if blocks == nil {
 		// Dense: hidden = x·W1ᵀ(param) + b1.
 		m.fc1Dense(st.hidden, x, tokens)
@@ -126,7 +123,7 @@ func (m *MLP) Forward(x *tensor.Tensor, blocks []int, blk int, ws *tensor.Arena)
 		st.mask, st.preAct = nil, tensor.GeLUIn(ws, st.hidden)
 	}
 
-	out := tensor.NewIn(ws, tokens, m.Dim)
+	out := ws.Get(tokens, m.Dim)
 	if blocks == nil {
 		m.fc2Dense(out, st.hidden, tokens)
 	} else {
@@ -174,13 +171,13 @@ func (m *MLP) Backward(dOut *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 	if m.compressed() {
 		panic("nn: Backward through a compressed MLP — compressed bases are serving-only")
 	}
-	st := stateOf(ws, m, &m.def)
+	st := stateOf[mlpState](ws, m)
 	tokens := dOut.Dim(0)
 	if !m.B2.Frozen {
 		accumulateColumnSum(m.B2.Grad.Data, dOut)
 	}
 
-	dHidden := tensor.NewIn(ws, tokens, m.Hidden)
+	dHidden := ws.Get(tokens, m.Hidden)
 	if st.blocks == nil {
 		tensor.MatMulTBInto(dHidden, dOut, m.W2.W) // dHidden = dOut·W2ᵀ (W2: [hidden,dim])
 		if !m.W2.Frozen {
@@ -200,7 +197,7 @@ func (m *MLP) Backward(dOut *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 	case ActGeLU:
 		dh := dHidden.Data
 		pre := st.preAct.Data
-		dy := tensor.FloatsDirtyIn(ws, len(dh))
+		dy := ws.FloatsDirty(len(dh))
 		copy(dy, dh)
 		clear(dh)
 		parallel.ForChunkedArg(len(dh), geluGradArgs{dh, dy, pre}, geluGradChunk)
@@ -210,7 +207,7 @@ func (m *MLP) Backward(dOut *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 		accumulateColumnSum(m.B1.Grad.Data, dHidden)
 	}
 
-	dx := tensor.NewIn(ws, tokens, m.Dim)
+	dx := ws.Get(tokens, m.Dim)
 	if st.blocks == nil {
 		tensor.MatMulInto(dx, dHidden, m.W1.W) // dx = dHidden·W1(param) = dHidden·Wcᵀ
 		if !m.W1.Frozen {
@@ -226,16 +223,15 @@ func (m *MLP) Backward(dOut *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 }
 
 // ActivationMask exposes the ReLU mask [tokens, hidden] of the last
-// forward run with the given workspace (nil for workspace-less forwards) —
-// the raw signal the exposer and predictor-training data collection read.
-// Nil for GeLU.
-func (m *MLP) ActivationMask(ws *tensor.Arena) *tensor.Tensor { return stateOf(ws, m, &m.def).mask }
+// forward run with the given workspace — the raw signal the exposer and
+// predictor-training data collection read. Nil for GeLU.
+func (m *MLP) ActivationMask(ws *tensor.Arena) *tensor.Tensor { return stateOf[mlpState](ws, m).mask }
 
 // HiddenActivations exposes the post-activation hidden matrix [tokens,
 // hidden] of the last forward run with the given workspace — the
 // magnitude signal the exposer's neuron importance filter ranks.
 func (m *MLP) HiddenActivations(ws *tensor.Arena) *tensor.Tensor {
-	return stateOf(ws, m, &m.def).hidden
+	return stateOf[mlpState](ws, m).hidden
 }
 
 type geluGradArgs struct{ dh, dy, pre []float32 }

@@ -35,8 +35,9 @@ func TestSparseFullPlanMatchesDenseForward(t *testing.T) {
 	m := NewTransformer(cfg, r)
 	ids := [][]int{{1, 2, 3, 4, 5, 6, 7, 8}, {8, 7, 6, 5, 4, 3, 2, 1}}
 
-	dense := m.Forward(ids, nil, nil)
-	sparseOut := m.Forward(ids, fullSparsePlan(cfg, 8, 4), nil)
+	ws := tensor.NewArena()
+	dense := m.Forward(ids, nil, ws)
+	sparseOut := m.Forward(ids, fullSparsePlan(cfg, 8, 4), ws)
 	if d := tensor.MaxAbsDiff(dense, sparseOut); d > 1e-3 {
 		t.Fatalf("sparse full plan diverges from dense: %v", d)
 	}
@@ -106,13 +107,14 @@ func TestSparseFullPlanMatchesDenseGradients(t *testing.T) {
 	m := NewTransformer(cfg, r)
 	ids := [][]int{{1, 2, 3, 4, 5, 6, 7, 8}}
 	targets := [][]int{{2, 3, 4, 5, 6, 7, 8, 9}}
-	flat := m.FlattenTargets(targets)
+	ws := tensor.NewArena()
+	flat := m.FlattenTargetsIn(ws, targets)
 
 	run := func(plan *SparsePlan) map[string][]float32 {
-		logits := m.Forward(ids, plan, nil)
-		_, dLogits := CrossEntropy(logits, flat)
+		logits := m.Forward(ids, plan, ws)
+		_, dLogits := CrossEntropyIn(ws, logits, flat)
 		m.Params().ZeroGrads()
-		m.Backward(dLogits, nil)
+		m.Backward(dLogits, ws)
 		out := make(map[string][]float32)
 		for _, p := range m.Params() {
 			out[p.Name] = append([]float32(nil), p.Grad.Data...)
@@ -141,7 +143,8 @@ func TestMLPSparseSubsetMatchesMaskedDense(t *testing.T) {
 	r.FillNormal(x, 1)
 
 	blocks := []int{0, 2} // neurons 0-3 and 8-11 active
-	got := m.Forward(x, blocks, blk, nil)
+	ws := tensor.NewArena()
+	got := m.Forward(x, blocks, blk, ws)
 
 	// Reference: dense forward with inactive neurons' FC1 columns, biases
 	// and FC2 rows zeroed.
@@ -160,7 +163,7 @@ func TestMLPSparseSubsetMatchesMaskedDense(t *testing.T) {
 			m2.B1.W.Data[h] = 0
 		}
 	}
-	want := m2.Forward(x, nil, 0, nil)
+	want := m2.Forward(x, nil, 0, ws)
 	if d := tensor.MaxAbsDiff(got, want); d > 1e-4 {
 		t.Fatalf("sparse subset forward mismatch: %v", d)
 	}
@@ -170,8 +173,8 @@ func TestMLPSparseSubsetMatchesMaskedDense(t *testing.T) {
 	r.FillNormal(dOut, 1)
 	m.Params().ZeroGrads()
 	m2.Params().ZeroGrads()
-	dx := m.Backward(dOut, nil)
-	dx2 := m2.Backward(dOut, nil)
+	dx := m.Backward(dOut, ws)
+	dx2 := m2.Backward(dOut, ws)
 	if d := tensor.MaxAbsDiff(dx, dx2); d > 1e-4 {
 		t.Fatalf("sparse subset backward mismatch: %v", d)
 	}
@@ -186,7 +189,7 @@ func TestMLPGeLURejectsSparsity(t *testing.T) {
 		}
 	}()
 	x := tensor.New(2, 8)
-	m.Forward(x, []int{0}, 4, nil)
+	m.Forward(x, []int{0}, 4, tensor.NewArena())
 }
 
 func TestFrozenParametersReceiveNoGradient(t *testing.T) {
@@ -200,11 +203,12 @@ func TestFrozenParametersReceiveNoGradient(t *testing.T) {
 	b.Frozen = false
 
 	ids := [][]int{{1, 2, 3, 4}}
-	flat := m.FlattenTargets([][]int{{2, 3, 4, 5}})
-	logits := m.Forward(ids, nil, nil)
-	_, dLogits := CrossEntropy(logits, flat)
+	ws := tensor.NewArena()
+	flat := m.FlattenTargetsIn(ws, [][]int{{2, 3, 4, 5}})
+	logits := m.Forward(ids, nil, ws)
+	_, dLogits := CrossEntropyIn(ws, logits, flat)
 	ps.ZeroGrads()
-	m.Backward(dLogits, nil)
+	m.Backward(dLogits, ws)
 
 	for _, p := range ps {
 		norm := tensor.L2Norm(p.Grad)
@@ -250,21 +254,22 @@ func TestTransformerLearnsCopyTask(t *testing.T) {
 
 	ids := [][]int{{1, 2, 3, 4, 5, 6, 7, 1}}
 	targets := [][]int{{1, 2, 3, 4, 5, 6, 7, 1}} // predict input itself
-	flat := m.FlattenTargets(targets)
+	ws := tensor.NewArena()
 
 	var first, last float64
 	for step := 0; step < 60; step++ {
-		logits := m.Forward(ids, nil, nil)
-		loss, dLogits := CrossEntropy(logits, flat)
+		logits := m.Forward(ids, nil, ws)
+		loss, dLogits := CrossEntropyIn(ws, logits, m.FlattenTargetsIn(ws, targets))
 		if step == 0 {
 			first = loss
 		}
 		last = loss
 		ps.ZeroGrads()
-		m.Backward(dLogits, nil)
+		m.Backward(dLogits, ws)
 		for _, p := range ps {
 			tensor.AddScaledInto(p.W, p.Grad, -0.5)
 		}
+		ws.Release()
 	}
 	if last > first*0.5 {
 		t.Fatalf("loss did not halve: first %v, last %v", first, last)
@@ -277,11 +282,12 @@ func TestAttentionHeadSplitMergeRoundTrip(t *testing.T) {
 	batch, seq := 2, 4
 	x := tensor.New(8, 12)
 	r.FillNormal(x, 1)
-	heads := a.splitHeads(nil, x, batch, seq, nil)
+	ws := tensor.NewArena()
+	heads := a.splitHeads(nil, x, batch, seq, ws)
 	if len(heads) != 6 {
 		t.Fatalf("splitHeads gave %d buffers", len(heads))
 	}
-	back := a.mergeHeads(heads, batch, seq, nil)
+	back := a.mergeHeads(heads, batch, seq, ws)
 	if d := tensor.MaxAbsDiff(back, x); d != 0 {
 		t.Fatalf("merge∘split != identity: %v", d)
 	}

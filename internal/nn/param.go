@@ -20,16 +20,12 @@ import (
 	"longexposure/internal/tensor"
 )
 
-// stateOf resolves the saved-for-backward state of one layer invocation:
+// stateOf returns the saved-for-backward state of one layer invocation:
 // the state ws holds for key (the layer itself), created on first use and
-// kept across Release, or the layer's single-owner fallback def when ws is
-// nil. The unit of concurrency is therefore the arena: concurrent forwards
-// over one model are safe when each runs with its own arena, while
-// nil-workspace calls share def and need a single owner.
-func stateOf[S any](ws *tensor.Arena, key any, def *S) *S {
-	if ws == nil {
-		return def
-	}
+// kept across Release. Layer structs hold only weights, so the unit of
+// concurrency is the arena: any number of forwards may share one model,
+// each with its own arena.
+func stateOf[S any](ws *tensor.Arena, key any) *S {
 	return ws.StateFor(key, func() any { return new(S) }).(*S)
 }
 

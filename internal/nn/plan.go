@@ -17,7 +17,7 @@ import (
 // construction rather than by kernel equivalence.
 
 // DecodePlan is one sequence's sparsity decision for one decode step.
-// Block slices are typically arena-backed (tensor.IntsIn against the step
+// Block slices are typically arena-backed (Arena.Ints from the step
 // workspace) and valid only until its next Release — a plan is consumed
 // by exactly one DecodeBatch step.
 type DecodePlan struct {

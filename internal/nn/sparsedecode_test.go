@@ -85,12 +85,13 @@ func TestMLPForwardRowsIndependent(t *testing.T) {
 	x := tensor.New(3, m.Cfg.Dim)
 	rng.FillNormal(x, 1)
 
+	ws := tensor.NewArena()
 	for _, blocks := range [][]int{nil, {0}, {1, 3}, {0, 1, 2, 3}} {
-		want := mlp.Forward(x, blocks, blk, nil).Clone()
+		want := mlp.Forward(x, blocks, blk, ws).Clone()
 		for r := 0; r < x.Dim(0); r++ {
 			row := tensor.New(1, m.Cfg.Dim)
 			copy(row.Data, x.Row(r))
-			got := mlp.Forward(row, blocks, blk, nil)
+			got := mlp.Forward(row, blocks, blk, ws)
 			for j, v := range got.Data {
 				if w := want.Row(r)[j]; v != w {
 					t.Fatalf("blocks %v: row %d col %d = %v alone, %v among three rows", blocks, r, j, v, w)

@@ -101,9 +101,6 @@ type Transformer struct {
 
 	Prompt    *Parameter // nil unless prompt tuning is enabled
 	PromptLen int
-
-	// def serves nil-workspace invocations (single-owner usage).
-	def modelState
 }
 
 // modelState is what one Transformer invocation saves for its backward.
@@ -161,9 +158,8 @@ func (m *Transformer) TotalSeq(s int) int { return s + m.PromptLen }
 // Forward runs the model over a batch of equal-length token sequences and
 // returns logits [batch·totalSeq, vocab]. planner selects sparse execution
 // per layer at runtime; pass nil for fully dense. ws is the step workspace
-// every step-lived buffer comes from — nil allocates exactly like the seed
-// code; the logits (and all saved-for-backward state) are valid until the
-// workspace's Release.
+// every step-lived buffer comes from; the logits (and all
+// saved-for-backward state) are valid until the workspace's Release.
 func (m *Transformer) Forward(ids [][]int, planner Planner, ws *tensor.Arena) *tensor.Tensor {
 	batch := len(ids)
 	if batch == 0 {
@@ -179,15 +175,15 @@ func (m *Transformer) Forward(ids [][]int, planner Planner, ws *tensor.Arena) *t
 	if total > m.Cfg.MaxSeq {
 		panic(fmt.Sprintf("nn: sequence %d exceeds MaxSeq %d", total, m.Cfg.MaxSeq))
 	}
-	st := stateOf(ws, m, &m.def)
+	st := stateOf[modelState](ws, m)
 	st.batch, st.seq, st.realSeq = batch, total, s
-	st.ids = tensor.IntsIn(ws, batch*s)
+	st.ids = ws.Ints(batch * s)
 	d := m.Cfg.Dim
 	var prompt []float32
 	if m.Prompt != nil {
 		prompt = m.Prompt.W.Data
 	}
-	x := tensor.NewIn(ws, batch*total, d)
+	x := ws.Get(batch*total, d)
 	for b, row := range ids {
 		copy(st.ids[b*s:], row)
 		m.EmbedRows(x.Data[b*total*d:(b+1)*total*d], prompt, row, 0)
@@ -207,7 +203,7 @@ func (m *Transformer) Forward(ids [][]int, planner Planner, ws *tensor.Arena) *t
 
 // Backward propagates dLogits through the whole model, accumulating
 // gradients on every trainable parameter. ws must be the workspace the
-// matching Forward ran with (or nil for both).
+// matching Forward ran with.
 func (m *Transformer) Backward(dLogits *tensor.Tensor, ws *tensor.Arena) {
 	dx := m.Head.Backward(dLogits, ws)
 	dx = m.LNF.Backward(dx, ws)
@@ -217,7 +213,7 @@ func (m *Transformer) Backward(dLogits *tensor.Tensor, ws *tensor.Arena) {
 
 	// Embedding gradients: every position feeds its positional row, the
 	// leading prompt rows the prompt, the rest their token's row.
-	st := stateOf(ws, m, &m.def)
+	st := stateOf[modelState](ws, m)
 	batch, total, s, P, d := st.batch, st.seq, st.realSeq, m.PromptLen, m.Cfg.Dim
 	for b := 0; b < batch; b++ {
 		for p := 0; p < total; p++ {
@@ -252,19 +248,14 @@ func (m *Transformer) EmbedRows(dst, prompt []float32, ids []int, p0 int) {
 	}
 }
 
-// FlattenTargets aligns per-sequence targets with the model's flattened
-// logits: prompt positions receive IgnoreIndex.
-func (m *Transformer) FlattenTargets(targets [][]int) []int {
-	return m.FlattenTargetsIn(nil, targets)
-}
-
-// FlattenTargetsIn is FlattenTargets with the flat slice taken from the
-// step workspace.
+// FlattenTargetsIn aligns per-sequence targets with the model's flattened
+// logits, in a slice taken from the step workspace: prompt positions
+// receive IgnoreIndex.
 func (m *Transformer) FlattenTargetsIn(ws *tensor.Arena, targets [][]int) []int {
 	batch := len(targets)
 	s := len(targets[0])
 	total := m.TotalSeq(s)
-	out := tensor.IntsIn(ws, batch*total)
+	out := ws.Ints(batch * total)
 	for b := 0; b < batch; b++ {
 		for p := 0; p < m.PromptLen; p++ {
 			out[b*total+p] = IgnoreIndex

@@ -36,18 +36,19 @@ func TestLoRAFAStillLearns(t *testing.T) {
 	ps := m.Params()
 
 	ids := [][]int{{1, 2, 3, 4, 5, 6, 7, 8}}
-	flat := m.FlattenTargets([][]int{{1, 2, 3, 4, 5, 6, 7, 8}})
+	ws := tensor.NewArena()
 	var first, last float64
 	for step := 0; step < 40; step++ {
-		logits := m.Forward(ids, nil, nil)
-		loss, dLogits := nn.CrossEntropy(logits, flat)
+		logits := m.Forward(ids, nil, ws)
+		loss, dLogits := nn.CrossEntropyIn(ws, logits, m.FlattenTargetsIn(ws, ids))
 		if step == 0 {
 			first = loss
 		}
 		last = loss
 		ps.ZeroGrads()
-		m.Backward(dLogits, nil)
+		m.Backward(dLogits, ws)
 		opt.Step(ps)
+		ws.Release()
 	}
 	if last >= first {
 		t.Fatalf("LoRA-FA did not reduce loss: %.3f → %.3f", first, last)
@@ -85,8 +86,9 @@ func TestQuantizeBackboneRoundsFrozenOnly(t *testing.T) {
 	m2 := freshModel(23)
 	Apply(m2, LoRA, Options{}, tensor.NewRNG(24))
 	ids := [][]int{{1, 2, 3, 4}}
-	a := m.Forward(ids, nil, nil)
-	b := m2.Forward(ids, nil, nil)
+	ws := tensor.NewArena()
+	a := m.Forward(ids, nil, ws)
+	b := m2.Forward(ids, nil, ws)
 	if d := tensor.MaxAbsDiff(a, b); d == 0 || d > 0.1 {
 		t.Fatalf("fp16 backbone perturbation %v out of expected band", d)
 	}
@@ -101,15 +103,16 @@ func TestQuantizeBackboneKeepsAccuracyBehaviour(t *testing.T) {
 		opt := NewAdamW(3e-3, 0)
 		ps := m.Params()
 		ids := [][]int{{1, 2, 3, 4, 5, 6, 7, 8}}
-		flat := m.FlattenTargets([][]int{{1, 2, 3, 4, 5, 6, 7, 8}})
+		ws := tensor.NewArena()
 		var last float64
 		for step := 0; step < 30; step++ {
-			logits := m.Forward(ids, nil, nil)
-			loss, dLogits := nn.CrossEntropy(logits, flat)
+			logits := m.Forward(ids, nil, ws)
+			loss, dLogits := nn.CrossEntropyIn(ws, logits, m.FlattenTargetsIn(ws, ids))
 			last = loss
 			ps.ZeroGrads()
-			m.Backward(dLogits, nil)
+			m.Backward(dLogits, ws)
 			opt.Step(ps)
+			ws.Release()
 		}
 		return last
 	}

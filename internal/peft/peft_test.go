@@ -59,9 +59,10 @@ func TestLoRAForwardUnchangedAtInit(t *testing.T) {
 	// LoRA B starts at zero, so logits must match the frozen backbone's.
 	m := freshModel(5)
 	ids := [][]int{{1, 2, 3, 4}}
-	before := m.Forward(ids, nil, nil).Clone()
+	ws := tensor.NewArena()
+	before := m.Forward(ids, nil, ws).Clone()
 	Apply(m, LoRA, Options{}, tensor.NewRNG(6))
-	after := m.Forward(ids, nil, nil)
+	after := m.Forward(ids, nil, ws)
 	if d := tensor.MaxAbsDiff(before, after); d != 0 {
 		t.Fatalf("LoRA injection changed the function: %v", d)
 	}
@@ -70,9 +71,10 @@ func TestLoRAForwardUnchangedAtInit(t *testing.T) {
 func TestAdapterInjection(t *testing.T) {
 	m := freshModel(7)
 	ids := [][]int{{1, 2, 3, 4}}
-	before := m.Forward(ids, nil, nil).Clone()
+	ws := tensor.NewArena()
+	before := m.Forward(ids, nil, ws).Clone()
 	Apply(m, Adapter, Options{Bottleneck: 8}, tensor.NewRNG(8))
-	after := m.Forward(ids, nil, nil)
+	after := m.Forward(ids, nil, ws)
 	// Adapters initialize to identity.
 	if d := tensor.MaxAbsDiff(before, after); d > 1e-5 {
 		t.Fatalf("fresh adapters changed the function: %v", d)
@@ -113,7 +115,7 @@ func TestPTuningAddsPrompt(t *testing.T) {
 		t.Fatalf("P-Tuning trainable set = %v", tr)
 	}
 	// Sequence grows by the prompt length.
-	logits := m.Forward([][]int{{1, 2, 3}}, nil, nil)
+	logits := m.Forward([][]int{{1, 2, 3}}, nil, tensor.NewArena())
 	if logits.Dim(0) != 7 {
 		t.Fatalf("logit rows = %d, want 7", logits.Dim(0))
 	}

@@ -207,7 +207,7 @@ func TestCollectShapesAndCloning(t *testing.T) {
 	}
 	// Cloned: running another forward must not change collected tensors.
 	before := ls.AttnInput.Clone()
-	m.Forward([][]int{{9, 9, 9, 9}}, nil, nil)
+	m.Forward([][]int{{9, 9, 9, 9}}, nil, tensor.NewArena())
 	if d := tensor.MaxAbsDiff(before, ls.AttnInput); d != 0 {
 		t.Fatal("collected tensors alias model caches")
 	}
@@ -241,7 +241,7 @@ func TestSetTrainAndRuntimePlanner(t *testing.T) {
 
 	// The planner must produce valid plans and account its time.
 	rp := set.Planner()
-	logits := m.Forward(batches[0], rp, nil)
+	logits := m.Forward(batches[0], rp, tensor.NewArena())
 	if logits.HasNaN() {
 		t.Fatal("sparse forward produced NaN")
 	}

@@ -440,7 +440,7 @@ func (s *SequencePlanner) selectMLP(li int, ws *tensor.Arena) ([]int, float64) {
 			scores[b] = est.sigma[b]*abs32(dot) + est.bmax[b]
 		}
 	}
-	out := tensor.IntsIn(ws, k)
+	out := ws.Ints(k)
 	topKAscending(scores, out)
 	return out, float64(k) / float64(nBlk)
 }
@@ -476,7 +476,7 @@ func (s *SequencePlanner) selectAttn(pos int, qp []float32, ws *tensor.Arena) []
 		}
 		scores[b-lo] = d
 	}
-	out := tensor.IntsIn(ws, kb)
+	out := ws.Ints(kb)
 	for i := 0; i < sink; i++ {
 		out[i] = i
 	}

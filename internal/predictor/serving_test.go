@@ -23,14 +23,16 @@ func sgdSteps(m *nn.Transformer, steps int) {
 	ids := [][]int{{2, 5, 3, 7, 2, 5, 3, 7}}
 	targets := [][]int{{5, 3, 7, 2, 5, 3, 7, 2}}
 	ps := m.Params()
+	ws := tensor.NewArena()
 	for i := 0; i < steps; i++ {
-		logits := m.Forward(ids, nil, nil)
-		_, dLogits := nn.CrossEntropy(logits, m.FlattenTargets(targets))
+		logits := m.Forward(ids, nil, ws)
+		_, dLogits := nn.CrossEntropyIn(ws, logits, m.FlattenTargetsIn(ws, targets))
 		ps.ZeroGrads()
-		m.Backward(dLogits, nil)
+		m.Backward(dLogits, ws)
 		for _, p := range ps.Trainable() {
 			tensor.AddScaledInto(p.W, p.Grad, -0.05)
 		}
+		ws.Release()
 	}
 }
 

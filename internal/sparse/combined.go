@@ -26,12 +26,11 @@ type CombinedSparse struct {
 	Data []float32 // TotalBlocks · Blk²
 }
 
-// NewCombinedSparseIn takes the combined buffer from the workspace arena
-// (keyed, like all arena storage, by the buffer's size class — layouts of
-// equal total active-block count share recycled storage); ws == nil
-// allocates fresh zeroed storage.
+// NewCombinedSparseIn takes the zeroed combined buffer from the workspace
+// arena (keyed, like all arena storage, by the buffer's size class —
+// layouts of equal total active-block count share recycled storage).
 func NewCombinedSparseIn(ws *tensor.Arena, hl *HeadLayouts, blk int) *CombinedSparse {
-	return &CombinedSparse{HL: hl, Blk: blk, Data: tensor.FloatsIn(ws, hl.TotalBlocks()*blk*blk)}
+	return &CombinedSparse{HL: hl, Blk: blk, Data: ws.Floats(hl.TotalBlocks() * blk * blk)}
 }
 
 // block returns the storage of the combined block offset.

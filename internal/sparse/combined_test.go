@@ -68,7 +68,7 @@ func TestMultiHeadSDDMatchesPerHead(t *testing.T) {
 	q := randHeadBufs(1, len(heads), s, hd)
 	k := randHeadBufs(2, len(heads), s, hd)
 
-	c := NewCombinedSparseIn(nil, hl, blk)
+	c := NewCombinedSparseIn(tensor.NewArena(), hl, blk)
 	MultiHeadSDD(c, q, k, hd)
 
 	for h, layout := range heads {
@@ -96,13 +96,13 @@ func TestMultiHeadPipelineMatchesPerHead(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		old := parallel.SetWorkers(workers)
 		hl := Combine(heads)
-		p := NewCombinedSparseIn(nil, hl, blk)
+		p := NewCombinedSparseIn(tensor.NewArena(), hl, blk)
 		MultiHeadSDD(p, q, k, hd)
 		MultiHeadCausalSoftmax(p, scale)
 		out := zeroHeadBufs(n, s*hd)
 		MultiHeadDSD(out, v, p, hd)
 
-		dS := NewCombinedSparseIn(nil, hl, blk)
+		dS := NewCombinedSparseIn(tensor.NewArena(), hl, blk)
 		MultiHeadSDD(dS, dOut, v, hd)
 		MultiHeadSoftmaxBackward(dS, p, scale)
 		dq, dk, dv := zeroHeadBufs(n, s*hd), zeroHeadBufs(n, s*hd), zeroHeadBufs(n, s*hd)
@@ -155,7 +155,7 @@ func TestHeadLayoutsResetRecyclesBacking(t *testing.T) {
 func TestHeadViewSharesStorage(t *testing.T) {
 	heads := skewedHeads(3)
 	hl := Combine(heads)
-	c := NewCombinedSparseIn(nil, hl, 2)
+	c := NewCombinedSparseIn(tensor.NewArena(), hl, 2)
 	view := c.HeadView(1)
 	view.Data[0] = 7
 	bb := 4
@@ -169,7 +169,7 @@ func TestHeadViewSharesStorage(t *testing.T) {
 
 func TestMultiHeadSDDBufferCountPanics(t *testing.T) {
 	heads := skewedHeads(3)
-	c := NewCombinedSparseIn(nil, Combine(heads), 2)
+	c := NewCombinedSparseIn(tensor.NewArena(), Combine(heads), 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -200,7 +200,7 @@ func BenchmarkBalancedVsPerHead(b *testing.B) {
 
 	b.Run("balanced-tasks", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			c := NewCombinedSparseIn(nil, hl, blk)
+			c := NewCombinedSparseIn(tensor.NewArena(), hl, blk)
 			MultiHeadSDD(c, q, k, hd)
 		}
 	})

@@ -23,10 +23,12 @@ import (
 //   - An arena is single-owner: all Get/Release calls must come from one
 //     goroutine (parallel kernels may *fill* a buffer concurrently after it
 //     was handed out). Concurrent workers each own a private arena.
-//   - A nil *Arena is the allocating fallback everywhere: every helper
-//     (NewIn, FloatsIn, MatMulIn, ...) falls back to plain make/New with
-//     bit-identical results, so the workspace path is verifiable layer by
-//     layer against the allocating path.
+//   - An arena is required: every forward, backward and decode takes a
+//     non-nil *Arena, and no helper falls back to plain allocation. A
+//     fresh NewArena hands out newly made, zeroed storage, so stepping on
+//     a fresh arena per step is the bit-identity oracle for a warm,
+//     reused one: any read of a stale recycled buffer shows up as a
+//     difference between the two.
 //
 // Buffers are bucketed by capacity class (next power of two), so reuse
 // works across the mixed shapes of one step, and Get zeroes the returned
@@ -172,6 +174,18 @@ func checkedLen(shape []int) int {
 	return n
 }
 
+// Wrap returns a tensor view over existing data whose wrapper (struct and
+// shape slice) is recycled across Release cycles — the zero-alloc version
+// of FromSlice for step-scoped views. The panic message deliberately omits
+// the shape slice: formatting it would make the variadic escape and cost a
+// heap allocation on every call.
+func (a *Arena) Wrap(data []float32, shape ...int) *Tensor {
+	if n := checkedLen(shape); n != len(data) {
+		panic(fmt.Sprintf("tensor: Wrap shape needs %d elements, got %d", n, len(data)))
+	}
+	return a.wrap(data, shape)
+}
+
 func (a *Arena) wrap(data []float32, shape []int) *Tensor {
 	var t *Tensor
 	if k := len(a.freeT); k > 0 {
@@ -187,11 +201,8 @@ func (a *Arena) wrap(data []float32, shape []int) *Tensor {
 }
 
 // Release recycles every buffer and tensor handed out since the previous
-// Release. Per-key state (StateFor) survives. Safe on a nil arena.
+// Release. Per-key state (StateFor) survives.
 func (a *Arena) Release() {
-	if a == nil {
-		return
-	}
 	a.f32.release()
 	a.f64.release()
 	a.ints.release()
@@ -243,78 +254,11 @@ func panicNegativeDim(d int) {
 	panic(fmt.Sprintf("tensor: negative dimension %d in workspace shape", d))
 }
 
-// The nil-safe helpers below are the workspace seam every layer uses: with
-// a real arena they recycle, with nil they allocate exactly like the seed
-// code, keeping both paths bit-identical and diffable.
+// FloatsIn returns a zeroed []float32 of length n from ws.
+func FloatsIn(ws *Arena, n int) []float32 { return ws.Floats(n) }
 
-// NewIn returns a zeroed tensor from ws, or a fresh allocation when ws is
-// nil. The nil branch deliberately does not delegate to New: New's panic
-// message references the shape slice, and routing NewIn's variadic through
-// it would make every NewIn call heap-allocate its shape — including on
-// the workspace path (escape analysis is path-insensitive). The allocation
-// behavior is identical to New's.
-func NewIn(ws *Arena, shape ...int) *Tensor {
-	if ws == nil {
-		n := checkedLen(shape)
-		return &Tensor{shape: append([]int(nil), shape...), Data: make([]float32, n)}
-	}
-	return ws.Get(shape...)
-}
-
-// WrapIn returns a tensor view over existing data whose wrapper (struct
-// and shape slice) is recycled from ws across Release cycles — the
-// zero-alloc version of FromSlice for workspace-scoped views (nil ws
-// allocates a fresh wrapper). The panic message deliberately omits the
-// shape slice: formatting it would make the variadic escape and cost a
-// heap allocation on every call (see NewIn).
-func WrapIn(ws *Arena, data []float32, shape ...int) *Tensor {
-	if n := checkedLen(shape); n != len(data) {
-		panic(fmt.Sprintf("tensor: WrapIn shape needs %d elements, got %d", n, len(data)))
-	}
-	if ws == nil {
-		return &Tensor{shape: append([]int(nil), shape...), Data: data}
-	}
-	return ws.wrap(data, shape)
-}
-
-// FloatsIn returns a zeroed []float32 from ws, or a fresh make when nil.
-func FloatsIn(ws *Arena, n int) []float32 {
-	if ws == nil {
-		return make([]float32, n)
-	}
-	return ws.Floats(n)
-}
-
-// FloatsDirtyIn is FloatsIn without zeroing on the arena path (a fresh make
-// is zeroed either way).
-func FloatsDirtyIn(ws *Arena, n int) []float32 {
-	if ws == nil {
-		return make([]float32, n)
-	}
-	return ws.FloatsDirty(n)
-}
-
-// Float64sIn returns a zeroed []float64 from ws, or a fresh make when nil.
-func Float64sIn(ws *Arena, n int) []float64 {
-	if ws == nil {
-		return make([]float64, n)
-	}
-	return ws.Float64s(n)
-}
-
-// IntsIn returns a zeroed []int from ws, or a fresh make when nil.
-func IntsIn(ws *Arena, n int) []int {
-	if ws == nil {
-		return make([]int, n)
-	}
-	return ws.Ints(n)
-}
-
-// CloneIn returns a copy of t backed by ws (or a plain Clone when nil).
+// CloneIn returns a copy of t backed by ws.
 func CloneIn(ws *Arena, t *Tensor) *Tensor {
-	if ws == nil {
-		return t.Clone()
-	}
 	c := ws.GetDirty(t.shape...)
 	copy(c.Data, t.Data)
 	return c

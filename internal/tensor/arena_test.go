@@ -96,24 +96,6 @@ func TestArenaStateSurvivesRelease(t *testing.T) {
 	}
 }
 
-func TestNilArenaHelpersAllocate(t *testing.T) {
-	a := NewIn(nil, 2, 3)
-	if a.Len() != 6 {
-		t.Fatalf("NewIn(nil) len %d", a.Len())
-	}
-	if len(FloatsIn(nil, 5)) != 5 || len(IntsIn(nil, 5)) != 5 || len(Float64sIn(nil, 5)) != 5 {
-		t.Fatal("nil helpers wrong length")
-	}
-	src := New(2, 2)
-	src.Data[3] = 7
-	c := CloneIn(nil, src)
-	if c == src || c.Data[3] != 7 {
-		t.Fatal("CloneIn(nil) not a copy")
-	}
-	var ws *Arena
-	ws.Release() // must not panic
-}
-
 func TestMatMulInMatchesMatMul(t *testing.T) {
 	r := NewRNG(11)
 	a, b := New(5, 7), New(7, 3)

@@ -62,9 +62,11 @@ func BenchmarkGeLU(b *testing.B) {
 	base := New(64, 1024)
 	r.FillNormal(base, 1)
 	scratch := New(64, 1024)
+	ws := NewArena()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		scratch.CopyFrom(base)
-		GeLU(scratch)
+		GeLUIn(ws, scratch)
+		ws.Release()
 	}
 }

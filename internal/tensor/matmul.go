@@ -203,12 +203,9 @@ func MatMulTAInto(c, a, b *Tensor) {
 	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c.Data, a.Data, b.Data, kDim, n, m}, gemmTARangeChunk)
 }
 
-// MatMulIn returns a·b with the result taken from ws (plain MatMul when ws
-// is nil) — the workspace entry point of the forward/backward drivers.
+// MatMulIn returns a·b with the result taken from ws — the workspace entry
+// point of the forward/backward drivers.
 func MatMulIn(ws *Arena, a, b *Tensor) *Tensor {
-	if ws == nil {
-		return MatMul(a, b)
-	}
 	c := ws.Get(a.Dim(0), b.Dim(1))
 	MatMulInto(c, a, b)
 	return c
@@ -216,9 +213,6 @@ func MatMulIn(ws *Arena, a, b *Tensor) *Tensor {
 
 // MatMulTBIn returns a·bᵀ with the result taken from ws.
 func MatMulTBIn(ws *Arena, a, b *Tensor) *Tensor {
-	if ws == nil {
-		return MatMulTB(a, b)
-	}
 	c := ws.Get(a.Dim(0), b.Dim(0))
 	MatMulTBInto(c, a, b)
 	return c
@@ -226,9 +220,6 @@ func MatMulTBIn(ws *Arena, a, b *Tensor) *Tensor {
 
 // MatMulTAIn returns aᵀ·b with the result taken from ws.
 func MatMulTAIn(ws *Arena, a, b *Tensor) *Tensor {
-	if ws == nil {
-		return MatMulTA(a, b)
-	}
 	c := ws.Get(a.Dim(1), b.Dim(1))
 	MatMulTAInto(c, a, b)
 	return c

@@ -143,18 +143,13 @@ func ReLURange(dst, mask []float32, lo, hi int) {
 	}
 }
 
-// ReLU applies the rectifier in place, in parallel, returning the 0/1
-// activation mask when wantMask is set.
-func ReLU(t *Tensor, wantMask bool) *Tensor {
-	return ReLUIn(nil, t, wantMask)
-}
-
-// ReLUIn is ReLU with the mask taken from ws (allocated when ws is nil).
+// ReLUIn applies the rectifier in place, in parallel, returning the 0/1
+// activation mask (taken from ws) when wantMask is set.
 func ReLUIn(ws *Arena, t *Tensor, wantMask bool) *Tensor {
 	var mask *Tensor
 	var md []float32
 	if wantMask {
-		mask = NewIn(ws, t.Shape()...)
+		mask = ws.Get(t.Shape()...)
 		md = mask.Data
 	}
 	d := t.Data
@@ -166,13 +161,9 @@ type reluArgs struct{ d, mask []float32 }
 
 func reluChunk(a reluArgs, lo, hi int) { ReLURange(a.d, a.mask, lo, hi) }
 
-// GeLU applies the Gaussian error linear unit (tanh approximation) in place
-// and returns the pre-activation copy needed for backward.
-func GeLU(t *Tensor) *Tensor {
-	return GeLUIn(nil, t)
-}
-
-// GeLUIn is GeLU with the pre-activation copy taken from ws.
+// GeLUIn applies the Gaussian error linear unit (tanh approximation) in
+// place and returns the pre-activation copy needed for backward, taken
+// from ws.
 func GeLUIn(ws *Arena, t *Tensor) *Tensor {
 	pre := CloneIn(ws, t)
 	parallel.ForBlockedArg(len(t.Data), opElementGrain, t.Data, geluChunk)

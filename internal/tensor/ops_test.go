@@ -87,7 +87,7 @@ func TestSoftmaxBackwardMatchesNumeric(t *testing.T) {
 
 func TestReLUMask(t *testing.T) {
 	a := FromSlice([]float32{-1, 0, 2, -3, 4}, 5)
-	mask := ReLU(a, true)
+	mask := ReLUIn(NewArena(), a, true)
 	wantData := []float32{0, 0, 2, 0, 4}
 	wantMask := []float32{0, 0, 1, 0, 1}
 	for i := range wantData {
@@ -102,9 +102,10 @@ func TestReLUMask(t *testing.T) {
 
 func TestGeLUGradMatchesNumeric(t *testing.T) {
 	xs := []float32{-2, -0.5, 0, 0.5, 2}
+	ws := NewArena()
 	for _, x0 := range xs {
 		a := FromSlice([]float32{x0}, 1)
-		pre := GeLU(a)
+		pre := GeLUIn(ws, a)
 		dy := []float32{1}
 		dx := make([]float32, 1)
 		GeLUGradRange(dx, dy, pre.Data, 0, 1)
@@ -112,8 +113,8 @@ func TestGeLUGradMatchesNumeric(t *testing.T) {
 		const eps = 1e-3
 		p := FromSlice([]float32{x0 + eps}, 1)
 		m := FromSlice([]float32{x0 - eps}, 1)
-		GeLU(p)
-		GeLU(m)
+		GeLUIn(ws, p)
+		GeLUIn(ws, m)
 		num := (float64(p.Data[0]) - float64(m.Data[0])) / (2 * eps)
 		if math.Abs(num-float64(dx[0])) > 1e-3 {
 			t.Fatalf("gelu'(%v): numeric %v vs analytic %v", x0, num, dx[0])

@@ -444,10 +444,10 @@ func MatMulPackedInto(c, a *Tensor, p *PackedWeights) {
 	parallel.ForBlockedArg(m, matmulRowTile, gemmPackedCall{c.Data, a.Data, p, k, p.Cols}, gemmRangePackedChunk)
 }
 
-// MatMulPackedIn returns a·P with the result taken from ws (allocating when
-// ws is nil) — the packed counterpart of MatMulIn.
+// MatMulPackedIn returns a·P with the result taken from ws — the packed
+// counterpart of MatMulIn.
 func MatMulPackedIn(ws *Arena, a *Tensor, p *PackedWeights) *Tensor {
-	c := NewIn(ws, a.Dim(0), p.Cols)
+	c := ws.Get(a.Dim(0), p.Cols)
 	MatMulPackedInto(c, a, p)
 	return c
 }
@@ -466,7 +466,7 @@ func MatMulTBPackedInto(c, a *Tensor, p *PackedWeights) {
 
 // MatMulTBPackedIn returns a·Pᵀ with the result taken from ws.
 func MatMulTBPackedIn(ws *Arena, a *Tensor, p *PackedWeights) *Tensor {
-	c := NewIn(ws, a.Dim(0), p.Rows)
+	c := ws.Get(a.Dim(0), p.Rows)
 	MatMulTBPackedInto(c, a, p)
 	return c
 }

@@ -69,13 +69,24 @@ type DataParallel struct {
 	losses    []float64
 }
 
-// NewDataParallel replicates the (already PEFT-configured) model.
+// NewDataParallel replicates the (already PEFT-configured) model. The
+// replicas share the source's frozen weight tensors — layers only read
+// their weights, and frozen ones no optimizer steps — while each keeps
+// its own Parameter structs, so trainable weights, gradients and
+// ZeroGrads stay per replica.
 func NewDataParallel(m *nn.Transformer, nWorkers int, mkOpt func() peft.Optimizer, rng *tensor.RNG) *DataParallel {
 	dp := &DataParallel{}
 	dp.Workers = append(dp.Workers, m)
 	dp.Opts = append(dp.Opts, mkOpt())
+	src := m.Params()
 	for w := 1; w < nWorkers; w++ {
-		dp.Workers = append(dp.Workers, CloneModel(m, rng.Split()))
+		r := CloneModel(m, rng.Split())
+		for i, p := range r.Params() {
+			if p.Frozen {
+				p.W = src[i].W
+			}
+		}
+		dp.Workers = append(dp.Workers, r)
 		dp.Opts = append(dp.Opts, mkOpt())
 	}
 	for range dp.Workers {

@@ -75,7 +75,7 @@ func TestCheckpointResumeMidTraining(t *testing.T) {
 func TestCrossEntropyAllIgnored(t *testing.T) {
 	logits := tensor.New(3, 5)
 	targets := []int{nn.IgnoreIndex, nn.IgnoreIndex, nn.IgnoreIndex}
-	loss, grad := nn.CrossEntropy(logits, targets)
+	loss, grad := nn.CrossEntropyIn(tensor.NewArena(), logits, targets)
 	if loss != 0 {
 		t.Fatalf("loss = %v for fully-ignored batch", loss)
 	}

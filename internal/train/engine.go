@@ -58,9 +58,9 @@ func (p PhaseTimes) Scale(n int) PhaseTimes {
 // step Gets its step-lived buffers (activations, gradients-in-flight,
 // saved-for-backward state) from that arena and Releases them after the
 // optimizer update, so steady-state training performs near-zero heap
-// allocation. (The tensor layer's nil-arena allocating path survives only
-// as the in-package bit-identity oracle: workspace_test.go drives step
-// with a nil arena.)
+// allocation. Every forward and backward requires an arena; stepping on a
+// fresh arena per step — newly made, zeroed buffers — is the bit-identity
+// oracle for the reused one (workspace_test.go).
 type Engine struct {
 	Model *nn.Transformer
 	Opt   peft.Optimizer
@@ -115,7 +115,7 @@ func (e *Engine) Step(b data.Batch) (float64, PhaseTimes) {
 	return e.step(b, e.Workspace())
 }
 
-// step is Step on an explicit workspace; nil allocates every buffer.
+// step is Step on an explicit workspace.
 func (e *Engine) step(b data.Batch, ws *tensor.Arena) (float64, PhaseTimes) {
 	var times PhaseTimes
 
@@ -188,12 +188,10 @@ func (e *Engine) step(b data.Batch, ws *tensor.Arena) (float64, PhaseTimes) {
 		m.PhaseBackward.Add(times.Backward.Seconds())
 		m.PhaseOptim.Add(times.Optim.Seconds())
 		m.PhasePredict.Add(times.Predict.Seconds())
-		if ws != nil {
-			gets, misses := ws.Gets(), ws.Misses()
-			m.ArenaGets.Add(float64(gets - e.lastArenaGets))
-			m.ArenaMisses.Add(float64(misses - e.lastArenaMisses))
-			e.lastArenaGets, e.lastArenaMisses = gets, misses
-		}
+		gets, misses := ws.Gets(), ws.Misses()
+		m.ArenaGets.Add(float64(gets - e.lastArenaGets))
+		m.ArenaMisses.Add(float64(misses - e.lastArenaMisses))
+		e.lastArenaGets, e.lastArenaMisses = gets, misses
 	}
 	return loss, times
 }

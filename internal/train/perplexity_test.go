@@ -48,8 +48,9 @@ func TestPerplexityConsistentWithLoss(t *testing.T) {
 	r := tensor.NewRNG(93)
 	m := nn.NewTransformer(model.SimSmall(nn.ActReLU).Config, r)
 	batches := copyTaskBatches(64, 2, 8, 2, 94)
-	logits := m.Forward(batches[0].Inputs, nil, nil)
-	loss, _ := nn.CrossEntropy(logits, m.FlattenTargets(batches[0].Targets))
+	ws := tensor.NewArena()
+	logits := m.Forward(batches[0].Inputs, nil, ws)
+	loss, _ := nn.CrossEntropyIn(ws, logits, m.FlattenTargetsIn(ws, batches[0].Targets))
 	ppl := Perplexity(m, batches[:1], nil)
 	if math.Abs(math.Log(ppl)-loss) > 1e-6 {
 		t.Fatalf("log(ppl) %v != loss %v", math.Log(ppl), loss)

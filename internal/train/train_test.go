@@ -167,8 +167,9 @@ func TestCloneModelPreservesFunction(t *testing.T) {
 	clone := CloneModel(m, tensor.NewRNG(10))
 
 	ids := [][]int{{1, 2, 3, 4}}
-	a := m.Forward(ids, nil, nil)
-	b := clone.Forward(ids, nil, nil)
+	ws := tensor.NewArena()
+	a := m.Forward(ids, nil, ws)
+	b := clone.Forward(ids, nil, ws)
 	if d := tensor.MaxAbsDiff(a, b); d != 0 {
 		t.Fatalf("clone diverges: %v", d)
 	}
@@ -193,6 +194,35 @@ func TestDataParallelReplicasStaySynchronized(t *testing.T) {
 		if math.IsNaN(loss) || elapsed <= 0 {
 			t.Fatalf("bad step: loss %v elapsed %v", loss, elapsed)
 		}
+	}
+	if drift := dp.MaxReplicaDrift(); drift != 0 {
+		t.Fatalf("replicas drifted by %v", drift)
+	}
+}
+
+// TestDataParallelReplicasShareFrozenBase pins the shared frozen base:
+// every replica reads the source's frozen weight storage, owns its
+// trainable weights, and replicas still train in lockstep.
+func TestDataParallelReplicasShareFrozenBase(t *testing.T) {
+	r := tensor.NewRNG(17)
+	m := nn.NewTransformer(model.SimSmall(nn.ActReLU).Config, r)
+	peft.Apply(m, peft.LoRA, peft.Options{}, r)
+	dp := NewDataParallel(m, 3, func() peft.Optimizer { return peft.NewAdamW(1e-3, 0) }, r)
+
+	src := m.Params()
+	for w := 1; w < len(dp.Workers); w++ {
+		for i, p := range dp.Workers[w].Params() {
+			shared := &p.W.Data[0] == &src[i].W.Data[0]
+			if shared != p.Frozen {
+				t.Fatalf("replica %d %s (frozen %v): weight storage shared = %v", w, p.Name, p.Frozen, shared)
+			}
+			if p == src[i] || &p.Grad.Data[0] == &src[i].Grad.Data[0] {
+				t.Fatalf("replica %d %s shares its Parameter or gradient with the source", w, p.Name)
+			}
+		}
+	}
+	for _, b := range copyTaskBatches(64, 3, 8, 3, 18) {
+		dp.Step(b)
 	}
 	if drift := dp.MaxReplicaDrift(); drift != 0 {
 		t.Fatalf("replicas drifted by %v", drift)

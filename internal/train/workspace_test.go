@@ -21,20 +21,22 @@ func newWorkspaceTestEngine(seed uint64) *Engine {
 	return &Engine{Model: m, Opt: peft.NewAdamW(1e-3, 0)}
 }
 
-// testStep runs one step on the engine's arena, or — noWS — on a nil
-// arena: the allocating path, kept as the bit-identity oracle.
+// testStep runs one step on the engine's warm, reused arena, or — noWS —
+// on a fresh arena, whose every buffer is newly made and zeroed: the
+// allocating path, kept as the bit-identity oracle that catches any read
+// of a stale recycled buffer.
 func testStep(e *Engine, b data.Batch, noWS bool) float64 {
 	ws := e.Workspace()
 	if noWS {
-		ws = nil
+		ws = tensor.NewArena()
 	}
 	loss, _ := e.step(b, ws)
 	return loss
 }
 
 // TestWorkspaceLossesBitIdenticalToAllocatingPath is the refactor's core
-// contract: the engine's arena path and the nil-arena (seed-style
-// allocating) path must produce the exact same loss sequence, bit for bit.
+// contract: the engine's reused arena and a fresh arena per step (the
+// allocating path) must produce the exact same loss sequence, bit for bit.
 func TestWorkspaceLossesBitIdenticalToAllocatingPath(t *testing.T) {
 	run := func(noWS bool) []float64 {
 		e := newWorkspaceTestEngine(81)
@@ -59,8 +61,8 @@ func TestWorkspaceLossesBitIdenticalToAllocatingPath(t *testing.T) {
 }
 
 // TestWorkspaceGradientsBitIdentical drives one full step on two engines
-// with identical weights — one arena, one allocating — and asserts every
-// parameter (post-optimizer) matches exactly.
+// with identical weights — one reused arena, one fresh arena per step —
+// and asserts every parameter (post-optimizer) matches exactly.
 func TestWorkspaceGradientsBitIdentical(t *testing.T) {
 	a := newWorkspaceTestEngine(82)
 	b := newWorkspaceTestEngine(82)
