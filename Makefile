@@ -3,15 +3,8 @@
 # pre-commit subset (see README "Development").
 
 GO ?= go
-BASELINES := .github/bench
-# The CI-gated bench suites, listed once: `make bench`, `make baseline` and
-# the CI bench job (which runs `make bench`) all read this.
-SUITES := kernels,kernels_precision,train_step,generate,generate_sparse,obs,trace,slo,account
-# Extra lebench flags (CI passes "-out ." so reports land where the
-# upload-artifact step looks).
-BENCH_FLAGS ?=
 
-.PHONY: build test fuzz race bench bench-smoke bench-allocs baseline loc fmt vet bigfiles check ci
+.PHONY: build test fuzz race bench bench-smoke loc fmt vet bigfiles check ci
 
 build:
 	$(GO) build ./...
@@ -32,10 +25,11 @@ fuzz:
 race:
 	$(GO) test -race ./...
 
-# CI-sized benchmarks, gated against the checked-in baselines on both
-# ns/op (relative tolerance) and allocs/op (absolute tolerance).
+# Every testing.B benchmark, one iteration each in -short mode: proves
+# they all still run. Allocation contracts are AllocsPerRun tests in
+# `make test`; compare timings with -cpu 1 -count N (README "Benchmarking").
 bench:
-	$(GO) run ./cmd/lebench -suite $(SUITES) -short $(BENCH_FLAGS) -baseline $(BASELINES) -tolerance 0.20 -alloc-tolerance 16
+	$(GO) test -run '^$$' -bench . -benchtime 1x -short ./...
 
 # The repo's end-to-end benchmark (BENCHMARK.json, benchmark/README.md):
 # all seven workloads at the default 10 s window, results in a temp dir,
@@ -44,21 +38,7 @@ bench:
 bench-smoke:
 	@dir=$$(mktemp -d); $(GO) run ./benchmark -out "$$dir"; s=$$?; rm -rf "$$dir"; exit $$s
 
-# Allocation gate alone: the train_step, obs, trace, slo and account
-# suites compare the workspace-arena step (bare and instrumented), the
-# instrumented decode step, the SLO evaluation tick, and the wide-event
-# emit against their checked-in zero allocs/op baselines — the CI bench
-# job's allocation axis without its ns/op axis.
-bench-allocs:
-	$(GO) run ./cmd/lebench -suite train_step,obs,trace,slo,account -short -baseline $(BASELINES) -tolerance 1000 -alloc-tolerance 16
-
-# Regenerate the checked-in baselines from this machine. Commit the result
-# only when intentionally resetting the perf reference (e.g. after a
-# deliberate trade-off or a runner change).
-baseline:
-	$(GO) run ./cmd/lebench -suite $(SUITES) -short -repeats 4 -out $(BASELINES)
-
-# Non-test Go lines outside benchmark/ — the number ROADMAP item 3's
+# Non-test Go lines outside benchmark/ — the number ROADMAP item 9's
 # "less code" target is measured in.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.git/*' | xargs cat | wc -l

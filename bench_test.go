@@ -15,9 +15,9 @@ import (
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	if testing.Short() {
-		// Even in quick mode a full driver takes seconds — far over CI's
-		// budget. CI measures kernels via `go run ./cmd/lebench -suite
-		// kernels -short` instead; run these locally without -short.
+		// Even in quick mode a full driver takes seconds — far over the
+		// budget of `make bench`, which runs every benchmark in -short
+		// mode. Run these locally without -short.
 		b.Skipf("skipping experiment benchmark %s in -short mode", id)
 	}
 	if !experiments.Known(id) {

@@ -176,19 +176,56 @@ func TestAggregates(t *testing.T) {
 	}
 }
 
-func TestEmitZeroAllocs(t *testing.T) {
-	dir := t.TempDir()
-	p, err := New(Config{Dir: dir, Ring: 64})
-	if err != nil {
-		t.Fatal(err)
+type emitCase struct {
+	name string
+	cfg  Config
+}
+
+// emitCases are the planes Emit is pinned and timed on: in memory with
+// live metrics (ring slot copy, tenant rollup, metric folds), and on disk
+// (plus the segment append through the reused encode buffer) with a
+// segment bound no run reaches, so no rotation lands in a measurement.
+func emitCases(tb testing.TB) []emitCase {
+	return []emitCase{
+		{"emit", Config{Ring: 1024, Metrics: obs.NewAccountMetrics(obs.NewRegistry())}},
+		{"emit_disk", Config{Dir: tb.TempDir(), Ring: 1024, SegmentBytes: 1 << 30}},
 	}
-	defer p.Close()
-	ev := sampleEvent(0)
-	ev.Tenant = "warm" // one tenant: the usage map entry exists after warmup
-	p.Emit(&ev)
-	allocs := testing.AllocsPerRun(200, func() { p.Emit(&ev) })
-	if allocs > 0 {
-		t.Fatalf("Emit allocates %.1f/op, want 0", allocs)
+}
+
+// warmPlane opens a plane and emits ev once, so the tenant's usage entry
+// and the encode buffer exist before anything is measured.
+func warmPlane(tb testing.TB, cfg Config, ev *Event) *Plane {
+	tb.Helper()
+	p, err := New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { p.Close() })
+	p.Emit(ev)
+	return p
+}
+
+func TestEmitZeroAllocs(t *testing.T) {
+	for _, tc := range emitCases(t) {
+		ev := sampleEvent(0)
+		p := warmPlane(t, tc.cfg, &ev)
+		if allocs := testing.AllocsPerRun(200, func() { p.Emit(&ev) }); allocs != 0 {
+			t.Errorf("%s: Emit allocates %.1f/op, want 0", tc.name, allocs)
+		}
+	}
+}
+
+func BenchmarkAccount(b *testing.B) {
+	for _, tc := range emitCases(b) {
+		b.Run(tc.name, func(b *testing.B) {
+			ev := sampleEvent(0)
+			p := warmPlane(b, tc.cfg, &ev)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Emit(&ev)
+			}
+		})
 	}
 }
 

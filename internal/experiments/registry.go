@@ -72,7 +72,7 @@ func IDs() []string {
 }
 
 // Known reports whether id names a registered experiment — callers that
-// want to skip gracefully (benchmarks, suite filters) check this instead of
+// want to skip gracefully (the root benchmarks) check this instead of
 // pattern-matching Run's error.
 func Known(id string) bool {
 	_, ok := Registry[id]

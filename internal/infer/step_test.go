@@ -7,7 +7,10 @@ import (
 
 	"longexposure/internal/nn"
 	"longexposure/internal/obs"
+	"longexposure/internal/parallel"
+	"longexposure/internal/peft"
 	"longexposure/internal/tensor"
+	"longexposure/internal/trace"
 )
 
 // hookProvider hands every sparsity request the same test planner.
@@ -165,6 +168,54 @@ func TestCancelOneOfFourStreams(t *testing.T) {
 		}
 		if err := equalTokens(got, want); err != nil {
 			t.Fatalf("stream %d: %v", i, err)
+		}
+	}
+}
+
+// TestDecodeStepZeroAllocs pins the serving hot path at exactly zero
+// allocations: one warm scheduler step over a LoRA sequence rewound to the
+// same position every run — the InferMetrics updates run makes around the
+// step, then the engine's own step (an unsampled infer.decode_step child,
+// DecodeBatch recording the sequence's DecodeStats, sampling, the stream
+// send). Once on no-op metric handles, once on a live registry. One
+// worker, so the number is the step's own and not the pool's.
+func TestDecodeStepZeroAllocs(t *testing.T) {
+	old := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(old)
+
+	base := nn.NewTransformer(testConfig(), tensor.NewRNG(1000))
+	ad := compiled(t, trainedPEFT(t, peft.LoRA, 1000), peft.LoRA, 2, 16)
+	for _, tc := range []struct {
+		name string
+		reg  *obs.Registry
+	}{{"noop_metrics", nil}, {"metrics", obs.NewRegistry()}} {
+		m := obs.NewInferMetrics(tc.reg)
+		e := &Engine{base: base, cfg: Config{Metrics: m}, ws: tensor.NewArena()}
+		s := &sequence{
+			ctx: context.Background(), prompt: []int{1, 4, 2}, ad: ad, maxTok: base.Cfg.MaxSeq,
+			rng: tensor.NewRNG(1), cache: base.NewKVCache(), out: make(chan Event, 1),
+			span: trace.New(trace.Config{SampleRatio: 0, Seed: 1}).StartRoot("infer.sequence", trace.SpanContext{}),
+		}
+		active := []*sequence{s}
+		step := func() {
+			m.SchedulerSteps.Inc()
+			m.BatchOccupancy.Observe(float64(len(active)))
+			e.setLevels(len(active), len(e.submit), e.prevKV)
+			m.Tokens.Add(float64(e.step(active)))
+			<-s.out
+		}
+		step() // prefill
+		p0, n0 := s.cache.Len, s.emitted
+		decode := func() {
+			s.cache.Len, s.emitted = p0, n0
+			step()
+		}
+		decode() // warm-up: arena fill
+		if n := testing.AllocsPerRun(10, decode); n != 0 {
+			t.Errorf("%s: decode step allocates %v/op, want 0", tc.name, n)
+		}
+		if s.done || s.stats.Steps == 0 {
+			t.Fatalf("%s: sequence done=%v (%s) after %d recorded steps", tc.name, s.done, s.reason, s.stats.Steps)
 		}
 	}
 }

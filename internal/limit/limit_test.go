@@ -165,9 +165,11 @@ func TestAdmissionCapAndQueue(t *testing.T) {
 		t.Fatalf("inflight = %d", a.InFlight())
 	}
 
-	// Third request parks; releasing a slot admits it.
-	admitted := make(chan struct{})
+	// Third request parks; releasing a slot admits it. released closes
+	// only after rel3 returns, so the InFlight read below cannot race it.
+	admitted, released := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(released)
 		rel3, err := a.Acquire(context.Background())
 		if err != nil {
 			t.Errorf("parked request shed: %v", err)
@@ -197,6 +199,7 @@ func TestAdmissionCapAndQueue(t *testing.T) {
 	<-admitted
 	rel2()
 	rel1() // idempotent release must not free a second slot
+	<-released
 	if a.InFlight() != 0 {
 		t.Fatalf("inflight after releases = %d", a.InFlight())
 	}

@@ -170,16 +170,22 @@ func TestDecodeBatchMatchesPerSequence(t *testing.T) {
 
 // TestDecodeBatchSteadyStateAllocs pins the stacked step's memory
 // contract: with a warm arena, a B=4 step — LoRA, bottleneck, plain and
-// sparse rows, stats recorded — allocates nothing, at one worker and at
-// two (a few-row step must not fan out to goroutines).
+// sparse rows, with stats recorded and without — allocates nothing, at
+// one worker and at two (a few-row step must not fan out to goroutines).
 func TestDecodeBatchSteadyStateAllocs(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		old := parallel.SetWorkers(workers)
+	for _, tc := range []struct {
+		workers int
+		stats   bool
+	}{{1, true}, {2, true}, {1, false}} {
+		old := parallel.SetWorkers(tc.workers)
 		m := NewTransformer(tinyConfig(), tensor.NewRNG(903))
 		seqs := raggedBatch(m, true)[1:] // the four decode rows
 		p0 := make([]int, len(seqs))
 		for i := range seqs {
 			p0[i] = seqs[i].Cache.Len
+			if !tc.stats {
+				seqs[i].Stats = nil
+			}
 		}
 		ws := tensor.NewArena()
 		step := func() {
@@ -193,7 +199,7 @@ func TestDecodeBatchSteadyStateAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(10, step)
 		parallel.SetWorkers(old)
 		if allocs != 0 {
-			t.Fatalf("workers=%d: B=%d decode step allocates %v/step, want 0", workers, len(seqs), allocs)
+			t.Fatalf("workers=%d stats=%v: B=%d decode step allocates %v/step, want 0", tc.workers, tc.stats, len(seqs), allocs)
 		}
 	}
 }

@@ -221,6 +221,28 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// BenchmarkObs times the instrument updates TestHotPathZeroAlloc pins:
+// one counter add, and one histogram observation plus one gauge set.
+func BenchmarkObs(b *testing.B) {
+	r := NewRegistry()
+	c := r.Counter("bench_counter_total", "bench")
+	g := r.Gauge("bench_gauge", "bench")
+	h := r.Histogram("bench_seconds", "bench", DurationBuckets)
+	b.Run("counter_add", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c.Add(1)
+		}
+	})
+	b.Run("histogram_observe", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			h.Observe(float64(i&1023) * 1e-6)
+			g.Set(float64(i))
+		}
+	})
+}
+
 func TestBundlesRegisterDisjointNames(t *testing.T) {
 	// Every domain bundle on one registry: any name collision panics.
 	r := NewRegistry()

@@ -394,3 +394,40 @@ func TestDebugTracesTraceIDFilter(t *testing.T) {
 		t.Fatalf("unknown id = %d, want 404", code)
 	}
 }
+
+// BenchmarkSLO times GET /readyz without and with an SLO engine attached,
+// the one request-path surface the SLO plane joins: the pair shows what
+// the plane adds to every readiness probe.
+func BenchmarkSLO(b *testing.B) {
+	for _, withSLO := range []bool{false, true} {
+		name := "readyz_disabled"
+		if withSLO {
+			name = "readyz_enabled"
+		}
+		b.Run(name, func(b *testing.B) {
+			store := jobs.NewStore(jobs.Config{Workers: 1})
+			defer store.Shutdown(context.Background())
+			var opts []Option
+			if withSLO {
+				cfg := slo.Config{Objectives: []slo.Objective{{Name: "jobs", Kind: slo.KindJobFailure, Target: 0.9}}}
+				eng, err := slo.New(cfg, slo.Deps{Metrics: obs.NewRegistry()})
+				if err != nil {
+					b.Fatal(err)
+				}
+				eng.Tick(time.Unix(1_700_000_000, 0))
+				opts = append(opts, WithSLO(eng))
+			}
+			handler := New(store, opts...).Handler()
+			req := httptest.NewRequest("GET", "/readyz", nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rw := httptest.NewRecorder()
+				handler.ServeHTTP(rw, req)
+				if rw.Code != http.StatusOK {
+					b.Fatalf("readyz = %d, want 200", rw.Code)
+				}
+			}
+		})
+	}
+}

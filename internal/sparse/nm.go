@@ -127,8 +127,8 @@ func (p *NMWeights) Dequant() []float32 {
 // load per multiply-add where the dense tiled core pays ~1.25 loads, so at
 // one token it does not beat the dense core — halved madds don't cover a 3x
 // per-madd load deficit. The N:M win on CPU comes from the token-blocked
-// MulTB below, which amortizes the metadata loads (see the kernels_precision
-// nm/ benchmarks for both shapes). Accumulation order is the stored
+// MulTB below, which amortizes the metadata loads (see the BenchmarkKernels
+// nm/ rows for both shapes). Accumulation order is the stored
 // (ascending-column) order over kept entries only; zero-valued kept entries
 // still multiply, keeping the loop branch-free.
 func (p *NMWeights) MulVecRange(y, x []float32, lo, hi int) {
@@ -212,7 +212,7 @@ func (p *NMWeights) TMulVec(out, h []float32) {
 // the kernel does half the dense multiply-adds at comparable per-madd cost,
 // which is where the N:M speedup over the dense core materializes (the
 // single-token MulVec gather pays its offset loads per madd and does not
-// beat the dense core; see the kernels_precision nm/ benchmarks).
+// beat the dense core; see the BenchmarkKernels nm/ rows).
 func (p *NMWeights) MulTB(y, x []float32, tokens int) {
 	t := 0
 	if p.N == 2 && tokens >= 4 {

@@ -283,32 +283,31 @@ func TestGemmShortOperandPanics(t *testing.T) {
 	})
 }
 
-func benchGemmCore(b *testing.B, n int, core func(c, a, bb []float32, k, nn, ld, lo, hi int)) {
+// gemmCoreRows is each naive and tiled GEMM core, in all three layouts,
+// at n×n×n, serial: these time the cores, not the worker pool.
+func gemmCoreRows(n int) []kernelRow {
 	r := NewRNG(21)
 	x, y, c := New(n, n), New(n, n), New(n, n)
 	r.FillNormal(x, 1)
 	r.FillNormal(y, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core(c.Data, x.Data, y.Data, n, n, n, 0, n)
+	flops, bytes := 2*int64(n)*int64(n)*int64(n), 4*3*int64(n)*int64(n)
+	row := func(name string, core func(c, a, b []float32, d0, d1, d2, lo, hi int)) kernelRow {
+		return kernelRow{fmt.Sprintf("%s/%d", name, n), flops, bytes, func() {
+			core(c.Data, x.Data, y.Data, n, n, n, 0, n)
+		}}
 	}
-	flops := 2 * int64(n) * int64(n) * int64(n)
-	b.ReportMetric(float64(flops*int64(b.N))/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-}
-
-// taCore adapts a square aᵀ·b core to benchGemmCore's signature.
-func taCore(core func(c, a, b []float32, kDim, m, n, loM, hiM int)) func(c, a, bb []float32, k, nn, ld, lo, hi int) {
-	return func(c, a, bb []float32, k, nn, _, lo, hi int) { core(c, a, bb, k, nn, nn, lo, hi) }
+	return []kernelRow{
+		row("naive", GemmRangeNaive),
+		row("tiled", GemmRange),
+		row("tb-naive", GemmTBRangeNaive),
+		row("tb-tiled", GemmTBRange),
+		row("ta-naive", GemmTARangeNaive),
+		row("ta-tiled", GemmTARange),
+	}
 }
 
 func BenchmarkGemmCores(b *testing.B) {
 	for _, n := range []int{128, 256} {
-		b.Run(fmt.Sprintf("naive/%d", n), func(b *testing.B) { benchGemmCore(b, n, GemmRangeNaive) })
-		b.Run(fmt.Sprintf("tiled/%d", n), func(b *testing.B) { benchGemmCore(b, n, GemmRange) })
-		b.Run(fmt.Sprintf("tb-naive/%d", n), func(b *testing.B) { benchGemmCore(b, n, GemmTBRangeNaive) })
-		b.Run(fmt.Sprintf("tb-tiled/%d", n), func(b *testing.B) { benchGemmCore(b, n, GemmTBRange) })
-		b.Run(fmt.Sprintf("ta-naive/%d", n), func(b *testing.B) { benchGemmCore(b, n, taCore(GemmTARangeNaive)) })
-		b.Run(fmt.Sprintf("ta-tiled/%d", n), func(b *testing.B) { benchGemmCore(b, n, taCore(GemmTARange)) })
+		benchRows(b, gemmCoreRows(n))
 	}
 }

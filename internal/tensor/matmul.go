@@ -24,7 +24,7 @@ func GemmRange(c, a, b []float32, k, n, lda, loM, hiM int) {
 }
 
 // GemmRangeNaive is the seed i-k-j core, retained as the correctness
-// reference and the baseline that cmd/lebench measures the kernels
+// reference and the baseline BenchmarkGemmCores measures the tiled core
 // against. The i-k-j loop order streams rows of b, the cache-friendly
 // order for row-major data.
 func GemmRangeNaive(c, a, b []float32, k, n, lda, loM, hiM int) {
@@ -67,7 +67,7 @@ func GemmTBRange(c, a, b []float32, k, n, ldc, loM, hiM int) {
 }
 
 // GemmTBRangeNaive is the seed dot-product core, retained as the
-// correctness reference and lebench baseline.
+// correctness reference and BenchmarkGemmCores baseline.
 func GemmTBRangeNaive(c, a, b []float32, k, n, ldc, loM, hiM int) {
 	for i := loM; i < hiM; i++ {
 		ai := a[i*k : (i+1)*k]
@@ -92,7 +92,7 @@ func GemmTARange(c, a, b []float32, kDim, m, n, loM, hiM int) {
 }
 
 // GemmTARangeNaive is the seed aᵀ·b core, retained as the correctness
-// reference and lebench baseline.
+// reference and BenchmarkGemmCores baseline.
 func GemmTARangeNaive(c, a, b []float32, kDim, m, n, loM, hiM int) {
 	for i := loM; i < hiM; i++ {
 		ci := c[i*n : (i+1)*n]

@@ -236,7 +236,7 @@ func packRowsI8(packed []float32, b []int8, scale []float32, k, k0, j0, kc, nc i
 //
 // The fused kernel widens every weight once per row, the panel pack once
 // per call, so it pays only for one row. Single thread on an Intel Xeon VM
-// at k=256, n=64 (kernels_precision decode/ab rows): one row takes 15 µs
+// at k=256, n=64 (BenchmarkPrecision decode/ab rows): one row takes 15 µs
 // fused against 28–31 µs packed for int8 and 23 against 31–33 µs for f16;
 // at two rows of f16 the pack already wins (k=n=64: 12 vs 10 µs), and at
 // four rows both formats take about twice as long fused.

@@ -29,19 +29,21 @@ func (sc SpanContext) Traceparent() string {
 
 // ParseTraceparent parses a W3C traceparent header value. It accepts any
 // non-ff version (per spec, unknown versions parse as version 00) and
-// rejects malformed ids, all-zero ids, and wrong field sizes.
+// rejects malformed ids, all-zero ids, and wrong field sizes. A version-00
+// header is exactly its four fields; only a later version may append
+// further "-"-separated fields after the flags.
 func ParseTraceparent(h string) (SpanContext, bool) {
 	h = strings.TrimSpace(h)
 	parts := strings.Split(h, "-")
-	if len(parts) < 4 || len(parts[0]) != 2 || len(parts[1]) != 32 || len(parts[2]) != 16 || len(parts[3]) < 2 {
+	if len(parts) < 4 || len(parts[0]) != 2 || len(parts[1]) != 32 || len(parts[2]) != 16 || len(parts[3]) != 2 {
 		return SpanContext{}, false
 	}
 	var version [1]byte
 	if _, err := hex.Decode(version[:], []byte(strings.ToLower(parts[0]))); err != nil {
 		return SpanContext{}, false
 	}
-	if version[0] == 0xff {
-		return SpanContext{}, false // forbidden version
+	if version[0] == 0xff || (version[0] == 0 && len(parts) != 4) {
+		return SpanContext{}, false // forbidden version, or trailing data on 00
 	}
 	var sc SpanContext
 	if _, err := hex.Decode(sc.TraceID[:], []byte(strings.ToLower(parts[1]))); err != nil {
@@ -54,7 +56,7 @@ func ParseTraceparent(h string) (SpanContext, bool) {
 		return SpanContext{}, false
 	}
 	var flags [1]byte
-	if _, err := hex.Decode(flags[:], []byte(strings.ToLower(parts[3][:2]))); err != nil {
+	if _, err := hex.Decode(flags[:], []byte(strings.ToLower(parts[3]))); err != nil {
 		return SpanContext{}, false
 	}
 	sc.Sampled = flags[0]&0x01 != 0

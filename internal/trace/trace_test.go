@@ -184,6 +184,20 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	sp.Finish()
 }
 
+// badTraceparents are headers ParseTraceparent must reject.
+var badTraceparents = []string{
+	"",
+	"00",
+	"zz-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+	"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",       // forbidden version
+	"00-00000000000000000000000000000000-b7ad6b7169203331-01",       // zero trace id
+	"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01",       // zero span id
+	"00-0af7651916cd43dd8448eb211c8031-b7ad6b7169203331-01",         // short trace id
+	"00-0af7651916cd43dd8448eb211c80319c-b7ad6b71692033-01",         // short span id
+	"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra", // version 00 with a fifth field
+	"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01ff",     // version 00 with trailing flags bytes
+}
+
 func TestParseTraceparent(t *testing.T) {
 	valid := "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
 	sc, ok := ParseTraceparent(valid)
@@ -196,20 +210,36 @@ func TestParseTraceparent(t *testing.T) {
 	if sc, ok := ParseTraceparent("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-00"); !ok || sc.Sampled {
 		t.Fatal("unsampled flag not parsed")
 	}
-	for _, bad := range []string{
-		"",
-		"00",
-		"zz-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
-		"ff-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01", // forbidden version
-		"00-00000000000000000000000000000000-b7ad6b7169203331-01", // zero trace id
-		"00-0af7651916cd43dd8448eb211c80319c-0000000000000000-01", // zero span id
-		"00-0af7651916cd43dd8448eb211c8031-b7ad6b7169203331-01",   // short trace id
-		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b71692033-01",   // short span id
-	} {
+	if _, ok := ParseTraceparent("01-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra"); !ok {
+		t.Fatal("a later version's trailing field rejected")
+	}
+	for _, bad := range badTraceparents {
 		if _, ok := ParseTraceparent(bad); ok {
 			t.Fatalf("accepted malformed header %q", bad)
 		}
 	}
+}
+
+// FuzzParseTraceparent: no input panics, and any header that parses
+// re-renders to one that parses back to the same identity and flag.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01")
+	f.Add("00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-00")
+	f.Add("01-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-extra")
+	for _, bad := range badTraceparents {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		sc, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		back, ok := ParseTraceparent(sc.Traceparent())
+		if !ok || back.TraceID != sc.TraceID || back.SpanID != sc.SpanID || back.Sampled != sc.Sampled {
+			t.Fatalf("%q parsed to %+v, which re-renders as %q and parses to %+v (ok=%v)",
+				h, sc, sc.Traceparent(), back, ok)
+		}
+	})
 }
 
 func TestContextPlumbing(t *testing.T) {
@@ -292,25 +322,67 @@ func TestConcurrentFinish(t *testing.T) {
 	}
 }
 
-func TestSpanStartFinishDoesNotAllocate(t *testing.T) {
-	tr := New(Config{SampleRatio: 1, Capacity: 1024, SlowestN: 8, Seed: 9})
-	root := tr.StartRoot("root", SpanContext{})
-	// Warm the pool and the slowest set.
+// spanShape is one per-request span call shape, run on a warm tracer.
+type spanShape struct {
+	name string
+	op   func()
+}
+
+// spanShapes returns the span call shapes pinned and timed below: a
+// sampled root's start/finish, a sampled child's (both pooled spans and
+// the seqlock ring), and the full root+child shape on a ratio-0 tracer,
+// where every span is nil and every call one branch. Each shape runs 100
+// times first to warm the span pool and the slowest set.
+func spanShapes() []spanShape {
+	sampled := New(Config{SampleRatio: 1, Capacity: 1024, SlowestN: 8, Seed: 9})
+	unsampled := New(Config{SampleRatio: 0, Capacity: 1024, Seed: 9})
+	root := sampled.StartRoot("root", SpanContext{})
+	shapes := []spanShape{
+		{"span_start_finish", func() {
+			sp := sampled.StartRoot("op", SpanContext{})
+			sp.SetInt("k", 1)
+			sp.Finish()
+		}},
+		{"child_start_finish", func() {
+			sp := root.StartChild("steady")
+			sp.SetInt("i", 1)
+			sp.SetStr("s", "static")
+			sp.Finish()
+		}},
+		{"span_unsampled", func() {
+			sp := unsampled.StartRoot("op", SpanContext{})
+			sp.SetInt("k", 1)
+			child := sp.StartChild("child")
+			child.SetInt("k", 2)
+			child.Finish()
+			sp.Finish()
+		}},
+	}
 	for i := 0; i < 100; i++ {
-		sp := root.StartChild("warm")
-		sp.SetInt("i", int64(i))
-		sp.Finish()
+		for _, s := range shapes {
+			s.op()
+		}
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		sp := root.StartChild("steady")
-		sp.SetInt("i", 1)
-		sp.SetStr("s", "static")
-		sp.Finish()
-	})
-	if allocs > 0 {
-		t.Fatalf("sampled span start/finish allocates %.1f per op, want 0", allocs)
+	return shapes
+}
+
+func TestSpanStartFinishDoesNotAllocate(t *testing.T) {
+	for _, s := range spanShapes() {
+		if allocs := testing.AllocsPerRun(1000, s.op); allocs != 0 {
+			t.Errorf("%s allocates %.1f per op, want 0", s.name, allocs)
+		}
 	}
-	root.Finish()
+}
+
+func BenchmarkTrace(b *testing.B) {
+	for _, s := range spanShapes() {
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.op()
+			}
+		})
+	}
 }
 
 func TestAttrOverflowDropped(t *testing.T) {

@@ -73,12 +73,12 @@ type Engine struct {
 	// Metrics, when set, receives per-step observability: step and phase
 	// latency, tokens, loss, and workspace-arena traffic. Updates are
 	// atomic handle writes — the instrumented step stays at zero
-	// steady-state allocations (pinned by the bench obs suite).
+	// steady-state allocations (pinned by TestSteadyStepZeroAllocs).
 	Metrics *obs.TrainMetrics
 	// Span, when set, parents a "train.step" span per Step with
 	// forward/predict/backward/optim phase children. nil (or an unsampled
 	// run) costs one branch — the traced-but-unsampled step stays
-	// zero-alloc (pinned by the bench trace suite).
+	// zero-alloc (pinned by TestSteadyStepZeroAllocs).
 	Span *trace.Span
 	// Acct, when set, accumulates the run's wide-event resource vector
 	// (steps, tokens, analytic FLOPs, wall-clock) for the accounting

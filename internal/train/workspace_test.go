@@ -7,9 +7,11 @@ import (
 	"longexposure/internal/data"
 	"longexposure/internal/model"
 	"longexposure/internal/nn"
+	"longexposure/internal/obs"
 	"longexposure/internal/parallel"
 	"longexposure/internal/peft"
 	"longexposure/internal/tensor"
+	"longexposure/internal/trace"
 )
 
 // newWorkspaceTestEngine builds a deterministic LoRA engine on the small
@@ -106,6 +108,37 @@ func TestWorkspaceStepAllocsReduced(t *testing.T) {
 		with, without, 100*(1-with/without))
 	if with > 0.10*without {
 		t.Fatalf("workspace step allocates %.0f/op vs %.0f/op allocating — less than 90%% reduction", with, without)
+	}
+}
+
+// TestSteadyStepZeroAllocs pins the steady-state training step at exactly
+// zero allocations once one warm-up step has filled the arena and the
+// optimizer state: bare, with a live TrainMetrics bundle (the jobs
+// worker's configuration), and with metrics plus the span of a ratio-0
+// tracer (nil: tracing wired in, sampling off). One worker, so the
+// number is the step's own and not the pool's per-spawn goroutines.
+func TestSteadyStepZeroAllocs(t *testing.T) {
+	old := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(old)
+
+	batch := copyTaskBatches(64, 2, 16, 2, 99)[0]
+	for _, tc := range []struct {
+		name string
+		arm  func(*Engine)
+	}{
+		{"bare", func(*Engine) {}},
+		{"metrics", func(e *Engine) { e.Metrics = obs.NewTrainMetrics(obs.NewRegistry()) }},
+		{"metrics+unsampled_span", func(e *Engine) {
+			e.Metrics = obs.NewTrainMetrics(obs.NewRegistry())
+			e.Span = trace.New(trace.Config{SampleRatio: 0, Seed: 1}).StartRoot("jobs.run", trace.SpanContext{})
+		}},
+	} {
+		e := newWorkspaceTestEngine(85)
+		tc.arm(e)
+		e.Step(batch) // warm-up: arena fill, optimizer state
+		if n := testing.AllocsPerRun(5, func() { e.Step(batch) }); n != 0 {
+			t.Errorf("%s: steady training step allocates %v/op, want 0", tc.name, n)
+		}
 	}
 }
 
