@@ -4,13 +4,19 @@
 
 GO ?= go
 
-.PHONY: build test fuzz race bench bench-smoke loc fmt vet bigfiles check ci
+.PHONY: build test portable fuzz race bench bench-smoke loc fmt vet bigfiles check ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The non-amd64 build run, not only vetted: a 386 binary runs natively on
+# an amd64 host, so the portable Go kernels that replace gemm_amd64.s
+# elsewhere execute under the packages whose numerics they carry.
+portable:
+	GOARCH=386 $(GO) test ./internal/tensor ./internal/sparse ./internal/nn ./internal/half
 
 # Every native fuzz target for 10 s. `go test -fuzz` takes one target in
 # one package per run, so the targets are listed from the test sources.
@@ -59,4 +65,4 @@ bigfiles:
 
 check: fmt vet bigfiles
 
-ci: check build test fuzz race bench bench-smoke
+ci: check build test portable fuzz race bench bench-smoke

@@ -94,6 +94,10 @@ func TestValidate(t *testing.T) {
 		{Kind: KindFinetune, Finetune: &FinetuneSpec{LR: -1}},
 		{Kind: KindFinetune, Finetune: &FinetuneSpec{PredictorEpochs: -2}},
 		{Kind: KindFinetune, Finetune: &FinetuneSpec{}, Experiment: &ExperimentSpec{ID: "fig4"}},
+		{Kind: KindFinetune, Finetune: &FinetuneSpec{Seq: 1_000_000_000}},                // past sim-small's MaxSeq 96
+		{Kind: KindFinetune, Finetune: &FinetuneSpec{Seq: 90, Method: "ptuning"}},        // 90 + 16 prompt rows > 96
+		{Kind: KindFinetune, Finetune: &FinetuneSpec{Steps: 1 << 30, Batch: 1 << 30}},    // steps×batch×seq overflows int64
+		{Kind: KindFinetune, Finetune: &FinetuneSpec{Steps: 1 << 20, Batch: 2, Seq: 64}}, // 2²⁷ corpus tokens
 	}
 	for i, spec := range bad {
 		if err := spec.Validate(); err == nil {
@@ -103,6 +107,7 @@ func TestValidate(t *testing.T) {
 	good := []Spec{
 		{Kind: KindFinetune, Finetune: &FinetuneSpec{}},
 		{Kind: KindFinetune, Finetune: &FinetuneSpec{Model: "OPT-1.3B", Method: "ptuning"}},
+		{Kind: KindFinetune, Finetune: &FinetuneSpec{Seq: 80, Method: "ptuning"}}, // 80 + 16 = MaxSeq
 		{Kind: KindExperiment, Experiment: &ExperimentSpec{ID: "fig4"}},
 	}
 	for i, spec := range good {

@@ -200,12 +200,18 @@ func (s Spec) Validate() error {
 	}
 }
 
+// maxCorpusTokens bounds a fine-tune job's corpus, steps·batch·seq
+// tokens: the runner builds every example up front, with no cancellation
+// point, so an unbounded product could exhaust the daemon's memory before
+// the job could be stopped. A token is held as up to four ints (the
+// generated example's input and target, and their padded copies), so 2²²
+// tokens is at most about 128 MiB.
+const maxCorpusTokens = 1 << 22
+
 func (f FinetuneSpec) validate() error {
 	n := f.normalized()
-	if _, err := n.modelSpec(); err != nil {
-		return err
-	}
-	if _, err := methodFromString(n.Method); err != nil {
+	cfg, err := n.CoreConfig()
+	if err != nil {
 		return err
 	}
 	switch n.Activation {
@@ -221,6 +227,16 @@ func (f FinetuneSpec) validate() error {
 	}
 	if f.LR < 0 {
 		return fmt.Errorf("jobs: negative learning rate")
+	}
+	prompt := 0
+	if cfg.Method == peft.PTuning {
+		prompt = cfg.PEFT.Resolved(cfg.Spec.Config.Dim).PromptTokens
+	}
+	if maxSeq := cfg.Spec.Config.MaxSeq; n.Seq > maxSeq-prompt {
+		return fmt.Errorf("jobs: seq %d plus %d prompt rows exceeds %s's MaxSeq %d", n.Seq, prompt, n.Model, maxSeq)
+	}
+	if n.Steps > maxCorpusTokens/n.Batch/n.Seq {
+		return fmt.Errorf("jobs: corpus of steps %d × batch %d × seq %d tokens exceeds %d", n.Steps, n.Batch, n.Seq, maxCorpusTokens)
 	}
 	return nil
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -262,10 +261,7 @@ func (s *Server) generate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var req generateRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, "decoding generate request: %v", err)
+	if !decodeBody(w, r, &req, "generate request") {
 		return
 	}
 	sampling, sparsity, err := req.resolveDecode()

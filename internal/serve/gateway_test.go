@@ -288,18 +288,33 @@ func TestGatewayBaseOnlyGenerate(t *testing.T) {
 // arrives as the structured error envelope with a machine-readable code.
 func TestGatewayRejectsBadRequests(t *testing.T) {
 	e := newGatewayEnv(t, 1)
+	// Bodies past the 1 MiB cap: a prompt far beyond any MaxSeq, and a job
+	// spec with a huge model name. Both are refused before they are decoded
+	// in full.
+	hugePrompt := `{"base":{"model":"sim-small","seed":1},"prompt":[` + strings.Repeat("1,", 600_000) + `1]}`
+	hugeSpec := `{"kind":"finetune","finetune":{"model":"` + strings.Repeat("x", 1<<20) + `"}}`
 	for _, c := range []struct {
 		body string
 		code string
+		path string // "" is /v1/generate
 	}{
-		{`{"prompt":[1,2]}`, "invalid_request"},                               // neither adapter nor base
-		{`{"adapter":"ad-none","prompt":[1,2]}`, "not_found"},                 // unknown adapter
-		{`{"adapter":"x","base":{"model":"sim-small"}}`, "invalid_request"},   // both selectors
-		{`{"base":{"model":"nope","seed":1},"prompt":[]}`, "invalid_request"}, // unknown model / empty prompt
+		{`{"prompt":[1,2]}`, "invalid_request", ""},                               // neither adapter nor base
+		{`{"adapter":"ad-none","prompt":[1,2]}`, "not_found", ""},                 // unknown adapter
+		{`{"adapter":"x","base":{"model":"sim-small"}}`, "invalid_request", ""},   // both selectors
+		{`{"base":{"model":"nope","seed":1},"prompt":[]}`, "invalid_request", ""}, // unknown model / empty prompt
+		{hugePrompt, "body_too_large", ""},
+		{hugeSpec, "body_too_large", "/v1/jobs"},
 	} {
-		resp, err := http.Post(e.ts.URL+"/v1/generate", "application/json", strings.NewReader(c.body))
+		path := c.path
+		if path == "" {
+			path = "/v1/generate"
+		}
+		resp, err := http.Post(e.ts.URL+path, "application/json", strings.NewReader(c.body))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(c.body) > 64 {
+			c.body = c.body[:64] + "…" // keep failure messages readable
 		}
 		var envelope struct {
 			Error struct {

@@ -325,6 +325,8 @@ func errorCode(status int) string {
 		return "invalid_request"
 	case http.StatusNotFound:
 		return "not_found"
+	case http.StatusRequestEntityTooLarge:
+		return "body_too_large"
 	case http.StatusUnprocessableEntity:
 		return "not_servable"
 	case http.StatusTooManyRequests:
@@ -365,6 +367,29 @@ func writeErrorCode(w http.ResponseWriter, r *http.Request, status int, code, fo
 	writeJSON(w, status, apiError{Error: body})
 }
 
+// maxBodyBytes caps every JSON request body. A job spec or a generate
+// request is a few KiB; the cap stops an oversized one (a prompt far past
+// any MaxSeq) from being read into memory in full before it is rejected.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, rejecting unknown fields and
+// reading at most maxBodyBytes. On failure it writes the error envelope —
+// 413 for an oversized body, 400 otherwise — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, r, status, "decoding %s: %v", what, err)
+	return false
+}
+
 func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 	release, verdict, ok := s.gdJobs.admit(w, r)
 	if !ok {
@@ -375,10 +400,7 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var spec jobs.Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, r, http.StatusBadRequest, "decoding job spec: %v", err)
+	if !decodeBody(w, r, &spec, "job spec") {
 		return
 	}
 	spec.Tenant = s.tenantOf(r)

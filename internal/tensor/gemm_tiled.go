@@ -14,15 +14,19 @@ package tensor
 //   - gemmDot: lane j accumulates the dot product of a row of a with column
 //     j of a k-major packed group of b rows, from +0, and the sum is added
 //     to c at the end. GemmTBRange packs b's rows into 32- or 8-column
-//     groups for it.
+//     groups for it; GemmTBRangePacked packs the same groups from packed
+//     storage, widening each weight as it is copied, so every format's
+//     a·bᵀ runs one driver (gemmTBRangeDot) and one kernel.
 //
 // On amd64 with AVX (CPUID, and XGETBV for the OS's YMM state; useAVX, set
 // once at init) both run as the assembly kernels of gemm_amd64.s, eight
 // lanes per instruction: 32 lanes in four YMM registers, or 8 in one (the
-// dot kernel then runs four rows at once, one register each). Lanes past
-// the last 8-lane group run a scalar loop. Without AVX, gemmAxpy runs a Go
-// implementation of the same primitive, and GemmTBRange never packs: its
-// scalar 4-wide core reads b's rows in place. The kernels have no bounds
+// dot kernel then runs four rows at once, one register each). Lanes of
+// gemmAxpy past the last 8-lane group run a scalar loop. Without AVX both
+// run Go implementations of the same primitives, eight lanes held in
+// registers at a time (gemmAxpy8, gemmDot8); the f32 GemmTBRange then
+// never packs, and its scalar 4-wide core reads b's rows in place, while
+// GemmTBRangePacked still runs gemmDot. The kernels have no bounds
 // checks: gemmAxpy and gemmDot cut every operand to exactly the extent the
 // kernel touches, checked against len (span), so a short slice panics in
 // Go before any kernel runs.
@@ -169,41 +173,44 @@ func gemmAxpy8(c, a []float32, as int, b []float32, ldb, kc int) {
 	ci[0], ci[1], ci[2], ci[3], ci[4], ci[5], ci[6], ci[7] = c0, c1, c2, c3, c4, c5, c6, c7
 }
 
-// gemmTBRangeDot computes c[i,j] += dot(a[i,:], b[j,:]) for rows i in
-// [loM, hiM), a: [m,k], b: [n,k], c row stride ldc. Columns go in groups of
-// gemmNC (then gemmRowNR) b rows, each packed k-major one k panel at a
-// time and swept by the rows of a. When k spans several panels, up to
-// gemmTBRows rows share each packed panel and keep their partial sums in
-// acc between panels. Columns past the last group run the naive core. The
-// buffers are sized to k: Go zeroes them on every call.
-func gemmTBRangeDot(c, a, b []float32, k, n, ldc, loM, hiM int) {
-	if k <= gemmTBSmallK {
+// gemmTBRangeDot computes c[i,j] += dot(a[i,:], B[j,:]) for rows i in
+// [loM, hiM), a: [m,k], c row stride ldc, where B: [n,k] is the f32 rows b
+// or, when p is non-nil, p's rows. Columns go in groups of gemmNC (then
+// gemmRowNR) B rows, each packed k-major one k panel at a time and swept by
+// the rows of a. When k spans several panels or n ends in a partial group,
+// up to gemmTBRows rows share each packed panel and keep their partial sums
+// in acc. The buffers are sized to k: Go zeroes them on every call.
+func gemmTBRangeDot(c, a, b []float32, p *PackedWeights, k, n, ldc, loM, hiM int) {
+	full := n%gemmRowNR == 0
+	if k <= gemmTBSmallK && full {
 		var bp [gemmTBSmallK * gemmNC]float32
-		gemmTBGroups(c, a, b, k, n, ldc, loM, hiM, bp[:], nil)
+		gemmTBGroups(c, a, b, p, k, n, ldc, loM, hiM, bp[:], nil)
 		return
 	}
 	var bp [gemmKC * gemmNC]float32
-	if k <= gemmKC {
-		gemmTBGroups(c, a, b, k, n, ldc, loM, hiM, bp[:], nil)
+	if k <= gemmKC && full {
+		gemmTBGroups(c, a, b, p, k, n, ldc, loM, hiM, bp[:], nil)
 		return
 	}
 	var acc [gemmTBRows * gemmNC]float32
-	gemmTBGroups(c, a, b, k, n, ldc, loM, hiM, bp[:], acc[:])
+	gemmTBGroups(c, a, b, p, k, n, ldc, loM, hiM, bp[:], acc[:])
 }
 
 // gemmTBGroups is gemmTBRangeDot over panels of len(bp)/gemmNC rows of k;
-// acc is nil when k fits one panel.
-func gemmTBGroups(c, a, b []float32, k, n, ldc, loM, hiM int, bp, acc []float32) {
+// acc is nil when k fits one panel and every group is full. The last
+// n%gemmRowNR columns run as one gemmRowNR-lane group whose sums stay in
+// acc; only its first nr lanes are added to c.
+func gemmTBGroups(c, a, b []float32, p *PackedWeights, k, n, ldc, loM, hiM int, bp, acc []float32) {
 	kcMax, rows := len(bp)/gemmNC, hiM-loM
 	if acc != nil {
 		rows = len(acc) / gemmNC
 	}
-	j0 := 0
-	for j0+gemmRowNR <= n {
+	for j0 := 0; j0 < n; {
 		w := gemmRowNR
 		if j0+gemmNC <= n {
 			w = gemmNC
 		}
+		nr := min(w, n-j0)
 		for r0 := loM; r0 < hiM; r0 += rows {
 			r1 := min(r0+rows, hiM)
 			var s []float32
@@ -213,38 +220,54 @@ func gemmTBGroups(c, a, b []float32, k, n, ldc, loM, hiM int, bp, acc []float32)
 			}
 			for k0 := 0; k0 < k; k0 += kcMax {
 				kc := min(kcMax, k-k0)
-				packDotGroup(bp[:kc*w], b[j0*k+k0:], k, kc, w)
+				packDotGroup(bp[:kc*w], b, p, k, j0, k0, w, nr)
 				var cr []float32
-				if k0+kc == k {
+				if k0+kc == k && nr == w {
 					cr = c[r0*ldc+j0:]
 				}
 				gemmDot(cr, ldc, s, a[r0*k+k0:], k, bp[:kc*w], kc, w, r1-r0)
 			}
+			for r := r0; nr < w && r < r1; r++ {
+				for j, v := range s[(r-r0)*w:][:nr] {
+					c[r*ldc+j0+j] += v
+				}
+			}
 		}
 		j0 += w
 	}
-	if j0 < n {
-		GemmTBRangeNaive(c[j0:], a, b[j0*k:], k, n-j0, ldc, loM, hiM)
+}
+
+// packDotGroup copies w rows of B from row j0, len(bp)/w elements of each
+// from column k0, into bp k-major: bp[kk·w + j] = B[j0+j, k0+kk]. Eight
+// rows go at a time, so each step writes eight contiguous lanes; a packed
+// row widens to exactly the float32 Dequant gives. Rows from nr on (the
+// tail group) repeat row nr-1: nothing past B's last row is read, and
+// those lanes never reach c.
+func packDotGroup(bp, b []float32, p *PackedWeights, k, j0, k0, w, nr int) {
+	kc := len(bp) / w
+	for j := 0; j < w; j += gemmRowNR {
+		var rows [gemmRowNR]int
+		for t := range rows {
+			rows[t] = j0 + min(j+t, nr-1)
+		}
+		switch {
+		case p == nil:
+			packDot8(bp[j:], w, dotRows(b, rows, k, k0, kc))
+		case p.Format == WeightF16:
+			packDot8F16(bp[j:], w, dotRows(p.F16, rows, k, k0, kc))
+		default:
+			packDot8I8(bp[j:], w, dotRows(p.I8, rows, k, k0, kc), p.Scale, rows)
+		}
 	}
 }
 
-// packDotGroup copies w rows of b (row stride k), kc elements each, into
-// bp k-major: bp[kk·w + j] = b[j·k + kk]. Eight rows at a time, so each
-// step writes eight contiguous lanes.
-func packDotGroup(bp, b []float32, k, kc, w int) {
-	for j := 0; j < w; j += gemmRowNR {
-		r0 := b[j*k : j*k+kc]
-		r1 := b[(j+1)*k:][:len(r0)]
-		r2 := b[(j+2)*k:][:len(r0)]
-		r3 := b[(j+3)*k:][:len(r0)]
-		r4 := b[(j+4)*k:][:len(r0)]
-		r5 := b[(j+5)*k:][:len(r0)]
-		r6 := b[(j+6)*k:][:len(r0)]
-		r7 := b[(j+7)*k:][:len(r0)]
-		for kk := range r0 {
-			d := (*[gemmRowNR]float32)(bp[kk*w+j:])
-			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = r0[kk], r1[kk], r2[kk], r3[kk], r4[kk], r5[kk], r6[kk], r7[kk]
-		}
+// packDot8 is packDotGroup's step for eight f32 rows.
+func packDot8(bp []float32, w int, r [gemmRowNR][]float32) {
+	r0 := r[0]
+	r1, r2, r3, r4, r5, r6, r7 := r[1][:len(r0)], r[2][:len(r0)], r[3][:len(r0)], r[4][:len(r0)], r[5][:len(r0)], r[6][:len(r0)], r[7][:len(r0)]
+	for kk := range r0 {
+		d := (*[gemmRowNR]float32)(bp[kk*w:])
+		d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = r0[kk], r1[kk], r2[kk], r3[kk], r4[kk], r5[kk], r6[kk], r7[kk]
 	}
 }
 
@@ -256,16 +279,50 @@ func packDotGroup(bp, b []float32, k, kc, w int) {
 func gemmDot(c []float32, ldc int, s, a []float32, lda int, b []float32, kc, w, rows int) {
 	a = span(a, (rows-1)*lda+kc)
 	b = span(b, kc*w)
-	var cp, sp *float32
 	if c != nil {
 		c = span(c, (rows-1)*ldc+w)
-		cp = &c[0]
 	}
 	if s != nil {
 		s = span(s, rows*w)
+	}
+	if !useAVX {
+		for r := 0; r < rows; r++ {
+			for j := 0; j < w; j += gemmRowNR {
+				gemmDot8(c, r*ldc+j, s, r*w+j, a[r*lda:r*lda+kc], b[j:], w)
+			}
+		}
+		return
+	}
+	var cp, sp *float32
+	if c != nil {
+		cp = &c[0]
+	}
+	if s != nil {
 		sp = &s[0]
 	}
 	gemmDotAVX(cp, sp, &a[0], &b[0], kc, w, rows, ldc, lda)
+}
+
+// gemmDot8 is the portable gemmDot for one row's 8-lane group: the lanes
+// start from s[so:], add a[kk]·b[kk·ldb:] for every kk, and end in c[co:]
+// or s[so:].
+func gemmDot8(c []float32, co int, s []float32, so int, a, b []float32, ldb int) {
+	var d [gemmRowNR]float32
+	if s != nil {
+		d = *(*[gemmRowNR]float32)(s[so:])
+	}
+	d0, d1, d2, d3, d4, d5, d6, d7 := d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]
+	for kk, av := range a {
+		bk := (*[gemmRowNR]float32)(b[kk*ldb:])
+		d0, d1, d2, d3 = d0+av*bk[0], d1+av*bk[1], d2+av*bk[2], d3+av*bk[3]
+		d4, d5, d6, d7 = d4+av*bk[4], d5+av*bk[5], d6+av*bk[6], d7+av*bk[7]
+	}
+	if c == nil {
+		*(*[gemmRowNR]float32)(s[so:]) = [gemmRowNR]float32{d0, d1, d2, d3, d4, d5, d6, d7}
+		return
+	}
+	ci := (*[gemmRowNR]float32)(c[co:])
+	ci[0], ci[1], ci[2], ci[3], ci[4], ci[5], ci[6], ci[7] = ci[0]+d0, ci[1]+d1, ci[2]+d2, ci[3]+d3, ci[4]+d4, ci[5]+d5, ci[6]+d6, ci[7]+d7
 }
 
 // span returns s[:n] for n ≥ 1, panicking when len(s) < n. A reslice

@@ -58,7 +58,7 @@ func GemmTBRange(c, a, b []float32, k, n, ldc, loM, hiM int) {
 	}
 	switch {
 	case useAVX && hiM-loM >= gemmTBMinRows && k > 0 && n >= gemmRowNR:
-		gemmTBRangeDot(c, a, b, k, n, ldc, loM, hiM)
+		gemmTBRangeDot(c, a, b, nil, k, n, ldc, loM, hiM)
 	case gemmTiledWorthIt(k, n):
 		gemmTBRangeTiled(c, a, b, k, n, ldc, loM, hiM)
 	default:
@@ -116,15 +116,19 @@ const matmulRowTile = 8
 
 // gemmCall carries one driver invocation's operands so the parallel fan-out
 // uses static chunk functions — no closure, no per-call heap allocation on
-// the single-worker fast path (see parallel.ForChunkedArg).
+// the single-worker fast path (see parallel.ForChunkedArg). The packed
+// chunks read b from p.
 type gemmCall struct {
 	c, a, b []float32
 	k, n, m int
+	p       *PackedWeights
 }
 
-func gemmRangeChunk(g gemmCall, lo, hi int)   { GemmRange(g.c, g.a, g.b, g.k, g.n, g.k, lo, hi) }
-func gemmTBRangeChunk(g gemmCall, lo, hi int) { GemmTBRange(g.c, g.a, g.b, g.k, g.n, g.n, lo, hi) }
-func gemmTARangeChunk(g gemmCall, lo, hi int) { GemmTARange(g.c, g.a, g.b, g.k, g.m, g.n, lo, hi) }
+func gemmRangeChunk(g gemmCall, lo, hi int)    { GemmRange(g.c, g.a, g.b, g.k, g.n, g.k, lo, hi) }
+func gemmTBRangeChunk(g gemmCall, lo, hi int)  { GemmTBRange(g.c, g.a, g.b, g.k, g.n, g.n, lo, hi) }
+func gemmTARangeChunk(g gemmCall, lo, hi int)  { GemmTARange(g.c, g.a, g.b, g.k, g.m, g.n, lo, hi) }
+func gemmPackedChunk(g gemmCall, lo, hi int)   { GemmRangePacked(g.c, g.a, g.p, g.k, g.n, lo, hi) }
+func gemmTBPackedChunk(g gemmCall, lo, hi int) { GemmTBRangePacked(g.c, g.a, g.p, g.k, g.n, lo, hi) }
 
 func check2D(t *Tensor, name string) (rows, cols int) {
 	if t.Rank() != 2 {
@@ -142,7 +146,7 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", k, k2))
 	}
 	c := New(m, n)
-	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c.Data, a.Data, b.Data, k, n, m}, gemmRangeChunk)
+	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c.Data, a.Data, b.Data, k, n, m, nil}, gemmRangeChunk)
 	return c
 }
 
@@ -154,7 +158,7 @@ func MatMulInto(c, a, b *Tensor) {
 	if k != k2 || cm != m || cn != n {
 		panic(fmt.Sprintf("tensor: MatMulInto shapes a%v b%v c%v", a.Shape(), b.Shape(), c.Shape()))
 	}
-	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c.Data, a.Data, b.Data, k, n, m}, gemmRangeChunk)
+	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c.Data, a.Data, b.Data, k, n, m, nil}, gemmRangeChunk)
 }
 
 // MatMulTB returns a·bᵀ for a: [m,k], b: [n,k], in parallel.
@@ -165,7 +169,7 @@ func MatMulTB(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTB inner dims %d vs %d", k, k2))
 	}
 	c := New(m, n)
-	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c.Data, a.Data, b.Data, k, n, m}, gemmTBRangeChunk)
+	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c.Data, a.Data, b.Data, k, n, m, nil}, gemmTBRangeChunk)
 	return c
 }
 
@@ -177,7 +181,7 @@ func MatMulTBInto(c, a, b *Tensor) {
 	if k != k2 || cm != m || cn != n {
 		panic(fmt.Sprintf("tensor: MatMulTBInto shapes a%v b%v c%v", a.Shape(), b.Shape(), c.Shape()))
 	}
-	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c.Data, a.Data, b.Data, k, n, m}, gemmTBRangeChunk)
+	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c.Data, a.Data, b.Data, k, n, m, nil}, gemmTBRangeChunk)
 }
 
 // MatMulTA returns aᵀ·b for a: [kDim,m], b: [kDim,n], in parallel.
@@ -188,7 +192,7 @@ func MatMulTA(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTA leading dims %d vs %d", kDim, kDim2))
 	}
 	c := New(m, n)
-	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c.Data, a.Data, b.Data, kDim, n, m}, gemmTARangeChunk)
+	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c.Data, a.Data, b.Data, kDim, n, m, nil}, gemmTARangeChunk)
 	return c
 }
 
@@ -200,7 +204,7 @@ func MatMulTAInto(c, a, b *Tensor) {
 	if kDim != kDim2 || cm != m || cn != n {
 		panic(fmt.Sprintf("tensor: MatMulTAInto shapes a%v b%v c%v", a.Shape(), b.Shape(), c.Shape()))
 	}
-	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c.Data, a.Data, b.Data, kDim, n, m}, gemmTARangeChunk)
+	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c.Data, a.Data, b.Data, kDim, n, m, nil}, gemmTARangeChunk)
 }
 
 // MatMulIn returns a·b with the result taken from ws — the workspace entry

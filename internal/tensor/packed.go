@@ -11,17 +11,17 @@ import (
 // Reduced-precision weight storage for the frozen base. The paper stores
 // parameters in fp16 and computes in fp32 (§VII-A); on CPU the win is not
 // arithmetic but bytes: a packed matrix streams half (fp16) or a quarter
-// (int8) of the weight bytes of the f32 path. A multi-row product widens to
-// f32 once per L1 panel at pack time — amortized over every output row of
-// the range — and runs the dense gemmAxpy kernel from gemm_tiled.go
-// unchanged. A single row (a one-stream decode step) would sweep each
-// panel once, so it skips the panel and widens each weight inside the row
-// kernel instead (gemmRowF16/gemmRowI8). Either way every weight is widened
-// to exactly the f32 value Dequant produces, so the packed product is
-// bit-identical to the f32 product over the dequantized matrix
-// (TestGemmPackedBitIdentical pins this). Packed weights are read-only by
-// construction: there is no gradient path, which is exactly the
-// frozen-base contract PEFT serving relies on.
+// (int8) of the weight bytes of the f32 path. Storage changes, arithmetic
+// never does: a product widens the weights to f32 and runs the f32 kernels
+// of gemm_tiled.go on them. c += a·P widens one L1 panel at a time for
+// gemmAxpy, and c += a·Pᵀ widens B's rows into gemmDot's k-major groups as
+// it packs them, exactly as GemmTBRange packs f32 rows. Only a one-row a·P
+// (a one-stream decode step) widens each weight inside its own row kernel
+// (gemmRowF16/gemmRowI8). Every weight widens to exactly the f32 value
+// Dequant produces, so each packed product is bit-identical to the f32
+// product over the dequantized matrix (TestGemmPackedBitIdentical,
+// TestGemmTBPacked). Packed weights are read-only by construction: there
+// is no gradient path, the frozen-base contract PEFT serving relies on.
 
 // WeightFormat selects the storage element of a PackedWeights.
 type WeightFormat uint8
@@ -199,29 +199,36 @@ func widenPanelI8(panel []float32, b []int8, scale []float32, n, kc, nc int) {
 	}
 }
 
-// packRowsF16 packs rows j0..j0+nc of an fp16 [n,k] matrix, slice
-// [k0:k0+kc], widened — rows are already the dot streams of the TB kernel,
-// so the copy is stride-1 on both sides.
-func packRowsF16(packed []float32, b []half.Float16, k, k0, j0, kc, nc int) {
-	for r := 0; r < nc; r++ {
-		src := b[(j0+r)*k+k0 : (j0+r)*k+k0+kc]
-		dst := packed[r*kc : (r+1)*kc]
-		for t, v := range src {
-			dst[t] = v.ToFloat32()
-		}
+// dotRows cuts kc elements from column k0 out of each listed row of a
+// row-major matrix with row stride k.
+func dotRows[E float32 | half.Float16 | int8](b []E, rows [gemmRowNR]int, k, k0, kc int) (r [gemmRowNR][]E) {
+	for t, j := range rows {
+		r[t] = b[j*k+k0:][:kc]
+	}
+	return r
+}
+
+// packDot8F16 is packDotGroup's step for eight fp16 rows.
+func packDot8F16(bp []float32, w int, r [gemmRowNR][]half.Float16) {
+	r0 := r[0]
+	r1, r2, r3, r4, r5, r6, r7 := r[1][:len(r0)], r[2][:len(r0)], r[3][:len(r0)], r[4][:len(r0)], r[5][:len(r0)], r[6][:len(r0)], r[7][:len(r0)]
+	for kk := range r0 {
+		d := (*[gemmRowNR]float32)(bp[kk*w:])
+		d[0], d[1], d[2], d[3] = r0[kk].ToFloat32(), r1[kk].ToFloat32(), r2[kk].ToFloat32(), r3[kk].ToFloat32()
+		d[4], d[5], d[6], d[7] = r4[kk].ToFloat32(), r5[kk].ToFloat32(), r6[kk].ToFloat32(), r7[kk].ToFloat32()
 	}
 }
 
-// packRowsI8 packs the same region of an int8 [n,k] matrix with per-row
-// scales (ScalePerRow layout) — the scale is loop-invariant per stream.
-func packRowsI8(packed []float32, b []int8, scale []float32, k, k0, j0, kc, nc int) {
-	for r := 0; r < nc; r++ {
-		src := b[(j0+r)*k+k0 : (j0+r)*k+k0+kc]
-		dst := packed[r*kc : (r+1)*kc]
-		s := scale[j0+r]
-		for t, v := range src {
-			dst[t] = float32(v) * s
-		}
+// packDot8I8 is packDotGroup's step for eight int8 rows, each scaled by
+// scale[row] (ScalePerRow).
+func packDot8I8(bp []float32, w int, r [gemmRowNR][]int8, scale []float32, rows [gemmRowNR]int) {
+	s := [gemmRowNR]float32{scale[rows[0]], scale[rows[1]], scale[rows[2]], scale[rows[3]], scale[rows[4]], scale[rows[5]], scale[rows[6]], scale[rows[7]]}
+	r0 := r[0]
+	r1, r2, r3, r4, r5, r6, r7 := r[1][:len(r0)], r[2][:len(r0)], r[3][:len(r0)], r[4][:len(r0)], r[5][:len(r0)], r[6][:len(r0)], r[7][:len(r0)]
+	for kk := range r0 {
+		d := (*[gemmRowNR]float32)(bp[kk*w:])
+		d[0], d[1], d[2], d[3] = float32(r0[kk])*s[0], float32(r1[kk])*s[1], float32(r2[kk])*s[2], float32(r3[kk])*s[3]
+		d[4], d[5], d[6], d[7] = float32(r4[kk])*s[4], float32(r5[kk])*s[5], float32(r6[kk])*s[6], float32(r7[kk])*s[7]
 	}
 }
 
@@ -234,12 +241,10 @@ func packRowsI8(packed []float32, b []int8, scale []float32, k, k0, j0, kc, nc i
 // bit-identical to GemmRange over p.Dequant(). WeightI8 requires
 // ScalePerCol.
 //
-// The fused kernel widens every weight once per row, the panel pack once
-// per call, so it pays only for one row. Single thread on an Intel Xeon VM
-// at k=256, n=64 (BenchmarkPrecision decode/ab rows): one row takes 15 µs
-// fused against 28–31 µs packed for int8 and 23 against 31–33 µs for f16;
-// at two rows of f16 the pack already wins (k=n=64: 12 vs 10 µs), and at
-// four rows both formats take about twice as long fused.
+// The fused kernel exists for the one row, where widening one element at
+// a time is the whole cost and the panel adds a store and a reload. Single
+// thread, 2 GHz Xeon VM, decode/ab m1k256n64: 42 µs fused against 52 µs
+// panel-then-gemmAxpy for f16, 27 against 31 µs for int8.
 func GemmRangePacked(c, a []float32, p *PackedWeights, k, n, loM, hiM int) {
 	if hiM-loM == 1 {
 		ai, ci := a[loM*k:(loM+1)*k], c[loM*n:(loM+1)*n]
@@ -343,81 +348,15 @@ func gemmRowI8(ci, ai []float32, b []int8, scale []float32) {
 
 // GemmTBRangePacked computes c[i,j] += dot(a[i,:], B[j,:]) (c += a·Bᵀ) for
 // rows i in [loM, hiM), where B is p viewed as [n,k] (p.Rows == n, p.Cols ==
-// k). B's rows are already the TB dot streams, so four rows at a time are
-// widened into an L1-resident buffer over the full contraction (chunked at
-// 2048 when k exceeds the buffer) and swept by every output row before the
-// next quad — c is touched once per chunk and the per-element widening cost
-// amortizes over hiM-loM output rows, which is what pulls the packed TB
-// path toward f32 parity as the batch grows. Bit-identical to GemmTBRange
-// over p.Dequant() for k ≤ 2048 (same 4-wide stripe, one accumulator per
-// output element, k ascending); past that the per-chunk partial sums are
-// added to c in chunk order. TestGemmTBPacked pins the contract. WeightI8
+// k). It is GemmTBRange's dot driver with B's rows widened into each
+// k-major group as the group is packed, to exactly the float32 Dequant
+// produces; the gemmDot kernel then runs on them unchanged, at any row
+// count and on every platform. Each output element is therefore one
+// accumulator from +0, k ascending, added to c once: bit-identical to
+// GemmTBRange over p.Dequant() at every k (TestGemmTBPacked). WeightI8
 // requires ScalePerRow.
 func GemmTBRangePacked(c, a []float32, p *PackedWeights, k, n, loM, hiM int) {
-	const kChunk = 2048
-	var wbuf [gemmNR * kChunk]float32
-	for k0 := 0; k0 < k; k0 += kChunk {
-		kc := min(kChunk, k-k0)
-		jFull := n - n%gemmNR
-		for j := 0; j < jFull; j += gemmNR {
-			if p.Format == WeightF16 {
-				packRowsF16(wbuf[:], p.F16, k, k0, j, kc, gemmNR)
-			} else {
-				packRowsI8(wbuf[:], p.I8, p.Scale, k, k0, j, kc, gemmNR)
-			}
-			w0 := wbuf[0*kc:][:kc]
-			w1 := wbuf[1*kc:][:kc]
-			w2 := wbuf[2*kc:][:kc]
-			w3 := wbuf[3*kc:][:kc]
-			for i := loM; i < hiM; i++ {
-				ai := a[i*k+k0:][:kc]
-				var s0, s1, s2, s3 float32
-				for kk, av := range ai {
-					s0 += av * w0[kk]
-					s1 += av * w1[kk]
-					s2 += av * w2[kk]
-					s3 += av * w3[kk]
-				}
-				ci := c[i*n+j : i*n+j+4]
-				ci[0] += s0
-				ci[1] += s1
-				ci[2] += s2
-				ci[3] += s3
-			}
-		}
-		for j := jFull; j < n; j++ {
-			if p.Format == WeightF16 {
-				packRowsF16(wbuf[:], p.F16, k, k0, j, kc, 1)
-			} else {
-				packRowsI8(wbuf[:], p.I8, p.Scale, k, k0, j, kc, 1)
-			}
-			wj := wbuf[:kc]
-			for i := loM; i < hiM; i++ {
-				ai := a[i*k+k0:][:kc]
-				var s float32
-				for kk, av := range ai {
-					s += av * wj[kk]
-				}
-				c[i*n+j] += s
-			}
-		}
-	}
-}
-
-// gemmPackedCall mirrors gemmCall for the packed drivers: static chunk
-// functions, no closures on the single-worker fast path.
-type gemmPackedCall struct {
-	c, a []float32
-	p    *PackedWeights
-	k, n int
-}
-
-func gemmRangePackedChunk(g gemmPackedCall, lo, hi int) {
-	GemmRangePacked(g.c, g.a, g.p, g.k, g.n, lo, hi)
-}
-
-func gemmTBRangePackedChunk(g gemmPackedCall, lo, hi int) {
-	GemmTBRangePacked(g.c, g.a, g.p, g.k, g.n, lo, hi)
+	gemmTBRangeDot(c, a, nil, p, k, n, n, loM, hiM)
 }
 
 func checkPacked(p *PackedWeights, wantAxis int, op string) {
@@ -441,7 +380,7 @@ func MatMulPackedInto(c, a *Tensor, p *PackedWeights) {
 		panic(fmt.Sprintf("tensor: MatMulPackedInto shapes a%v P[%d %d] c%v", a.Shape(), p.Rows, p.Cols, c.Shape()))
 	}
 	checkPacked(p, ScalePerCol, "MatMulPackedInto")
-	parallel.ForBlockedArg(m, matmulRowTile, gemmPackedCall{c.Data, a.Data, p, k, p.Cols}, gemmRangePackedChunk)
+	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c: c.Data, a: a.Data, k: k, n: p.Cols, m: m, p: p}, gemmPackedChunk)
 }
 
 // MatMulPackedIn returns a·P with the result taken from ws — the packed
@@ -461,7 +400,7 @@ func MatMulTBPackedInto(c, a *Tensor, p *PackedWeights) {
 		panic(fmt.Sprintf("tensor: MatMulTBPackedInto shapes a%v P[%d %d] c%v", a.Shape(), p.Rows, p.Cols, c.Shape()))
 	}
 	checkPacked(p, ScalePerRow, "MatMulTBPackedInto")
-	parallel.ForBlockedArg(m, matmulRowTile, gemmPackedCall{c.Data, a.Data, p, k, p.Rows}, gemmTBRangePackedChunk)
+	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c: c.Data, a: a.Data, k: k, n: p.Rows, m: m, p: p}, gemmTBPackedChunk)
 }
 
 // MatMulTBPackedIn returns a·Pᵀ with the result taken from ws.

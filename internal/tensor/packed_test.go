@@ -34,7 +34,9 @@ func fillRand(t *Tensor, seed uint64) {
 // path changes storage, never arithmetic. Shapes straddle the panel edges
 // (k > gemmKC, n not a multiple of gemmNC or gemmNR), and row counts
 // straddle the row kernels' crossovers.
-func TestGemmPackedBitIdentical(t *testing.T) {
+func TestGemmPackedBitIdentical(t *testing.T) { forEachKernel(t, testGemmPackedBitIdentical) }
+
+func testGemmPackedBitIdentical(t *testing.T) {
 	const k, n, kz = 300, 70, 150
 	for _, m := range packedRowCounts {
 		a := New(m, k)
@@ -80,32 +82,37 @@ func TestGemmPackedBitIdentical(t *testing.T) {
 // drivers' row tile.
 var packedRowCounts = []int{1, 2, 4, 5, 8, 9}
 
-// TestGemmTBPacked pins the TB contract: widening B's rows quad-wise over
-// the full contraction makes a·Pᵀ bit-identical to the f32 TB core over the
-// dequantized matrix for k ≤ 2048 (same stripe width, one accumulator per
-// output element, k ascending).
-func TestGemmTBPacked(t *testing.T) {
-	const k, n = 300, 70
-	for _, m := range packedRowCounts {
-		a := New(m, k)
-		w := New(n, k) // logical B: [n,k], output j indexes rows
-		fillRand(a, 3)
-		fillRand(w, 4)
+// TestGemmTBPacked pins the TB contract: widening B's rows into the
+// k-major dot groups makes a·Pᵀ bit-identical to the f32 TB core over the
+// dequantized matrix at every k — one accumulator per output element from
+// +0, k ascending, on either kernel set. k = 2100 spans several gemmKC
+// panels, and n = 70 ends in a partial group.
+func TestGemmTBPacked(t *testing.T) { forEachKernel(t, testGemmTBPacked) }
 
-		for _, tc := range []struct {
-			name string
-			p    *PackedWeights
-		}{
-			{"f16", PackF16(w)},
-			{"int8", PackInt8(w, ScalePerRow)},
-		} {
-			want := New(m, n)
-			MatMulTBInto(want, a, tc.p.Dequant())
-			got := New(m, n)
-			MatMulTBPackedInto(got, a, tc.p)
-			for i := range want.Data {
-				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
-					t.Fatalf("%s m=%d: element %d: got %g, want %g", tc.name, m, i, got.Data[i], want.Data[i])
+func testGemmTBPacked(t *testing.T) {
+	const n = 70
+	for _, k := range []int{300, 2100} {
+		for _, m := range packedRowCounts {
+			a := New(m, k)
+			w := New(n, k) // logical B: [n,k], output j indexes rows
+			fillRand(a, 3)
+			fillRand(w, 4)
+
+			for _, tc := range []struct {
+				name string
+				p    *PackedWeights
+			}{
+				{"f16", PackF16(w)},
+				{"int8", PackInt8(w, ScalePerRow)},
+			} {
+				want := New(m, n)
+				MatMulTBInto(want, a, tc.p.Dequant())
+				got := New(m, n)
+				MatMulTBPackedInto(got, a, tc.p)
+				for i := range want.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+						t.Fatalf("%s k=%d m=%d: element %d: got %g, want %g", tc.name, k, m, i, got.Data[i], want.Data[i])
+					}
 				}
 			}
 		}
