@@ -98,6 +98,8 @@ func TestValidate(t *testing.T) {
 		{Kind: KindFinetune, Finetune: &FinetuneSpec{Seq: 90, Method: "ptuning"}},        // 90 + 16 prompt rows > 96
 		{Kind: KindFinetune, Finetune: &FinetuneSpec{Steps: 1 << 30, Batch: 1 << 30}},    // steps×batch×seq overflows int64
 		{Kind: KindFinetune, Finetune: &FinetuneSpec{Steps: 1 << 20, Batch: 2, Seq: 64}}, // 2²⁷ corpus tokens
+		{Kind: KindFinetune, Finetune: &FinetuneSpec{Seq: 12}},                           // sparse: 12 is not a multiple of blk 8
+		{Kind: KindFinetune, Finetune: &FinetuneSpec{PredictorEpochs: 200000}},           // pre-training has no cancellation point
 	}
 	for i, spec := range bad {
 		if err := spec.Validate(); err == nil {
@@ -108,6 +110,7 @@ func TestValidate(t *testing.T) {
 		{Kind: KindFinetune, Finetune: &FinetuneSpec{}},
 		{Kind: KindFinetune, Finetune: &FinetuneSpec{Model: "OPT-1.3B", Method: "ptuning"}},
 		{Kind: KindFinetune, Finetune: &FinetuneSpec{Seq: 80, Method: "ptuning"}}, // 80 + 16 = MaxSeq
+		{Kind: KindFinetune, Finetune: &FinetuneSpec{Sparse: new(bool), Seq: 12}}, // dense runs any seq
 		{Kind: KindExperiment, Experiment: &ExperimentSpec{ID: "fig4"}},
 	}
 	for i, spec := range good {

@@ -208,6 +208,11 @@ func (s Spec) Validate() error {
 // tokens is at most about 128 MiB.
 const maxCorpusTokens = 1 << 22
 
+// maxPredictorEpochs bounds predictor pre-training, which the runner runs
+// with no cancellation point: a job stays uncancellable for as long as it
+// lasts. The job default is 6 epochs and cmd/lefinetune runs 15.
+const maxPredictorEpochs = 100
+
 func (f FinetuneSpec) validate() error {
 	n := f.normalized()
 	cfg, err := n.CoreConfig()
@@ -228,12 +233,20 @@ func (f FinetuneSpec) validate() error {
 	if f.LR < 0 {
 		return fmt.Errorf("jobs: negative learning rate")
 	}
+	if n.PredictorEpochs > maxPredictorEpochs {
+		return fmt.Errorf("jobs: predictor_epochs %d exceeds %d", n.PredictorEpochs, maxPredictorEpochs)
+	}
 	prompt := 0
 	if cfg.Method == peft.PTuning {
 		prompt = cfg.PEFT.Resolved(cfg.Spec.Config.Dim).PromptTokens
 	}
 	if maxSeq := cfg.Spec.Config.MaxSeq; n.Seq > maxSeq-prompt {
 		return fmt.Errorf("jobs: seq %d plus %d prompt rows exceeds %s's MaxSeq %d", n.Seq, prompt, n.Model, maxSeq)
+	}
+	// The sparse path (predictors, exposer, block-sparse attention) splits
+	// every sequence, prompt rows included, into blk-token blocks.
+	if *n.Sparse && (n.Seq+prompt)%n.Blk != 0 {
+		return fmt.Errorf("jobs: sparse seq %d plus %d prompt rows is not a multiple of blk %d", n.Seq, prompt, n.Blk)
 	}
 	if n.Steps > maxCorpusTokens/n.Batch/n.Seq {
 		return fmt.Errorf("jobs: corpus of steps %d × batch %d × seq %d tokens exceeds %d", n.Steps, n.Batch, n.Seq, maxCorpusTokens)

@@ -3,13 +3,12 @@ package nn
 import (
 	"fmt"
 
-	"longexposure/internal/sparse"
 	"longexposure/internal/tensor"
 )
 
 // Frozen-base weight compression. The paper stores parameters in fp16 and
 // computes in fp32 (§VII-A); serving a frozen base additionally admits int8
-// and N:M structured storage because precision becomes a compile-time
+// and 2:4 structured storage because precision becomes a compile-time
 // property of a read-only artifact — the registry selects it at publish
 // time, and every PEFT delta stays f32 on top. Compress rewrites the big
 // matrices in place and FREES their f32 storage (weights and gradient
@@ -28,9 +27,10 @@ const (
 	// PrecisionI8 stores the same matrices as symmetric per-channel int8:
 	// a quarter of the weight bytes, ≤scale/2 absolute error per weight.
 	PrecisionI8 = "int8"
-	// PrecisionNM24 prunes the MLP matrices to 2:4 block-structured
-	// sparsity (f32 values, halved multiply-adds, 0.625x weight bytes);
-	// attention and head stay f32.
+	// PrecisionNM24 prunes the MLP matrices to 2:4 structured sparsity
+	// (tensor.WeightNM24: f32 values plus offsets, 0.625x weight bytes),
+	// served by the same packed GEMM drivers as f16 and int8; attention
+	// and head stay f32.
 	PrecisionNM24 = "nm24"
 )
 
@@ -86,8 +86,8 @@ func (m *Transformer) Compress(precision string) error {
 		}
 		for _, b := range m.Blocks {
 			mlp := b.MLP
-			mlp.NMW1 = sparse.PackNM(mlp.W1.W.Data, mlp.Hidden, mlp.Dim, 2, 4)
-			mlp.NMW2 = sparse.PackNM(mlp.W2.W.Data, mlp.Hidden, mlp.Dim, 2, 4)
+			mlp.PackedW1 = tensor.PackNM24(mlp.W1.W)
+			mlp.PackedW2 = tensor.PackNM24(mlp.W2.W)
 			freeParam(mlp.W1)
 			freeParam(mlp.W2)
 		}
@@ -120,7 +120,7 @@ func freeParam(p *Parameter) {
 
 // WeightBytes reports the resident bytes of every weight the model serves
 // with — f32 parameters (embeddings, norms, biases, uncompressed matrices,
-// PEFT modules) plus packed and N:M storage. The serve gateway exports this
+// PEFT modules) plus packed storage. The serve gateway exports this
 // per base as lexp_base_weight_bytes.
 func (m *Transformer) WeightBytes() int64 {
 	var total int64
@@ -139,12 +139,6 @@ func (m *Transformer) WeightBytes() int64 {
 		}
 		if mlp.PackedW2 != nil {
 			total += mlp.PackedW2.Bytes()
-		}
-		if mlp.NMW1 != nil {
-			total += mlp.NMW1.Bytes()
-		}
-		if mlp.NMW2 != nil {
-			total += mlp.NMW2.Bytes()
 		}
 	}
 	if m.Head.Packed != nil {

@@ -58,20 +58,29 @@ func TestCompressDecodeTolerance(t *testing.T) {
 // TestCompressForwardMatchesDecode: the batch Forward path of a compressed
 // model dispatches through the same packed kernels as decode — the two must
 // produce bit-identical logits for the same prefix (the decode-parity
-// contract, unchanged by compression).
+// contract, unchanged by compression). The prompt's head is prefilled in
+// one step and its tail decoded one token at a time, so a one-row kernel
+// meets Forward's multi-row kernels at every tail position.
 func TestCompressForwardMatchesDecode(t *testing.T) {
 	for _, precision := range []string{PrecisionF16, PrecisionI8, PrecisionNM24} {
 		_, comp := compressedPair(t, precision)
-		prompt := []int{2, 5, 3, 7}
+		prompt := []int{2, 5, 3, 7, 11, 1, 16, 4, 9}
+		const head = 4
 		fwd := comp.Forward([][]int{prompt}, nil, tensor.NewArena())
 		cache := comp.NewKVCache()
-		dec := comp.DecodeStepCfg(cache, prompt, DecodeStepConfig{})
-		last := fwd.Row(len(prompt) - 1)
-		for i := range last {
-			if math.Float32bits(last[i]) != math.Float32bits(dec.Data[i]) {
-				t.Fatalf("%s: forward/decode diverge at logit %d: %g vs %g",
-					precision, i, last[i], dec.Data[i])
+		dec := comp.DecodeStepCfg(cache, prompt[:head], DecodeStepConfig{})
+		for pos := head - 1; ; pos++ {
+			want := fwd.Row(pos)
+			for i := range want {
+				if math.Float32bits(want[i]) != math.Float32bits(dec.Data[i]) {
+					t.Fatalf("%s: forward/decode diverge at position %d, logit %d: %g vs %g",
+						precision, pos, i, want[i], dec.Data[i])
+				}
 			}
+			if pos+1 == len(prompt) {
+				break
+			}
+			dec = comp.DecodeStepCfg(cache, prompt[pos+1:pos+2], DecodeStepConfig{})
 		}
 	}
 }

@@ -382,16 +382,15 @@ func attendCached(a *MultiHeadAttention, ctx, q, k, v []float32, kv *kvLayer, p0
 
 // decodeMLPRows runs adjacent dense sequences through one MLP.Forward call
 // (usually all of them: one pass over the weights) and a sequence whose
-// plan selects neuron blocks here on its own rows. Every other MLP kernel
-// is row-count independent, so a row's output does not depend on who
-// shares its call; a 2:4 FC1 never shares, because its four-token kernel
-// sums in another order than its one-token kernel.
+// plan selects neuron blocks here on its own rows. Every MLP kernel, in
+// every weight format, is row-count independent, so a row's output does
+// not depend on who shares its call.
 func decodeMLPRows(mlp *MLP, x *tensor.Tensor, seqs []DecodeSeq, offs []int, li int, ws *tensor.Arena) *tensor.Tensor {
 	var out *tensor.Tensor
 	for i := 0; i < len(seqs); {
 		blocks, blk := seqs[i].Plan.layerMLP(li)
 		j := i + 1
-		for blocks == nil && mlp.NMW1 == nil && j < len(seqs) {
+		for blocks == nil && j < len(seqs) {
 			if next, _ := seqs[j].Plan.layerMLP(li); next != nil {
 				break
 			}

@@ -41,13 +41,11 @@ type MLP struct {
 	W1, B1      *Parameter // W1: [hidden, dim] column-major view of [dim→hidden]
 	W2, B2      *Parameter // W2: [hidden, dim] row-major
 
-	// Reduced-precision storage for a compressed frozen base (Compress):
-	// at most one of Packed/NM is set per matrix, the f32 data is freed,
-	// and the dense forward paths dispatch to the widening or N:M kernels.
-	// Compressed MLPs are serving-only — Backward and the neuron-block
-	// contextual-sparsity paths refuse them.
-	PackedW1, PackedW2 *tensor.PackedWeights // W1: per-row scales, W2: per-col
-	NMW1, NMW2         *sparse.NMWeights     // 2:4 block-structured
+	// Compact storage for a compressed frozen base (Compress): f16, int8
+	// or 2:4. The f32 data is freed and the dense forward paths run the
+	// packed GEMM drivers. Compressed MLPs are serving-only — Backward and
+	// the neuron-block contextual-sparsity paths refuse them.
+	PackedW1, PackedW2 *tensor.PackedWeights // int8 scales: W1 per row, W2 per col
 }
 
 // mlpState is what one MLP invocation saves for its backward — and what
@@ -110,7 +108,7 @@ func (m *MLP) Forward(x *tensor.Tensor, blocks []int, blk int, ws *tensor.Arena)
 	st.hidden = ws.Get(tokens, m.Hidden)
 	if blocks == nil {
 		// Dense: hidden = x·W1ᵀ(param) + b1.
-		m.fc1Dense(st.hidden, x, tokens)
+		m.fc1Dense(st.hidden, x)
 		tensor.AddRowVector(st.hidden, m.B1.W.Data)
 	} else {
 		sparse.FC1Sparse(st.hidden.Data, x.Data, tokens, m.colMajorW1(m.W1.W), blocks, blk)
@@ -125,7 +123,7 @@ func (m *MLP) Forward(x *tensor.Tensor, blocks []int, blk int, ws *tensor.Arena)
 
 	out := ws.Get(tokens, m.Dim)
 	if blocks == nil {
-		m.fc2Dense(out, st.hidden, tokens)
+		m.fc2Dense(out, st.hidden)
 	} else {
 		sparse.FC2Sparse(out.Data, st.hidden.Data, tokens, m.rowMajorW2(m.W2.W), blocks, blk)
 	}
@@ -134,31 +132,23 @@ func (m *MLP) Forward(x *tensor.Tensor, blocks []int, blk int, ws *tensor.Arena)
 }
 
 // compressed reports whether either weight matrix left f32 storage.
-func (m *MLP) compressed() bool {
-	return m.PackedW1 != nil || m.PackedW2 != nil || m.NMW1 != nil || m.NMW2 != nil
-}
+func (m *MLP) compressed() bool { return m.PackedW1 != nil || m.PackedW2 != nil }
 
 // fc1Dense accumulates hidden += x·W1ᵀ through whichever storage W1 is in.
 // hidden arrives zeroed, so the accumulate is an overwrite.
-func (m *MLP) fc1Dense(hidden, x *tensor.Tensor, tokens int) {
-	switch {
-	case m.NMW1 != nil:
-		m.NMW1.MulTB(hidden.Data, x.Data, tokens)
-	case m.PackedW1 != nil:
+func (m *MLP) fc1Dense(hidden, x *tensor.Tensor) {
+	if m.PackedW1 != nil {
 		tensor.MatMulTBPackedInto(hidden, x, m.PackedW1)
-	default:
+	} else {
 		tensor.MatMulTBInto(hidden, x, m.W1.W)
 	}
 }
 
 // fc2Dense accumulates out += hidden·W2 through whichever storage W2 is in.
-func (m *MLP) fc2Dense(out, hidden *tensor.Tensor, tokens int) {
-	switch {
-	case m.NMW2 != nil:
-		m.NMW2.TMulBatch(out.Data, hidden.Data, tokens)
-	case m.PackedW2 != nil:
+func (m *MLP) fc2Dense(out, hidden *tensor.Tensor) {
+	if m.PackedW2 != nil {
 		tensor.MatMulPackedInto(out, hidden, m.PackedW2)
-	default:
+	} else {
 		tensor.MatMulInto(out, hidden, m.W2.W)
 	}
 }

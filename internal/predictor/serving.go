@@ -39,52 +39,29 @@ type ServingConfig struct {
 	// Blk is the selection block size for MLP neuron blocks and attention
 	// KV-position blocks (default 8; an attached Set's Blk wins).
 	Blk int
-	// Rank is the width of the attention sketch projections (default 4).
-	Rank int
-	// MLPDensity and AttnDensity are the auto-mode default targets when a
-	// request doesn't set its own (default 0.5 each).
-	MLPDensity, AttnDensity float64
-	// SinkBlocks and RecentBlocks are always kept in attention selections
-	// (defaults 1 and 2): the attention-sink prefix and the local window.
-	SinkBlocks, RecentBlocks int
-	// MinAttnBlocks keeps attention dense until the visible prefix spans
-	// at least this many blocks (default 4) — short prefixes have nothing
-	// worth skipping and everything to lose.
-	MinAttnBlocks int
 	// Metrics, when set, receives live per-layer serving densities — the
 	// lexp_sparse_serving_* gauges.
 	Metrics *obs.SparsityMetrics
-	// Seed keys the fallback sketch projections (default 0xA77E); fixed so
-	// plans are deterministic across replicas.
-	Seed uint64
 }
 
-func (c *ServingConfig) fill() {
-	if c.Blk <= 0 {
-		c.Blk = 8
-	}
-	if c.Rank <= 0 {
-		c.Rank = 4
-	}
-	if c.MLPDensity <= 0 || c.MLPDensity > 1 {
-		c.MLPDensity = 0.5
-	}
-	if c.AttnDensity <= 0 || c.AttnDensity > 1 {
-		c.AttnDensity = 0.5
-	}
-	if c.SinkBlocks <= 0 {
-		c.SinkBlocks = 1
-	}
-	if c.RecentBlocks <= 0 {
-		c.RecentBlocks = 2
-	}
-	if c.MinAttnBlocks <= 0 {
-		c.MinAttnBlocks = 4
-	}
-	if c.Seed == 0 {
-		c.Seed = 0xA77E
-	}
-}
+// The planner's fixed tuning.
+const (
+	// sketchRank is the width of the attention sketch projections.
+	sketchRank = 4
+	// defaultMLPDensity and defaultAttnDensity are the auto-mode targets
+	// when a request doesn't set its own.
+	defaultMLPDensity, defaultAttnDensity = 0.5, 0.5
+	// sinkBlocks and recentBlocks are always kept in attention selections:
+	// the attention-sink prefix and the local window.
+	sinkBlocks, recentBlocks = 1, 2
+	// minAttnBlocks keeps attention dense until the visible prefix spans
+	// at least this many blocks — short prefixes have nothing worth
+	// skipping and everything to lose.
+	minAttnBlocks = 4
+	// sketchSeed keys the fallback sketch projections; fixed so plans are
+	// deterministic across replicas.
+	sketchSeed = 0xA77E
+)
 
 // mlpEstimator is one layer's fallback block scorer: the top singular
 // pair of each FC1 block slab, plus the block's max bias magnitude (a
@@ -117,7 +94,9 @@ type ServingPlanner struct {
 // set may be nil (fallback estimators are derived from the base weights);
 // when present its block size wins so trained predictors line up.
 func NewServingPlanner(base *nn.Transformer, set *Set, cfg ServingConfig) *ServingPlanner {
-	cfg.fill()
+	if cfg.Blk <= 0 {
+		cfg.Blk = 8
+	}
 	if set != nil && set.Blk > 0 {
 		cfg.Blk = set.Blk
 	}
@@ -133,9 +112,9 @@ func NewServingPlanner(base *nn.Transformer, set *Set, cfg ServingConfig) *Servi
 		mlpOK:     c.Act == nn.ActReLU,
 	}
 
-	rng := tensor.NewRNG(cfg.Seed)
-	p.pq = sketchProjection(p.dim, cfg.Rank, rng)
-	p.pk = sketchProjection(p.dim, cfg.Rank, rng)
+	rng := tensor.NewRNG(sketchSeed)
+	p.pq = sketchProjection(p.dim, sketchRank, rng)
+	p.pk = sketchProjection(p.dim, sketchRank, rng)
 
 	if p.mlpOK {
 		p.fallback = make([]mlpEstimator, p.layers)
@@ -259,10 +238,10 @@ func (p *ServingPlanner) NewSequencePlanner(opts nn.SparsityOptions) (nn.DecodeP
 	}
 	mlpT, attnT := opts.MLPDensity, opts.AttnDensity
 	if mlpT == 0 {
-		mlpT = p.cfg.MLPDensity
+		mlpT = defaultMLPDensity
 	}
 	if attnT == 0 {
-		attnT = p.cfg.AttnDensity
+		attnT = defaultAttnDensity
 	}
 	scratch := p.nBlk
 	if p.maxBlocks > scratch {
@@ -274,8 +253,8 @@ func (p *ServingPlanner) NewSequencePlanner(opts nn.SparsityOptions) (nn.DecodeP
 		mlpT:    mlpT,
 		attnT:   attnT,
 		x:       make([]float32, p.dim),
-		proj:    make([]float32, p.cfg.Rank),
-		ksum:    make([]float32, p.maxBlocks*p.cfg.Rank),
+		proj:    make([]float32, sketchRank),
+		ksum:    make([]float32, p.maxBlocks*sketchRank),
 		scores:  make([]float32, scratch),
 		mlpSel:  make([][]int, p.layers),
 		attnSel: make([][]int, p.layers),
@@ -330,7 +309,7 @@ func (s *SequencePlanner) assembleTokenRow(id, pos int) {
 // observe folds s.x's k-projection into its position block's summary.
 func (s *SequencePlanner) observe(pos int) {
 	sp := s.sp
-	r := sp.cfg.Rank
+	r := sketchRank
 	sum := s.ksum[(pos/sp.cfg.Blk)*r : (pos/sp.cfg.Blk+1)*r]
 	for j, xv := range s.x {
 		if xv == 0 {
@@ -353,7 +332,7 @@ func (s *SequencePlanner) PlanStep(id, pos int, ws *tensor.Arena) *nn.DecodePlan
 	s.observe(pos)
 
 	// q-projection of the step row for attention block scoring.
-	r := sp.cfg.Rank
+	r := sketchRank
 	qp := s.proj
 	clear(qp)
 	for j, xv := range s.x {
@@ -452,10 +431,10 @@ func (s *SequencePlanner) selectAttn(pos int, qp []float32, ws *tensor.Arena) []
 	sp := s.sp
 	blk := sp.cfg.Blk
 	vb := (pos + 1 + blk - 1) / blk // visible blocks
-	if !s.forced && vb < sp.cfg.MinAttnBlocks {
+	if !s.forced && vb < minAttnBlocks {
 		return nil
 	}
-	sink, recent := sp.cfg.SinkBlocks, sp.cfg.RecentBlocks
+	sink, recent := sinkBlocks, recentBlocks
 	kb := int(math.Ceil(s.attnT * float64(vb)))
 	if kb < sink+recent {
 		kb = sink + recent
@@ -466,7 +445,7 @@ func (s *SequencePlanner) selectAttn(pos int, qp []float32, ws *tensor.Arena) []
 
 	// Score the middle blocks [sink, vb-recent) by sketch similarity.
 	lo, hi := sink, vb-recent
-	r := sp.cfg.Rank
+	r := sketchRank
 	scores := s.scores[:hi-lo]
 	for b := lo; b < hi; b++ {
 		sum := s.ksum[b*r : (b+1)*r]
@@ -531,5 +510,5 @@ func (p *ServingPlanner) String() string {
 		src = "trained"
 	}
 	return fmt.Sprintf("predictor.ServingPlanner{blk=%d rank=%d layers=%d nblk=%d est=%s}",
-		p.cfg.Blk, p.cfg.Rank, p.layers, p.nBlk, src)
+		p.cfg.Blk, sketchRank, p.layers, p.nBlk, src)
 }

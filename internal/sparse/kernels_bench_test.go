@@ -37,8 +37,9 @@ func benchRows(b *testing.B, rows []kernelRow) {
 // BenchmarkKernels measures the dynamic sparse operators: the block-sparse
 // attention trio (sparse/), one causal-attention head dense against
 // block-sparse and the combined multi-head forward the fine-tune step runs
-// (attn/), the neuron-sparse MLP kernels (sparse/fc*), and the 2:4
-// structured-sparse matvec against the dense TB core (nm/).
+// (attn/), and the neuron-sparse MLP kernels (sparse/fc*). 2:4 structured
+// weights are a storage format of the packed GEMM drivers; their rows are
+// tensor.BenchmarkPrecision's nm24 rows.
 func BenchmarkKernels(b *testing.B) {
 	rows := kernelRows()
 	if !testing.Short() {
@@ -50,7 +51,6 @@ func BenchmarkKernels(b *testing.B) {
 // allocatingRows are the rows that allocate by design.
 var allocatingRows = map[string]bool{
 	"attn/dense/s128hd64": true, // returns a fresh scores tensor
-	"nm/24/m8r1024c1024":  true, // MulTB makes its token-pane scratch
 }
 
 // TestKernelRowsDoNotAllocate pins every other BenchmarkKernels row at
@@ -71,8 +71,7 @@ func TestKernelRowsDoNotAllocate(t *testing.T) {
 func kernelRows() []kernelRow {
 	rows := blockSparseRows(256, 16)
 	rows = append(rows, neuronRows(256, 1024, 32, 16)...)
-	rows = append(rows, attentionRows(128, 64)...)
-	return append(rows, nmRows(1024, 1024)...)
+	return append(rows, attentionRows(128, 64)...)
 }
 
 // benchLayout is the local+global causal pattern: a sliding window of two
@@ -204,35 +203,4 @@ func attentionRows(s, hd int) []kernelRow {
 			MultiHeadDSD(outH, vs, combined, hd)
 		}},
 	}
-}
-
-// nmRows compares the 2:4 structured-sparse kernels against the dense TB
-// core on the same [rows → cols] matrix: half the multiply-adds and 0.625×
-// the weight bytes, at m = 1 (the gather) and m = 8 (the token-blocked
-// MulTB, where the metadata loads amortize across four-token panes).
-func nmRows(rows, cols int) []kernelRow {
-	r := tensor.NewRNG(uint64(rows * 2))
-	w := tensor.New(rows, cols)
-	r.FillNormal(w, 1)
-	nm := PackNM(w.Data, rows, cols, 2, 4)
-	const mb = 8
-	x, y := tensor.New(mb, cols), tensor.New(mb, rows)
-	r.FillNormal(x, 1)
-	var out []kernelRow
-	for _, m := range []int{1, mb} {
-		act := 4 * int64(m) * int64(rows+cols)
-		flops := 2 * int64(m) * int64(rows) * int64(cols)
-		tag := fmt.Sprintf("m%dr%dc%d", m, rows, cols)
-		out = append(out,
-			kernelRow{"nm/dense/" + tag, flops, act + 4*int64(rows)*int64(cols), func() {
-				y.Zero()
-				tensor.GemmTBRange(y.Data, x.Data, w.Data, cols, rows, rows, 0, m)
-			}},
-			kernelRow{"nm/24/" + tag, flops / 2, act + nm.Bytes(), func() {
-				y.Zero()
-				nm.MulTB(y.Data, x.Data, m)
-			}},
-		)
-	}
-	return out
 }

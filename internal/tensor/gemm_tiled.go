@@ -255,8 +255,10 @@ func packDotGroup(bp, b []float32, p *PackedWeights, k, j0, k0, w, nr int) {
 			packDot8(bp[j:], w, dotRows(b, rows, k, k0, kc))
 		case p.Format == WeightF16:
 			packDot8F16(bp[j:], w, dotRows(p.F16, rows, k, k0, kc))
-		default:
+		case p.Format == WeightI8:
 			packDot8I8(bp[j:], w, dotRows(p.I8, rows, k, k0, kc), p.Scale, rows)
+		default:
+			packDot8NM24(bp[j:], w, p, rows, k0, kc)
 		}
 	}
 }

@@ -135,13 +135,23 @@ func testGemmRowCountIndependent(t *testing.T) {
 		r.FillNormal(b, 1)
 		i8 := PackInt8(b, ScalePerCol)
 		f16 := PackF16(b)
-		cores := []struct {
+		type core struct {
 			name string
 			run  func(c []float32, lo, hi int)
-		}{
+		}
+		cores := []core{
 			{"f32", func(c []float32, lo, hi int) { GemmRange(c, a.Data, b.Data, k, n, k, lo, hi) }},
 			{"f16", func(c []float32, lo, hi int) { GemmRangePacked(c, a.Data, f16, k, n, lo, hi) }},
 			{"int8", func(c []float32, lo, hi int) { GemmRangePacked(c, a.Data, i8, k, n, lo, hi) }},
+		}
+		// 2:4 groups run along B's rows: n for a·B, k for a·Bᵀ.
+		if n%4 == 0 {
+			nm := PackNM24(b)
+			cores = append(cores, core{"nm24", func(c []float32, lo, hi int) { GemmRangePacked(c, a.Data, nm, k, n, lo, hi) }})
+		}
+		if k%4 == 0 {
+			nmT := PackNM24(Transpose(b))
+			cores = append(cores, core{"nm24/tb", func(c []float32, lo, hi int) { GemmTBRangePacked(c, a.Data, nmT, k, n, lo, hi) }})
 		}
 		for _, core := range cores {
 			all, alone := New(m, n), New(m, n)

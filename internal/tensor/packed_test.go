@@ -37,35 +37,42 @@ func fillRand(t *Tensor, seed uint64) {
 func TestGemmPackedBitIdentical(t *testing.T) { forEachKernel(t, testGemmPackedBitIdentical) }
 
 func testGemmPackedBitIdentical(t *testing.T) {
-	const k, n, kz = 300, 70, 150
+	const k, kz = 300, 150
 	for _, m := range packedRowCounts {
-		a := New(m, k)
-		w := New(k, n)
-		fillRand(a, 1)
-		fillRand(w, 2)
-		// Exact zeros in a exercise the zero-skip dispatch; column kz is
-		// zero in every row, so fp16's infinite row kz must be skipped.
-		for i := 0; i < len(a.Data); i += 17 {
-			a.Data[i] = 0
-		}
-		for i := 0; i < m; i++ {
-			a.Data[i*k+kz] = 0
-		}
-		wInf := w.Clone()
-		for j := 0; j < n; j++ {
-			wInf.Data[kz*n+j] = float32(math.Inf(1 - 2*(j%2)))
-		}
-
 		for _, tc := range []struct {
 			name string
-			p    *PackedWeights
+			n    int
+			inf  bool // row kz of w infinite: its products must be skipped
+			pack func(*Tensor) *PackedWeights
 		}{
-			{"f16", PackF16(wInf)},
-			{"int8", PackInt8(w, ScalePerCol)},
+			{"f16", 70, true, PackF16},
+			{"int8", 70, false, func(w *Tensor) *PackedWeights { return PackInt8(w, ScalePerCol) }},
+			// 2:4 groups run along n: a multiple of 4 that still ends in a
+			// partial 8-lane group.
+			{"nm24", 76, true, PackNM24},
 		} {
-			want := MatMul(a, tc.p.Dequant())
+			n := tc.n
+			a := New(m, k)
+			w := New(k, n)
+			fillRand(a, 1)
+			fillRand(w, 2)
+			// Exact zeros in a exercise the zero-skip dispatch; column kz is
+			// zero in every row, so an infinite row kz must be skipped.
+			for i := 0; i < len(a.Data); i += 17 {
+				a.Data[i] = 0
+			}
+			for i := 0; i < m; i++ {
+				a.Data[i*k+kz] = 0
+			}
+			if tc.inf {
+				for j := 0; j < n; j++ {
+					w.Data[kz*n+j] = float32(math.Inf(1 - 2*(j%2)))
+				}
+			}
+			p := tc.pack(w)
+			want := MatMul(a, p.Dequant())
 			got := New(m, n)
-			MatMulPackedInto(got, a, tc.p)
+			MatMulPackedInto(got, a, p)
 			for i := range want.Data {
 				if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
 					t.Fatalf("%s m=%d: element %d: got %g, want %g", tc.name, m, i, got.Data[i], want.Data[i])
@@ -86,7 +93,8 @@ var packedRowCounts = []int{1, 2, 4, 5, 8, 9}
 // k-major dot groups makes a·Pᵀ bit-identical to the f32 TB core over the
 // dequantized matrix at every k — one accumulator per output element from
 // +0, k ascending, on either kernel set. k = 2100 spans several gemmKC
-// panels, and n = 70 ends in a partial group.
+// panels, and n = 70 ends in a partial group. 2:4 groups run along k, so
+// both depths are multiples of 4; its single row runs gemmTBRowNM24.
 func TestGemmTBPacked(t *testing.T) { forEachKernel(t, testGemmTBPacked) }
 
 func testGemmTBPacked(t *testing.T) {
@@ -104,6 +112,7 @@ func testGemmTBPacked(t *testing.T) {
 			}{
 				{"f16", PackF16(w)},
 				{"int8", PackInt8(w, ScalePerRow)},
+				{"nm24", PackNM24(w)},
 			} {
 				want := New(m, n)
 				MatMulTBInto(want, a, tc.p.Dequant())
@@ -176,6 +185,44 @@ func TestPackInt8(t *testing.T) {
 	}
 	if got := PackF16(w).Bytes(); got != 2*6*5 {
 		t.Fatalf("f16 Bytes = %d, want %d", got, 2*6*5)
+	}
+}
+
+// TestPackNM24Selection pins the pruning rule: top 2 by |value| per
+// aligned group of 4, ties to the lower column, kept entries in ascending
+// column order, 2.5 bytes per weight.
+func TestPackNM24Selection(t *testing.T) {
+	w := New(2, 8)
+	copy(w.Data, []float32{
+		0.1, -3, 2, 0.5 /**/, 1, 1, -1, 0, // tie between cols 0,1,2: keep 0,1
+		0, 0, 0, 0 /**/, -0.5, 0, 0, 4,
+	})
+	p := PackNM24(w)
+	wantVal := []float32{-3, 2, 1, 1, 0, 0, -0.5, 4}
+	wantIdx := []uint8{1, 2, 0, 1, 0, 1, 0, 3}
+	for i := range wantVal {
+		if p.NMVal[i] != wantVal[i] || p.NMIdx[i] != wantIdx[i] {
+			t.Fatalf("entry %d: (%g, %d), want (%g, %d)", i, p.NMVal[i], p.NMIdx[i], wantVal[i], wantIdx[i])
+		}
+	}
+	if p.Bytes() != 4*8+8 {
+		t.Fatalf("Bytes = %d, want 40", p.Bytes())
+	}
+}
+
+// TestPackNM24ExactForStructured: a matrix that is already 2:4 structured
+// survives pack→dequant bit-exactly.
+func TestPackNM24ExactForStructured(t *testing.T) {
+	w := New(6, 16)
+	fillRand(w, 1)
+	for i := 0; i < len(w.Data); i += 4 { // zero two of every four
+		w.Data[i+1], w.Data[i+3] = 0, 0
+	}
+	got := PackNM24(w).Dequant()
+	for i := range w.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(w.Data[i]) {
+			t.Fatalf("element %d: %g -> %g", i, w.Data[i], got.Data[i])
+		}
 	}
 }
 

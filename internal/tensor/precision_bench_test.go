@@ -42,14 +42,15 @@ func pinZeroAllocs(t *testing.T, rows []kernelRow) {
 	}
 }
 
-// BenchmarkPrecision measures the reduced-precision weight pipeline
-// against its f32 references:
+// BenchmarkPrecision measures the compact weight pipeline against its f32
+// references:
 //
 //   - gemm/: GFLOP/s of the f16/int8 packed tiled GEMM against the f32
 //     tiled core at n×n×n;
 //   - decode/tb/ and decode/ab/: the decode step's two product
 //     orientations at m = 1 and a small batched m, where weight streaming
-//     dominates and the row kernels read the weights in place;
+//     dominates and the row kernels read the weights in place, for f16,
+//     int8 and 2:4 (nm24) storage;
 //   - prefill/: the m = 64 prompt shape, where the packed kernels reach
 //     f32 ns/op at a fraction of the bytes.
 //
@@ -113,11 +114,13 @@ func packedGemmRows(n int) []kernelRow {
 }
 
 // tbRows is y = x·wᵀ over the [n → k] weight w at each m in ms, f32
-// against its f16 and int8 packings, through the TB cores.
+// against its f16, int8 and 2:4 packings, through the TB cores. Every row
+// declares the dense product's FLOPs.
 func tbRows(prefix string, x, y, w *Tensor, ms []int) []kernelRow {
 	k, n := w.Shape()[1], w.Shape()[0]
 	f16 := PackF16(w)
 	i8 := PackInt8(w, ScalePerRow)
+	nm := PackNM24(w)
 	var rows []kernelRow
 	for _, m := range ms {
 		flops := 2 * int64(m) * int64(k) * int64(n)
@@ -135,6 +138,10 @@ func tbRows(prefix string, x, y, w *Tensor, ms []int) []kernelRow {
 			kernelRow{prefix + "/int8/" + tag, flops, act + i8.Bytes(), func() {
 				y.Zero()
 				GemmTBRangePacked(y.Data, x.Data, i8, k, n, 0, m)
+			}},
+			kernelRow{prefix + "/nm24/" + tag, flops, act + nm.Bytes(), func() {
+				y.Zero()
+				GemmTBRangePacked(y.Data, x.Data, nm, k, n, 0, m)
 			}},
 		)
 	}
@@ -176,6 +183,7 @@ func decodeABRows(k, n int) []kernelRow {
 	r.FillNormal(w, 1)
 	f16 := PackF16(w)
 	i8 := PackInt8(w, ScalePerCol)
+	nm := PackNM24(w)
 	var rows []kernelRow
 	for _, m := range []int{1, mb} {
 		flops := 2 * int64(m) * int64(k) * int64(n)
@@ -193,6 +201,10 @@ func decodeABRows(k, n int) []kernelRow {
 			kernelRow{"decode/ab/int8/" + tag, flops, act + i8.Bytes(), func() {
 				y.Zero()
 				GemmRangePacked(y.Data, x.Data, i8, k, n, 0, m)
+			}},
+			kernelRow{"decode/ab/nm24/" + tag, flops, act + nm.Bytes(), func() {
+				y.Zero()
+				GemmRangePacked(y.Data, x.Data, nm, k, n, 0, m)
 			}},
 		)
 	}
