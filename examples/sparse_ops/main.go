@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"longexposure/internal/sparse"
@@ -48,25 +49,28 @@ func main() {
 	// The combined multi-head operator — what training attention runs: one
 	// buffer for every head's active blocks, work scheduled per block. The
 	// heads share q/k/v here so each can be checked against one reference.
+	// Dense attention is the same operator over the full causal layout.
 	scale := float32(1 / math.Sqrt(hd))
 	var qs, ks, vs, outs [][]float32
 	for range layouts {
 		qs, ks, vs = append(qs, q), append(ks, k), append(vs, v)
 		outs = append(outs, make([]float32, seq*hd))
 	}
-	start := time.Now()
-	probs := sparse.NewCombinedSparseIn(tensor.NewArena(), combined, blk)
-	sparse.MultiHeadSDD(probs, qs, ks, hd)
-	sparse.MultiHeadCausalSoftmax(probs, scale)
-	sparse.MultiHeadDSD(outs, vs, probs, hd)
-	sparseTime := time.Since(start)
-
-	// Dense reference (full causal attention), once per head.
-	ref := make([]float32, seq*hd)
-	start = time.Now()
-	sparse.DenseCausalAttention(ref, q, k, v, seq, hd, scale)
-	denseTime := time.Since(start) * time.Duration(len(layouts))
-	fmt.Printf("combined SDD → softmax → DSD over %d heads: %v (dense: %v)\n", len(layouts), sparseTime, denseTime)
+	attend := func(hl *sparse.HeadLayouts) time.Duration {
+		for _, o := range outs {
+			clear(o)
+		}
+		start := time.Now()
+		probs := sparse.NewCombinedSparseIn(tensor.NewArena(), hl, blk)
+		sparse.MultiHeadSDD(probs, qs, ks, hd)
+		sparse.MultiHeadCausalSoftmax(probs, scale)
+		sparse.MultiHeadDSD(outs, vs, probs, hd)
+		return time.Since(start)
+	}
+	full := pool.Get(sparse.Pattern{Kind: sparse.KindDense}, nb)
+	denseTime := attend(sparse.Combine(slices.Repeat([]*sparse.Layout{full}, len(layouts))))
+	sparseTime := attend(combined)
+	fmt.Printf("combined SDD → softmax → DSD over %d heads: %v (full causal layout: %v)\n", len(layouts), sparseTime, denseTime)
 
 	fmt.Println("head  pattern                     blocks  max|Δ| vs masked dense")
 	for h, layout := range layouts {
@@ -88,7 +92,7 @@ func main() {
 		blocks := all[:max(1, int(float64(len(all))*frac))]
 		hiddenBuf := make([]float32, tokens*hidden)
 		outBuf := make([]float32, tokens*d)
-		start = time.Now()
+		start := time.Now()
 		sparse.FC1Sparse(hiddenBuf, x, tokens, w1, blocks, blk)
 		sparse.FC2Sparse(outBuf, hiddenBuf, tokens, w2, blocks, blk)
 		fmt.Printf("  active %3.0f%% (%3d blocks): %v\n", frac*100, len(blocks), time.Since(start))

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"time"
+
 	"longexposure/internal/sparse"
 	"longexposure/internal/tensor"
 )
@@ -35,22 +37,23 @@ func Fig12(o Options) *Report {
 	}
 	out := make([]float32, seq*hd)
 
-	denseAttn := timeIt(reps, func() {
-		clear(out)
-		sparse.DenseCausalAttention(out, q, k, v, seq, hd, 0.125)
-	})
-
-	var attnRows [][]string
-	for _, sp := range sparsities {
-		density := (1 - sp) // fraction of the causal triangle kept
-		layout := randomCausalLayout(nb, density*causalFrac(nb), rng)
-		elapsed := timeIt(reps, func() {
+	attend := func(layout *sparse.Layout) time.Duration {
+		return timeIt(reps, func() {
 			m := sparse.NewBlockSparse(layout, blk)
 			sparse.SDD(m, q, k, hd)
 			sparse.CausalSoftmax(m, 0.125)
 			clear(out)
 			sparse.DSD(out, m, v, hd)
 		})
+	}
+	// Dense attention is the same operator over the full causal layout.
+	denseAttn := attend(sparse.Pattern{Kind: sparse.KindDense}.Build(nb))
+
+	var attnRows [][]string
+	for _, sp := range sparsities {
+		density := (1 - sp) // fraction of the causal triangle kept
+		layout := randomCausalLayout(nb, density*causalFrac(nb), rng)
+		elapsed := attend(layout)
 		attnRows = append(attnRows, []string{
 			pctv(sp), f3(layout.Density()), ms(elapsed), ms(denseAttn),
 			speedup(denseAttn.Seconds(), elapsed.Seconds()),

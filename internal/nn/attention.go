@@ -9,15 +9,13 @@ import (
 	"longexposure/internal/tensor"
 )
 
-// MultiHeadAttention implements causal self-attention with two execution
-// paths sharing the projection layers:
-//
-//   - dense: full causal scores per head (the PEFT-library baseline), and
-//   - sparse: per-head block-sparse layouts from the exposer/predictor,
-//     combined online and executed by the combined multi-head operator
-//     (sparse.MultiHead*, §VI-A). Head-specific masks are the paper's §IV
-//     design — each head runs its own layout, and work is scheduled at
-//     block, not head, granularity.
+// MultiHeadAttention implements causal self-attention with one execution
+// path: the combined multi-head block operator (sparse.MultiHead*, §VI-A).
+// Each head runs its own block layout — the per-head masks from the
+// exposer/predictor (the paper's §IV design) or, for dense attention (the
+// PEFT-library baseline), the full causal layout — and work is scheduled
+// at block, not head, granularity. Dense attention therefore never
+// computes a score above the diagonal blocks.
 //
 // The backward pass mirrors the forward structure, so the computational
 // savings of a sparse layout apply to gradient computation too (§II-D).
@@ -40,16 +38,19 @@ type attnState struct {
 
 	qh, kh, vh [][]float32 // per (b,h): [seq*headDim]
 	ctx        [][]float32
-	probsDense []*tensor.Tensor
 	// hl is the online combination of the invocation's batch·heads
-	// layouts, rebuilt in place every sparse forward; probsSparse holds
-	// the probabilities over it (nil after a dense forward).
-	hl          sparse.HeadLayouts
-	probsSparse *sparse.CombinedSparse
+	// layouts, rebuilt in place every forward; probs holds the
+	// probabilities over it and dScore the backward's score gradient.
+	// Both headers live here by value, so a step allocates neither.
+	hl            sparse.HeadLayouts
+	probs, dScore sparse.CombinedSparse
+	// dense records that the last forward ran the full causal layout
+	// (nil layouts); causal caches that layout for its block count.
+	dense  bool
+	causal *sparse.Layout
 
 	// Backward scratch headers (buffers are step-lived).
 	dCtxH, dqh, dkh, dvh [][]float32
-	dProbH, dScoreH      [][]float32
 }
 
 // NewMultiHeadAttention constructs the four projection layers.
@@ -116,14 +117,20 @@ func (a *MultiHeadAttention) mergeHeads(heads [][]float32, batch, seq int, ws *t
 	return out
 }
 
-// Forward runs attention over x: [batch*seq, dim]. layouts selects the
-// execution path: nil runs dense causal attention; otherwise layouts[h] is
-// head h's block layout (blk is the block size in tokens, and seq must be
-// a multiple of blk). ws is the step workspace.
+// Forward runs attention over x: [batch*seq, dim]. layouts[h] is head h's
+// block layout (blk is the block size in tokens, and seq must be a
+// multiple of blk); nil layouts run dense causal attention, the full
+// causal layout at sparse.DenseBlk(seq), and ignore blk. ws is the step
+// workspace.
 func (a *MultiHeadAttention) Forward(x *tensor.Tensor, batch, seq int, layouts []*sparse.Layout, blk int, ws *tensor.Arena) *tensor.Tensor {
 	st := stateOf[attnState](ws, a)
-	st.batch, st.seq = batch, seq
-	if layouts != nil {
+	st.batch, st.seq, st.dense = batch, seq, layouts == nil
+	if st.dense {
+		blk = sparse.DenseBlk(seq)
+		if nb := seq / blk; st.causal == nil || st.causal.NB() != nb {
+			st.causal = sparse.Pattern{Kind: sparse.KindDense}.Build(nb)
+		}
+	} else {
 		if len(layouts) != a.Heads {
 			panic(fmt.Sprintf("nn: %d layouts for %d heads", len(layouts), a.Heads))
 		}
@@ -144,42 +151,43 @@ func (a *MultiHeadAttention) Forward(x *tensor.Tensor, batch, seq int, layouts [
 	ctx := st.ctx
 	scale := float32(1 / math.Sqrt(float64(a.HeadDim)))
 
-	if layouts == nil {
-		if cap(st.probsDense) < bh {
-			st.probsDense = make([]*tensor.Tensor, 0, bh)
-		}
-		st.probsDense = st.probsDense[:0]
-		for i := 0; i < bh; i++ {
-			st.probsDense = append(st.probsDense, ws.Get(seq, seq))
-		}
-		st.probsSparse = nil
-		parallel.ForArg(bh, denseFwdArgs{st.probsDense, ctx, st.qh, st.kh, st.vh, seq, a.HeadDim, scale}, denseFwdItem)
-	} else {
-		heads := st.hl.Heads[:0]
-		for i := 0; i < bh; i++ {
+	heads := st.hl.Heads[:0]
+	for i := 0; i < bh; i++ {
+		if st.dense {
+			heads = append(heads, st.causal)
+		} else {
 			heads = append(heads, layouts[i%a.Heads])
 		}
-		st.hl.Reset(heads)
-		st.probsSparse = sparse.NewCombinedSparseIn(ws, &st.hl, blk)
-		st.probsDense = nil
-		sparse.MultiHeadSDD(st.probsSparse, st.qh, st.kh, a.HeadDim)
-		sparse.MultiHeadCausalSoftmax(st.probsSparse, scale)
-		sparse.MultiHeadDSD(ctx, st.vh, st.probsSparse, a.HeadDim)
 	}
+	st.hl.Reset(heads)
+	st.probs = sparse.CombinedSparse{HL: &st.hl, Blk: blk, Data: ws.Floats(st.hl.TotalBlocks() * blk * blk)}
+	sparse.MultiHeadSDD(&st.probs, st.qh, st.kh, a.HeadDim)
+	sparse.MultiHeadCausalSoftmax(&st.probs, scale)
+	sparse.MultiHeadDSD(ctx, st.vh, &st.probs, a.HeadDim)
 
 	return a.Wo.Forward(a.mergeHeads(ctx, batch, seq, ws), ws)
 }
 
-// DenseProbs exposes the per-(batch,head) probability matrices of the last
-// dense forward run with the given workspace — the ground-truth signal the
-// exposer derives head-specific masks from and the predictor trains
-// against. Index is batch*Heads + head. Nil after a sparse forward.
+// DenseProbs returns the per-(batch,head) [seq, seq] probability matrices
+// of the last dense forward run with the given workspace — the
+// ground-truth signal the exposer derives head-specific masks from and the
+// predictor trains against. Index is batch*Heads + head. The matrices are
+// fresh copies materialized from the forward's blocks (zero above the
+// diagonal), made off the step path. Nil after a sparse forward.
 func (a *MultiHeadAttention) DenseProbs(ws *tensor.Arena) []*tensor.Tensor {
-	return stateOf[attnState](ws, a).probsDense
+	st := stateOf[attnState](ws, a)
+	if !st.dense {
+		return nil
+	}
+	out := make([]*tensor.Tensor, st.hl.NumHeads())
+	for i := range out {
+		out[i] = st.probs.HeadView(i).ToDense()
+	}
+	return out
 }
 
-// Backward propagates dOut: [batch*seq, dim] and returns dx. The sparse
-// path computes gradients only on active blocks. ws must be the workspace
+// Backward propagates dOut: [batch*seq, dim] and returns dx, computing
+// gradients only on the forward's active blocks. ws must be the workspace
 // the matching Forward ran with.
 func (a *MultiHeadAttention) Backward(dOut *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 	st := stateOf[attnState](ws, a)
@@ -196,24 +204,14 @@ func (a *MultiHeadAttention) Backward(dOut *tensor.Tensor, ws *tensor.Arena) *te
 	st.dvh = headBuffers(st.dvh, bh, seq*hd, ws, false)
 	dqh, dkh, dvh := st.dqh, st.dkh, st.dvh
 
-	if st.probsSparse == nil {
-		st.dProbH = headBuffers(st.dProbH, bh, seq*seq, ws, false)
-		st.dScoreH = headBuffers(st.dScoreH, bh, seq*seq, ws, false)
-		parallel.ForArg(bh, denseBwdArgs{
-			probs: st.probsDense, dProbH: st.dProbH, dScoreH: st.dScoreH,
-			dCtxH: dCtxH, qh: st.qh, kh: st.kh, vh: st.vh,
-			dqh: dqh, dkh: dkh, dvh: dvh, seq: seq, hd: hd, scale: scale,
-		}, denseBwdItem)
-	} else {
-		p := st.probsSparse
-		// dProb restricted to active blocks (SDD), turned into dScore in place.
-		dScore := sparse.NewCombinedSparseIn(ws, p.HL, p.Blk)
-		sparse.MultiHeadSDD(dScore, dCtxH, st.vh, hd)
-		sparse.MultiHeadSoftmaxBackward(dScore, p, scale)
-		sparse.MultiHeadDSD(dqh, st.kh, dScore, hd)
-		sparse.MultiHeadDSDT(dkh, st.qh, dScore, hd)
-		sparse.MultiHeadDSDT(dvh, dCtxH, p, hd)
-	}
+	p, dScore := &st.probs, &st.dScore
+	// dProb restricted to active blocks (SDD), turned into dScore in place.
+	*dScore = sparse.CombinedSparse{HL: p.HL, Blk: p.Blk, Data: ws.Floats(len(p.Data))}
+	sparse.MultiHeadSDD(dScore, dCtxH, st.vh, hd)
+	sparse.MultiHeadSoftmaxBackward(dScore, p, scale)
+	sparse.MultiHeadDSD(dqh, st.kh, dScore, hd)
+	sparse.MultiHeadDSDT(dkh, st.qh, dScore, hd)
+	sparse.MultiHeadDSDT(dvh, dCtxH, p, hd)
 
 	dq := a.mergeHeads(dqh, batch, seq, ws)
 	dk := a.mergeHeads(dkh, batch, seq, ws)
@@ -252,45 +250,4 @@ func mergeHeadsItem(a permuteArgs, bh int) {
 		dst := a.flat[(bi*a.seq+si)*a.dim+hi*a.hd : (bi*a.seq+si)*a.dim+(hi+1)*a.hd]
 		copy(dst, buf[si*a.hd:(si+1)*a.hd])
 	}
-}
-
-type denseFwdArgs struct {
-	probs      []*tensor.Tensor
-	ctx        [][]float32
-	qh, kh, vh [][]float32
-	seq, hd    int
-	scale      float32
-}
-
-func denseFwdItem(a denseFwdArgs, i int) {
-	sparse.DenseCausalAttentionInto(a.probs[i], a.ctx[i], a.qh[i], a.kh[i], a.vh[i], a.seq, a.hd, a.scale)
-}
-
-type denseBwdArgs struct {
-	probs           []*tensor.Tensor
-	dProbH, dScoreH [][]float32
-	dCtxH           [][]float32
-	qh, kh, vh      [][]float32
-	dqh, dkh, dvh   [][]float32
-	seq, hd         int
-	scale           float32
-}
-
-func denseBwdItem(a denseBwdArgs, i int) {
-	seq, hd := a.seq, a.hd
-	p := a.probs[i] // [seq, seq]
-	// dProb = dCtx·Vᵀ.
-	dProb := a.dProbH[i]
-	tensor.GemmTBRange(dProb, a.dCtxH[i], a.vh[i], hd, seq, seq, 0, seq)
-	// Softmax backward row-wise, then score scale.
-	dScore := a.dScoreH[i]
-	for r := 0; r < seq; r++ {
-		tensor.SoftmaxBackwardRow(dScore[r*seq:(r+1)*seq], p.Row(r), dProb[r*seq:(r+1)*seq])
-	}
-	for j := range dScore {
-		dScore[j] *= a.scale
-	}
-	tensor.GemmRange(a.dqh[i], dScore, a.kh[i], seq, hd, seq, 0, seq)   // dQ = dS·K
-	tensor.GemmTARange(a.dkh[i], dScore, a.qh[i], seq, seq, hd, 0, seq) // dK = dSᵀ·Q
-	tensor.GemmTARange(a.dvh[i], p.Data, a.dCtxH[i], seq, seq, hd, 0, seq)
 }

@@ -143,3 +143,21 @@ func TestCompressGuards(t *testing.T) {
 		t.Fatal("compressing a LoRA-carrying layer was accepted")
 	}
 }
+
+// TestCompressAcceptsNaNWeights: a base holding NaN weights compresses to
+// every format without panicking — here a whole 2:4 group of NaNs, which
+// once left the pack no column to keep — and the f16 and 2:4 matrices
+// dequantize the NaN back (int8 has no NaN code).
+func TestCompressAcceptsNaNWeights(t *testing.T) {
+	nan := float32(math.NaN())
+	for _, prec := range []string{PrecisionF16, PrecisionI8, PrecisionNM24} {
+		m := NewTransformer(tinyConfig(), tensor.NewRNG(3))
+		copy(m.Blocks[0].MLP.W1.W.Data, []float32{nan, nan, nan, nan})
+		if err := m.Compress(prec); err != nil {
+			t.Fatalf("%s: %v", prec, err)
+		}
+		if got := m.Blocks[0].MLP.PackedW1.Dequant().Data; prec != PrecisionI8 && !math.IsNaN(float64(got[0])) {
+			t.Fatalf("%s: NaN weight dequantizes to %v", prec, got[0])
+		}
+	}
+}

@@ -298,9 +298,11 @@ func decodeAttention(a *MultiHeadAttention, x *tensor.Tensor, seqs []DecodeSeq, 
 // attendCached computes causal attention for one sequence's n new rows
 // (q, k, v, ctx: [n, dim]) against its cached prefix, appending the rows'
 // K/V to the cache at p0. Per new row r at absolute position p0+r it
-// mirrors row p0+r of the training kernel (sparse.DenseCausalAttentionInto)
-// operation for operation: raw dot scores, scale on the visible prefix,
-// stable softmax, probability-weighted V accumulation with the
+// mirrors row p0+r of the training operator over the full causal layout
+// (sparse.MultiHeadSDD → MultiHeadCausalSoftmax → MultiHeadDSD) operation
+// for operation: raw k-ascending dot scores, scale on the visible prefix,
+// stable softmax with CausalSoftmax's rounding (tensor.SoftmaxRow),
+// probability-weighted V accumulation in ascending key order with the
 // zero-probability skip.
 //
 // The plan's layer-li selection, when non-nil on a single-row step,

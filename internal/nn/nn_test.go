@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -40,6 +41,69 @@ func TestSparseFullPlanMatchesDenseForward(t *testing.T) {
 	sparseOut := m.Forward(ids, fullSparsePlan(cfg, 8, 4), ws)
 	if d := tensor.MaxAbsDiff(dense, sparseOut); d > 1e-3 {
 		t.Fatalf("sparse full plan diverges from dense: %v", d)
+	}
+}
+
+// denseCausalAttention is the naive dense reference for one head: the
+// whole q·kᵀ product, the upper triangle masked to NegInf, a row softmax
+// and the probability-weighted sum of v. It returns the probabilities.
+func denseCausalAttention(out, q, k, v []float32, s, hd int, scale float32) *tensor.Tensor {
+	scores := tensor.New(s, s)
+	tensor.GemmTBRange(scores.Data, q, k, hd, s, s, 0, s)
+	for i := 0; i < s; i++ {
+		row := scores.Row(i)
+		for j := 0; j <= i; j++ {
+			row[j] *= scale
+		}
+		for j := i + 1; j < s; j++ {
+			row[j] = tensor.NegInf
+		}
+		tensor.SoftmaxRow(row)
+	}
+	tensor.GemmRange(out, scores.Data, v, s, hd, s, 0, s)
+	return scores
+}
+
+// TestDenseAttentionMatchesNaiveReference pins dense attention, which runs
+// the combined block operator over the full causal layout — tiled at seq
+// 128 (four 32-token blocks per side), one block at seq 12 — against the
+// naive dense reference: every head's probabilities (DenseProbs), every
+// context row and the layer output agree bit for bit.
+func TestDenseAttentionMatchesNaiveReference(t *testing.T) {
+	const heads, hd, batch = 2, 16, 2
+	for _, c := range []struct{ seq, nb int }{{128, 4}, {12, 1}} {
+		r := tensor.NewRNG(uint64(300 + c.seq))
+		a := NewMultiHeadAttention("attn", heads*hd, heads, r)
+		x := tensor.New(batch*c.seq, heads*hd)
+		r.FillNormal(x, 1)
+		ws := tensor.NewArena()
+		out := a.Forward(x, batch, c.seq, nil, 0, ws)
+		st := stateOf[attnState](ws, a)
+		if nb := st.hl.Heads[0].NB(); nb != c.nb {
+			t.Fatalf("seq %d: %d blocks per side, want %d", c.seq, nb, c.nb)
+		}
+		probs := a.DenseProbs(ws)
+		scale := float32(1 / math.Sqrt(hd))
+		wantCtx := make([][]float32, batch*heads)
+		for i := range wantCtx {
+			wantCtx[i] = make([]float32, c.seq*hd)
+			wantP := denseCausalAttention(wantCtx[i], st.qh[i], st.kh[i], st.vh[i], c.seq, hd, scale)
+			for j, w := range wantP.Data {
+				if math.Float32bits(probs[i].Data[j]) != math.Float32bits(w) {
+					t.Fatalf("seq %d head %d: prob (%d,%d) = %v, want %v", c.seq, i, j/c.seq, j%c.seq, probs[i].Data[j], w)
+				}
+			}
+			for j, w := range wantCtx[i] {
+				if math.Float32bits(st.ctx[i][j]) != math.Float32bits(w) {
+					t.Fatalf("seq %d head %d: ctx[%d] = %v, want %v", c.seq, i, j, st.ctx[i][j], w)
+				}
+			}
+		}
+		ref := tensor.NewArena()
+		want := a.Wo.Forward(a.mergeHeads(wantCtx, batch, c.seq, ref), ref)
+		if d := tensor.MaxAbsDiff(out, want); d != 0 {
+			t.Fatalf("seq %d: output differs from the reference by %v", c.seq, d)
+		}
 	}
 }
 

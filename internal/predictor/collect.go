@@ -41,9 +41,7 @@ func Collect(m *nn.Transformer, batches [][][]int) []Sample {
 				AttnInput: blk.LN1Out(ws).Clone(),
 				MLPInput:  blk.LN2Out(ws).Clone(),
 			}
-			for _, p := range blk.Attn.DenseProbs(ws) {
-				ls.Probs = append(ls.Probs, p.Clone())
-			}
+			ls.Probs = blk.Attn.DenseProbs(ws) // copies: they outlive ws
 			if mask := blk.MLP.ActivationMask(ws); mask != nil {
 				ls.Mask = mask.Clone()
 				ls.Hidden = blk.MLP.HiddenActivations(ws).Clone()

@@ -10,9 +10,10 @@ import (
 // Shapes: q, k, v and their gradients are [s, hd] row-major with
 // s = layout.NB() * blk; scores/probabilities are BlockSparse over the
 // layout. All kernels are serial. They are the primitives of the combined
-// multi-head operator in combined.go — the one attention path training
-// runs, which issues the same per-block products over a balanced schedule
-// and runs the row-wise softmax passes through HeadView — and the
+// multi-head operator in combined.go — the one attention operator training
+// runs, dense attention included (dense is the full causal layout, see
+// DenseBlk), which issues the same per-block products over a balanced
+// schedule and runs the row-wise softmax passes through HeadView — and the
 // reference its tests compare against at bit equality.
 
 // SDD computes dst(block br,bc) += a[rows of br] · b[rows of bc]ᵀ, the
@@ -161,32 +162,4 @@ func SoftmaxBackward(dProb, p *BlockSparse, scale float32) {
 			}
 		}
 	}
-}
-
-// DenseCausalAttention is the reference dense kernel the sparse path is
-// validated against (and the baseline of the operator microbenchmarks):
-// out = softmax(mask(q·kᵀ·scale)) · v with full causal masking.
-// It returns the probability matrix for reuse by the dense backward.
-func DenseCausalAttention(out, q, k, v []float32, s, hd int, scale float32) *tensor.Tensor {
-	scores := tensor.New(s, s)
-	DenseCausalAttentionInto(scores, out, q, k, v, s, hd, scale)
-	return scores
-}
-
-// DenseCausalAttentionInto is DenseCausalAttention writing the probability
-// matrix into a caller-provided zeroed [s, s] tensor — the workspace path,
-// where scores come from the step arena instead of a fresh allocation.
-func DenseCausalAttentionInto(scores *tensor.Tensor, out, q, k, v []float32, s, hd int, scale float32) {
-	tensor.GemmTBRange(scores.Data, q, k, hd, s, s, 0, s)
-	for i := 0; i < s; i++ {
-		row := scores.Row(i)
-		for j := 0; j <= i; j++ {
-			row[j] *= scale
-		}
-		for j := i + 1; j < s; j++ {
-			row[j] = tensor.NegInf
-		}
-		tensor.SoftmaxRow(row)
-	}
-	tensor.GemmRange(out, scores.Data, v, s, hd, s, 0, s)
 }

@@ -28,6 +28,18 @@ func denseMaskedAttention(q, k, v []float32, s, hd int, scale float32, l *Layout
 	return out, scores
 }
 
+// softmaxBackwardRow is the dense reference softmax backward for one row:
+// dst_j += p_j · (dprob_j − Σ_k p_k dprob_k).
+func softmaxBackwardRow(dst, p, dprob []float32) {
+	var dot float64
+	for k := range p {
+		dot += float64(p[k]) * float64(dprob[k])
+	}
+	for j := range p {
+		dst[j] += p[j] * (dprob[j] - float32(dot))
+	}
+}
+
 func randSlices(seed uint64, s, hd int) (q, k, v []float32) {
 	r := tensor.NewRNG(seed)
 	mk := func() []float32 {
@@ -73,21 +85,60 @@ func TestSparseAttentionFullLayoutEqualsDense(t *testing.T) {
 	q, k, v := randSlices(2, s, hd)
 	scale := float32(1 / math.Sqrt(float64(hd)))
 
-	// Dense reference.
-	wantOut := make([]float32, s*hd)
-	DenseCausalAttention(wantOut, q, k, v, s, hd, scale)
-
-	// Sparse path with the full causal layout.
+	// Sparse path with the full causal layout, against the dense
+	// reference (every block active: plain causal masking).
 	l := Pattern{Kind: KindDense}.Build(nb)
+	wantOut, wantP := denseMaskedAttention(q, k, v, s, hd, scale, l, blk)
 	sp := NewBlockSparse(l, blk)
 	SDD(sp, q, k, hd)
 	CausalSoftmax(sp, scale)
 	gotOut := make([]float32, s*hd)
 	DSD(gotOut, sp, v, hd)
 
+	// Per score the same k-ascending dot, per row the same softmax
+	// rounding, per output the same key order: equal bit for bit.
 	for i := range wantOut {
-		if math.Abs(float64(gotOut[i]-wantOut[i])) > 1e-4 {
+		if math.Float32bits(gotOut[i]) != math.Float32bits(wantOut[i]) {
 			t.Fatalf("out[%d]: %v vs %v", i, gotOut[i], wantOut[i])
+		}
+	}
+	gotP := sp.ToDense()
+	for i := range wantP.Data {
+		if math.Float32bits(gotP.Data[i]) != math.Float32bits(wantP.Data[i]) {
+			t.Fatalf("probs[%d]: %v vs %v", i, gotP.Data[i], wantP.Data[i])
+		}
+	}
+}
+
+// TestSoftmaxRowMatchesCausalSoftmax pins the rounding the two softmaxes
+// share: on a one-block layout, each row of CausalSoftmax equals
+// tensor.SoftmaxRow over the same scaled, causally masked row bit for bit
+// — the equality dense training attention and cached decode rest on.
+func TestSoftmaxRowMatchesCausalSoftmax(t *testing.T) {
+	for _, s := range []int{1, 7, 128, 300} {
+		r := tensor.NewRNG(uint64(40 + s))
+		scale := float32(0.37)
+		sp := NewBlockSparse(Pattern{Kind: KindDense}.Build(1), s)
+		for i := range sp.Data {
+			sp.Data[i] = float32(r.Norm()) * 4
+		}
+		want := append([]float32(nil), sp.Data...)
+		CausalSoftmax(sp, scale)
+		for i := 0; i < s; i++ {
+			row := want[i*s : (i+1)*s]
+			for j := range row {
+				if j <= i {
+					row[j] *= scale
+				} else {
+					row[j] = tensor.NegInf
+				}
+			}
+			tensor.SoftmaxRow(row)
+		}
+		for i := range want {
+			if math.Float32bits(sp.Data[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("s=%d: entry (%d,%d): CausalSoftmax %v, SoftmaxRow %v", s, i/s, i%s, sp.Data[i], want[i])
+			}
 		}
 	}
 }
@@ -205,7 +256,7 @@ func TestSoftmaxBackwardMatchesDense(t *testing.T) {
 	pd := p.ToDense()
 	want := tensor.New(s, s)
 	for i := 0; i < s; i++ {
-		tensor.SoftmaxBackwardRow(want.Row(i), pd.Row(i), dProbDense.Row(i))
+		softmaxBackwardRow(want.Row(i), pd.Row(i), dProbDense.Row(i))
 		for j := 0; j < s; j++ {
 			want.Data[i*s+j] *= scale
 		}
@@ -214,6 +265,46 @@ func TestSoftmaxBackwardMatchesDense(t *testing.T) {
 	// construction: p=0 there).
 	if d := tensor.MaxAbsDiff(got, want); d > 1e-4 {
 		t.Fatalf("SoftmaxBackward MaxAbsDiff = %v", d)
+	}
+}
+
+// TestSoftmaxBackwardMatchesNumeric checks the training softmax pair
+// against central differences: on a one-block layout, SoftmaxBackward's
+// dScore equals d/dx_j Σ_k dprob_k·CausalSoftmax(x, scale)_k on every
+// visible entry of the last row.
+func TestSoftmaxBackwardMatchesNumeric(t *testing.T) {
+	const s, scale = 4, float32(0.8)
+	x := []float32{0.3, -1.2, 0.7, 2.0}
+	dprob := []float32{0.1, -0.4, 0.9, 0.2}
+	l := Pattern{Kind: KindDense}.Build(1)
+	// softmax returns the probabilities of the last row, whose s
+	// entries are all visible; the other rows stay zero.
+	softmax := func(x []float32) *BlockSparse {
+		p := NewBlockSparse(l, s)
+		copy(p.Data[(s-1)*s:], x)
+		CausalSoftmax(p, scale)
+		return p
+	}
+	p := softmax(x)
+	d := NewBlockSparse(l, s)
+	copy(d.Data[(s-1)*s:], dprob)
+	SoftmaxBackward(d, p, scale)
+	const eps = 1e-3
+	for j := range x {
+		xp := append([]float32(nil), x...)
+		xm := append([]float32(nil), x...)
+		xp[j] += eps
+		xm[j] -= eps
+		pp, pm := softmax(xp).Data[(s-1)*s:], softmax(xm).Data[(s-1)*s:]
+		var fp, fm float64
+		for k := range x {
+			fp += float64(dprob[k]) * float64(pp[k])
+			fm += float64(dprob[k]) * float64(pm[k])
+		}
+		num := (fp - fm) / (2 * eps)
+		if got := float64(d.Data[(s-1)*s+j]); math.Abs(num-got) > 1e-3 {
+			t.Fatalf("grad[%d]: numeric %v vs analytic %v", j, num, got)
+		}
 	}
 }
 

@@ -48,20 +48,12 @@ func BenchmarkKernels(b *testing.B) {
 	benchRows(b, rows)
 }
 
-// allocatingRows are the rows that allocate by design.
-var allocatingRows = map[string]bool{
-	"attn/dense/s128hd64": true, // returns a fresh scores tensor
-}
-
-// TestKernelRowsDoNotAllocate pins every other BenchmarkKernels row at
-// exactly zero allocations per call, at one worker.
+// TestKernelRowsDoNotAllocate pins every BenchmarkKernels row at exactly
+// zero allocations per call, at one worker.
 func TestKernelRowsDoNotAllocate(t *testing.T) {
 	old := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(old)
 	for _, r := range kernelRows() {
-		if allocatingRows[r.name] {
-			continue
-		}
 		if n := testing.AllocsPerRun(1, r.run); n != 0 {
 			t.Errorf("%s allocates %v/op, want 0", r.name, n)
 		}
@@ -153,7 +145,9 @@ func neuronRows(d, h, tokens, blk int) []kernelRow {
 // attentionRows times one causal-attention head forward, dense against
 // block-sparse (SDD → CausalSoftmax → DSD on benchLayout) — the operator
 // comparison behind the paper's Figure 12 — and the combined multi-head
-// forward trio over four heads of skewed density.
+// forward trio over four heads of skewed density. The dense row is what
+// training's dense attention runs: the combined operator over the full
+// causal layout at DenseBlk(s).
 func attentionRows(s, hd int) []kernelRow {
 	const blk = 16
 	layout := benchLayout(s / blk)
@@ -182,11 +176,16 @@ func attentionRows(s, hd int) []kernelRow {
 	for h := range heads {
 		qs, ks, vs, outH = append(qs, q.Data), append(ks, k.Data), append(vs, v.Data), append(outH, outs.Row(h))
 	}
+	dblk, denseOut := DenseBlk(s), [][]float32{out.Data}
+	dense := NewCombinedSparseIn(tensor.NewArena(), Combine([]*Layout{Pattern{Kind: KindDense}.Build(s / dblk)}), dblk)
 	blockFlops := 4 * int64(blk) * int64(blk) * int64(hd)
 	return []kernelRow{
-		{"attn/dense/" + tag, 4 * int64(s) * int64(s) * int64(hd), 0, func() {
+		{"attn/dense/" + tag, int64(dense.HL.TotalBlocks()) * 4 * int64(dblk) * int64(dblk) * int64(hd), 0, func() {
 			out.Zero()
-			DenseCausalAttention(out.Data, q.Data, k.Data, v.Data, s, hd, scale)
+			clear(dense.Data)
+			MultiHeadSDD(dense, qs[:1], ks[:1], hd)
+			MultiHeadCausalSoftmax(dense, scale)
+			MultiHeadDSD(denseOut, vs[:1], dense, hd)
 		}},
 		{"attn/block/" + tag, int64(layout.NNZ()) * blockFlops, 0, func() {
 			out.Zero()

@@ -142,6 +142,17 @@ func (p Pattern) Build(nb int) *Layout {
 	return NewLayout(nb, func(br, bc int) bool { return p.activeAt(br, bc, nb) })
 }
 
+// DenseBlk returns the block size dense attention over s tokens runs the
+// full causal layout ({Kind: KindDense}) at: 32-token tiles when s is a
+// multiple of 32, so blocks above the diagonal are never computed, and
+// otherwise one s-sized block — the whole causal score matrix at once.
+func DenseBlk(s int) int {
+	if s%32 == 0 {
+		return 32
+	}
+	return s
+}
+
 // DefaultPool returns the atomic patterns pre-computed offline by the
 // operator pool: the parameter grid the exposer matches predicted masks
 // against. The pool spans the patterns used by Longformer, Big Bird and the

@@ -53,7 +53,9 @@ func BenchmarkSoftmaxRows(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		scratch.CopyFrom(base)
-		SoftmaxRows(scratch)
+		for r := 0; r < 256; r++ {
+			SoftmaxRow(scratch.Row(r))
+		}
 	}
 }
 

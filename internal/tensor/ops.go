@@ -59,7 +59,6 @@ const (
 
 // rowVecArgs / addRowVectorChunk: static kernel body for AddRowVector so
 // the hot bias-add never allocates a closure (see parallel.ForChunkedArg).
-// SoftmaxRows reuses the struct with v unset.
 type rowVecArgs struct {
 	data, v []float32
 	n       int
@@ -187,26 +186,13 @@ func GeLUGradRange(dx, dy, pre []float32, lo, hi int) {
 	}
 }
 
-// SoftmaxRows applies a numerically-stable softmax independently to each row
-// of a [rows, cols] tensor, in place. Entries equal to NegInf are treated as
-// masked: they receive probability zero and a fully-masked row becomes all
-// zeros rather than NaN.
-func SoftmaxRows(t *Tensor) {
-	rows, cols := check2D(t, "t")
-	parallel.ForChunkedArg(rows, rowVecArgs{data: t.Data, n: cols}, softmaxRowsChunk)
-}
-
-func softmaxRowsChunk(a rowVecArgs, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		SoftmaxRow(a.data[i*a.n : (i+1)*a.n])
-	}
-}
-
 // NegInf is the mask value for softmax: scores set to NegInf are excluded.
 var NegInf = float32(math.Inf(-1))
 
 // SoftmaxRow applies the stable softmax to a single row in place, honouring
-// NegInf masking.
+// NegInf masking. Each exponential is rounded to float32 before it joins
+// the float64 sum — sparse.CausalSoftmax's rounding, so a cached decode row
+// reproduces the training operator's probabilities bit for bit.
 func SoftmaxRow(row []float32) {
 	maxV := NegInf
 	for _, v := range row {
@@ -224,25 +210,13 @@ func SoftmaxRow(row []float32) {
 			row[i] = 0
 			continue
 		}
-		e := math.Exp(float64(v - maxV))
-		row[i] = float32(e)
-		sum += e
+		e := float32(math.Exp(float64(v - maxV)))
+		row[i] = e
+		sum += float64(e)
 	}
 	inv := float32(1 / sum)
 	for i := range row {
 		row[i] *= inv
-	}
-}
-
-// SoftmaxBackwardRow computes dscore from dprob for one softmax row:
-// dscore_j = p_j * (dprob_j - Σ_k p_k dprob_k), written into dst (+=).
-func SoftmaxBackwardRow(dst, p, dprob []float32) {
-	var dot float64
-	for k := range p {
-		dot += float64(p[k]) * float64(dprob[k])
-	}
-	for j := range p {
-		dst[j] += p[j] * (dprob[j] - float32(dot))
 	}
 }
 

@@ -164,7 +164,8 @@ func PackInt8(w *Tensor, axis int) *PackedWeights {
 
 // PackNM24 prunes a rank-2 f32 matrix to 2:4 along its rows: of every
 // aligned group of four columns, the two of largest |v| survive (ties keep
-// the lower column) and the other two become exact zeros. Cols must be a
+// the lower column; a NaN ranks as +Inf) and the other two become exact
+// zeros. Cols must be a
 // multiple of 4. A matrix already 2:4 structured survives exactly.
 func PackNM24(w *Tensor) *PackedWeights {
 	rows, cols := check2D(w, "w")
@@ -188,11 +189,16 @@ func PackNM24(w *Tensor) *PackedWeights {
 }
 
 // top2of4 returns the column of grp's largest |v| other than skip, the
-// lowest column among ties.
+// lowest column among ties. A NaN ranks as +Inf, so some column is always
+// chosen and a NaN weight survives the pack rather than vanishing.
 func top2of4(grp []float32, skip int) int {
 	best, bestAbs := -1, float32(-1)
 	for c, v := range grp {
-		if av := float32(math.Abs(float64(v))); c != skip && av > bestAbs {
+		av := float32(math.Abs(float64(v)))
+		if av != av {
+			av = float32(math.Inf(1))
+		}
+		if c != skip && av > bestAbs {
 			best, bestAbs = c, av
 		}
 	}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -208,6 +209,107 @@ func TestPackNM24Selection(t *testing.T) {
 	if p.Bytes() != 4*8+8 {
 		t.Fatalf("Bytes = %d, want 40", p.Bytes())
 	}
+}
+
+// TestPackNM24NaN pins the rule for NaN weights: a NaN ranks above every
+// finite magnitude (as +Inf does, lowest column among ties), so every
+// group keeps two columns and the NaN survives the pack.
+func TestPackNM24NaN(t *testing.T) {
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	for _, c := range []struct {
+		name string
+		grp  []float32
+		idx  [2]uint8
+	}{
+		{"all NaN", []float32{nan, nan, nan, nan}, [2]uint8{0, 1}},
+		{"three NaN", []float32{1, nan, nan, nan}, [2]uint8{1, 2}},
+		{"one NaN", []float32{3, -4, nan, 1}, [2]uint8{1, 2}},
+		{"NaN ties +Inf", []float32{0, inf, 2, nan}, [2]uint8{1, 3}},
+	} {
+		w := New(1, 4)
+		copy(w.Data, c.grp)
+		p := PackNM24(w)
+		if p.NMIdx[0] != c.idx[0] || p.NMIdx[1] != c.idx[1] {
+			t.Fatalf("%s: kept columns %v, want %v", c.name, p.NMIdx, c.idx)
+		}
+		d := p.Dequant()
+		for j, v := range c.grp {
+			kept := uint8(j) == c.idx[0] || uint8(j) == c.idx[1]
+			if got := d.Data[j]; kept && math.Float32bits(got) != math.Float32bits(v) || !kept && got != 0 {
+				t.Fatalf("%s: column %d dequantizes to %v (kept %v)", c.name, j, got, kept)
+			}
+		}
+	}
+}
+
+// FuzzPackNM24: on any float32 bit patterns (a whole number of groups of
+// four), PackNM24 never panics, keeps exactly two distinct columns per
+// group — the two the top-2 rule ranks first, |v| descending with NaN as
+// +Inf and ties to the lower column — holding their exact bits, and
+// dequantizes every other column to +0.
+func FuzzPackNM24(f *testing.F) {
+	nan := math.Float32bits(float32(math.NaN()))
+	for _, grp := range [][4]uint32{
+		{nan, nan, nan, nan},
+		{0x3f800000, nan, nan, nan},                      // 1, NaN, NaN, NaN
+		{0x7f800000, 0xff800000, nan, 0},                 // +Inf, -Inf, NaN, 0
+		{0x80000000, 0, 0x80000000, 0},                   // -0, +0, -0, +0
+		{0x3f800000, 0xbf800000, 0x3f800000, 0x00000001}, // 1, -1, 1, smallest subnormal
+	} {
+		b := make([]byte, 16)
+		for i, v := range grp {
+			binary.LittleEndian.PutUint32(b[4*i:], v)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		n := len(b) / 16 * 4
+		if n == 0 {
+			return
+		}
+		w := New(1, n)
+		for i := range w.Data {
+			w.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+		}
+		p := PackNM24(w)
+		d := p.Dequant()
+		key := func(v float32) float64 {
+			if a := math.Abs(float64(v)); !math.IsNaN(a) {
+				return a
+			}
+			return math.Inf(1)
+		}
+		for g := 0; g < n; g += 4 {
+			grp := w.Data[g : g+4]
+			lo, hi := p.NMIdx[g/2], p.NMIdx[g/2+1]
+			if lo >= hi || hi > 3 {
+				t.Fatalf("group %d %v: kept columns %d, %d", g/4, grp, lo, hi)
+			}
+			for c := range grp {
+				beaten := 0 // columns ranked above c
+				for o := range grp {
+					if key(grp[o]) > key(grp[c]) || key(grp[o]) == key(grp[c]) && o < c {
+						beaten++
+					}
+				}
+				kept := uint8(c) == lo || uint8(c) == hi
+				if kept != (beaten < 2) {
+					t.Fatalf("group %d %v: kept %d, %d; column %d ranks %d", g/4, grp, lo, hi, c, beaten)
+				}
+				want := uint32(0)
+				if kept {
+					want = math.Float32bits(grp[c])
+				}
+				if got := math.Float32bits(d.Data[g+c]); got != want {
+					t.Fatalf("group %d %v: column %d dequantizes to %#x, want %#x", g/4, grp, c, got, want)
+				}
+			}
+			if math.Float32bits(p.NMVal[g/2]) != math.Float32bits(grp[lo]) || math.Float32bits(p.NMVal[g/2+1]) != math.Float32bits(grp[hi]) {
+				t.Fatalf("group %d %v: kept values %v, %v", g/4, grp, p.NMVal[g/2], p.NMVal[g/2+1])
+			}
+		}
+	})
 }
 
 // TestPackNM24ExactForStructured: a matrix that is already 2:4 structured

@@ -144,7 +144,7 @@ func TestSteadyStepZeroAllocs(t *testing.T) {
 
 // TestConcurrentReplicasRaceFree runs two replicas of the same model config
 // through concurrent forward/backward steps, each with its own workspace —
-// the regression test for the probsDense/probsSparse layer-struct sharing
+// the regression test for the attention-probability layer-struct sharing
 // hazard. Run under -race (the CI race job covers this package).
 func TestConcurrentReplicasRaceFree(t *testing.T) {
 	r := tensor.NewRNG(84)
