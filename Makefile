@@ -44,7 +44,7 @@ bench:
 bench-smoke:
 	@dir=$$(mktemp -d); $(GO) run ./benchmark -out "$$dir"; s=$$?; rm -rf "$$dir"; exit $$s
 
-# Non-test Go lines outside benchmark/ — the number ROADMAP item 9's
+# Non-test Go lines outside benchmark/ — the number ROADMAP item 12's
 # "less code" target is measured in.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.git/*' | xargs cat | wc -l

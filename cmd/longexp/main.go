@@ -20,7 +20,7 @@ import (
 
 func main() {
 	var (
-		exp   = flag.String("exp", "", "experiment id (table1..table4, fig7..fig14, or 'all')")
+		exp   = flag.String("exp", "", "experiment id (table1..table4, fig4, fig7..fig13, ablations, or 'all'; -list shows them)")
 		quick = flag.Bool("quick", false, "reduced sizes for a fast pass")
 		list  = flag.Bool("list", false, "list experiment ids and exit")
 		out   = flag.String("out", "", "write markdown to this file instead of stdout")

@@ -59,6 +59,30 @@ func TestCodecRoundtrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodeRecord: no payload panics the record decoder, and any payload
+// that decodes re-encodes to a record that decodes to the same Event.
+func FuzzDecodeRecord(f *testing.F) {
+	for i := range 3 {
+		in := sampleEvent(i)
+		frame := encodeFrame(nil, &in)
+		f.Add(frame[9:])
+		f.Add(frame[9 : len(frame)/2])
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var first Event
+		if decodeRecord(payload, &first) != nil {
+			return
+		}
+		var second Event
+		if err := decodeRecord(encodeFrame(nil, &first)[9:], &second); err != nil {
+			t.Fatalf("re-encoded %+v does not decode: %v", first, err)
+		}
+		if second != first {
+			t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", second, first)
+		}
+	})
+}
+
 func TestDecodeTruncatedPayload(t *testing.T) {
 	in := sampleEvent(1)
 	frame := encodeFrame(nil, &in)

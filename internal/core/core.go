@@ -5,9 +5,8 @@
 // state of the art.
 //
 // Lifecycle: New → PretrainPredictors (offline, on calibration batches) →
-// Engine().Run (fine-tune under predicted sparsity). MeasureDensities
-// reports the sparsity the pipeline actually achieves, which parameterizes
-// the paper-scale cost model (internal/gpusim).
+// Engine().Run (fine-tune under predicted sparsity). Densities reports the
+// sparsity the pipeline actually achieves.
 package core
 
 import (
@@ -166,8 +165,8 @@ func (s *System) Engine() *train.Engine {
 }
 
 // Densities reports the sparsity the pipeline achieves on the given
-// batches: mean attention block density (active blocks / full block grid,
-// the gpusim convention) and mean MLP neuron-block density.
+// batches: mean attention block density (active blocks / full block grid)
+// and mean MLP neuron-block density.
 func (s *System) Densities(batches [][][]int) (attn, mlp float64) {
 	samples := predictor.Collect(s.Model, batches)
 	var attnSum, mlpSum float64

@@ -4,7 +4,7 @@
 // and five downstream classification tasks mirroring Table III. Every
 // generator is seeded and deterministic.
 //
-// Substitution note (DESIGN.md §2): the real datasets gate on tokenizers and
+// Substitution note: the real datasets gate on tokenizers and
 // downloads that an offline pure-Go build cannot reproduce; what the
 // experiments actually need is (a) realistic token streams to drive sparsity
 // measurements and (b) learnable task structure so sparse-vs-dense accuracy

@@ -7,7 +7,7 @@ import (
 	"longexposure/internal/tensor"
 )
 
-// Ablations probes the design choices DESIGN.md calls out, beyond the
+// Ablations probes this implementation's design choices, beyond the
 // paper's own ablation study:
 //
 //  1. component contribution — Long Exposure with attention-only,

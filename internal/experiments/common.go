@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"sync"
-
-	"longexposure/internal/core"
 	"longexposure/internal/data"
 	"longexposure/internal/model"
 	"longexposure/internal/nn"
-	"longexposure/internal/peft"
 	"longexposure/internal/predictor"
 	"longexposure/internal/tensor"
 )
@@ -69,60 +65,6 @@ func idsOf(batches []data.Batch, n int) [][][]int {
 		out = append(out, b.Inputs)
 	}
 	return out
-}
-
-// calibration bundles a trained Long Exposure system with its measured
-// densities — shared by every modeled experiment so sim-scale measurement
-// happens once per activation kind.
-type calibration struct {
-	AttnDensity float64 // active blocks / full grid (gpusim convention)
-	MLPDensity  float64
-	AttnRecall  float64
-	MLPRecall   float64
-}
-
-var (
-	calibMu    sync.Mutex
-	calibCache = map[string]calibration{}
-)
-
-// measureDensities trains a sim-scale Long Exposure pipeline and measures
-// the achieved densities, caching per (activation, quick) key.
-func measureDensities(o Options, act nn.Activation) calibration {
-	key := act.String()
-	if o.Quick {
-		key += "-quick"
-	}
-	calibMu.Lock()
-	if c, ok := calibCache[key]; ok {
-		calibMu.Unlock()
-		return c
-	}
-	calibMu.Unlock()
-
-	spec := o.simSpec(act)
-	batch, seq, blk := o.simGeometry()
-	sys := core.New(core.Config{Prime: true,
-		Spec:   spec,
-		Method: peft.LoRA,
-		Blk:    blk,
-		Seed:   o.seed(),
-	})
-	batches := e2eBatches(spec, batch, seq, o.pick(4, 8), o.seed()+2)
-	stats := sys.PretrainPredictors(idsOf(batches, o.pick(2, 4)),
-		predictor.TrainConfig{Epochs: o.pick(6, 20), Seed: o.seed()})
-	attn, mlp := sys.Densities(idsOf(batches, o.pick(2, 4)))
-
-	c := calibration{
-		AttnDensity: attn,
-		MLPDensity:  mlp,
-		AttnRecall:  stats.AttnRecall,
-		MLPRecall:   stats.MLPRecall,
-	}
-	calibMu.Lock()
-	calibCache[key] = c
-	calibMu.Unlock()
-	return c
 }
 
 // predictorTrainConfig aliases the predictor training knobs for the

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"longexposure/internal/core"
 	"longexposure/internal/exposer"
-	"longexposure/internal/gpusim"
 	"longexposure/internal/nn"
 	"longexposure/internal/peft"
 	"longexposure/internal/sparse"
@@ -17,8 +15,7 @@ import (
 // obtained from them, for both multi-head attention and the MLP block.
 // Sparsity ratios are measured on real activations of the sim-scale model;
 // per-layer times are measured by running the actual CPU kernels dense vs
-// sparse, plus a modeled GPU comparison that includes the unstructured
-// "shadowy" execution mode.
+// sparse.
 func Fig9(o Options) *Report {
 	r := &Report{ID: "fig9", Title: "Per-layer sparsity ratio and corresponding performance"}
 
@@ -100,25 +97,7 @@ func Fig9(o Options) *Report {
 	r.AddSection("Per-layer forward time, real CPU kernels (mean of reps)",
 		[]string{"Layer", "Attn dense", "Attn LE", "Speedup", "MLP dense", "MLP LE", "Speedup"}, timeRows)
 
-	// Section 4: modeled GPU per-layer comparison including the
-	// unstructured shadowy execution (which loses to dense — the paper's
-	// key negative result for naive sparsity).
-	dev := gpusim.A100()
-	cal := measureDensities(o, nn.ActReLU)
-	denseK := gpusim.ScoreKernels("scores", 4, 32, 1024, 64, 1, gpusim.KDenseGEMM)
-	shadowK := gpusim.ScoreKernels("scores", 4, 32, 1024, 64, 0.6, gpusim.KUnstructured)
-	leK := gpusim.ScoreKernels("scores", 4, 32, 1024, 64, cal.AttnDensity, gpusim.KBlockSparse)
-	mlpDenseK := gpusim.MLPKernels("fc", 4096, 2048, 8192, 1, gpusim.KDenseGEMM)
-	mlpShadowK := gpusim.MLPKernels("fc", 4096, 2048, 8192, 0.6, gpusim.KUnstructured)
-	mlpLEK := gpusim.MLPKernels("fc", 4096, 2048, 8192, cal.MLPDensity, gpusim.KNeuronSparse)
-	r.AddSection("Modeled GPU operator times (OPT-1.3B-shaped layer, A100)",
-		[]string{"Operator", "Dense", "Shadowy (unstructured)", "LongExposure"},
-		[][]string{
-			{"Attention scores", ms(dev.Time(denseK)), ms(dev.Time(shadowK)), ms(dev.Time(leK))},
-			{"MLP FC", ms(dev.Time(mlpDenseK)), ms(dev.Time(mlpShadowK)), ms(dev.Time(mlpLEK))},
-		})
-
-	r.AddNote("Shape to match (paper Fig 9): head-specific masks expose more sparsity than the uniform shadowy mask; Longformer/BigBird are sparser but pattern-blind; MLP sparsity rises with the threshold; unstructured shadowy execution is slower than dense while Long Exposure is faster (paper: 1.78x attention, 4.22x MLP).")
+	r.AddNote("Shape to match (paper Fig 9): head-specific masks expose more sparsity than the uniform shadowy mask; Longformer/BigBird are sparser but pattern-blind; MLP sparsity rises with the threshold; Long Exposure's per-layer kernels beat dense (paper: 1.78x attention, 4.22x MLP, while unstructured shadowy execution loses to dense).")
 	return r
 }
 
@@ -133,5 +112,3 @@ func timeIt(n int, f func()) time.Duration {
 	}
 	return time.Since(start) / time.Duration(n)
 }
-
-var _ = fmt.Sprintf

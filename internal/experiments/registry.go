@@ -23,7 +23,6 @@ var Registry = map[string]Driver{
 	"fig11":     Fig11,
 	"fig12":     Fig12,
 	"fig13":     Fig13,
-	"fig14":     Fig14,
 }
 
 // titles names each experiment without running it (drivers set the same
@@ -35,14 +34,13 @@ var titles = map[string]string{
 	"table2":    "Models for evaluation",
 	"table3":    "Downstream tasks for evaluation",
 	"table4":    "Downstream accuracy with (w) and without (w/o) Long Exposure",
-	"fig7":      "Execution time per batch and speedup of OPT (modeled)",
-	"fig8":      "Memory footprints of OPT fine-tuning on A100 (modeled)",
+	"fig7":      "Execution time per batch and speedup of OPT (measured, sim scale)",
+	"fig8":      "Memory footprints of OPT fine-tuning (measured step arena)",
 	"fig9":      "Per-layer sparsity ratio and corresponding performance",
 	"fig10":     "OPT-1.3B fine-tuning performance breakdown (sim-scale, measured)",
 	"fig11":     "Fine-tuning loss curves and predictor visualization (measured)",
 	"fig12":     "Dynamic operator performance vs dense across sparsity ratios (measured)",
-	"fig13":     "Execution time per batch and speedup of GPT-2 (modeled, attention-only)",
-	"fig14":     "Strong scalability of Long Exposure",
+	"fig13":     "Execution time per batch and speedup of GPT-2 (measured, attention-only)",
 }
 
 // Info describes one registered experiment without running it.
@@ -69,14 +67,6 @@ func IDs() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Known reports whether id names a registered experiment — callers that
-// want to skip gracefully (the root benchmarks) check this instead of
-// pattern-matching Run's error.
-func Known(id string) bool {
-	_, ok := Registry[id]
-	return ok
 }
 
 // Run executes one experiment by id.

@@ -3,16 +3,16 @@
 // cmd/longexp prints them and the root bench suite wraps them in testing.B
 // benchmarks.
 //
-// Two evidence sources feed the reports, always labelled: `measured` rows
-// come from real CPU execution of the engine/operators at sim scale;
-// `modeled` rows come from internal/gpusim kernel traces at paper scale,
-// parameterized by densities measured on the sim runs (DESIGN.md §2).
+// Every number is measured: real CPU execution of the engine and its
+// operators on sim-scale models (model.Sim), which keep the paper models'
+// activation and sparsity structure at a size a CPU trains in seconds.
 package experiments
 
 import (
 	"fmt"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // Section is one table of a report.
@@ -63,16 +63,16 @@ func (r *Report) Markdown() string {
 func writeTable(b *strings.Builder, headers []string, rows [][]string) {
 	widths := make([]int, len(headers))
 	for i, h := range headers {
-		widths[i] = len(h)
+		widths[i] = width(h)
 	}
 	for _, row := range rows {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) && width(c) > widths[i] {
+				widths[i] = width(c)
 			}
 		}
 	}
-	pad := func(s string, w int) string { return s + strings.Repeat(" ", w-len(s)) }
+	pad := func(s string, w int) string { return s + strings.Repeat(" ", w-width(s)) }
 	b.WriteString("|")
 	for i, h := range headers {
 		b.WriteString(" " + pad(h, widths[i]) + " |")
@@ -85,7 +85,7 @@ func writeTable(b *strings.Builder, headers []string, rows [][]string) {
 	for _, row := range rows {
 		b.WriteString("|")
 		for i, c := range row {
-			w := len(c)
+			w := width(c)
 			if i < len(widths) {
 				w = widths[i]
 			}
@@ -94,6 +94,9 @@ func writeTable(b *strings.Builder, headers []string, rows [][]string) {
 		b.WriteString("\n")
 	}
 }
+
+// width counts runes, so cells holding "→" still line up.
+func width(s string) int { return utf8.RuneCountInString(s) }
 
 // Formatting helpers shared by the drivers.
 

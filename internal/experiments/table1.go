@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"longexposure/internal/core"
-	"longexposure/internal/gpusim"
 	"longexposure/internal/model"
 	"longexposure/internal/nn"
 	"longexposure/internal/peft"
@@ -10,14 +9,11 @@ import (
 
 // Table1 regenerates Table I: the per-phase fine-tuning time breakdown of
 // OPT-1.3B across Full/LoRA/Adapter/BitFit/P-Tuning, showing that PEFT
-// shrinks the optimizer step but leaves forward/backward dominant.
-//
-// Section 1 is measured on the sim-scale model (real CPU execution);
-// section 2 is the paper-scale roofline model on the A100.
+// shrinks the optimizer step but leaves forward/backward dominant,
+// measured on the sim-scale model (real CPU execution).
 func Table1(o Options) *Report {
 	r := &Report{ID: "table1", Title: "OPT-1.3B fine-tuning time breakdown (ms/batch)"}
 
-	// Measured, sim scale.
 	spec := o.simSpec(nn.ActReLU)
 	batch, seq, blk := o.simGeometry()
 	steps := o.pick(2, 6)
@@ -38,26 +34,6 @@ func Table1(o Options) *Report {
 		})
 	}
 	r.AddSection("Measured ("+spec.Config.Name+", CPU engine)",
-		[]string{"Phase", "Forward", "Backward", "Optim. Step", "Total"}, rows)
-
-	// Modeled, paper scale (OPT-1.3B, batch 4, seq 512, A100).
-	dev := gpusim.A100()
-	paper := model.OPT1p3B()
-	rows = nil
-	for _, m := range peft.AllMethods() {
-		f, b, opt, _ := gpusim.StepTimes(dev, gpusim.StepShape{
-			Spec: paper, Batch: 4, Seq: 512, Method: m,
-		})
-		tot := f + b + opt
-		rows = append(rows, []string{
-			m.String(),
-			msF(f) + " (" + pct(f, tot) + ")",
-			msF(b) + " (" + pct(b, tot) + ")",
-			msF(opt) + " (" + pct(opt, tot) + ")",
-			msF(tot),
-		})
-	}
-	r.AddSection("Modeled (OPT-1.3B, batch 4, seq 512, A100 roofline)",
 		[]string{"Phase", "Forward", "Backward", "Optim. Step", "Total"}, rows)
 
 	r.AddNote("Paper Table I: Full 407.2 ms (optim 17.3%%); LoRA 334.6 ms (optim 0.6%%); " +
@@ -90,7 +66,7 @@ func Table3(Options) *Report {
 		rows = append(rows, []string{t.Name, t.Description, itoa(t.Choices)})
 	}
 	r.AddSection("", []string{"Task", "Description (synthetic analogue)", "Choices"}, rows)
-	r.AddNote("Synthetic analogues preserve each task's decision shape (binary / 4-way choice over structured prompts); see DESIGN.md §2.")
+	r.AddNote("Synthetic analogues preserve each task's decision shape (binary / 4-way choice over structured prompts).")
 	return r
 }
 

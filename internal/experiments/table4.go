@@ -14,7 +14,7 @@ import (
 // with and without Long Exposure, across three model sizes and the five
 // Table III tasks. Real training, sim scale.
 //
-// Substitution (DESIGN.md §2): the paper fine-tunes on Alpaca and evaluates
+// Substitution: the paper fine-tunes on Alpaca and evaluates
 // zero-shot; our sim models fine-tune on a mixed instruction-style training
 // split of the same synthetic tasks and evaluate held-out examples — the
 // comparison of interest (sparse vs dense accuracy delta) is preserved.

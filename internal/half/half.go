@@ -1,12 +1,11 @@
 // Package half implements IEEE-754 binary16 (half precision) conversion.
 //
 // The paper stores model parameters in fp16 and computes in fp32 (mixed
-// precision, §VII-A). On CPU we compute in float32, but fp16 storage matters
-// twice: it halves the bytes a kernel must stream (the roofline model in
-// internal/gpusim charges 2 bytes per parameter), and it is the unit of the
-// memory-footprint model behind Figure 8. This package provides the faithful
-// round-trip so parameter stores can hold real fp16 bit patterns rather than
-// pretending.
+// precision, §VII-A). On CPU we compute in float32, but fp16 storage still
+// halves the bytes a kernel must stream: the f16 weight format of a
+// compressed serving base holds these bit patterns. This package provides
+// the faithful round-trip so parameter stores can hold real fp16 bit
+// patterns rather than pretending.
 package half
 
 import "math"

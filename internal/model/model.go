@@ -3,9 +3,8 @@
 // GPT-2 family (GeLU MLPs — attention-only optimization, §VII-D), plus
 // scaled-down "sim" variants that train for real on CPU.
 //
-// The full-size configs drive the analytic cost model (internal/gpusim);
-// the sim configs drive actual fine-tuning runs whose measured sparsity
-// ratios parameterize that model.
+// The full-size configs are the paper's reference shapes (Table II); the
+// sim configs drive the actual fine-tuning runs every experiment measures.
 package model
 
 import (

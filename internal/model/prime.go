@@ -9,7 +9,7 @@ import (
 
 // PrimeSparsity re-initializes a freshly-built sim model so its activation
 // statistics match those of a *pre-trained* LLM backbone — the substrate the
-// paper fine-tunes (DESIGN.md §2).
+// paper fine-tunes.
 //
 // Trained transformers exhibit (a) highly sparse ReLU activations — 90%+ of
 // MLP neurons inactive per token, with a heavy-tailed importance profile

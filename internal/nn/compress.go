@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"longexposure/internal/tensor"
 )
@@ -60,6 +61,11 @@ func (m *Transformer) Compress(precision string) error {
 	case "", PrecisionF32:
 		return nil
 	case PrecisionF16, PrecisionI8:
+		if precision == PrecisionI8 {
+			if err := m.checkFiniteForInt8(); err != nil {
+				return err
+			}
+		}
 		for _, b := range m.Blocks {
 			for _, l := range []*Linear{b.Attn.Wq, b.Attn.Wk, b.Attn.Wv, b.Attn.Wo} {
 				if err := packLinear(l, precision); err != nil {
@@ -94,6 +100,25 @@ func (m *Transformer) Compress(precision string) error {
 		return nil
 	}
 	return fmt.Errorf("nn: unknown precision %q", precision)
+}
+
+// checkFiniteForInt8 rejects a model whose to-be-packed matrices hold a
+// NaN or Inf, before anything is packed. int8 has no form for them: the
+// per-channel absmax scale skips a NaN (it packs to 0), and an Inf makes
+// its channel's scale Inf, so the whole channel dequantizes to NaN.
+func (m *Transformer) checkFiniteForInt8() error {
+	ps := []*Parameter{m.Head.W}
+	for _, b := range m.Blocks {
+		ps = append(ps, b.Attn.Wq.W, b.Attn.Wk.W, b.Attn.Wv.W, b.Attn.Wo.W, b.MLP.W1, b.MLP.W2)
+	}
+	for _, p := range ps {
+		for _, v := range p.W.Data {
+			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+				return fmt.Errorf("nn: cannot compress %s to %s: non-finite weight %v", p.Name, PrecisionI8, v)
+			}
+		}
+	}
+	return nil
 }
 
 func packLinear(l *Linear, precision string) error {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"longexposure/internal/tensor"
@@ -150,14 +151,29 @@ func TestCompressGuards(t *testing.T) {
 // dequantize the NaN back (int8 has no NaN code).
 func TestCompressAcceptsNaNWeights(t *testing.T) {
 	nan := float32(math.NaN())
-	for _, prec := range []string{PrecisionF16, PrecisionI8, PrecisionNM24} {
+	for _, prec := range []string{PrecisionF16, PrecisionNM24} {
 		m := NewTransformer(tinyConfig(), tensor.NewRNG(3))
 		copy(m.Blocks[0].MLP.W1.W.Data, []float32{nan, nan, nan, nan})
 		if err := m.Compress(prec); err != nil {
 			t.Fatalf("%s: %v", prec, err)
 		}
-		if got := m.Blocks[0].MLP.PackedW1.Dequant().Data; prec != PrecisionI8 && !math.IsNaN(float64(got[0])) {
+		if got := m.Blocks[0].MLP.PackedW1.Dequant().Data; !math.IsNaN(float64(got[0])) {
 			t.Fatalf("%s: NaN weight dequantizes to %v", prec, got[0])
+		}
+	}
+	// int8 has no form for a NaN (it would pack to 0) or an Inf (its whole
+	// channel would dequantize to NaN): Compress refuses, naming the layer,
+	// before it packs anything.
+	for _, bad := range []float32{nan, float32(math.Inf(-1))} {
+		m := NewTransformer(tinyConfig(), tensor.NewRNG(3))
+		last := m.Blocks[len(m.Blocks)-1].MLP.W2
+		last.W.Data[5] = bad
+		err := m.Compress(PrecisionI8)
+		if err == nil || !strings.Contains(err.Error(), last.Name) {
+			t.Fatalf("int8 with a %v weight: err %v, want one naming %s", bad, err, last.Name)
+		}
+		if b0 := m.Blocks[0]; b0.Attn.Wq.Packed != nil || b0.MLP.PackedW1 != nil || b0.MLP.W1.W.Data == nil {
+			t.Fatalf("int8 with a %v weight: model packed before the error", bad)
 		}
 	}
 }

@@ -115,7 +115,9 @@ func PackF16(w *Tensor) *PackedWeights {
 // PackInt8 quantizes a rank-2 f32 matrix to symmetric per-channel int8:
 // scale = absmax/127 along the given axis (ScalePerRow or ScalePerCol),
 // values rounded to nearest even and clamped to [-127, 127]. An all-zero
-// channel gets scale 0 and dequantizes to exact zeros.
+// channel gets scale 0 and dequantizes to exact zeros. Non-finite weights
+// have no int8 form (a NaN packs to 0; an Inf makes its channel dequantize
+// to NaN), so callers reject them first, as nn.Compress does.
 func PackInt8(w *Tensor, axis int) *PackedWeights {
 	rows, cols := check2D(w, "w")
 	if axis != ScalePerRow && axis != ScalePerCol {

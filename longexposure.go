@@ -40,8 +40,8 @@
 //
 // The package re-exports the stable surface of the internal packages:
 // model specs (paper Table II), PEFT methods (Table I), the Long Exposure
-// session (core), the experiment drivers that regenerate every paper table
-// and figure, and the GPU cost model used for paper-scale projections.
+// session (core) and the experiment drivers that regenerate every paper
+// table and figure.
 package longexposure
 
 import (
@@ -49,7 +49,6 @@ import (
 	"longexposure/internal/core"
 	"longexposure/internal/data"
 	"longexposure/internal/experiments"
-	"longexposure/internal/gpusim"
 	"longexposure/internal/infer"
 	"longexposure/internal/jobs"
 	"longexposure/internal/limit"
@@ -217,12 +216,6 @@ var ExtractDelta = peft.Delta
 
 // CompileAdapter turns an artifact's parameters into decode-time weights.
 var CompileAdapter = infer.Compile
-
-// GPU cost-model devices (paper §VII-A platforms).
-var (
-	A100  = gpusim.A100
-	A6000 = gpusim.A6000
-)
 
 // Observability and traffic control (internal/obs + internal/limit).
 
