@@ -122,7 +122,7 @@ func maskedDiff(got, q, k, v []float32, s, hd int, scale float32, l *sparse.Layo
 		tensor.SoftmaxRow(row)
 	}
 	want := make([]float32, s*hd)
-	tensor.GemmRange(want, scores.Data, v, s, hd, s, 0, s)
+	tensor.GemmRange(want, scores.Data, v, s, hd, s, hd, 0, s)
 	var m float64
 	for i := range want {
 		d := math.Abs(float64(got[i] - want[i]))

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"longexposure/internal/core"
@@ -13,7 +14,7 @@ import (
 // fig7Methods are the PEFT methods Figures 7, 8 and 13 average over.
 var fig7Methods = []peft.Method{peft.LoRA, peft.Adapter, peft.BitFit}
 
-// stepRun is one measured dense-vs-Long-Exposure comparison: mean step
+// stepRun is one measured dense-vs-Long-Exposure comparison: median step
 // time and step-arena high-water bytes of each engine.
 type stepRun struct {
 	seq                 int
@@ -24,8 +25,11 @@ type stepRun struct {
 
 // measureSteps fine-tunes the dense baseline and Long Exposure on the same
 // batches from the same seed, for every method in fig7Methods and every
-// sequence length from 4·blk doubling up to the spec's MaxSeq. Runs come
-// back ordered by sequence length, then method.
+// sequence length from 4·blk doubling up to the spec's MaxSeq. After one
+// warm-up step each (allocator, caches), the engines alternate step by
+// step over the batches, so a change in the machine's speed lands on
+// both, and each reports its median step time. Runs come back ordered by
+// sequence length, then method.
 func measureSteps(o Options, act nn.Activation) (model.Spec, int, []stepRun) {
 	spec := o.simSpec(act)
 	batch, _, blk := o.simGeometry()
@@ -39,17 +43,32 @@ func measureSteps(o Options, act nn.Activation) (model.Spec, int, []stepRun) {
 			sys := core.New(cfg)
 			sys.PretrainPredictors(idsOf(batches, o.pick(1, 3)), predictorTrainCfg(o))
 			le := sys.Engine()
-			run := stepRun{seq: seq, method: m}
-			dense.Run(batches[:1], 1) // warm-up (allocator, caches)
-			run.denseStep = dense.Run(batches, 1).MeanStepTime().Total()
-			run.denseArena = dense.Workspace().AllocBytes()
-			le.Run(batches[:1], 1)
-			run.leStep = le.Run(batches, 1).MeanStepTime().Total()
-			run.leArena = le.Workspace().AllocBytes()
-			runs = append(runs, run)
+			dense.Step(batches[0])
+			le.Step(batches[0])
+			denseT, leT := make([]time.Duration, len(batches)), make([]time.Duration, len(batches))
+			for i, b := range batches {
+				_, t := dense.Step(b)
+				denseT[i] = t.Total()
+				_, t = le.Step(b)
+				leT[i] = t.Total()
+			}
+			runs = append(runs, stepRun{
+				seq: seq, method: m,
+				denseStep: medianDuration(denseT), leStep: medianDuration(leT),
+				denseArena: dense.Workspace().AllocBytes(), leArena: le.Workspace().AllocBytes(),
+			})
 		}
 	}
 	return spec, batch, runs
+}
+
+// medianDuration returns the median of ts, sorting it in place.
+func medianDuration(ts []time.Duration) time.Duration {
+	slices.Sort(ts)
+	if n := len(ts); n%2 == 0 {
+		return (ts[n/2-1] + ts[n/2]) / 2
+	}
+	return ts[len(ts)/2]
 }
 
 // Fig7 regenerates Figure 7: execution time per batch and Long Exposure
@@ -73,7 +92,7 @@ func Fig13(o Options) *Report {
 }
 
 // speedupSection adds one row per sequence length: each method's measured
-// dense→LE mean step time and speedup, then the average speedup.
+// dense→LE median step time and speedup, then the average speedup.
 func speedupSection(r *Report, o Options, act nn.Activation) {
 	spec, batch, runs := measureSteps(o, act)
 	headers := []string{"Seq"}

@@ -31,9 +31,12 @@ import (
 // multi-adapter serving structure internal/infer builds on.
 
 // KVCache holds one sequence's cached attention keys and values: per layer,
-// per head, a packed [MaxSeq·headDim] buffer. Len counts cached positions
-// (prompt-tuning rows included). Buffers are plainly allocated — a cache
-// outlives every step arena the sequence uses.
+// per head, the keys transposed, Kᵀ_h [headDim × MaxSeq] (position p is
+// column p, so appending a position writes one column), and the values
+// [MaxSeq × headDim]. A row's scores then read Kᵀ_h as the b of an a·b
+// product, on the same AVX axpy kernel as its context. Len counts cached
+// positions (prompt-tuning rows included). Buffers are plainly allocated —
+// a cache outlives every step arena the sequence uses.
 type KVCache struct {
 	Heads, HeadDim, MaxSeq int
 	Len                    int
@@ -42,7 +45,7 @@ type KVCache struct {
 }
 
 type kvLayer struct {
-	k, v [][]float32 // [head][MaxSeq*headDim]
+	k, v [][]float32 // [head][headDim*MaxSeq] transposed, [head][MaxSeq*headDim]
 }
 
 // NewKVCache allocates an empty cache sized for the model.
@@ -289,94 +292,91 @@ func decodeAttention(a *MultiHeadAttention, x *tensor.Tensor, seqs []DecodeSeq, 
 				la.V.addTo(rowsOf(ws, v, lo, hi), xs, ws)
 			}
 		}
-		attendCached(a, ctx.Data[lo*d:hi*d], q.Data[lo*d:hi*d], k.Data[lo*d:hi*d], v.Data[lo*d:hi*d],
-			&s.Cache.layers[li], s.Cache.Len, s.Plan, li, ws)
+		attendCached(a, ctx.Data[lo*d:hi*d], q.Data[lo*d:hi*d], k.Data[lo*d:hi*d], v.Data[lo*d:hi*d], s.Cache, li, s.Plan, ws)
 	}
 	return a.Wo.base(ctx, ws)
 }
 
 // attendCached computes causal attention for one sequence's n new rows
-// (q, k, v, ctx: [n, dim]) against its cached prefix, appending the rows'
-// K/V to the cache at p0. Per new row r at absolute position p0+r it
-// mirrors row p0+r of the training operator over the full causal layout
-// (sparse.MultiHeadSDD → MultiHeadCausalSoftmax → MultiHeadDSD) operation
-// for operation: raw k-ascending dot scores, scale on the visible prefix,
-// stable softmax with CausalSoftmax's rounding (tensor.SoftmaxRow),
-// probability-weighted V accumulation in ascending key order with the
-// zero-probability skip.
+// (q, k, v, ctx: [n, dim]) against its layer-li cache, appending the rows'
+// K/V at c.Len. Per new row r at absolute position p = c.Len+r it mirrors
+// row p of the training operator over the full causal layout
+// (sparse.MultiHeadSDD → MultiHeadCausalSoftmax → MultiHeadDSD): per head
+// and span of positions, one tensor.GemmRange sums every new row's
+// k-ascending scores q_h·Kᵀ_h[:, lo:hi] (reading the transposed keys at
+// row stride MaxSeq), and each row keeps those of its visible prefix;
+// they are scaled, softmaxed with CausalSoftmax's rounding
+// (tensor.SoftmaxRow), and one GemmRange per row and span accumulates the
+// probability-weighted V rows in ascending key order, skipping zero
+// probabilities. The scores' axpy skips zero q entries, which can change
+// only the sign of a zero score, and exp erases that.
 //
 // The plan's layer-li selection, when non-nil on a single-row step,
-// restricts the visible prefix to the listed KV-position blocks (the
-// block holding the current position must be listed): scores are gathered
-// compactly over just the selected positions, softmax normalizes over that
-// support, and only the selected V rows accumulate — the block-sparse
-// attention read of the paper's shadowy attention, on the cache. Skipped
-// positions cost nothing, which is where the tokens/sec win at long
-// prefixes comes from. Prefill and multi-row steps attend densely.
-func attendCached(a *MultiHeadAttention, ctx, q, k, v []float32, kv *kvLayer, p0 int, plan *DecodePlan, li int, ws *tensor.Arena) {
+// restricts the spans to the listed KV-position blocks (the block holding
+// the current position must be listed; a block past it is skipped):
+// softmax normalizes over that support, and only the selected V rows
+// accumulate — the block-sparse attention read of the paper's shadowy
+// attention, on the cache. Skipped positions cost nothing, which is where
+// the tokens/sec win at long prefixes comes from. Prefill and multi-row
+// steps attend densely.
+func attendCached(a *MultiHeadAttention, ctx, q, k, v []float32, c *KVCache, li int, plan *DecodePlan, ws *tensor.Arena) {
 	attnBlocks, blk := plan.layerAttn(li)
-	d, hd := a.Dim, a.HeadDim
+	d, hd, ms, kv := a.Dim, a.HeadDim, c.MaxSeq, &c.layers[li]
 	n := len(q) / d
 	for r := 0; r < n; r++ {
+		p := c.Len + r
 		for h := 0; h < a.Heads; h++ {
-			copy(kv.k[h][(p0+r)*hd:(p0+r+1)*hd], k[r*d+h*hd:r*d+(h+1)*hd])
-			copy(kv.v[h][(p0+r)*hd:(p0+r+1)*hd], v[r*d+h*hd:r*d+(h+1)*hd])
+			for i, kc := range k[r*d+h*hd : r*d+(h+1)*hd] {
+				kv.k[h][i*ms+p] = kc
+			}
+			copy(kv.v[h][p*hd:(p+1)*hd], v[r*d+h*hd:r*d+(h+1)*hd])
 		}
 	}
-	// Dense reads one span, the visible prefix; a selection one per block.
-	spans := 1
-	if attnBlocks != nil && n == 1 {
-		spans = len(attnBlocks)
+	// The spans of visible positions, [lo, hi) pairs, of the last row: the
+	// whole prefix, or a single row's selected blocks that start at or
+	// before its position, adjacent ones merged. Row r sees the first
+	// w-(n-1-r) of their w positions.
+	p := c.Len + n - 1
+	spans, w := ws.Ints(2 * max(1, len(attnBlocks)))[:0], 0
+	if attnBlocks == nil || n > 1 {
+		spans, w = append(spans, 0, p+1), p+1
 	} else {
-		attnBlocks = nil
-	}
-	span := func(b, p int) (lo, hi int) {
-		if attnBlocks == nil {
-			return 0, p + 1
+		for _, b := range attnBlocks {
+			lo, hi := b*blk, min((b+1)*blk, p+1)
+			switch {
+			case lo > p:
+				continue
+			case len(spans) > 0 && spans[len(spans)-1] == lo:
+				spans[len(spans)-1] = hi
+			default:
+				spans = append(spans, lo, hi)
+			}
+			w += hi - lo
 		}
-		return attnBlocks[b] * blk, min((attnBlocks[b]+1)*blk, p+1)
 	}
-
+	if w == 0 {
+		panic("nn: decode plan selects no visible attention blocks")
+	}
 	scale := float32(1 / math.Sqrt(float64(hd)))
-	scores := ws.FloatsDirty(p0 + n)
+	scores := ws.Floats(n * w) // [n × w]: one span when n > 1
 	for h := 0; h < a.Heads; h++ {
-		kh, vh := kv.k[h], kv.v[h]
+		if h > 0 {
+			clear(scores)
+		}
+		for i, j := 0, 0; i < len(spans); i, j = i+2, j+spans[i+1]-spans[i] {
+			lo, hi := spans[i], spans[i+1]
+			tensor.GemmRange(scores[j:], q[h*hd:], kv.k[h][lo:], hd, hi-lo, d, ms, 0, n)
+		}
 		for r := 0; r < n; r++ {
-			p := p0 + r // absolute position; rows 0..p are visible
-			qrow := q[r*d+h*hd : r*d+(h+1)*hd]
-			cnt := 0
-			for b := 0; b < spans; b++ {
-				lo, hi := span(b, p)
-				for j := lo; j < hi; j++ {
-					kj := kh[j*hd : (j+1)*hd]
-					var s float32
-					for c, qv := range qrow {
-						s += qv * kj[c]
-					}
-					scores[cnt] = s * scale
-					cnt++
-				}
+			row := scores[r*w : (r+1)*w-(n-1-r)]
+			for i := range row {
+				row[i] *= scale
 			}
-			if cnt == 0 {
-				panic("nn: decode plan selects no visible attention blocks")
-			}
-			row := scores[:cnt]
 			tensor.SoftmaxRow(row)
-			out := ctx[r*d+h*hd : r*d+(h+1)*hd]
-			cnt = 0
-			for b := 0; b < spans; b++ {
-				lo, hi := span(b, p)
-				for j := lo; j < hi; j++ {
-					pj := row[cnt]
-					cnt++
-					if pj == 0 {
-						continue
-					}
-					vj := vh[j*hd : (j+1)*hd]
-					for c, vv := range vj {
-						out[c] += pj * vv
-					}
-				}
+			for i, j := 0, 0; i < len(spans) && j < len(row); i, j = i+2, j+spans[i+1]-spans[i] {
+				lo := spans[i]
+				hi := min(spans[i+1], lo+len(row)-j)
+				tensor.GemmRange(ctx[r*d+h*hd:], row[j:], kv.v[h][lo*hd:hi*hd], hi-lo, hd, hi-lo, hd, 0, 1)
 			}
 		}
 	}

@@ -105,6 +105,42 @@ func TestDecodeBitIdenticalToGenerate(t *testing.T) {
 	}
 }
 
+// TestDecodeParityAtKernelTails pins decode-vs-Forward logit bit parity
+// where the attention GEMMs run their tails: head dim 12 (one 8-lane group
+// and four scalar lanes), MaxSeq 37 (the transposed K cache's row stride
+// is no multiple of 8), and prefills of 7, 8, 9 and 17 rows, each decoded
+// on to 36 positions, so every row's span of visible keys crosses the 8-
+// and 32-lane boundaries.
+func TestDecodeParityAtKernelTails(t *testing.T) {
+	cfg := Config{Name: "tails", Vocab: 19, Dim: 24, Layers: 2, Heads: 2, Hidden: 40, MaxSeq: 37, Act: ActReLU}
+	m := NewTransformer(cfg, tensor.NewRNG(910))
+	trainSteps(m, 2)
+	rng := tensor.NewRNG(911)
+	ids := make([]int, cfg.MaxSeq-1)
+	for i := range ids {
+		ids[i] = rng.Intn(cfg.Vocab)
+	}
+	wsD, wsF := tensor.NewArena(), tensor.NewArena()
+	for _, prefill := range []int{7, 8, 9, 17} {
+		cache := m.NewKVCache()
+		got := m.DecodeStepCfg(cache, ids[:prefill], DecodeStepConfig{WS: wsD})
+		for n := prefill; ; n++ {
+			want := m.Forward([][]int{ids[:n]}, nil, wsF).Row(n - 1)
+			for j, v := range got.Row(0) {
+				if v != want[j] {
+					t.Fatalf("prefill %d, position %d: logit %d = %v decoded, %v by Forward", prefill, n-1, j, v, want[j])
+				}
+			}
+			wsD.Release()
+			wsF.Release()
+			if n == len(ids) {
+				break
+			}
+			got = m.DecodeStepCfg(cache, ids[n:n+1], DecodeStepConfig{WS: wsD})
+		}
+	}
+}
+
 // TestDecodeStepIncrementalMatchesPrefill pins that feeding a prompt token
 // by token produces the same logits as one prefill call — the continuous
 // batching scheduler relies on chunk-size independence.

@@ -60,7 +60,7 @@ func denseCausalAttention(out, q, k, v []float32, s, hd int, scale float32) *ten
 		}
 		tensor.SoftmaxRow(row)
 	}
-	tensor.GemmRange(out, scores.Data, v, s, hd, s, 0, s)
+	tensor.GemmRange(out, scores.Data, v, s, hd, s, hd, 0, s)
 	return scores
 }
 

@@ -45,7 +45,7 @@ func DSD(dst []float32, sp *BlockSparse, b []float32, n int) {
 		ptr := sp.L.RowPtr(br)
 		for i, bc32 := range sp.L.RowBlocks(br) {
 			bc, id := int(bc32), ptr+int32(i)
-			tensor.GemmRange(out, sp.Block(id), b[bc*blk*n:(bc*blk+blk)*n], blk, n, blk, 0, blk)
+			tensor.GemmRange(out, sp.Block(id), b[bc*blk*n:(bc*blk+blk)*n], blk, n, blk, n, 0, blk)
 		}
 	}
 }

@@ -24,7 +24,7 @@ func denseMaskedAttention(q, k, v []float32, s, hd int, scale float32, l *Layout
 		tensor.SoftmaxRow(row)
 	}
 	out := make([]float32, s*hd)
-	tensor.GemmRange(out, scores.Data, v, s, hd, s, 0, s)
+	tensor.GemmRange(out, scores.Data, v, s, hd, s, hd, 0, s)
 	return out, scores
 }
 

@@ -130,7 +130,7 @@ func MultiHeadDSD(out, b [][]float32, c *CombinedSparse, n int) {
 		dst := g.x[h][br*blk*n : (br+1)*blk*n]
 		off := g.c.HL.DataOff[h] + int(l.RowPtr(br))
 		for i, bc := range l.RowBlocks(br) {
-			tensor.GemmRange(dst, g.c.block(off+i), g.y[h][int(bc)*blk*n:(int(bc)+1)*blk*n], blk, n, blk, 0, blk)
+			tensor.GemmRange(dst, g.c.block(off+i), g.y[h][int(bc)*blk*n:(int(bc)+1)*blk*n], blk, n, blk, n, 0, blk)
 		}
 	})
 }

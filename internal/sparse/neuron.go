@@ -151,7 +151,7 @@ func hiddenChunk(g neuronCall, lo, hi int) {
 func denseChunk(g neuronCall, lo, hi int) {
 	for i := 0; i < len(g.blocks); {
 		h0, h1, next := g.run(g.blocks, i)
-		tensor.GemmRange(g.dense, g.hid[h0:], g.w[h0*g.d:h1*g.d], h1-h0, g.d, g.h, lo, hi)
+		tensor.GemmRange(g.dense, g.hid[h0:], g.w[h0*g.d:h1*g.d], h1-h0, g.d, g.h, g.d, lo, hi)
 		i = next
 	}
 }

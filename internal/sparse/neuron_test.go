@@ -41,7 +41,7 @@ func TestFC1SparseAllBlocksEqualsDense(t *testing.T) {
 	FC1Sparse(got, x, tokens, w, AllBlocks(H, blk), blk)
 
 	want := make([]float32, tokens*H)
-	tensor.GemmRange(want, x, wrm, d, H, d, 0, tokens)
+	tensor.GemmRange(want, x, wrm, d, H, d, H, 0, tokens)
 
 	for i := range want {
 		if got[i] != want[i] {
@@ -99,7 +99,7 @@ func TestFC2SparseAllBlocksEqualsDense(t *testing.T) {
 	FC2Sparse(got, hidden, tokens, w, AllBlocks(H, blk), blk)
 
 	want := make([]float32, tokens*d)
-	tensor.GemmRange(want, hidden, wrm, H, d, H, 0, tokens)
+	tensor.GemmRange(want, hidden, wrm, H, d, H, d, 0, tokens)
 
 	for i := range want {
 		if got[i] != want[i] {
@@ -129,7 +129,7 @@ func TestFC2SparseSubsetEqualsZeroedHidden(t *testing.T) {
 		}
 	}
 	want := make([]float32, tokens*d)
-	tensor.GemmRange(want, hz, w.Data, H, d, H, 0, tokens)
+	tensor.GemmRange(want, hz, w.Data, H, d, H, d, 0, tokens)
 
 	for i := range want {
 		if got[i] != want[i] {
@@ -303,7 +303,7 @@ func TestNeuronKernelsMatchDenseCores(t *testing.T) {
 				got := append([]float32(nil), start...)
 				run(got)
 				want := append([]float32(nil), start...)
-				tensor.GemmRange(want, hz, w, H, d, H, 0, tokens)
+				tensor.GemmRange(want, hz, w, H, d, H, d, 0, tokens)
 				same(kernel, got, want)
 			}
 			denseOut("FC2Sparse", func(out []float32) { FC2Sparse(out, hidden, tokens, w2, tc.blocks, tc.blk) }, w2.Data)

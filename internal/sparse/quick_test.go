@@ -123,7 +123,7 @@ func TestQuickDSDMatchesDense(t *testing.T) {
 		got := make([]float32, s*n)
 		DSD(got, sp, b, n)
 		want := make([]float32, s*n)
-		tensor.GemmRange(want, sp.ToDense().Data, b, s, n, s, 0, s)
+		tensor.GemmRange(want, sp.ToDense().Data, b, s, n, s, n, 0, s)
 		for i := range want {
 			if math.Abs(float64(got[i]-want[i])) > 1e-3 {
 				return false

@@ -454,3 +454,230 @@ dot8adv:
 	JNZ  dot8row
 	VZEROUPPER
 	RET
+
+// tbmask<> holds three all-ones words then zeros: the four words from
+// byte 12 − 4·kr are a VMASKMOVPS mask of the first kr lanes.
+DATA tbmask<>+0(SB)/4, $0xffffffff
+DATA tbmask<>+4(SB)/4, $0xffffffff
+DATA tbmask<>+8(SB)/4, $0xffffffff
+DATA tbmask<>+12(SB)/4, $0
+DATA tbmask<>+16(SB)/4, $0
+DATA tbmask<>+20(SB)/4, $0
+DATA tbmask<>+24(SB)/4, $0
+DATA tbmask<>+28(SB)/4, $0
+GLOBL tbmask<>(SB), RODATA|NOPTR, $32
+
+// TRANSPOSE4 turns Y0–Y3, where Yr holds k-steps 0–3 of b row r in its low
+// half and of row r+4 in its high half, into Y0–Y3 holding k-step s of
+// rows 0–7 (lane j = row j): a 4×4 transpose in each 128-bit half.
+#define TRANSPOSE4 \
+	VUNPCKLPS Y1, Y0, Y4; \
+	VUNPCKHPS Y1, Y0, Y5; \
+	VUNPCKLPS Y3, Y2, Y6; \
+	VUNPCKHPS Y3, Y2, Y7; \
+	VSHUFPS   $0x44, Y6, Y4, Y0; \
+	VSHUFPS   $0xee, Y6, Y4, Y1; \
+	VSHUFPS   $0x44, Y7, Y5, Y2; \
+	VSHUFPS   $0xee, Y7, Y5, Y3
+
+// LOADQ loads the four k-steps at byte off of the eight b rows at
+// R8 + r·ldb (rows 3–7 from R11 = R8 + 3·ldb; R9 = ldb, R10 = 3·ldb, all
+// in bytes) into Y0–Y3 as TRANSPOSE4 takes them; LOADT loads the first kr
+// steps at R8 under the mask X10, reading nothing past them.
+#define LOADQ(off) \
+	VMOVUPS     off(R8), X0; \
+	VINSERTF128 $1, off(R8)(R9*4), Y0, Y0; \
+	VMOVUPS     off(R8)(R9*1), X1; \
+	VINSERTF128 $1, off(R11)(R9*2), Y1, Y1; \
+	VMOVUPS     off(R8)(R9*2), X2; \
+	VINSERTF128 $1, off(R11)(R10*1), Y2, Y2; \
+	VMOVUPS     off(R11), X3; \
+	VINSERTF128 $1, off(R11)(R9*4), Y3, Y3
+
+#define LOADT \
+	VMASKMOVPS  (R8), X10, X0; \
+	VMASKMOVPS  (R8)(R9*4), X10, X4; \
+	VINSERTF128 $1, X4, Y0, Y0; \
+	VMASKMOVPS  (R8)(R9*1), X10, X1; \
+	VMASKMOVPS  (R11)(R9*2), X10, X5; \
+	VINSERTF128 $1, X5, Y1, Y1; \
+	VMASKMOVPS  (R8)(R9*2), X10, X2; \
+	VMASKMOVPS  (R11)(R10*1), X10, X6; \
+	VINSERTF128 $1, X6, Y2, Y2; \
+	VMASKMOVPS  (R11), X10, X3; \
+	VMASKMOVPS  (R11)(R9*4), X10, X7; \
+	VINSERTF128 $1, X7, Y3, Y3
+
+// DOTSTEP adds a[off/4] (at off(AX)) times the k-step col to acc; DOTQ
+// runs the four steps at byte off of the group at R8.
+#define DOTSTEP(col, off, acc) \
+	VBROADCASTSS off(AX), Y8; \
+	VMULPS       col, Y8, Y8; \
+	VADDPS       Y8, acc, acc
+
+#define DOTQ(acc, off) \
+	LOADQ(off); \
+	TRANSPOSE4; \
+	DOTSTEP(Y0, off, acc); \
+	DOTSTEP(Y1, off+4, acc); \
+	DOTSTEP(Y2, off+8, acc); \
+	DOTSTEP(Y3, off+12, acc)
+
+// NEXTGROUP moves R8 and R11 eight b rows on (R13 = 8·ldb); PREVGROUP
+// moves them back.
+#define NEXTGROUP \
+	ADDQ R13, R8; \
+	ADDQ R13, R11
+
+#define PREVGROUP \
+	SUBQ R13, R8; \
+	SUBQ R13, R11
+
+// PAIRQ runs DOTQ on the group at R8 into Y14 and on the next into Y15;
+// PAIR4 runs sixteen k-steps of both.
+#define PAIRQ(off) \
+	DOTQ(Y14, off); \
+	NEXTGROUP; \
+	DOTQ(Y15, off); \
+	PREVGROUP
+
+#define PAIR4 \
+	PAIRQ(0); \
+	PAIRQ(16); \
+	PAIRQ(32); \
+	PAIRQ(48)
+
+// func gemmDotTAVX(c, a, b *float32, k, n int)
+//
+// c[j] += Σ_kk a[kk] · b[j·k + kk] for every lane j < n, a multiple of 8:
+// one row of a·bᵀ with b's rows read where they lie. Eight rows of b at a
+// time are loaded four k-steps deep and transposed in registers, so lane j
+// of a YMM register holds b row j; each lane accumulates from +0, kk
+// ascending, one VMULPS then one VADDPS per step, as gemmDotAVX's lanes
+// do, and its sum is then added to c. Two groups of eight rows run side
+// by side, sixteen k-steps per loop turn, so two independent sums hide
+// the VADDPS latency; a last odd group runs alone. The last k mod 4 steps
+// load under a mask. k, n ≥ 1.
+TEXT ·gemmDotTAVX(SB), NOSPLIT, $0-40
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ k+24(FP), R9
+	MOVQ n+32(FP), R12
+	SHRQ $3, R12
+	MOVQ R9, BX
+	ANDQ $3, BX
+	SHLQ $2, R9
+	LEAQ (R9)(R9*2), R10
+	MOVQ R9, R13
+	SHLQ $3, R13
+	LEAQ tbmask<>(SB), AX
+	MOVQ BX, CX
+	NEGQ CX
+	VMOVUPS 12(AX)(CX*4), X10
+
+tbpair:
+	CMPQ   R12, $2
+	JLT    tbone
+	VXORPS Y14, Y14, Y14
+	VXORPS Y15, Y15, Y15
+	MOVQ   DX, R8
+	LEAQ   (DX)(R10*1), R11
+	MOVQ   SI, AX
+	MOVQ   k+24(FP), CX
+	SHRQ   $2, CX
+
+tbpair4:
+	CMPQ CX, $4
+	JLT  tbpairq
+	PAIR4
+	ADDQ $64, R8
+	ADDQ $64, R11
+	ADDQ $64, AX
+	SUBQ $4, CX
+	JMP  tbpair4
+
+tbpairq:
+	TESTQ CX, CX
+	JZ    tbpairtail
+	PAIRQ(0)
+	ADDQ  $16, R8
+	ADDQ  $16, R11
+	ADDQ  $16, AX
+	DECQ  CX
+	JMP   tbpairq
+
+tbpairtail:
+	TESTQ BX, BX
+	JZ    tbpairdone
+	LOADT
+	TRANSPOSE4
+	DOTSTEP(Y0, 0, Y14)
+	CMPQ  BX, $2
+	JLT   tbpairtail2
+	DOTSTEP(Y1, 4, Y14)
+	CMPQ  BX, $3
+	JLT   tbpairtail2
+	DOTSTEP(Y2, 8, Y14)
+
+tbpairtail2:
+	NEXTGROUP
+	LOADT
+	TRANSPOSE4
+	DOTSTEP(Y0, 0, Y15)
+	CMPQ  BX, $2
+	JLT   tbpairdone
+	DOTSTEP(Y1, 4, Y15)
+	CMPQ  BX, $3
+	JLT   tbpairdone
+	DOTSTEP(Y2, 8, Y15)
+
+tbpairdone:
+	VADDPS  (DI), Y14, Y14
+	VADDPS  32(DI), Y15, Y15
+	VMOVUPS Y14, (DI)
+	VMOVUPS Y15, 32(DI)
+	ADDQ    $64, DI
+	LEAQ    (DX)(R13*2), DX
+	SUBQ    $2, R12
+	JMP     tbpair
+
+tbone:
+	TESTQ  R12, R12
+	JZ     tbdone
+	VXORPS Y14, Y14, Y14
+	MOVQ   DX, R8
+	LEAQ   (DX)(R10*1), R11
+	MOVQ   SI, AX
+	MOVQ   k+24(FP), CX
+	SHRQ   $2, CX
+	JZ     tbonetail
+
+tboneloop:
+	DOTQ(Y14, 0)
+	ADDQ $16, R8
+	ADDQ $16, R11
+	ADDQ $16, AX
+	DECQ CX
+	JNZ  tboneloop
+
+tbonetail:
+	TESTQ BX, BX
+	JZ    tbonedone
+	LOADT
+	TRANSPOSE4
+	DOTSTEP(Y0, 0, Y14)
+	CMPQ  BX, $2
+	JLT   tbonedone
+	DOTSTEP(Y1, 4, Y14)
+	CMPQ  BX, $3
+	JLT   tbonedone
+	DOTSTEP(Y2, 8, Y14)
+
+tbonedone:
+	VADDPS  (DI), Y14, Y14
+	VMOVUPS Y14, (DI)
+
+tbdone:
+	VZEROUPPER
+	RET

@@ -13,3 +13,7 @@ func gemmAxpyAVX(c, a, b *float32, kc, as, ldb, w, rows, ldc, ars int) {
 func gemmDotAVX(c, s, a, b *float32, kc, w, rows, ldc, lda int) {
 	panic("tensor: no AVX kernels on this architecture")
 }
+
+func gemmDotTAVX(c, a, b *float32, k, n int) {
+	panic("tensor: no AVX kernels on this architecture")
+}

@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // Register-kernel GEMM cores. These are the hot paths behind
 // GemmRange/GemmTBRange/GemmTARange; the straight i-k-j seed cores live in
 // matmul.go as GemmRangeNaive et al. and remain the correctness references.
@@ -22,14 +24,16 @@ package tensor
 // once at init) both run as the assembly kernels of gemm_amd64.s, eight
 // lanes per instruction: 32 lanes in four YMM registers, or 8 in one (the
 // dot kernel then runs four rows at once, one register each). Lanes of
-// gemmAxpy past the last 8-lane group run a scalar loop. Without AVX both
-// run Go implementations of the same primitives, eight lanes held in
-// registers at a time (gemmAxpy8, gemmDot8); the f32 GemmTBRange then
-// never packs, and its scalar 4-wide core reads b's rows in place, while
-// GemmTBRangePacked still runs gemmDot. The kernels have no bounds
-// checks: gemmAxpy and gemmDot cut every operand to exactly the extent the
-// kernel touches, checked against len (span), so a short slice panics in
-// Go before any kernel runs.
+// gemmAxpy past the last 8-lane group run a scalar loop. An f32
+// GemmTBRange of fewer than gemmTBMinRows rows does not pack: gemmDotTAVX
+// runs gemmDot's lanes over b's rows where they lie, transposing eight
+// rows at a time in registers. Without AVX both primitives run Go
+// implementations, eight lanes held in registers at a time (gemmAxpy8,
+// gemmDot8); the f32 GemmTBRange then never packs, and its scalar 4-wide
+// core reads b's rows in place, while GemmTBRangePacked still runs
+// gemmDot. The kernels have no bounds checks: their Go callers cut every
+// operand to exactly the extent the kernel touches, checked against len
+// (span), so a short slice panics in Go before any kernel runs.
 //
 // Loop order: k is cut into panels of gemmKC rows of b and the columns into
 // stripes of gemmNC, and every row of a range sweeps one panel stripe
@@ -63,14 +67,14 @@ const (
 	gemmKC    = 256 // k-panel depth; gemmKC·gemmNC·4 B = 32 KiB ≈ L1d
 
 	// gemmTBMinRows is the fewest rows GemmTBRange packs b for. The pack
-	// copies b once per call whatever the row count, so few rows run the
-	// scalar core, which reads b's rows in place. Single thread on a 2 GHz
-	// Intel Xeon VM, scalar against packed: one row loses to the pack at
-	// every shape measured (k×n = 64×256 8.7 vs 12 µs, 768×768 0.27 vs
-	// 0.47 ms); two rows tie overall (64×256 17 vs 15 µs, 768×768 0.45 vs
-	// 0.52 ms, 128×128 15 vs 15 µs); three rows win packed everywhere
-	// (64×256 23 vs 18 µs, 256×64 28 vs 15 µs, 768×768 0.82 vs 0.52 ms).
-	gemmTBMinRows = 3
+	// copies b once per call whatever the row count, so with AVX fewer
+	// rows run gemmDotTAVX over b's rows in place, which reloads and
+	// re-transposes b for every row. Single thread on an Intel Xeon VM, in
+	// place against packed, at k×n = 64×256 (decode's FC1): one row 2.4 vs
+	// 7.7 µs, three 4.7 vs 8.5, four 6.1 vs 9.9, eight 14.5 vs 11.6; at
+	// 768×768 one row 67 vs 252 µs and four 253 vs 411. Training's
+	// many-row calls keep the packed path.
+	gemmTBMinRows = 5
 	// gemmTBRows is how many rows share one packed TB panel and keep their
 	// partial sums between k panels.
 	gemmTBRows = 64
@@ -92,16 +96,16 @@ var useAVX = cpuHasAVX()
 func gemmTiledWorthIt(k, n int) bool { return k >= 8 && n >= gemmNR }
 
 // gemmAxpyRange computes c[i,:] += Σ_kk a[i·ars + kk·as]·b[kk,:] for rows i
-// in [loM, hiM), b: [k,n] and c: [·,n] row-major — GemmRange with ars =
-// lda, as = 1, and GemmTARange with ars = 1, as = m.
-func gemmAxpyRange(c, a, b []float32, k, n, ars, as, loM, hiM int) {
+// in [loM, hiM), b: [k,n] with row stride ldb and c: [·,n] row-major —
+// GemmRange with ars = lda, as = 1, and GemmTARange with ars = 1, as = m.
+func gemmAxpyRange(c, a, b []float32, k, n, ldb, ars, as, loM, hiM int) {
 	if hiM <= loM {
 		return
 	}
 	for k0 := 0; k0 < k; k0 += gemmKC {
 		kc := min(gemmKC, k-k0)
 		for j0 := 0; j0 < n; j0 += gemmNC {
-			gemmAxpy(c[loM*n+j0:], n, a[loM*ars+k0*as:], ars, as, b[k0*n+j0:], n, kc, min(gemmNC, n-j0), hiM-loM)
+			gemmAxpy(c[loM*n+j0:], n, a[loM*ars+k0*as:], ars, as, b[k0*ldb+j0:], ldb, kc, min(gemmNC, n-j0), hiM-loM)
 		}
 	}
 }
@@ -334,14 +338,44 @@ func span(s []float32, n int) []float32 {
 	return s[:n]
 }
 
+// gemmTBRangeInPlace is GemmTBRange for fewer than gemmTBMinRows rows with
+// AVX, n ≥ gemmRowNR: gemmDotTAVX reads b's rows where they lie, so no
+// pack is paid for a few rows' work. Its lanes sum as gemmDot's do — from
+// +0, k ascending, one product then one add per step — so a row equals
+// the same row of a packed many-row call. The last n%gemmRowNR columns run
+// as the eight ending at n, summed into a scratch of -0 (x + -0 is x for
+// every x), and only those columns are added to c, as gemmTBGroups adds
+// its tail group's.
+func gemmTBRangeInPlace(c, a, b []float32, k, n, ldc, loM, hiM int) {
+	full := n - n%gemmRowNR
+	for i := loM; i < hiM; i++ {
+		ai := span(a[i*k:], k)
+		ci := c[i*ldc : i*ldc+n]
+		gemmDotTAVX(&ci[0], &ai[0], &b[0], k, full)
+		if full == n {
+			continue
+		}
+		var t [gemmRowNR]float32
+		for j := range t {
+			t[j] = negZero
+		}
+		gemmDotTAVX(&t[0], &ai[0], &b[(n-gemmRowNR)*k], k, gemmRowNR)
+		for j, v := range t[gemmRowNR-(n-full):] {
+			ci[full+j] += v
+		}
+	}
+}
+
+// negZero is -0, the float32 additive identity.
+var negZero = float32(math.Copysign(0, -1))
+
 // gemmTBRangeTiled computes c[i,j] += dot(a[i,:], b[j,:]) (c += a·bᵀ) for
 // rows i in [loM, hiM) of c (row stride ldc), cache-blocked over rows of b
 // so a stripe of B rows stays resident while every output row sweeps it,
 // with 4 independent dot accumulators sharing each load of a[i,:]. B's rows
-// are already the dot streams, so no packing is needed — the core for
-// calls of too few rows to pay for gemmTBRangeDot's pack, and the only
-// multi-column TB core without AVX. Bit-identical to
-// GemmTBRangeNaive (one accumulator per output element, k ascending).
+// are already the dot streams, so no packing is needed — the multi-column
+// TB core of builds without AVX. Bit-identical to GemmTBRangeNaive (one
+// accumulator per output element, k ascending).
 func gemmTBRangeTiled(c, a, b []float32, k, n, ldc, loM, hiM int) {
 	// Stripe of B rows sized to L1d: jb rows of k float32 ≤ 32 KiB.
 	jb := (32 * 1024 / 4) / k

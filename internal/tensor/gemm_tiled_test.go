@@ -101,19 +101,26 @@ func testGemmTiledBitIdentical(t *testing.T) {
 				for j := range n {
 					b.Data[kz*n+j] = inf * float32(1-2*(j%2))
 				}
-				// A read of a's padding would turn the row into NaN.
+				// A read of a's padding, or of b's when GemmRange reads b
+				// at row stride ldb, would turn the row into NaN.
 				padCols(a, k, lda, float32(math.NaN()))
+				ldb := n + pad
+				bs := New(k, ldb)
+				for kk := range k {
+					copy(bs.Data[kk*ldb:], b.Data[kk*n:(kk+1)*n])
+				}
+				padCols(bs, n, ldb, float32(math.NaN()))
 				got, want := New(m, n), New(m, n)
 				r.FillNormal(got, 1)
 				want.CopyFrom(got)
-				GemmRange(got.Data, a.Data, b.Data, k, n, lda, 0, m)
+				GemmRange(got.Data, a.Data, bs.Data, k, n, lda, ldb, 0, m)
 				GemmRangeNaive(want.Data, a.Data, b.Data, k, n, lda, 0, m)
 				for i := range got.Data {
 					if got.Data[i] != want.Data[i] {
-						t.Fatalf("GemmRange m,k,n=%d,%d,%d lda=%d: bit mismatch at %d: %v vs %v", m, k, n, lda, i, got.Data[i], want.Data[i])
+						t.Fatalf("GemmRange m,k,n=%d,%d,%d lda=%d ldb=%d: bit mismatch at %d: %v vs %v", m, k, n, lda, ldb, i, got.Data[i], want.Data[i])
 					}
 					if v := float64(got.Data[i]); (i/n)%2 == 0 && (math.IsInf(v, 0) || math.IsNaN(v)) {
-						t.Fatalf("GemmRange m,k,n=%d,%d,%d lda=%d: element %d = %v, a zero product was not skipped", m, k, n, lda, i, got.Data[i])
+						t.Fatalf("GemmRange m,k,n=%d,%d,%d lda=%d ldb=%d: element %d = %v, a zero product was not skipped", m, k, n, lda, ldb, i, got.Data[i])
 					}
 				}
 			}
@@ -140,17 +147,26 @@ func testGemmRowCountIndependent(t *testing.T) {
 			run  func(c []float32, lo, hi int)
 		}
 		cores := []core{
-			{"f32", func(c []float32, lo, hi int) { GemmRange(c, a.Data, b.Data, k, n, k, lo, hi) }},
+			{"f32", func(c []float32, lo, hi int) { GemmRange(c, a.Data, b.Data, k, n, k, n, lo, hi) }},
 			{"f16", func(c []float32, lo, hi int) { GemmRangePacked(c, a.Data, f16, k, n, lo, hi) }},
 			{"int8", func(c []float32, lo, hi int) { GemmRangePacked(c, a.Data, i8, k, n, lo, hi) }},
 		}
+		// b's data is also [n,k] for a·bᵀ: rows run alone through the
+		// in-place one-row kernel, and together through the packed groups.
+		bT := Transpose(b)
+		i8T, f16T := PackInt8(bT, ScalePerRow), PackF16(bT)
+		cores = append(cores,
+			core{"f32/tb", func(c []float32, lo, hi int) { GemmTBRange(c, a.Data, b.Data, k, n, n, lo, hi) }},
+			core{"f16/tb", func(c []float32, lo, hi int) { GemmTBRangePacked(c, a.Data, f16T, k, n, lo, hi) }},
+			core{"int8/tb", func(c []float32, lo, hi int) { GemmTBRangePacked(c, a.Data, i8T, k, n, lo, hi) }},
+		)
 		// 2:4 groups run along B's rows: n for a·B, k for a·Bᵀ.
 		if n%4 == 0 {
 			nm := PackNM24(b)
 			cores = append(cores, core{"nm24", func(c []float32, lo, hi int) { GemmRangePacked(c, a.Data, nm, k, n, lo, hi) }})
 		}
 		if k%4 == 0 {
-			nmT := PackNM24(Transpose(b))
+			nmT := PackNM24(bT)
 			cores = append(cores, core{"nm24/tb", func(c []float32, lo, hi int) { GemmTBRangePacked(c, a.Data, nmT, k, n, lo, hi) }})
 		}
 		for _, core := range cores {
@@ -170,8 +186,13 @@ func testGemmRowCountIndependent(t *testing.T) {
 
 // gemmTBShapes add what GemmTBRange's packed path alone sees: more rows
 // than share one packed panel (gemmTBRows), k over several gemmKC panels,
-// and a wide group, a narrow group and a scalar tail column.
-var gemmTBShapes = [][3]int{{gemmTBRows + 6, 2*gemmKC + 9, 41}}
+// and a wide group, a narrow group and a scalar tail column. The one- and
+// two-row shapes run gemmTBRangeInPlace: paired 8-row groups, a last odd
+// group, an n%8 tail and every k%4 tail, with k past gemmKC.
+var gemmTBShapes = [][3]int{
+	{gemmTBRows + 6, 2*gemmKC + 9, 41},
+	{1, gemmKC + 13, 21}, {2, 2*gemmKC + 3, 45}, {1, 2*gemmKC + 10, 11}, {2, gemmKC + 4, 8},
+}
 
 func TestGemmTBTiledBitIdentical(t *testing.T) { forEachKernel(t, testGemmTBTiledBitIdentical) }
 
@@ -241,7 +262,7 @@ func testGemmTiledSubrange(t *testing.T) {
 		r.FillNormal(c, 1)
 		before.CopyFrom(c)
 		lo, hi := 5, 5+rows
-		GemmRange(c.Data, a.Data, b.Data, k, n, k, lo, hi)
+		GemmRange(c.Data, a.Data, b.Data, k, n, k, n, lo, hi)
 		for i := 0; i < m; i++ {
 			changed := false
 			for j := 0; j < n; j++ {
@@ -279,7 +300,7 @@ func TestGemmShortOperandPanics(t *testing.T) {
 			for _, spare := range []int{0, 64} {
 				short := make([]float32, k*n-1, k*n-1+spare)
 				cores := map[string]func(){
-					"GemmRange":   func() { GemmRange(c.Data, a.Data, short, k, n, k, 0, m) },
+					"GemmRange":   func() { GemmRange(c.Data, a.Data, short, k, n, k, n, 0, m) },
 					"GemmTBRange": func() { GemmTBRange(c.Data, a.Data, short, k, n, n, 0, m) },
 					"GemmTARange": func() { GemmTARange(c.Data, a.Data, short, k, m, n, 0, m) },
 				}
@@ -308,7 +329,7 @@ func gemmCoreRows(n int) []kernelRow {
 	}
 	return []kernelRow{
 		row("naive", GemmRangeNaive),
-		row("tiled", GemmRange),
+		row("tiled", func(c, a, b []float32, k, n, lda, lo, hi int) { GemmRange(c, a, b, k, n, lda, n, lo, hi) }),
 		row("tb-naive", GemmTBRangeNaive),
 		row("tb-tiled", GemmTBRange),
 		row("ta-naive", GemmTARangeNaive),

@@ -14,13 +14,15 @@ import (
 // per-element arithmetic exactly.
 
 // GemmRange computes c[i,:] += a[i,:]·b for rows i in [loM, hiM), with
-// a: [m,k] stored with row stride lda ≥ k, b: [k,n], c: [m,n], all
-// row-major. A dense a passes lda = k; a wider stride reads a column
-// window of a larger matrix (the sparse MLP's active hidden neurons).
-// Every row runs the gemmAxpy kernel over b where it lies (gemm_tiled.go),
-// whatever the row count; the result is bit-identical to GemmRangeNaive.
-func GemmRange(c, a, b []float32, k, n, lda, loM, hiM int) {
-	gemmAxpyRange(c, a, b, k, n, lda, 1, loM, hiM)
+// a: [m,k] stored with row stride lda ≥ k, b: [k,n] with row stride
+// ldb ≥ n, c: [m,n], all row-major. Dense operands pass lda = k and
+// ldb = n; a wider stride reads a column window of a larger matrix (the
+// sparse MLP's active hidden neurons in a, a span of cached positions of
+// decode's transposed keys in b). Every row runs the gemmAxpy kernel over
+// b where it lies (gemm_tiled.go), whatever the row count; the result is
+// bit-identical to GemmRangeNaive.
+func GemmRange(c, a, b []float32, k, n, lda, ldb, loM, hiM int) {
+	gemmAxpyRange(c, a, b, k, n, ldb, lda, 1, loM, hiM)
 }
 
 // GemmRangeNaive is the seed i-k-j core, retained as the correctness
@@ -47,19 +49,22 @@ func GemmRangeNaive(c, a, b []float32, k, n, lda, loM, hiM int) {
 // GemmTBRange computes c[i,j] += dot(a[i,:], b[j,:]) for rows i in [loM,
 // hiM), with a: [m,k], b: [n,k] (i.e. c += a·bᵀ) and c: [m,n] stored with
 // row stride ldc ≥ n. A dense c passes ldc = n; a wider stride writes a
-// column window of a larger matrix. Attention scores use it. With AVX,
-// from gemmTBMinRows rows and one 8-column group on, b's rows are packed
-// for the gemmDot kernel; otherwise they are read in place by the scalar
-// 4-wide core, and skinny shapes run the naive core. Results are
-// bit-identical on every path. A b shorter than n·k panics.
+// column window of a larger matrix. Attention scores use it. With AVX and
+// one 8-column group or more, b's rows are packed for the gemmDot kernel
+// from gemmTBMinRows rows on, and fewer rows read them in place through
+// gemmDotTAVX; without AVX the scalar 4-wide core reads them in place.
+// Skinny shapes run the naive core. Results are bit-identical on every
+// path. A b shorter than n·k panics.
 func GemmTBRange(c, a, b []float32, k, n, ldc, loM, hiM int) {
 	if hiM > loM && n*k > 0 {
 		b = span(b, n*k)
 	}
 	switch {
-	case useAVX && hiM-loM >= gemmTBMinRows && k > 0 && n >= gemmRowNR:
+	case useAVX && k > 0 && n >= gemmRowNR && hiM-loM >= gemmTBMinRows:
 		gemmTBRangeDot(c, a, b, nil, k, n, ldc, loM, hiM)
-	case gemmTiledWorthIt(k, n):
+	case useAVX && k > 0 && n >= gemmRowNR:
+		gemmTBRangeInPlace(c, a, b, k, n, ldc, loM, hiM)
+	case !useAVX && gemmTiledWorthIt(k, n):
 		gemmTBRangeTiled(c, a, b, k, n, ldc, loM, hiM)
 	default:
 		GemmTBRangeNaive(c, a, b, k, n, ldc, loM, hiM)
@@ -88,7 +93,7 @@ func GemmTBRangeNaive(c, a, b []float32, k, n, ldc, loM, hiM int) {
 // (xᵀ·dy) use it. It is GemmRange's gemmAxpy kernel reading the column
 // a[:,i] in place at stride m; bit-identical to GemmTARangeNaive.
 func GemmTARange(c, a, b []float32, kDim, m, n, loM, hiM int) {
-	gemmAxpyRange(c, a, b, kDim, n, 1, m, loM, hiM)
+	gemmAxpyRange(c, a, b, kDim, n, n, 1, m, loM, hiM)
 }
 
 // GemmTARangeNaive is the seed aᵀ·b core, retained as the correctness
@@ -124,7 +129,7 @@ type gemmCall struct {
 	p       *PackedWeights
 }
 
-func gemmRangeChunk(g gemmCall, lo, hi int)    { GemmRange(g.c, g.a, g.b, g.k, g.n, g.k, lo, hi) }
+func gemmRangeChunk(g gemmCall, lo, hi int)    { GemmRange(g.c, g.a, g.b, g.k, g.n, g.k, g.n, lo, hi) }
 func gemmTBRangeChunk(g gemmCall, lo, hi int)  { GemmTBRange(g.c, g.a, g.b, g.k, g.n, g.n, lo, hi) }
 func gemmTARangeChunk(g gemmCall, lo, hi int)  { GemmTARange(g.c, g.a, g.b, g.k, g.m, g.n, lo, hi) }
 func gemmPackedChunk(g gemmCall, lo, hi int)   { GemmRangePacked(g.c, g.a, g.p, g.k, g.n, lo, hi) }

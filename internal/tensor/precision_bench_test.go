@@ -100,7 +100,7 @@ func packedGemmRows(n int) []kernelRow {
 	return []kernelRow{
 		{fmt.Sprintf("gemm/f32/tiled/%d", n), flops, act + 4*int64(n)*int64(n), func() {
 			c.Zero()
-			GemmRange(c.Data, a.Data, b.Data, n, n, n, 0, n)
+			GemmRange(c.Data, a.Data, b.Data, n, n, n, n, 0, n)
 		}},
 		{fmt.Sprintf("gemm/f16/packed/%d", n), flops, act + f16.Bytes(), func() {
 			c.Zero()
@@ -192,7 +192,7 @@ func decodeABRows(k, n int) []kernelRow {
 		rows = append(rows,
 			kernelRow{"decode/ab/f32/" + tag, flops, act + 4*int64(k)*int64(n), func() {
 				y.Zero()
-				GemmRange(y.Data, x.Data, w.Data, k, n, k, 0, m)
+				GemmRange(y.Data, x.Data, w.Data, k, n, k, n, 0, m)
 			}},
 			kernelRow{"decode/ab/f16/" + tag, flops, act + f16.Bytes(), func() {
 				y.Zero()

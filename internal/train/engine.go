@@ -1,11 +1,12 @@
 // Package train implements the fine-tuning engine: forward / backward /
 // optimizer-step phases with separate wall-clock accounting (the
 // measurement behind Table I and Figure 10), dense and Long-Exposure
-// execution paths, task evaluation, and a data-parallel multi-worker mode.
+// execution paths, and task evaluation.
 package train
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"time"
 
@@ -320,4 +321,44 @@ func StderrOfAccuracy(acc float64, n int) float64 {
 		return 0
 	}
 	return math.Sqrt(acc * (1 - acc) / float64(n))
+}
+
+// CloneModel deep-copies a transformer's weights into a structurally
+// identical fresh model (same PEFT modules must be re-applied by the
+// caller before cloning trainable state is meaningful; in practice clones
+// are made after peft.Apply, which this helper supports by copying every
+// parameter by position).
+func CloneModel(src *nn.Transformer, rng *tensor.RNG) *nn.Transformer {
+	dst := nn.NewTransformer(src.Cfg, rng)
+	// Recreate structural extensions.
+	for i, b := range src.Blocks {
+		if b.Attn.Wq.HasLoRA() {
+			dst.Blocks[i].Attn.Wq.AddLoRA(fmt.Sprintf("layer%d.attn.q_proj", i), b.Attn.Wq.LoRAA.W.Dim(1), 1, rng)
+			dst.Blocks[i].Attn.Wq.LoRAScale = b.Attn.Wq.LoRAScale
+		}
+		if b.Attn.Wv.HasLoRA() {
+			dst.Blocks[i].Attn.Wv.AddLoRA(fmt.Sprintf("layer%d.attn.v_proj", i), b.Attn.Wv.LoRAA.W.Dim(1), 1, rng)
+			dst.Blocks[i].Attn.Wv.LoRAScale = b.Attn.Wv.LoRAScale
+		}
+		if b.AdptA != nil {
+			dst.Blocks[i].AdptA = nn.NewAdapter(fmt.Sprintf("layer%d.adapter_attn", i), src.Cfg.Dim, b.AdptA.Bottleneck, rng)
+		}
+		if b.AdptM != nil {
+			dst.Blocks[i].AdptM = nn.NewAdapter(fmt.Sprintf("layer%d.adapter_mlp", i), src.Cfg.Dim, b.AdptM.Bottleneck, rng)
+		}
+	}
+	if src.Prompt != nil {
+		dst.EnablePrompt(src.PromptLen, rng)
+	}
+
+	sp := src.Params()
+	dp := dst.Params()
+	if len(sp) != len(dp) {
+		panic(fmt.Sprintf("train: clone parameter count mismatch %d vs %d", len(sp), len(dp)))
+	}
+	for i := range sp {
+		dp[i].W.CopyFrom(sp[i].W)
+		dp[i].Frozen = sp[i].Frozen
+	}
+	return dst
 }

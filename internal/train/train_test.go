@@ -181,92 +181,3 @@ func TestCloneModelPreservesFunction(t *testing.T) {
 		}
 	}
 }
-
-func TestDataParallelReplicasStaySynchronized(t *testing.T) {
-	r := tensor.NewRNG(11)
-	m := nn.NewTransformer(model.SimSmall(nn.ActReLU).Config, r)
-	peft.Apply(m, peft.LoRA, peft.Options{}, r)
-	dp := NewDataParallel(m, 2, func() peft.Optimizer { return peft.NewAdamW(1e-3, 0) }, r)
-
-	batches := copyTaskBatches(64, 4, 8, 8, 12)
-	for _, b := range batches {
-		loss, elapsed := dp.Step(b)
-		if math.IsNaN(loss) || elapsed <= 0 {
-			t.Fatalf("bad step: loss %v elapsed %v", loss, elapsed)
-		}
-	}
-	if drift := dp.MaxReplicaDrift(); drift != 0 {
-		t.Fatalf("replicas drifted by %v", drift)
-	}
-}
-
-// TestDataParallelReplicasShareFrozenBase pins the shared frozen base:
-// every replica reads the source's frozen weight storage, owns its
-// trainable weights, and replicas still train in lockstep.
-func TestDataParallelReplicasShareFrozenBase(t *testing.T) {
-	r := tensor.NewRNG(17)
-	m := nn.NewTransformer(model.SimSmall(nn.ActReLU).Config, r)
-	peft.Apply(m, peft.LoRA, peft.Options{}, r)
-	dp := NewDataParallel(m, 3, func() peft.Optimizer { return peft.NewAdamW(1e-3, 0) }, r)
-
-	src := m.Params()
-	for w := 1; w < len(dp.Workers); w++ {
-		for i, p := range dp.Workers[w].Params() {
-			shared := &p.W.Data[0] == &src[i].W.Data[0]
-			if shared != p.Frozen {
-				t.Fatalf("replica %d %s (frozen %v): weight storage shared = %v", w, p.Name, p.Frozen, shared)
-			}
-			if p == src[i] || &p.Grad.Data[0] == &src[i].Grad.Data[0] {
-				t.Fatalf("replica %d %s shares its Parameter or gradient with the source", w, p.Name)
-			}
-		}
-	}
-	for _, b := range copyTaskBatches(64, 3, 8, 3, 18) {
-		dp.Step(b)
-	}
-	if drift := dp.MaxReplicaDrift(); drift != 0 {
-		t.Fatalf("replicas drifted by %v", drift)
-	}
-}
-
-func TestDataParallelMatchesSingleWorkerLoss(t *testing.T) {
-	mkModel := func() *nn.Transformer {
-		r := tensor.NewRNG(13)
-		m := nn.NewTransformer(model.SimSmall(nn.ActReLU).Config, r)
-		peft.Apply(m, peft.LoRA, peft.Options{}, tensor.NewRNG(14))
-		return m
-	}
-	batches := copyTaskBatches(64, 4, 8, 8, 15)
-
-	// Single engine.
-	e := &Engine{Model: mkModel(), Opt: peft.NewAdamW(1e-3, 0)}
-	var singleLoss float64
-	for _, b := range batches {
-		l, _ := e.Step(b)
-		singleLoss = l
-	}
-
-	// Two workers. Gradient averaging over shards is not bit-identical to
-	// the single-worker full-batch gradient (loss normalization differs per
-	// shard), but losses must track closely.
-	dp := NewDataParallel(mkModel(), 2, func() peft.Optimizer { return peft.NewAdamW(1e-3, 0) }, tensor.NewRNG(15))
-	var dpLoss float64
-	for _, b := range batches {
-		dpLoss, _ = dp.Step(b)
-	}
-	if math.Abs(singleLoss-dpLoss) > 0.25*singleLoss {
-		t.Fatalf("single %.4f vs data-parallel %.4f", singleLoss, dpLoss)
-	}
-}
-
-func TestDataParallelBadShardPanics(t *testing.T) {
-	r := tensor.NewRNG(16)
-	m := nn.NewTransformer(model.SimSmall(nn.ActReLU).Config, r)
-	dp := NewDataParallel(m, 2, func() peft.Optimizer { return peft.NewSGD(0.1, 0) }, r)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on odd batch across 2 workers")
-		}
-	}()
-	dp.Step(copyTaskBatches(64, 3, 8, 3, 17)[0])
-}

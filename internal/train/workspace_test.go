@@ -179,21 +179,3 @@ func TestConcurrentReplicasRaceFree(t *testing.T) {
 		}
 	}
 }
-
-// TestDataParallelWorkspacesStayIdentical pins the per-replica arenas in
-// DataParallel: concurrent sharded steps with private workspaces keep
-// replicas bit-identical (MaxReplicaDrift == 0), as synchronous DDP must.
-func TestDataParallelWorkspacesStayIdentical(t *testing.T) {
-	r := tensor.NewRNG(85)
-	m := nn.NewTransformer(model.SimSmall(nn.ActReLU).Config, r)
-	peft.Apply(m, peft.LoRA, peft.Options{}, r.Split())
-	dp := NewDataParallel(m, 2, func() peft.Optimizer { return peft.NewAdamW(1e-3, 0) }, r)
-
-	batches := copyTaskBatches(64, 4, 8, 3, 11)
-	for _, b := range batches {
-		dp.Step(b)
-	}
-	if drift := dp.MaxReplicaDrift(); drift != 0 {
-		t.Fatalf("replica drift %v after data-parallel steps", drift)
-	}
-}
