@@ -20,13 +20,29 @@ func (h hookProvider) NewSequencePlanner(nn.SparsityOptions) (nn.DecodePlanner, 
 	return h.p, nil
 }
 
-// poisonPlanner plans every step onto KV block 7 (positions 28–31), which
-// no short sequence can see: the shared step panics inside DecodeBatch,
-// after the first layer has written every sequence's cache.
-type poisonPlanner struct{}
+// queueProvider hands out its planners one per sparsity request, in
+// submission order.
+type queueProvider chan nn.DecodePlanner
 
-func (poisonPlanner) BeginSequence([]int, *nn.DecodeAdapter) {}
-func (poisonPlanner) PlanStep(int, int, *tensor.Arena) *nn.DecodePlan {
+func (q queueProvider) NewSequencePlanner(nn.SparsityOptions) (nn.DecodePlanner, error) {
+	return <-q, nil
+}
+
+// gatedPlanner holds every planned step until gate is closed, then plans
+// dense — or, when poisoned, onto KV block 7 (positions 28–31), which no
+// short sequence can see: the shared step panics inside DecodeBatch,
+// after the first layer has written every sequence's cache.
+type gatedPlanner struct {
+	gate   <-chan struct{}
+	poison bool
+}
+
+func (gatedPlanner) BeginSequence([]int, *nn.DecodeAdapter) {}
+func (g gatedPlanner) PlanStep(int, int, *tensor.Arena) *nn.DecodePlan {
+	<-g.gate
+	if !g.poison {
+		return nil
+	}
 	return &nn.DecodePlan{Blk: 4, Attn: [][]int{{7}, {7}}}
 }
 
@@ -73,23 +89,26 @@ func equalTokens(got, want []int) error {
 func TestSharedStepPanicFailsEveryStream(t *testing.T) {
 	base := nn.NewTransformer(testConfig(), tensor.NewRNG(1200))
 	reg := obs.NewRegistry()
-	eng := New(base, Config{MaxBatch: 4, Planner: hookProvider{poisonPlanner{}}, Metrics: obs.NewInferMetrics(reg)})
+	gate := make(chan struct{})
+	planners := make(queueProvider, 4)
+	for i := 0; i < 4; i++ {
+		planners <- gatedPlanner{gate: gate, poison: i == 3}
+	}
+	eng := New(base, Config{MaxBatch: 4, Planner: planners, Metrics: obs.NewInferMetrics(reg)})
 
-	// The poisoned request goes in last, so the three dense ones are
-	// admitted no later than it and, at 16 tokens each, are still running
-	// when its first planned step panics.
+	// The poisoned request goes in last. Every request's first planned
+	// step waits until all four are submitted, so none can finish its 16
+	// tokens first: all four are running when the poisoned step panics.
 	var streams []*Stream
 	for i := 0; i < 4; i++ {
-		req := Request{Prompt: []int{1 + i, 3, 2}, MaxTokens: 16}
-		if i == 3 {
-			req.Sparsity = nn.SparsityOptions{Mode: nn.SparsityAuto}
-		}
+		req := Request{Prompt: []int{1 + i, 3, 2}, MaxTokens: 16, Sparsity: nn.SparsityOptions{Mode: nn.SparsityAuto}}
 		s, err := eng.Generate(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		streams = append(streams, s)
 	}
+	close(gate)
 	for i, s := range streams {
 		if _, reason, err := s.Collect(); reason != "error" || err == nil {
 			t.Fatalf("stream %d ended %q (err %v), want \"error\"", i, reason, err)

@@ -13,9 +13,10 @@ import (
 // property of a read-only artifact — the registry selects it at publish
 // time, and every PEFT delta stays f32 on top. Compress rewrites the big
 // matrices in place and FREES their f32 storage (weights and gradient
-// buffers), so a compressed model is serving-only: Backward, the exposer,
-// and the contextual-sparsity planner all need the f32 weights and refuse or
-// must be skipped.
+// buffers), so a compressed model is serving-only: Backward and the
+// exposer need the f32 weights and refuse or must be skipped. Serving runs
+// the same operators over the packed storage, contextual sparsity
+// included: the MLP's neuron-block kernels read row ranges of it.
 
 // Precision names accepted by Compress and the registry's base descriptor.
 const (
@@ -42,12 +43,6 @@ func ValidPrecision(p string) bool {
 		return true
 	}
 	return false
-}
-
-// CompressedPrecision reports whether p names a format that leaves f32 —
-// i.e. whether a base built at p is serving-only.
-func CompressedPrecision(p string) bool {
-	return p == PrecisionF16 || p == PrecisionI8 || p == PrecisionNM24
 }
 
 // Compress converts the model's large frozen matrices to the named storage
@@ -170,14 +165,4 @@ func (m *Transformer) WeightBytes() int64 {
 		total += m.Head.Packed.Bytes()
 	}
 	return total
-}
-
-// Compressed reports whether any layer left f32 storage.
-func (m *Transformer) Compressed() bool {
-	for _, b := range m.Blocks {
-		if b.Attn.Wq.Packed != nil || b.MLP.compressed() {
-			return true
-		}
-	}
-	return m.Head.Packed != nil
 }

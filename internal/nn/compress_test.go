@@ -96,8 +96,8 @@ func TestCompressFreesStorage(t *testing.T) {
 	if hb >= full || qb >= hb {
 		t.Fatalf("weight bytes not shrinking: f32=%d f16=%d int8=%d", full, hb, qb)
 	}
-	if !f16m.Compressed() || f32m.Compressed() {
-		t.Fatal("Compressed() flag wrong")
+	if f16m.Blocks[0].MLP.PackedW1 == nil || f32m.Blocks[0].MLP.PackedW1 != nil {
+		t.Fatal("packed storage on the wrong model")
 	}
 	if f16m.Blocks[0].Attn.Wq.W.W.Data != nil || f16m.Blocks[0].MLP.W1.W.Data != nil {
 		t.Fatal("f32 storage not freed")
@@ -107,15 +107,14 @@ func TestCompressFreesStorage(t *testing.T) {
 	}
 }
 
-// TestCompressGuards: serving-only means Backward and the neuron-sparsity
-// paths refuse compressed layers, invalid names are rejected, and f32 is a
-// no-op.
+// TestCompressGuards: serving-only means Backward refuses compressed
+// layers, invalid names are rejected, and f32 is a no-op.
 func TestCompressGuards(t *testing.T) {
 	m := NewTransformer(tinyConfig(), tensor.NewRNG(1))
 	if err := m.Compress("f4"); err == nil {
 		t.Fatal("unknown precision accepted")
 	}
-	if err := m.Compress(PrecisionF32); err != nil || m.Compressed() {
+	if err := m.Compress(PrecisionF32); err != nil || m.Blocks[0].MLP.PackedW1 != nil || m.Head.Packed != nil {
 		t.Fatalf("f32 compress not a no-op: %v", err)
 	}
 	if err := m.Compress(PrecisionF16); err != nil {
@@ -132,7 +131,6 @@ func TestCompressGuards(t *testing.T) {
 	mlp := m.Blocks[0].MLP
 	x := tensor.New(1, m.Cfg.Dim)
 	ws := tensor.NewArena()
-	mustPanic("sparse forward", func() { mlp.Forward(x, []int{0}, 8, ws) })
 	mustPanic("backward", func() {
 		mlp.Forward(x, nil, 0, ws)
 		mlp.Backward(tensor.New(1, m.Cfg.Dim), ws)
@@ -142,6 +140,52 @@ func TestCompressGuards(t *testing.T) {
 	lora.Blocks[0].Attn.Wq.AddLoRA("q", 2, 4, tensor.NewRNG(3))
 	if err := lora.Compress(PrecisionI8); err == nil {
 		t.Fatal("compressing a LoRA-carrying layer was accepted")
+	}
+}
+
+// TestPackedMLPMatchesDequantMLP pins the one MLP operator over packed
+// weights: Forward on a packed MLP equals, bit for bit, Forward on an f32
+// MLP holding the packed matrices' Dequant, in every format and at row
+// counts straddling the packed kernels' one-row and in-place crossovers.
+// The block list has two non-adjacent runs, the last ending in the ragged
+// block (hidden 36, blk 8); nil runs all of them.
+func TestPackedMLPMatchesDequantMLP(t *testing.T) {
+	const dim, hidden, blk = 16, 36, 8
+	r := tensor.NewRNG(41)
+	for _, f := range []struct {
+		name   string
+		w1, w2 func(*tensor.Tensor) *tensor.PackedWeights
+	}{
+		{"f16", tensor.PackF16, tensor.PackF16},
+		{"int8",
+			func(w *tensor.Tensor) *tensor.PackedWeights { return tensor.PackInt8(w, tensor.ScalePerRow) },
+			func(w *tensor.Tensor) *tensor.PackedWeights { return tensor.PackInt8(w, tensor.ScalePerCol) }},
+		{"nm24", tensor.PackNM24, tensor.PackNM24},
+	} {
+		packed := NewMLP("packed", dim, hidden, ActReLU, r)
+		r.FillNormal(packed.B1.W, 0.5)
+		r.FillNormal(packed.B2.W, 0.5)
+		packed.PackedW1, packed.PackedW2 = f.w1(packed.W1.W), f.w2(packed.W2.W)
+		ref := NewMLP("ref", dim, hidden, ActReLU, r)
+		ref.W1.W.CopyFrom(packed.PackedW1.Dequant())
+		ref.W2.W.CopyFrom(packed.PackedW2.Dequant())
+		ref.B1.W.CopyFrom(packed.B1.W)
+		ref.B2.W.CopyFrom(packed.B2.W)
+		freeParam(packed.W1)
+		freeParam(packed.W2)
+		for _, rows := range []int{1, 2, 4, 5, 8, 9} {
+			x := tensor.New(rows, dim)
+			r.FillNormal(x, 1)
+			for _, blocks := range [][]int{{0, 2, 3, 4}, nil} {
+				got := packed.Forward(x, blocks, blk, tensor.NewArena())
+				want := ref.Forward(x, blocks, blk, tensor.NewArena())
+				for i, v := range want.Data {
+					if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+						t.Fatalf("%s rows=%d blocks=%v: element %d = %v packed, %v over Dequant", f.name, rows, blocks, i, got.Data[i], v)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -99,8 +99,9 @@ func sameCache(a, b *KVCache) error {
 // one-sequence step: every logits row, every cache and every stats
 // accumulator of a ragged batch equal (==) what DecodeStepCfg produces for
 // that sequence alone on a cloned cache — on a ReLU model with a sparse
-// row, and densely on a GeLU model and on int8 and 2:4 compressed bases,
-// at one and four workers.
+// row, densely on a GeLU model and on int8 and 2:4 compressed bases, and
+// with a sparse row on f16, int8 and 2:4 compressed bases, at one and four
+// workers.
 func TestDecodeBatchMatchesPerSequence(t *testing.T) {
 	relu := NewTransformer(tinyConfig(), tensor.NewRNG(901))
 	gcfg := tinyConfig()
@@ -127,6 +128,9 @@ func TestDecodeBatchMatchesPerSequence(t *testing.T) {
 			{"gelu/dense", gelu, false},
 			{"int8/dense", compressed(PrecisionI8), false},
 			{"nm24/dense", compressed(PrecisionNM24), false},
+			{"f16/sparse", compressed(PrecisionF16), true},
+			{"int8/sparse", compressed(PrecisionI8), true},
+			{"nm24/sparse", compressed(PrecisionNM24), true},
 		} {
 			label := fmt.Sprintf("%s/workers=%d", tc.name, workers)
 			old := parallel.SetWorkers(workers)

@@ -42,9 +42,9 @@ type MLP struct {
 	W2, B2      *Parameter // W2: [hidden, dim] row-major
 
 	// Compact storage for a compressed frozen base (Compress): f16, int8
-	// or 2:4. The f32 data is freed and the dense forward paths run the
-	// packed GEMM drivers. Compressed MLPs are serving-only — Backward and
-	// the neuron-block contextual-sparsity paths refuse them.
+	// or 2:4. The f32 data is freed and Forward's neuron-block kernels
+	// read row ranges of the packed matrices instead, dense or sparse.
+	// Compressed MLPs are serving-only: Backward refuses them.
 	PackedW1, PackedW2 *tensor.PackedWeights // int8 scales: W1 per row, W2 per col
 }
 
@@ -55,7 +55,7 @@ type mlpState struct {
 	hidden *tensor.Tensor // post-activation [tokens, hidden]
 	preAct *tensor.Tensor // pre-activation copy (GeLU backward)
 	mask   *tensor.Tensor // ReLU activation mask
-	blocks []int          // active neuron blocks; nil → dense
+	blocks []int          // active neuron blocks; nil → all of them
 	blk    int
 }
 
@@ -78,27 +78,29 @@ func NewMLP(name string, dim, hidden int, act Activation, rng *tensor.RNG) *MLP 
 // Params returns the block's parameters.
 func (m *MLP) Params() ParamSet { return ParamSet{m.W1, m.B1, m.W2, m.B2} }
 
-// colMajorW1 views the FC1 parameter as the sparse kernels' ColMajor type.
-func (m *MLP) colMajorW1(t *tensor.Tensor) *sparse.ColMajor {
-	return &sparse.ColMajor{In: m.Dim, Out: m.Hidden, Data: t.Data}
+// colMajorW1 views the FC1 parameter t (and, for the weight, its packed
+// storage p) as the sparse kernels' ColMajor type.
+func (m *MLP) colMajorW1(t *tensor.Tensor, p *tensor.PackedWeights) *sparse.ColMajor {
+	return &sparse.ColMajor{In: m.Dim, Out: m.Hidden, Data: t.Data, Packed: p}
 }
 
-// rowMajorW2 views the FC2 parameter as the sparse kernels' RowMajor type.
-func (m *MLP) rowMajorW2(t *tensor.Tensor) *sparse.RowMajor {
-	return &sparse.RowMajor{In: m.Hidden, Out: m.Dim, Data: t.Data}
+// rowMajorW2 views the FC2 parameter t (and p) as the sparse kernels'
+// RowMajor type.
+func (m *MLP) rowMajorW2(t *tensor.Tensor, p *tensor.PackedWeights) *sparse.RowMajor {
+	return &sparse.RowMajor{In: m.Hidden, Out: m.Dim, Data: t.Data, Packed: p}
 }
 
-// Forward computes the block over x: [tokens, dim]. blocks selects the
-// execution path: nil runs dense; otherwise only the listed neuron blocks
-// (of size blk) are computed, and all other hidden units are treated as
-// inactive — including their biases, matching the predictor contract that
-// unlisted neurons contribute nothing.
+// Forward computes the block over x: [tokens, dim] on the neuron blocks
+// (of size blk) listed in blocks; nil lists every block, which is dense.
+// Unlisted hidden units are treated as inactive — including their
+// biases, matching the predictor contract that unlisted neurons
+// contribute nothing. Every product runs the sparse neuron-block
+// kernels, over f32 or packed weights alike.
 func (m *MLP) Forward(x *tensor.Tensor, blocks []int, blk int, ws *tensor.Arena) *tensor.Tensor {
-	if blocks != nil && m.Act == ActGeLU {
+	if blocks == nil {
+		blk = tensor.RowTile // the full list is one run; blk only splits weight gradients
+	} else if m.Act == ActGeLU {
 		panic("nn: neuron sparsity requires ReLU activation")
-	}
-	if blocks != nil && m.compressed() {
-		panic("nn: neuron-block sparsity on a compressed MLP — compressed bases serve dense")
 	}
 	st := stateOf[mlpState](ws, m)
 	tokens := x.Dim(0)
@@ -106,14 +108,8 @@ func (m *MLP) Forward(x *tensor.Tensor, blocks []int, blk int, ws *tensor.Arena)
 	st.blocks, st.blk = blocks, blk
 
 	st.hidden = ws.Get(tokens, m.Hidden)
-	if blocks == nil {
-		// Dense: hidden = x·W1ᵀ(param) + b1.
-		m.fc1Dense(st.hidden, x)
-		tensor.AddRowVector(st.hidden, m.B1.W.Data)
-	} else {
-		sparse.FC1Sparse(st.hidden.Data, x.Data, tokens, m.colMajorW1(m.W1.W), blocks, blk)
-		addBiasBlocks(st.hidden, m.B1.W.Data, blocks, blk)
-	}
+	sparse.FC1Sparse(st.hidden.Data, x.Data, tokens, m.colMajorW1(m.W1.W, m.PackedW1), blocks, blk)
+	sparse.AddBias(st.hidden.Data, m.B1.W.Data, tokens, blocks, blk)
 	switch m.Act {
 	case ActReLU:
 		st.mask, st.preAct = tensor.ReLUIn(ws, st.hidden, true), nil
@@ -122,35 +118,9 @@ func (m *MLP) Forward(x *tensor.Tensor, blocks []int, blk int, ws *tensor.Arena)
 	}
 
 	out := ws.Get(tokens, m.Dim)
-	if blocks == nil {
-		m.fc2Dense(out, st.hidden)
-	} else {
-		sparse.FC2Sparse(out.Data, st.hidden.Data, tokens, m.rowMajorW2(m.W2.W), blocks, blk)
-	}
+	sparse.FC2Sparse(out.Data, st.hidden.Data, tokens, m.rowMajorW2(m.W2.W, m.PackedW2), blocks, blk)
 	tensor.AddRowVector(out, m.B2.W.Data)
 	return out
-}
-
-// compressed reports whether either weight matrix left f32 storage.
-func (m *MLP) compressed() bool { return m.PackedW1 != nil || m.PackedW2 != nil }
-
-// fc1Dense accumulates hidden += x·W1ᵀ through whichever storage W1 is in.
-// hidden arrives zeroed, so the accumulate is an overwrite.
-func (m *MLP) fc1Dense(hidden, x *tensor.Tensor) {
-	if m.PackedW1 != nil {
-		tensor.MatMulTBPackedInto(hidden, x, m.PackedW1)
-	} else {
-		tensor.MatMulTBInto(hidden, x, m.W1.W)
-	}
-}
-
-// fc2Dense accumulates out += hidden·W2 through whichever storage W2 is in.
-func (m *MLP) fc2Dense(out, hidden *tensor.Tensor) {
-	if m.PackedW2 != nil {
-		tensor.MatMulPackedInto(out, hidden, m.PackedW2)
-	} else {
-		tensor.MatMulInto(out, hidden, m.W2.W)
-	}
 }
 
 // Backward propagates dOut and returns dx. Under neuron sparsity, both the
@@ -158,7 +128,7 @@ func (m *MLP) fc2Dense(out, hidden *tensor.Tensor) {
 // blocks — inactive neurons are excluded from gradient computation exactly
 // as §II-D derives.
 func (m *MLP) Backward(dOut *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
-	if m.compressed() {
+	if m.PackedW1 != nil || m.PackedW2 != nil {
 		panic("nn: Backward through a compressed MLP — compressed bases are serving-only")
 	}
 	st := stateOf[mlpState](ws, m)
@@ -168,16 +138,9 @@ func (m *MLP) Backward(dOut *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 	}
 
 	dHidden := ws.Get(tokens, m.Hidden)
-	if st.blocks == nil {
-		tensor.MatMulTBInto(dHidden, dOut, m.W2.W) // dHidden = dOut·W2ᵀ (W2: [hidden,dim])
-		if !m.W2.Frozen {
-			tensor.MatMulTAInto(m.W2.Grad, st.hidden, dOut)
-		}
-	} else {
-		sparse.FC2GradHidden(dHidden.Data, dOut.Data, tokens, m.rowMajorW2(m.W2.W), st.blocks, st.blk)
-		if !m.W2.Frozen {
-			sparse.FC2GradWeight(m.rowMajorW2(m.W2.Grad), st.hidden.Data, dOut.Data, tokens, st.blocks, st.blk)
-		}
+	sparse.FC2GradHidden(dHidden.Data, dOut.Data, tokens, m.rowMajorW2(m.W2.W, nil), st.blocks, st.blk)
+	if !m.W2.Frozen {
+		sparse.FC2GradWeight(m.rowMajorW2(m.W2.Grad, nil), st.hidden.Data, dOut.Data, tokens, st.blocks, st.blk)
 	}
 
 	// Activation backward.
@@ -198,16 +161,9 @@ func (m *MLP) Backward(dOut *tensor.Tensor, ws *tensor.Arena) *tensor.Tensor {
 	}
 
 	dx := ws.Get(tokens, m.Dim)
-	if st.blocks == nil {
-		tensor.MatMulInto(dx, dHidden, m.W1.W) // dx = dHidden·W1(param) = dHidden·Wcᵀ
-		if !m.W1.Frozen {
-			tensor.MatMulTAInto(m.W1.Grad, dHidden, st.x)
-		}
-	} else {
-		sparse.FC1GradInput(dx.Data, dHidden.Data, tokens, m.colMajorW1(m.W1.W), st.blocks, st.blk)
-		if !m.W1.Frozen {
-			sparse.FC1GradWeight(m.colMajorW1(m.W1.Grad), st.x.Data, dHidden.Data, tokens, st.blocks, st.blk)
-		}
+	sparse.FC1GradInput(dx.Data, dHidden.Data, tokens, m.colMajorW1(m.W1.W, nil), st.blocks, st.blk)
+	if !m.W1.Frozen {
+		sparse.FC1GradWeight(m.colMajorW1(m.W1.Grad, nil), st.x.Data, dHidden.Data, tokens, st.blocks, st.blk)
 	}
 	return dx
 }
@@ -227,26 +183,3 @@ func (m *MLP) HiddenActivations(ws *tensor.Arena) *tensor.Tensor {
 type geluGradArgs struct{ dh, dy, pre []float32 }
 
 func geluGradChunk(a geluGradArgs, lo, hi int) { tensor.GeLUGradRange(a.dh, a.dy, a.pre, lo, hi) }
-
-type biasBlockArgs struct {
-	hidden, b []float32
-	blocks    []int
-	blk, h    int
-}
-
-func addBiasBlocksChunk(a biasBlockArgs, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		row := a.hidden[i*a.h : (i+1)*a.h]
-		for _, nb := range a.blocks {
-			for c := nb * a.blk; c < (nb+1)*a.blk && c < a.h; c++ {
-				row[c] += a.b[c]
-			}
-		}
-	}
-}
-
-// addBiasBlocks adds b to hidden only on the listed neuron blocks.
-func addBiasBlocks(hidden *tensor.Tensor, b []float32, blocks []int, blk int) {
-	tokens, H := hidden.Dim(0), hidden.Dim(1)
-	parallel.ForChunkedArg(tokens, biasBlockArgs{hidden.Data, b, blocks, blk, H}, addBiasBlocksChunk)
-}

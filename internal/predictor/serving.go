@@ -151,7 +151,8 @@ func sketchProjection(dim, rank int, rng *tensor.RNG) []float32 {
 // buildMLPEstimator extracts each FC1 block slab's top singular pair by
 // power iteration. m.W1 stores the conceptual [dim → hidden] matrix as
 // [hidden, dim]: row h is neuron h's input weights, so slab b is rows
-// [b·blk, (b+1)·blk).
+// [b·blk, (b+1)·blk). A compressed base has freed W1's f32 storage, so
+// the slabs are read from its dequantized packed copy, once.
 func buildMLPEstimator(m *nn.MLP, blk, nBlk int) mlpEstimator {
 	d, H := m.Dim, m.Hidden
 	est := mlpEstimator{
@@ -160,6 +161,9 @@ func buildMLPEstimator(m *nn.MLP, blk, nBlk int) mlpEstimator {
 		bmax:  make([]float32, nBlk),
 	}
 	w1, b1 := m.W1.W.Data, m.B1.W.Data
+	if w1 == nil {
+		w1 = m.PackedW1.Dequant().Data
+	}
 	mv := make([]float32, blk) // slab · v scratch
 	for b := 0; b < nBlk; b++ {
 		lo, hi := b*blk, (b+1)*blk

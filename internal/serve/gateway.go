@@ -72,14 +72,10 @@ func (g *gateway) engineFor(desc registry.BaseDesc) (*infer.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Every f32 engine gets a serving planner: contextual sparsity is then
-	// a per-request decision (decode.sparsity.mode), not a deployment one.
-	// Compressed bases (f16/int8/nm24) serve dense — the planner reads the
-	// f32 MLP weights Compress freed, and the sparse kernels do too.
-	var planner *predictor.ServingPlanner
-	if !nn.CompressedPrecision(desc.Precision) {
-		planner = predictor.NewServingPlanner(base, nil, predictor.ServingConfig{Metrics: g.sparsity})
-	}
+	// Every engine gets a serving planner, whatever the base's precision:
+	// contextual sparsity is then a per-request decision
+	// (decode.sparsity.mode), not a deployment one.
+	planner := predictor.NewServingPlanner(base, nil, predictor.ServingConfig{Metrics: g.sparsity})
 	eng := infer.New(base, infer.Config{MaxBatch: g.maxBatch, Metrics: g.inferMetrics, Planner: planner, Account: g.account})
 	g.engines[key] = eng
 	g.metrics.Engines.Set(float64(len(g.engines)))
@@ -300,12 +296,6 @@ func (s *Server) generate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, "a generate request needs an adapter id or a base description")
 		return
 	}
-	if sparsity.Enabled() && nn.CompressedPrecision(desc.Precision) {
-		writeError(w, r, http.StatusBadRequest,
-			"decode.sparsity.mode %q is unavailable on a %s-precision base: compressed bases serve dense", sparsity.Mode, desc.Precision)
-		return
-	}
-
 	eng, err := s.gw.engineFor(desc)
 	if err != nil {
 		// For adapter requests the engine already exists (adapterFor built

@@ -17,9 +17,8 @@ func int8Base() map[string]any {
 // TestGenerateCompressedBase serves an int8 frozen base end to end: the
 // decode stream completes, the resident-weight gauge reports the quantized
 // footprint (strictly below the f32 base's), and a contextual-sparsity
-// request against the compressed base is a 400 — compressed bases serve
-// dense because the planner and the sparse kernels need the freed f32
-// weights.
+// request against the compressed base streams like one on an f32 base —
+// the MLP's neuron-block kernels read row ranges of the packed weights.
 func TestGenerateCompressedBase(t *testing.T) {
 	e, obsReg := newObsGatewayEnv(t, 1, 2, nil)
 
@@ -47,14 +46,14 @@ func TestGenerateCompressedBase(t *testing.T) {
 		t.Fatalf("int8 base not compressed: %v bytes vs f32 %v", i8Bytes, f32Bytes)
 	}
 
-	base, _ := json.Marshal(int8Base())
-	body := `{"base":` + string(base) + `,"prompt":[5],"decode":{"sparsity":{"mode":"forced","mlp_density":0.5}}}`
-	resp, code, msg := postGenerate(t, e.ts.URL, body)
-	if resp.StatusCode != http.StatusBadRequest || code != "invalid_request" {
-		t.Fatalf("sparsity on int8 base: %d/%s, want 400/invalid_request", resp.StatusCode, code)
+	sparseReq := req(int8Base())
+	sparseReq["decode"].(map[string]any)["sparsity"] = map[string]any{"mode": "forced", "mlp_density": 0.5}
+	sparse, reason := e.generateSSE(sparseReq)
+	if reason != "length" || len(sparse) != 6 {
+		t.Fatalf("sparse int8 decode: %v (%s)", sparse, reason)
 	}
-	if !strings.Contains(msg, "int8") || !strings.Contains(msg, "dense") {
-		t.Fatalf("rejection %q does not explain the compressed-base dense contract", msg)
+	if steps := metricValue(obsReg, "lexp_infer_sparse_steps_total"); steps == 0 {
+		t.Fatal("lexp_infer_sparse_steps_total did not count the int8 base's planned steps")
 	}
 
 	// An unknown precision in a client-supplied base is rejected, not built.

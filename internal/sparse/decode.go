@@ -23,13 +23,12 @@ func DecodeFC1Gather(hidden, x []float32, w *ColMajor, b1 []float32, blocks []in
 		clear(hidden[nb*blk : min((nb+1)*blk, w.Out)])
 	}
 	FC1Sparse(hidden, x, 1, w, blocks, blk)
+	AddBias(hidden, b1[:w.Out], 1, blocks, blk)
 	for _, nb := range blocks {
 		for c := nb * blk; c < min((nb+1)*blk, w.Out); c++ {
-			s := hidden[c] + b1[c]
-			if s < 0 {
-				s = 0
+			if hidden[c] < 0 {
+				hidden[c] = 0
 			}
-			hidden[c] = s
 		}
 	}
 }

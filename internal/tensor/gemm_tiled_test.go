@@ -148,8 +148,8 @@ func testGemmRowCountIndependent(t *testing.T) {
 		}
 		cores := []core{
 			{"f32", func(c []float32, lo, hi int) { GemmRange(c, a.Data, b.Data, k, n, k, n, lo, hi) }},
-			{"f16", func(c []float32, lo, hi int) { GemmRangePacked(c, a.Data, f16, k, n, lo, hi) }},
-			{"int8", func(c []float32, lo, hi int) { GemmRangePacked(c, a.Data, i8, k, n, lo, hi) }},
+			{"f16", func(c []float32, lo, hi int) { GemmRangePacked(c, a.Data, f16, k, n, k, lo, hi) }},
+			{"int8", func(c []float32, lo, hi int) { GemmRangePacked(c, a.Data, i8, k, n, k, lo, hi) }},
 		}
 		// b's data is also [n,k] for a·bᵀ: rows run alone through the
 		// in-place one-row kernel, and together through the packed groups.
@@ -157,17 +157,17 @@ func testGemmRowCountIndependent(t *testing.T) {
 		i8T, f16T := PackInt8(bT, ScalePerRow), PackF16(bT)
 		cores = append(cores,
 			core{"f32/tb", func(c []float32, lo, hi int) { GemmTBRange(c, a.Data, b.Data, k, n, n, lo, hi) }},
-			core{"f16/tb", func(c []float32, lo, hi int) { GemmTBRangePacked(c, a.Data, f16T, k, n, lo, hi) }},
-			core{"int8/tb", func(c []float32, lo, hi int) { GemmTBRangePacked(c, a.Data, i8T, k, n, lo, hi) }},
+			core{"f16/tb", func(c []float32, lo, hi int) { GemmTBRangePacked(c, a.Data, f16T, k, n, n, lo, hi) }},
+			core{"int8/tb", func(c []float32, lo, hi int) { GemmTBRangePacked(c, a.Data, i8T, k, n, n, lo, hi) }},
 		)
 		// 2:4 groups run along B's rows: n for a·B, k for a·Bᵀ.
 		if n%4 == 0 {
 			nm := PackNM24(b)
-			cores = append(cores, core{"nm24", func(c []float32, lo, hi int) { GemmRangePacked(c, a.Data, nm, k, n, lo, hi) }})
+			cores = append(cores, core{"nm24", func(c []float32, lo, hi int) { GemmRangePacked(c, a.Data, nm, k, n, k, lo, hi) }})
 		}
 		if k%4 == 0 {
 			nmT := PackNM24(bT)
-			cores = append(cores, core{"nm24/tb", func(c []float32, lo, hi int) { GemmTBRangePacked(c, a.Data, nmT, k, n, lo, hi) }})
+			cores = append(cores, core{"nm24/tb", func(c []float32, lo, hi int) { GemmTBRangePacked(c, a.Data, nmT, k, n, n, lo, hi) }})
 		}
 		for _, core := range cores {
 			all, alone := New(m, n), New(m, n)

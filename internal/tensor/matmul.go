@@ -114,10 +114,11 @@ func GemmTARangeNaive(c, a, b []float32, kDim, m, n, loM, hiM int) {
 	}
 }
 
-// matmulRowTile is the row granularity handed to parallel.ForBlockedArg by
-// the MatMul drivers: no worker receives fewer rows than this (except the
-// tail), so GemmTBRange's per-call pack of b stays amortized.
-const matmulRowTile = 8
+// RowTile is the row granularity handed to parallel.ForBlockedArg by the
+// MatMul drivers and the sparse neuron-block kernels: no worker receives
+// fewer rows than this (except the tail), so GemmTBRange's per-call pack
+// of b stays amortized and a few-row step runs on the calling goroutine.
+const RowTile = 8
 
 // gemmCall carries one driver invocation's operands so the parallel fan-out
 // uses static chunk functions — no closure, no per-call heap allocation on
@@ -129,11 +130,13 @@ type gemmCall struct {
 	p       *PackedWeights
 }
 
-func gemmRangeChunk(g gemmCall, lo, hi int)    { GemmRange(g.c, g.a, g.b, g.k, g.n, g.k, g.n, lo, hi) }
-func gemmTBRangeChunk(g gemmCall, lo, hi int)  { GemmTBRange(g.c, g.a, g.b, g.k, g.n, g.n, lo, hi) }
-func gemmTARangeChunk(g gemmCall, lo, hi int)  { GemmTARange(g.c, g.a, g.b, g.k, g.m, g.n, lo, hi) }
-func gemmPackedChunk(g gemmCall, lo, hi int)   { GemmRangePacked(g.c, g.a, g.p, g.k, g.n, lo, hi) }
-func gemmTBPackedChunk(g gemmCall, lo, hi int) { GemmTBRangePacked(g.c, g.a, g.p, g.k, g.n, lo, hi) }
+func gemmRangeChunk(g gemmCall, lo, hi int)   { GemmRange(g.c, g.a, g.b, g.k, g.n, g.k, g.n, lo, hi) }
+func gemmTBRangeChunk(g gemmCall, lo, hi int) { GemmTBRange(g.c, g.a, g.b, g.k, g.n, g.n, lo, hi) }
+func gemmTARangeChunk(g gemmCall, lo, hi int) { GemmTARange(g.c, g.a, g.b, g.k, g.m, g.n, lo, hi) }
+func gemmPackedChunk(g gemmCall, lo, hi int)  { GemmRangePacked(g.c, g.a, g.p, g.k, g.n, g.k, lo, hi) }
+func gemmTBPackedChunk(g gemmCall, lo, hi int) {
+	GemmTBRangePacked(g.c, g.a, g.p, g.k, g.n, g.n, lo, hi)
+}
 
 func check2D(t *Tensor, name string) (rows, cols int) {
 	if t.Rank() != 2 {
@@ -151,7 +154,7 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", k, k2))
 	}
 	c := New(m, n)
-	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c.Data, a.Data, b.Data, k, n, m, nil}, gemmRangeChunk)
+	parallel.ForBlockedArg(m, RowTile, gemmCall{c.Data, a.Data, b.Data, k, n, m, nil}, gemmRangeChunk)
 	return c
 }
 
@@ -163,7 +166,7 @@ func MatMulInto(c, a, b *Tensor) {
 	if k != k2 || cm != m || cn != n {
 		panic(fmt.Sprintf("tensor: MatMulInto shapes a%v b%v c%v", a.Shape(), b.Shape(), c.Shape()))
 	}
-	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c.Data, a.Data, b.Data, k, n, m, nil}, gemmRangeChunk)
+	parallel.ForBlockedArg(m, RowTile, gemmCall{c.Data, a.Data, b.Data, k, n, m, nil}, gemmRangeChunk)
 }
 
 // MatMulTB returns a·bᵀ for a: [m,k], b: [n,k], in parallel.
@@ -174,7 +177,7 @@ func MatMulTB(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTB inner dims %d vs %d", k, k2))
 	}
 	c := New(m, n)
-	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c.Data, a.Data, b.Data, k, n, m, nil}, gemmTBRangeChunk)
+	parallel.ForBlockedArg(m, RowTile, gemmCall{c.Data, a.Data, b.Data, k, n, m, nil}, gemmTBRangeChunk)
 	return c
 }
 
@@ -186,7 +189,7 @@ func MatMulTBInto(c, a, b *Tensor) {
 	if k != k2 || cm != m || cn != n {
 		panic(fmt.Sprintf("tensor: MatMulTBInto shapes a%v b%v c%v", a.Shape(), b.Shape(), c.Shape()))
 	}
-	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c.Data, a.Data, b.Data, k, n, m, nil}, gemmTBRangeChunk)
+	parallel.ForBlockedArg(m, RowTile, gemmCall{c.Data, a.Data, b.Data, k, n, m, nil}, gemmTBRangeChunk)
 }
 
 // MatMulTA returns aᵀ·b for a: [kDim,m], b: [kDim,n], in parallel.
@@ -197,7 +200,7 @@ func MatMulTA(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulTA leading dims %d vs %d", kDim, kDim2))
 	}
 	c := New(m, n)
-	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c.Data, a.Data, b.Data, kDim, n, m, nil}, gemmTARangeChunk)
+	parallel.ForBlockedArg(m, RowTile, gemmCall{c.Data, a.Data, b.Data, kDim, n, m, nil}, gemmTARangeChunk)
 	return c
 }
 
@@ -209,7 +212,7 @@ func MatMulTAInto(c, a, b *Tensor) {
 	if kDim != kDim2 || cm != m || cn != n {
 		panic(fmt.Sprintf("tensor: MatMulTAInto shapes a%v b%v c%v", a.Shape(), b.Shape(), c.Shape()))
 	}
-	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c.Data, a.Data, b.Data, kDim, n, m, nil}, gemmTARangeChunk)
+	parallel.ForBlockedArg(m, RowTile, gemmCall{c.Data, a.Data, b.Data, kDim, n, m, nil}, gemmTARangeChunk)
 }
 
 // MatMulIn returns a·b with the result taken from ws — the workspace entry

@@ -47,15 +47,12 @@ func MulInto(dst, src *Tensor) {
 	}
 }
 
-// Fan-out grains of the elementwise kernels: no worker receives fewer rows
-// or elements than this, so a decode step's few-row bias add or activation
-// runs on the calling goroutine rather than spawning (and allocating) a
-// goroutine per worker. Each row and element is computed independently, so
-// results do not depend on the split.
-const (
-	opRowGrain     = 8
-	opElementGrain = 4096
-)
+// Fan-out grain of the elementwise kernels (row-wise ones use RowTile): no
+// worker receives fewer elements than this, so a decode step's few-row
+// activation runs on the calling goroutine rather than spawning (and
+// allocating) a goroutine per worker. Each element is computed
+// independently, so results do not depend on the split.
+const opElementGrain = 4096
 
 // rowVecArgs / addRowVectorChunk: static kernel body for AddRowVector so
 // the hot bias-add never allocates a closure (see parallel.ForChunkedArg).
@@ -80,7 +77,7 @@ func AddRowVector(t *Tensor, v []float32) {
 	if len(v) != n {
 		panic(fmt.Sprintf("tensor: AddRowVector length %d vs cols %d", len(v), n))
 	}
-	parallel.ForBlockedArg(m, opRowGrain, rowVecArgs{t.Data, v, n}, addRowVectorChunk)
+	parallel.ForBlockedArg(m, RowTile, rowVecArgs{t.Data, v, n}, addRowVectorChunk)
 }
 
 // Sum returns the sum of all elements (deterministic parallel reduction).
@@ -126,18 +123,17 @@ func ArgmaxRow(t *Tensor, i int) int {
 
 // ReLURange applies max(0, x) to dst[lo:hi] and records the activation mask
 // (1 where active) into mask if non-nil. The mask is what the backward pass
-// and the shadowy-sparsity measurements consume.
+// and the shadowy-sparsity measurements consume. Every value not > 0 (NaN,
+// -0, negatives) becomes +0, and the mask holds exactly 0 or 1. No branch
+// depends on the data: x > 0 exactly when its bits b - 1 < 0x7f800000
+// unsigned, and the 64-bit borrow of that comparison is the active bit.
 func ReLURange(dst, mask []float32, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		if dst[i] > 0 {
-			if mask != nil {
-				mask[i] = 1
-			}
-		} else {
-			dst[i] = 0
-			if mask != nil {
-				mask[i] = 0
-			}
+		b := math.Float32bits(dst[i])
+		a := uint32((uint64(b-1) - 0x7f800000) >> 63)
+		dst[i] = math.Float32frombits(b & -a)
+		if mask != nil {
+			mask[i] = math.Float32frombits(a * 0x3f800000)
 		}
 	}
 }

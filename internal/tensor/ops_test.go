@@ -71,6 +71,41 @@ func TestReLUMask(t *testing.T) {
 	}
 }
 
+// TestReLUEdgeValues pins ReLURange's outputs bit for bit on the values a
+// sign or NaN test could get wrong: everything not > 0 (NaN of either
+// sign, -0, negatives, -Inf) becomes +0 with mask 0; every positive value,
+// the smallest denormal and +Inf included, is kept with mask exactly 1.
+func TestReLUEdgeValues(t *testing.T) {
+	inf := float32(math.Inf(1))
+	nan := func(b uint32) float32 { return math.Float32frombits(b) }
+	in := []float32{float32(math.NaN()), nan(0x7f800001), nan(0x7fffffff), nan(0xffc00000), nan(0xff800001),
+		float32(math.Copysign(0, -1)), 0, -1, -inf,
+		-math.SmallestNonzeroFloat32, math.SmallestNonzeroFloat32, 1, math.MaxFloat32, inf, 0.5}
+	for _, withMask := range []bool{true, false} {
+		d := append([]float32(nil), in...)
+		var mask []float32
+		if withMask {
+			mask = make([]float32, len(d))
+			for i := range mask {
+				mask[i] = 7 // every element must be written
+			}
+		}
+		ReLURange(d, mask, 0, len(d))
+		for i, v := range in {
+			want, wantMask := float32(0), float32(0)
+			if v > 0 {
+				want, wantMask = v, 1
+			}
+			if math.Float32bits(d[i]) != math.Float32bits(want) {
+				t.Fatalf("ReLU(%v) = %v (bits %#x), want %v", v, d[i], math.Float32bits(d[i]), want)
+			}
+			if withMask && math.Float32bits(mask[i]) != math.Float32bits(wantMask) {
+				t.Fatalf("ReLU mask for %v = %v, want %v", v, mask[i], wantMask)
+			}
+		}
+	}
+}
+
 func TestGeLUGradMatchesNumeric(t *testing.T) {
 	xs := []float32{-2, -0.5, 0, 0.5, 2}
 	ws := NewArena()

@@ -207,6 +207,26 @@ func top2of4(grp []float32, skip int) int {
 	return best
 }
 
+// RowRange returns rows [r0, r1) of p as a view over p's storage: a slice
+// of F16, I8 or NMVal+NMIdx (2:4 groups run along rows). Per-row int8
+// scales are sliced with the rows; per-column scales are kept whole.
+func (p *PackedWeights) RowRange(r0, r1 int) PackedWeights {
+	v, lo, hi := *p, r0*p.Cols, r1*p.Cols
+	v.Rows = r1 - r0
+	switch p.Format {
+	case WeightF16:
+		v.F16 = p.F16[lo:hi]
+	case WeightI8:
+		v.I8 = p.I8[lo:hi]
+		if p.ScaleAxis == ScalePerRow {
+			v.Scale = p.Scale[r0:r1]
+		}
+	case WeightNM24:
+		v.NMVal, v.NMIdx = p.NMVal[lo/2:hi/2], p.NMIdx[lo/2:hi/2]
+	}
+	return v
+}
+
 // Dequant widens the packed matrix back to a fresh f32 tensor — the exact
 // values every packed kernel computes with. Tests and estimators use it; the
 // serving path never does.
@@ -336,7 +356,8 @@ func packDot8NM24(bp []float32, w int, p *PackedWeights, rows [gemmRowNR]int, k0
 }
 
 // GemmRangePacked computes c[i,:] += a[i,:]·B for rows i in [loM, hiM),
-// where B is the packed matrix p viewed as [k,n] (p.Rows == k, p.Cols == n).
+// where B is the packed matrix p viewed as [k,n] (p.Rows == k, p.Cols == n)
+// and a: [m,k] is stored with row stride lda ≥ k, as in GemmRange.
 // A single row (a one-stream decode step) reads B where it lies, widening
 // each weight inside the row kernel; more rows widen B once per call into
 // L1 panels swept by the dense gemmAxpy kernel. Either way each weight is
@@ -349,9 +370,10 @@ func packDot8NM24(bp []float32, w int, p *PackedWeights, rows [gemmRowNR]int, k0
 // a time is the whole cost and the panel adds a store and a reload. Single
 // thread, 2 GHz Xeon VM, decode/ab m1k256n64: 42 µs fused against 52 µs
 // panel-then-gemmAxpy for f16, 27 against 31 µs for int8.
-func GemmRangePacked(c, a []float32, p *PackedWeights, k, n, loM, hiM int) {
+func GemmRangePacked(c, a []float32, p *PackedWeights, k, n, lda, loM, hiM int) {
+	checkPacked(p, ScalePerCol, "GemmRangePacked")
 	if hiM-loM == 1 {
-		ai, ci := a[loM*k:(loM+1)*k], c[loM*n:(loM+1)*n]
+		ai, ci := a[loM*lda:loM*lda+k], c[loM*n:(loM+1)*n]
 		switch p.Format {
 		case WeightF16:
 			gemmRowF16(ci, ai, p.F16)
@@ -379,7 +401,7 @@ func GemmRangePacked(c, a []float32, p *PackedWeights, k, n, loM, hiM int) {
 			default:
 				widenPanelNM24(bp, p, k0, j0, kc, nc)
 			}
-			gemmAxpy(c[loM*n+j0:], n, a[loM*k+k0:], k, 1, bp, nc, kc, nc, hiM-loM)
+			gemmAxpy(c[loM*n+j0:], n, a[loM*lda+k0:], lda, 1, bp, nc, kc, nc, hiM-loM)
 		}
 	}
 }
@@ -527,20 +549,22 @@ func gemmTBRowNM24(ci, ai []float32, p *PackedWeights) {
 
 // GemmTBRangePacked computes c[i,j] += dot(a[i,:], B[j,:]) (c += a·Bᵀ) for
 // rows i in [loM, hiM), where B is p viewed as [n,k] (p.Rows == n, p.Cols ==
-// k). It is GemmTBRange's dot driver with B's rows widened into each
-// k-major group as the group is packed, to exactly the float32 Dequant
-// produces; the gemmDot kernel then runs on them unchanged, at any row
-// count and on every platform. Each output element is therefore one
-// accumulator from +0, k ascending, added to c once: bit-identical to
-// GemmTBRange over p.Dequant() at every k (TestGemmTBPacked). A single
-// row of a WeightNM24 matrix runs gemmTBRowNM24 instead, which reads half
-// the entries the widened group holds. WeightI8 requires ScalePerRow.
-func GemmTBRangePacked(c, a []float32, p *PackedWeights, k, n, loM, hiM int) {
+// k) and c is stored with row stride ldc ≥ n, as in GemmTBRange. It is
+// GemmTBRange's dot driver with B's rows widened into each k-major group
+// as the group is packed, to exactly the float32 Dequant produces; the
+// gemmDot kernel then runs on them unchanged, at any row count and on
+// every platform. Each output element is therefore one accumulator from
+// +0, k ascending, added to c once: bit-identical to GemmTBRange over
+// p.Dequant() at every k (TestGemmTBPacked). A single row of a WeightNM24
+// matrix runs gemmTBRowNM24 instead, which reads half the entries the
+// widened group holds. WeightI8 requires ScalePerRow.
+func GemmTBRangePacked(c, a []float32, p *PackedWeights, k, n, ldc, loM, hiM int) {
+	checkPacked(p, ScalePerRow, "GemmTBRangePacked")
 	if p.Format == WeightNM24 && hiM-loM == 1 {
-		gemmTBRowNM24(c[loM*n:(loM+1)*n], a[loM*k:(loM+1)*k], p)
+		gemmTBRowNM24(c[loM*ldc:loM*ldc+n], a[loM*k:(loM+1)*k], p)
 		return
 	}
-	gemmTBRangeDot(c, a, nil, p, k, n, n, loM, hiM)
+	gemmTBRangeDot(c, a, nil, p, k, n, ldc, loM, hiM)
 }
 
 func checkPacked(p *PackedWeights, wantAxis int, op string) {
@@ -563,8 +587,7 @@ func MatMulPackedInto(c, a *Tensor, p *PackedWeights) {
 	if k != p.Rows || cm != m || cn != p.Cols {
 		panic(fmt.Sprintf("tensor: MatMulPackedInto shapes a%v P[%d %d] c%v", a.Shape(), p.Rows, p.Cols, c.Shape()))
 	}
-	checkPacked(p, ScalePerCol, "MatMulPackedInto")
-	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c: c.Data, a: a.Data, k: k, n: p.Cols, m: m, p: p}, gemmPackedChunk)
+	parallel.ForBlockedArg(m, RowTile, gemmCall{c: c.Data, a: a.Data, k: k, n: p.Cols, m: m, p: p}, gemmPackedChunk)
 }
 
 // MatMulPackedIn returns a·P with the result taken from ws — the packed
@@ -583,8 +606,7 @@ func MatMulTBPackedInto(c, a *Tensor, p *PackedWeights) {
 	if k != p.Cols || cm != m || cn != p.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTBPackedInto shapes a%v P[%d %d] c%v", a.Shape(), p.Rows, p.Cols, c.Shape()))
 	}
-	checkPacked(p, ScalePerRow, "MatMulTBPackedInto")
-	parallel.ForBlockedArg(m, matmulRowTile, gemmCall{c: c.Data, a: a.Data, k: k, n: p.Rows, m: m, p: p}, gemmTBPackedChunk)
+	parallel.ForBlockedArg(m, RowTile, gemmCall{c: c.Data, a: a.Data, k: k, n: p.Rows, m: m, p: p}, gemmTBPackedChunk)
 }
 
 // MatMulTBPackedIn returns a·Pᵀ with the result taken from ws.

@@ -104,11 +104,11 @@ func packedGemmRows(n int) []kernelRow {
 		}},
 		{fmt.Sprintf("gemm/f16/packed/%d", n), flops, act + f16.Bytes(), func() {
 			c.Zero()
-			GemmRangePacked(c.Data, a.Data, f16, n, n, 0, n)
+			GemmRangePacked(c.Data, a.Data, f16, n, n, n, 0, n)
 		}},
 		{fmt.Sprintf("gemm/int8/packed/%d", n), flops, act + i8.Bytes(), func() {
 			c.Zero()
-			GemmRangePacked(c.Data, a.Data, i8, n, n, 0, n)
+			GemmRangePacked(c.Data, a.Data, i8, n, n, n, 0, n)
 		}},
 	}
 }
@@ -133,15 +133,15 @@ func tbRows(prefix string, x, y, w *Tensor, ms []int) []kernelRow {
 			}},
 			kernelRow{prefix + "/f16/" + tag, flops, act + f16.Bytes(), func() {
 				y.Zero()
-				GemmTBRangePacked(y.Data, x.Data, f16, k, n, 0, m)
+				GemmTBRangePacked(y.Data, x.Data, f16, k, n, n, 0, m)
 			}},
 			kernelRow{prefix + "/int8/" + tag, flops, act + i8.Bytes(), func() {
 				y.Zero()
-				GemmTBRangePacked(y.Data, x.Data, i8, k, n, 0, m)
+				GemmTBRangePacked(y.Data, x.Data, i8, k, n, n, 0, m)
 			}},
 			kernelRow{prefix + "/nm24/" + tag, flops, act + nm.Bytes(), func() {
 				y.Zero()
-				GemmTBRangePacked(y.Data, x.Data, nm, k, n, 0, m)
+				GemmTBRangePacked(y.Data, x.Data, nm, k, n, n, 0, m)
 			}},
 		)
 	}
@@ -196,15 +196,15 @@ func decodeABRows(k, n int) []kernelRow {
 			}},
 			kernelRow{"decode/ab/f16/" + tag, flops, act + f16.Bytes(), func() {
 				y.Zero()
-				GemmRangePacked(y.Data, x.Data, f16, k, n, 0, m)
+				GemmRangePacked(y.Data, x.Data, f16, k, n, k, 0, m)
 			}},
 			kernelRow{"decode/ab/int8/" + tag, flops, act + i8.Bytes(), func() {
 				y.Zero()
-				GemmRangePacked(y.Data, x.Data, i8, k, n, 0, m)
+				GemmRangePacked(y.Data, x.Data, i8, k, n, k, 0, m)
 			}},
 			kernelRow{"decode/ab/nm24/" + tag, flops, act + nm.Bytes(), func() {
 				y.Zero()
-				GemmRangePacked(y.Data, x.Data, nm, k, n, 0, m)
+				GemmRangePacked(y.Data, x.Data, nm, k, n, k, 0, m)
 			}},
 		)
 	}
